@@ -29,7 +29,7 @@ import numpy as np
 from . import corr as corrmod
 from . import diagnostics as diagmod
 from .errors import ContractError, DataError, MtgeeError, NumericalError
-from .estfun import EstimatingContext, fit, fit_two_step
+from .estfun import EstimatingContext, fit, resolve_plugin
 from .inference import predict_next
 from .model import ClusterSeries, get_link, moment_arrays
 from .simgen import (
@@ -647,12 +647,12 @@ def _cmd_diagnose(args):
     spec = _spec_from_args(args)
     series = parse_dataset(spec)
     link = get_link(args.link)
-    ctx = EstimatingContext(data=series, link=link, corr=_provider_from_args(args, series.m))
+    # one context for the fit, the monitors and the perturbation base
+    ctx = resolve_plugin(
+        EstimatingContext(data=series, link=link, corr=_provider_from_args(args, series.m))
+    )
     result = fit(ctx, method=args.method, level=args.level, with_inference=False)
     beta = result.beta_hat
-
-    if isinstance(ctx.corr, corrmod.EmpiricalRunningCorr) and ctx.corr.plugin_beta is None:
-        ctx = EstimatingContext(data=series, link=link, corr=ctx.corr.with_plugin(beta))
 
     cond = diagmod.eigen_conditions(ctx, beta, _float_list(args.delta_grid))
     lev = diagmod.leverage(ctx, beta)
@@ -662,9 +662,8 @@ def _cmd_diagnose(args):
     rbar = corrmod.spd_project((eps[:, :, None] * eps[:, None, :]).mean(axis=0), 1e-6)
     opt_ctx = ctx
     if args.method == "two_step":
-        ts = fit_two_step(series, link)
         opt_ctx = EstimatingContext(data=series, link=link,
-                                    corr=corrmod.SequenceCorr(ts.corr_seq))
+                                    corr=corrmod.SequenceCorr(result.corr_seq))
     opt = diagmod.optimality_ratios(opt_ctx, beta, rbar)
 
     diagnostics = {

@@ -4,16 +4,22 @@ A provider supplies, for every step i, the m x m surrogate matrix used to
 weight that step's standardized residuals.  Fixed patterns (independence,
 compound symmetry, AR(1)) are constant over time; the running empirical
 provider averages outer products of standardized residuals from steps
-strictly before i, so the matrix emitted at step i is determined by the
-past alone.
+strictly before i, so the matrix used at step i is determined by the past
+alone.
+
+Running averages are built by one kernel, :func:`running_corr`, shared with
+the two-step estimator.  It walks the series in blocks of ``BLOCK_STEPS``
+steps, takes exclusive prefix sums of per-step moment tensors inside each
+block (carrying the totals into the next block), and regularises a whole
+block of averages with one batched eigendecomposition.  Prefix sums are
+accumulated step by step, so R_i depends on steps before i only and does
+not depend on the block length.
 
 Degenerate empirical averages (fewer residuals folded in than the cluster
 size, hence rank-deficient) fall back to the identity; near-singular
-averages are eigenvalue-floored by :func:`spd_project` instead of being
-rejected, keeping sequential procedures total.
+averages are eigenvalue-floored by :func:`regularized_empirical` instead of
+being rejected, keeping sequential procedures total.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +27,11 @@ from .errors import ContractError, CorrelationDegeneracyError
 from .model import ClusterSeries, LinkSpec, moment_arrays
 
 FIXED_KINDS = ("independence", "compound_symmetry", "ar1")
+
+# Steps per block of the running-correlation kernel.  The two-step
+# estimator's prefix tensor holds m^2 p^2 floats per step (8 KB at m=8,
+# p=4), so this bounds the kernel's working memory to a few MB.
+BLOCK_STEPS = 64
 
 
 def build_fixed_corr(kind: str, alpha: float, m: int) -> np.ndarray:
@@ -74,16 +85,24 @@ def spd_project(mat: np.ndarray, floor: float = 1e-6) -> np.ndarray:
     w, v = np.linalg.eigh(mat)
     if w[0] >= floor:
         return mat
-    w = np.maximum(w, floor)
-    out = (v * w) @ v.T
-    d = np.sqrt(np.diag(out))
-    out = out / np.outer(d, d)
-    np.fill_diagonal(out, 1.0)
-    return 0.5 * (out + out.T)
+    return _clip_spectrum(w, v, np.asarray(floor))
 
 
-def regularized_empirical(mat: np.ndarray, count: int, floor: float = 1e-6) -> np.ndarray:
-    """Floor an empirical average of ``count`` residual outer products.
+def _clip_spectrum(w, v, floors):
+    """Reassemble eigenpairs (stacked or single) with eigenvalues clipped
+    below at ``floors``, rescaled to unit diagonal and exactly symmetric."""
+    w = np.maximum(w, floors[..., None])
+    out = (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
+    d = np.sqrt(np.diagonal(out, axis1=-2, axis2=-1))
+    out = out / (d[..., :, None] * d[..., None, :])
+    diag = np.arange(out.shape[-1])
+    out[..., diag, diag] = 1.0
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+def regularized_empirical(mats: np.ndarray, counts, floor: float = 1e-6) -> np.ndarray:
+    """Floor a stack of empirical averages, ``mats`` (k, m, m), of ``counts``
+    (k,) residual outer products each.
 
     Beyond the absolute ``floor``, eigenvalues are floored at
     min(1/2, m/(2*count)) of the largest one: an average of count outer
@@ -92,12 +111,48 @@ def regularized_empirical(mat: np.ndarray, count: int, floor: float = 1e-6) -> n
     weights that dominate the whole estimating equation.  The relative
     floor caps any step's condition number at 2*count/m and decays to
     nothing as data accrue, so the sequence converges to the plain
-    empirical average.
+    empirical average.  A matrix whose eigenvalues all meet the floor is
+    returned symmetrised but otherwise unchanged.
     """
-    mat = 0.5 * (mat + mat.T)
-    lam_max = float(np.linalg.eigvalsh(mat)[-1])
-    rel = min(0.5, mat.shape[0] / (2.0 * max(count, 1)))
-    return spd_project(mat, max(floor, rel * lam_max))
+    out = 0.5 * (mats + np.swapaxes(mats, -1, -2))
+    w, v = np.linalg.eigh(out)
+    rel = np.minimum(0.5, out.shape[-1] / (2.0 * np.maximum(counts, 1)))
+    floors = np.maximum(floor, rel * w[:, -1])
+    clip = w[:, 0] < floors
+    if np.any(clip):
+        out[clip] = _clip_spectrum(w[clip], v[clip], floors[clip])
+    return out
+
+
+def running_corr(n, m, step_moments, average, warmup_steps=2, floor=1e-6) -> np.ndarray:
+    """Regularised running averages R_0..R_{n-1} as an (n, m, m) array.
+
+    ``step_moments(lo, hi)`` returns a tuple of per-step moment arrays for
+    steps lo..hi-1, each with leading axis hi - lo.  For steps i at or past
+    the warm-up, ``average(sums, counts)`` receives their exclusive prefix
+    sums (totals over steps 0..i-1, leading axis k) and the counts i, and
+    returns the (k, m, m) raw averages with a (k,) mask of the usable ones.
+    Usable averages go through :func:`regularized_empirical`; warm-up steps
+    (count < max(warmup_steps, m), where the average is necessarily
+    rank-deficient) and unusable steps get the identity.
+    """
+    guard = max(int(warmup_steps), m)
+    out = np.tile(np.eye(m), (n, 1, 1))
+    totals = None
+    for lo in range(0, n, BLOCK_STEPS):
+        hi = min(lo + BLOCK_STEPS, n)
+        moments = step_moments(lo, hi)
+        if totals is None:
+            totals = [np.zeros_like(t[0]) for t in moments]
+        # row j sums steps before lo + j; the last row carries into the next block
+        sums = [np.cumsum(np.concatenate([tot[None], t]), axis=0)
+                for tot, t in zip(totals, moments)]
+        totals = [s[-1] for s in sums]
+        first = max(lo, guard)
+        counts = np.arange(first, hi)
+        raw, usable = average([s[first - lo:-1] for s in sums], counts)
+        out[counts[usable]] = regularized_empirical(raw[usable], counts[usable], floor)
+    return out
 
 
 def _check_spd(mat, what, eig_bounds=None):
@@ -120,37 +175,6 @@ def _check_spd(mat, what, eig_bounds=None):
     return mat
 
 
-@dataclass(frozen=True)
-class EmpiricalCorrState:
-    """Running sum of standardized-residual outer products."""
-
-    count: int
-    sum_outer: np.ndarray
-
-    @classmethod
-    def empty(cls, m: int) -> "EmpiricalCorrState":
-        return cls(count=0, sum_outer=np.zeros((m, m)))
-
-    def mean(self) -> np.ndarray:
-        """Raw average sum_outer / count (no warmup or flooring applied)."""
-        if self.count == 0:
-            raise ContractError("empirical correlation state is empty")
-        return self.sum_outer / self.count
-
-
-def empirical_update(state: EmpiricalCorrState, eps_std) -> EmpiricalCorrState:
-    """Fold one standardized residual vector into the running average."""
-    eps = np.asarray(eps_std, dtype=np.float64)
-    if eps.shape != (state.sum_outer.shape[0],):
-        raise ContractError(
-            f"residual has shape {eps.shape}, state expects ({state.sum_outer.shape[0]},)"
-        )
-    return EmpiricalCorrState(
-        count=state.count + 1,
-        sum_outer=state.sum_outer + np.outer(eps, eps),
-    )
-
-
 class CorrProvider:
     """Base class: one m x m surrogate matrix per time step."""
 
@@ -158,9 +182,6 @@ class CorrProvider:
 
     @property
     def m(self) -> int:
-        raise NotImplementedError
-
-    def emit(self, step_index: int) -> np.ndarray:
         raise NotImplementedError
 
     def realize(self, data: ClusterSeries, link: LinkSpec) -> np.ndarray:
@@ -182,9 +203,6 @@ class FixedCorr(CorrProvider):
     @property
     def m(self):
         return self.matrix.shape[0]
-
-    def emit(self, step_index: int) -> np.ndarray:
-        return self.matrix
 
     def realize(self, data, link):
         if data.m != self.m:
@@ -209,9 +227,6 @@ class SequenceCorr(CorrProvider):
     def m(self):
         return self.matrices.shape[1]
 
-    def emit(self, step_index):
-        return self.matrices[step_index]
-
     def realize(self, data, link):
         if data.n != self.matrices.shape[0] or data.m != self.m:
             raise ContractError("sequence provider does not match data dimensions")
@@ -221,13 +236,13 @@ class SequenceCorr(CorrProvider):
 class EmpiricalRunningCorr(CorrProvider):
     """Running average of standardized-residual outer products.
 
-    The matrix emitted at step i averages residuals from steps < i only.
-    While fewer than ``warmup_steps`` residuals have been folded in, the
-    identity is emitted; the same applies while the average is necessarily
+    The matrix used at step i averages residuals from steps < i only.
+    While fewer than ``warmup_steps`` residuals have been folded in, it is
+    the identity; the same applies while the average is necessarily
     rank-deficient (count < m), since an average of count outer products
     has rank at most count.  Past that point the average is conditioned
     through :func:`regularized_empirical`, whose eigenvalue floor decays
-    with the count.
+    with the count.  :func:`running_corr` builds the whole sequence.
 
     Residuals are standardized at a single plug-in value of the regression
     parameter (``plugin_beta``); ``fit`` resolves it to the
@@ -245,29 +260,15 @@ class EmpiricalRunningCorr(CorrProvider):
         )
         self.warmup_steps = int(warmup_steps)
         self.floor = float(floor)
-        self.state = EmpiricalCorrState.empty(self._m)
 
     @property
     def m(self):
         return self._m
 
-    def _guarded(self, state):
-        if state.count < max(self.warmup_steps, self._m):
-            return np.eye(self._m)
-        return regularized_empirical(state.mean(), state.count, self.floor)
-
-    def update(self, eps_std):
-        self.state = empirical_update(self.state, eps_std)
-
-    def emit(self, step_index=None):
-        return self._guarded(self.state)
-
     def with_plugin(self, beta) -> "EmpiricalRunningCorr":
-        out = EmpiricalRunningCorr(
+        return EmpiricalRunningCorr(
             self._m, plugin_beta=beta, warmup_steps=self.warmup_steps, floor=self.floor
         )
-        out.state = self.state
-        return out
 
     def realize(self, data, link):
         if data.m != self._m:
@@ -280,12 +281,14 @@ class EmpiricalRunningCorr(CorrProvider):
                 "working-independence estimate)"
             )
         _, _, eps = moment_arrays(data.Xs, data.ys, self.plugin_beta, link)
-        out = np.empty((data.n, self._m, self._m))
-        state = EmpiricalCorrState.empty(self._m)
-        for i in range(data.n):
-            out[i] = self._guarded(state)
-            state = empirical_update(state, eps[i])
-        return out
+        return running_corr(
+            data.n,
+            self._m,
+            lambda lo, hi: (eps[lo:hi, :, None] * eps[lo:hi, None, :],),
+            lambda sums, counts: (sums[0] / counts[:, None, None], np.ones(counts.size, bool)),
+            self.warmup_steps,
+            self.floor,
+        )
 
 
 def independence(m: int) -> FixedCorr:
@@ -312,14 +315,3 @@ def empirical_running(m, plugin_beta=None, warmup_steps=2, floor=1e-6) -> Empiri
         m, plugin_beta=plugin_beta, warmup_steps=warmup_steps, floor=floor
     )
 
-
-def emit_corr(provider: CorrProvider, step_index: int, beta=None) -> np.ndarray:
-    """Matrix the provider would use at ``step_index``.
-
-    For the running empirical provider only data folded in so far (which
-    the caller must restrict to steps < step_index) influences the result;
-    beta is accepted for signature compatibility with beta-dependent
-    providers but every shipped provider is beta-free.
-    """
-    del beta
-    return provider.emit(step_index)

@@ -326,10 +326,10 @@ def perturbation_sensitivity(
             rng = substream(seed, k)
             deltas = rng.standard_normal((n, m, p))
             # scale each delta_i to spectral norm d * 2^{-i} (i is 1-based)
-            for i in range(n):
-                target = d * 2.0 ** (-(i + 1))
-                norm = np.linalg.norm(deltas[i], 2)
-                deltas[i] *= target / norm if norm > 0 else 0.0
+            norms = np.linalg.norm(deltas, 2, axis=(1, 2))
+            scale = np.zeros(n)
+            np.divide(d * 2.0 ** -np.arange(1.0, n + 1), norms, out=scale, where=norms > 0)
+            deltas *= scale[:, None, None]
             data_d = ctx.data.with_regressors(ctx.data.Xs + deltas)
             beta_d, seq_d = _refit(ctx.with_data(data_d), beta_method)
         drifts[k] = float(np.linalg.norm(beta_d - base_beta))

@@ -54,6 +54,8 @@ class EstimatingContext:
             seq = self.corr_matrices()
             if self.corr is None:
                 self._cache["inv"] = seq
+            elif isinstance(self.corr, corrmod.FixedCorr):
+                self._cache["inv"] = np.broadcast_to(np.linalg.inv(self.corr.matrix), seq.shape)
             else:
                 self._cache["inv"] = np.linalg.inv(seq)
         return self._cache["inv"]
@@ -258,11 +260,20 @@ def working_independence_estimate(data: ClusterSeries, link: LinkSpec) -> np.nda
     return report.beta_hat
 
 
+def resolve_plugin(ctx: EstimatingContext) -> EstimatingContext:
+    """``ctx`` with an unresolved empirical provider's plug-in beta set to
+    the working-independence estimate; any other context is returned as is."""
+    if isinstance(ctx.corr, corrmod.EmpiricalRunningCorr) and ctx.corr.plugin_beta is None:
+        plugin = working_independence_estimate(ctx.data, ctx.link)
+        return EstimatingContext(data=ctx.data, link=ctx.link, corr=ctx.corr.with_plugin(plugin))
+    return ctx
+
+
 @dataclass
 class TwoStepResult:
     beta: np.ndarray
-    corr_trace: list      # matrices formed after observing 1..n-1 steps
-    corr_seq: np.ndarray  # (n, m, m) matrices actually used per step
+    corr_trace: np.ndarray  # matrices formed after observing 1..n-1 steps
+    corr_seq: np.ndarray    # (n, m, m) matrices actually used per step
 
 
 def fit_two_step(
@@ -277,64 +288,61 @@ def fit_two_step(
     outer products from steps 1..i-1, with residuals taken at the
     working-independence estimate computed on those same steps; the first
     two steps (and any step where the average is necessarily singular,
-    i.e. fewer residuals than the cluster size) use the identity.  The
-    final estimate solves the weighted closed form with those per-step
-    matrices.
+    i.e. fewer residuals than the cluster size, or where that estimate is
+    singular or non-finite) use the identity.  The final estimate solves
+    the weighted closed form with those per-step matrices.
 
-    Running sums make the whole procedure a single O(n) pass: with
-    b = beta_ind(i-1), sum_l (y_l - X_l b)(y_l - X_l b)' expands into
-    moment tensors accumulated once per step.
+    With b = beta_ind(i-1), sum_l (y_l - X_l b)(y_l - X_l b)' expands into
+    prefix sums of per-step moment tensors, so :func:`corr.running_corr`
+    builds the whole sequence block by block, with one batched solve for
+    the b of a block.
     """
     if link is None:
         link = get_link("identity")
     if link.kind != "identity":
         raise ContractError("fit_two_step requires the identity link")
-    n, m, p = data.n, data.m, data.p
+    n, m = data.n, data.m
     if n < 3:
         raise ContractError(f"two-step procedure needs n >= 3, got {n}")
 
     Xs, ys = data.Xs, data.ys
-    sxx = np.zeros((p, p))
-    sxy = np.zeros(p)
-    syy = np.zeros((m, m))
-    t1 = np.zeros((m, m, p))
-    t2 = np.zeros((m, p, m, p))
-    k_mat = np.zeros((p, p))
-    rhs = np.zeros(p)
-    seq = np.empty((n, m, m))
-    eye = np.eye(m)
-    guard = max(int(warmup_steps), m)
 
-    for i in range(n):
-        count = i
-        if count < guard:
-            r_mat = eye
-        else:
-            try:
-                b = np.linalg.solve(sxx, sxy)
-            except np.linalg.LinAlgError:
-                b = None
-            if b is None or not np.all(np.isfinite(b)):
-                r_mat = eye
-            else:
-                c1 = np.einsum("ack,k->ac", t1, b)
-                r_mat = (syy - c1 - c1.T + np.einsum("akcj,k,j->ac", t2, b, b)) / count
-                r_mat = corrmod.regularized_empirical(r_mat, count, floor)
-        seq[i] = r_mat
+    def step_moments(lo, hi):
+        x, y = Xs[lo:hi], ys[lo:hi]
+        return (
+            np.einsum("imp,imk->ipk", x, x),
+            np.einsum("imp,im->ip", x, y),
+            y[:, :, None] * y[:, None, :],
+            y[:, :, None, None] * x[:, None, :, :],
+            x[:, :, :, None, None] * x[:, None, None, :, :],
+        )
 
-        x_i, y_i = Xs[i], ys[i]
-        rinv_x = np.linalg.solve(r_mat, x_i)
-        k_mat += x_i.T @ rinv_x
-        rhs += rinv_x.T @ y_i
+    def average(sums, counts):
+        sxx, sxy, syy, t1, t2 = sums
+        try:
+            b = np.linalg.solve(sxx, sxy[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            # one singular step fails the whole batch; it alone gets the identity
+            b = np.full(sxy.shape, np.nan)
+            for j in range(len(counts)):
+                try:
+                    b[j] = np.linalg.solve(sxx[j], sxy[j])
+                except np.linalg.LinAlgError:
+                    pass
+        usable = np.all(np.isfinite(b), axis=1)
+        b[~usable] = 0.0
+        c1 = np.einsum("iack,ik->iac", t1, b)
+        t2_b = (t2.reshape(len(b), -1, b.shape[1]) @ b[:, :, None]).reshape(t2.shape[:-1])
+        quad = np.einsum("iakc,ik->iac", t2_b, b)
+        raw = (syy - c1 - np.swapaxes(c1, 1, 2) + quad) / counts[:, None, None]
+        return raw, usable
 
-        sxx += x_i.T @ x_i
-        sxy += x_i.T @ y_i
-        syy += np.outer(y_i, y_i)
-        t1 += np.einsum("a,ck->ack", y_i, x_i)
-        t2 += np.einsum("ak,cj->akcj", x_i, x_i)
-
+    seq = corrmod.running_corr(n, m, step_moments, average, warmup_steps, floor)
+    rinv_x = np.linalg.solve(seq, Xs)
+    k_mat = np.einsum("nmp,nmk->pk", Xs, rinv_x)
+    rhs = np.einsum("nmk,nm->k", rinv_x, ys)
     beta = _rank_checked_solve(k_mat, rhs, "two-step normal matrix")
-    return TwoStepResult(beta=beta, corr_trace=[seq[i] for i in range(1, n)], corr_seq=seq)
+    return TwoStepResult(beta=beta, corr_trace=seq[1:], corr_seq=seq)
 
 
 @dataclass
@@ -355,7 +363,8 @@ class FitResult:
     iterations: int = 0
     final_residual_norm: float = 0.0
     trace: Optional[list] = None
-    corr_trace: Optional[list] = None
+    corr_trace: Optional[np.ndarray] = None
+    corr_seq: Optional[np.ndarray] = None  # two_step: the (n, m, m) weights used
     diagnostics: Optional[dict] = None
 
 
@@ -380,25 +389,20 @@ def fit(
     if not (0.0 < level < 1.0):
         raise ContractError(f"level must be in (0, 1), got {level}")
     corr_kind = ctx.corr.kind if ctx.corr is not None else "independence"
-    corr_trace = None
+    corr_trace = corr_seq = None
     trace = None
     converged, iterations, res_norm = True, 0, 0.0
 
     if method == "two_step":
         ts = fit_two_step(ctx.data, ctx.link)
         beta = ts.beta
-        corr_trace = ts.corr_trace
+        corr_trace, corr_seq = ts.corr_trace, ts.corr_seq
         corr_kind = "two_step_empirical"
         infer_ctx = EstimatingContext(
             data=ctx.data, link=ctx.link, corr=corrmod.SequenceCorr(ts.corr_seq)
         )
     else:
-        infer_ctx = ctx
-        if isinstance(ctx.corr, corrmod.EmpiricalRunningCorr) and ctx.corr.plugin_beta is None:
-            plugin = working_independence_estimate(ctx.data, ctx.link)
-            infer_ctx = EstimatingContext(
-                data=ctx.data, link=ctx.link, corr=ctx.corr.with_plugin(plugin)
-            )
+        infer_ctx = resolve_plugin(ctx)
         if method == "linear":
             beta = solve_linear(infer_ctx)
         elif method == "newton":
@@ -422,6 +426,7 @@ def fit(
         final_residual_norm=res_norm,
         trace=trace,
         corr_trace=corr_trace,
+        corr_seq=corr_seq,
     )
     if with_inference:
         est = inference.sandwich(infer_ctx, beta)

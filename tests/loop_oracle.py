@@ -1,0 +1,75 @@
+"""Step-by-step reference implementations of the running correlation sequences.
+
+These are the per-step loops that the block kernel ``corr.running_corr``
+replaced, kept as oracles: one running sum updated per step, and a scalar
+regulariser that shares no code with the batched ``corr.regularized_empirical``.
+"""
+
+import numpy as np
+
+
+def scalar_regularize(mat, count, floor=1e-6):
+    """One step's relative eigenvalue floor, clip and unit-diagonal rescale."""
+    mat = 0.5 * (mat + mat.T)
+    lam_max = float(np.linalg.eigvalsh(mat)[-1])
+    rel = min(0.5, mat.shape[0] / (2.0 * max(count, 1)))
+    fl = max(floor, rel * lam_max)
+    w, v = np.linalg.eigh(mat)
+    if w[0] >= fl:
+        return mat
+    out = (v * np.maximum(w, fl)) @ v.T
+    d = np.sqrt(np.diag(out))
+    out = out / np.outer(d, d)
+    np.fill_diagonal(out, 1.0)
+    return 0.5 * (out + out.T)
+
+
+def loop_realize(eps, warmup_steps=2, floor=1e-6):
+    """Running empirical correlations from standardized residuals ``eps`` (n, m)."""
+    n, m = eps.shape
+    out = np.empty((n, m, m))
+    total = np.zeros((m, m))
+    for i in range(n):
+        if i < max(warmup_steps, m):
+            out[i] = np.eye(m)
+        else:
+            out[i] = scalar_regularize(total / i, i, floor)
+        total = total + np.outer(eps[i], eps[i])
+    return out
+
+
+def loop_two_step(data, warmup_steps=2, floor=1e-6):
+    """Two-step estimate and its correlation sequence, one step at a time."""
+    n, m, p = data.n, data.m, data.p
+    Xs, ys = data.Xs, data.ys
+    sxx = np.zeros((p, p))
+    sxy = np.zeros(p)
+    syy = np.zeros((m, m))
+    t1 = np.zeros((m, m, p))
+    t2 = np.zeros((m, p, m, p))
+    k_mat = np.zeros((p, p))
+    rhs = np.zeros(p)
+    seq = np.empty((n, m, m))
+    guard = max(warmup_steps, m)
+    for i in range(n):
+        r_mat = np.eye(m)
+        if i >= guard:
+            try:
+                b = np.linalg.solve(sxx, sxy)
+            except np.linalg.LinAlgError:
+                b = None
+            if b is not None and np.all(np.isfinite(b)):
+                c1 = np.einsum("ack,k->ac", t1, b)
+                raw = (syy - c1 - c1.T + np.einsum("akcj,k,j->ac", t2, b, b)) / i
+                r_mat = scalar_regularize(raw, i, floor)
+        seq[i] = r_mat
+        x_i, y_i = Xs[i], ys[i]
+        rinv_x = np.linalg.solve(r_mat, x_i)
+        k_mat += x_i.T @ rinv_x
+        rhs += rinv_x.T @ y_i
+        sxx += x_i.T @ x_i
+        sxy += x_i.T @ y_i
+        syy += np.outer(y_i, y_i)
+        t1 += np.einsum("a,ck->ack", y_i, x_i)
+        t2 += np.einsum("ak,cj->akcj", x_i, x_i)
+    return np.linalg.solve(k_mat, rhs), seq

@@ -54,27 +54,15 @@ def test_ar1_inverse_is_tridiagonal(alpha, m):
     assert np.max(np.abs(np.linalg.inv(mat) - ar1_inverse_oracle(alpha, m))) < 1e-10
 
 
-def test_empirical_update_single_outer_product():
-    state = corr.EmpiricalCorrState.empty(2)
-    state = corr.empirical_update(state, np.array([1.0, -1.0]))
-    assert np.array_equal(state.mean(), np.array([[1.0, -1.0], [-1.0, 1.0]]))
-
-
-def test_empirical_update_two_averages():
-    state = corr.EmpiricalCorrState.empty(2)
-    state = corr.empirical_update(state, np.array([1.0, 0.0]))
-    state = corr.empirical_update(state, np.array([0.0, 1.0]))
-    assert np.array_equal(state.mean(), np.array([[0.5, 0.0], [0.0, 0.5]]))
-
-
 def test_empirical_mean_recovers_true_correlation():
     rng = substream(7, 0)
     target = np.array([[1.0, 0.7], [0.7, 1.0]])
     chol = np.linalg.cholesky(target)
-    state = corr.EmpiricalCorrState.empty(2)
-    for eps in rng.standard_normal((10_000, 2)) @ chol.T:
-        state = corr.empirical_update(state, eps)
-    assert np.max(np.abs(state.mean() - target)) < 0.05
+    # zero regressors make the standardized residuals the draws themselves
+    ys = rng.standard_normal((10_000, 2)) @ chol.T
+    data = ClusterSeries(ys=ys, Xs=np.zeros((10_000, 2, 1)))
+    seq = corr.empirical_running(2, plugin_beta=[0.0]).realize(data, get_link("identity"))
+    assert np.max(np.abs(seq[-1] - target)) < 0.05
 
 
 def test_empirical_running_convergence_monotone_in_n():
@@ -134,32 +122,13 @@ def test_pseudo_fixed_rejects_non_spd():
     assert err.value.eigenvalue is not None
 
 
-def test_emit_corr_warmup_identity():
-    provider = corr.empirical_running(3)
-    assert np.array_equal(corr.emit_corr(provider, 1), np.eye(3))
-
-
-def test_emit_corr_constant_provider():
-    mat = corr.build_fixed_corr("ar1", 0.4, 3)
-    provider = corr.pseudo_fixed(mat)
-    for i in (0, 5, 99):
-        assert np.array_equal(corr.emit_corr(provider, i), mat)
-
-
-def test_emit_corr_delegates_to_fixed_pattern():
-    provider = corr.compound_symmetry(0.7, 5)
-    assert np.array_equal(
-        corr.emit_corr(provider, 3), corr.build_fixed_corr("compound_symmetry", 0.7, 5)
-    )
-
-
 def test_emitted_matrices_are_unit_diagonal_spd():
     for provider in (
         corr.independence(4),
         corr.compound_symmetry(0.3, 4),
         corr.ar1(-0.6, 4),
     ):
-        mat = provider.emit(0)
+        mat = provider.matrix
         assert np.max(np.abs(mat - mat.T)) == 0.0
         assert np.all(np.diag(mat) == 1.0)
         assert np.linalg.eigvalsh(mat)[0] > 0
@@ -216,28 +185,11 @@ def test_spd_project_clipped_output_is_unit_diagonal_pd(rho, m):
     assert np.max(np.abs(out - out.T)) == 0.0
 
 
-def test_empirical_provider_stateful_update_and_emit():
-    provider = corr.empirical_running(2, warmup_steps=2)
-    rng = substream(31, 0)
-    assert np.array_equal(provider.emit(0), np.eye(2))
-    draws = rng.standard_normal((6, 2))
-    for k, eps in enumerate(draws):
-        provider.update(eps)
-        mat = provider.emit(k + 1)
-        if k + 1 < 2:
-            assert np.array_equal(mat, np.eye(2))
-        else:
-            expected = corr.regularized_empirical(
-                np.einsum("na,nb->ab", draws[: k + 1], draws[: k + 1]) / (k + 1), k + 1
-            )
-            assert np.max(np.abs(mat - expected)) < 1e-12
-
-
 def test_regularized_empirical_caps_condition_number():
     rng = substream(5, 0)
     eps = rng.standard_normal((5, 5))
     raw = np.einsum("na,nb->ab", eps, eps) / 5  # square-case average: near-singular
-    out = corr.regularized_empirical(raw, count=5)
+    out = corr.regularized_empirical(raw[None], counts=np.array([5]))[0]
     w = np.linalg.eigvalsh(out)
     assert w[0] > 0
     # eigenvalue clip bounds the condition number at 2*count/m; the unit-diagonal

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import glm_series, random_series
+from loop_oracle import scalar_regularize
 from mtgee import corr
 from mtgee.errors import ContractError, RankDeficiencyError, SolverFailureError
 from mtgee.estfun import (
@@ -180,7 +181,7 @@ def naive_two_step(data, warmup=2, floor=1e-6):
         b = np.linalg.solve(sxx, sxy)
         resid = [data.ys[t] - data.Xs[t] @ b for t in range(i)]
         raw = sum(np.outer(r, r) for r in resid) / i
-        seq[i] = corr.regularized_empirical(raw, i, floor)
+        seq[i] = scalar_regularize(raw, i, floor)
     k = sum(data.Xs[i].T @ np.linalg.solve(seq[i], data.Xs[i]) for i in range(n))
     c = sum(data.Xs[i].T @ np.linalg.solve(seq[i], data.ys[i]) for i in range(n))
     return np.linalg.solve(k, c), seq
