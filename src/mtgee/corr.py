@@ -149,6 +149,8 @@ def running_corr(n, m, step_moments, average, warmup_steps=2, floor=1e-6) -> np.
                 for tot, t in zip(totals, moments)]
         totals = [s[-1] for s in sums]
         first = max(lo, guard)
+        if first >= hi:  # the whole block is warm-up
+            continue
         counts = np.arange(first, hi)
         raw, usable = average([s[first - lo:-1] for s in sums], counts)
         out[counts[usable]] = regularized_empirical(raw[usable], counts[usable], floor)

@@ -272,8 +272,7 @@ def resolve_plugin(ctx: EstimatingContext) -> EstimatingContext:
 @dataclass
 class TwoStepResult:
     beta: np.ndarray
-    corr_trace: np.ndarray  # matrices formed after observing 1..n-1 steps
-    corr_seq: np.ndarray    # (n, m, m) matrices actually used per step
+    corr_seq: np.ndarray  # (n, m, m) matrices actually used per step
 
 
 def fit_two_step(
@@ -342,7 +341,7 @@ def fit_two_step(
     k_mat = np.einsum("nmp,nmk->pk", Xs, rinv_x)
     rhs = np.einsum("nmk,nm->k", rinv_x, ys)
     beta = _rank_checked_solve(k_mat, rhs, "two-step normal matrix")
-    return TwoStepResult(beta=beta, corr_trace=seq[1:], corr_seq=seq)
+    return TwoStepResult(beta=beta, corr_seq=seq)
 
 
 @dataclass
@@ -363,7 +362,6 @@ class FitResult:
     iterations: int = 0
     final_residual_norm: float = 0.0
     trace: Optional[list] = None
-    corr_trace: Optional[np.ndarray] = None
     corr_seq: Optional[np.ndarray] = None  # two_step: the (n, m, m) weights used
     diagnostics: Optional[dict] = None
 
@@ -389,14 +387,14 @@ def fit(
     if not (0.0 < level < 1.0):
         raise ContractError(f"level must be in (0, 1), got {level}")
     corr_kind = ctx.corr.kind if ctx.corr is not None else "independence"
-    corr_trace = corr_seq = None
+    corr_seq = None
     trace = None
     converged, iterations, res_norm = True, 0, 0.0
 
     if method == "two_step":
         ts = fit_two_step(ctx.data, ctx.link)
         beta = ts.beta
-        corr_trace, corr_seq = ts.corr_trace, ts.corr_seq
+        corr_seq = ts.corr_seq
         corr_kind = "two_step_empirical"
         infer_ctx = EstimatingContext(
             data=ctx.data, link=ctx.link, corr=corrmod.SequenceCorr(ts.corr_seq)
@@ -425,7 +423,6 @@ def fit(
         iterations=iterations,
         final_residual_norm=res_norm,
         trace=trace,
-        corr_trace=corr_trace,
         corr_seq=corr_seq,
     )
     if with_inference:

@@ -266,7 +266,7 @@ def test_fit_method_mismatch(rng):
 def test_fit_two_step_trace_length(rng):
     data = random_series(rng, n=10, m=2, p=2)
     res = fit(EstimatingContext(data=data, link=IDENT), method="two_step")
-    assert len(res.corr_trace) == data.n - 1
+    assert len(res.corr_seq) == data.n
 
 
 def test_fit_resolves_empirical_plugin(rng):

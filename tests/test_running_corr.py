@@ -34,10 +34,12 @@ def binary_series(seed, n, m, p):
 
 
 # (n, m, p, zero_until): three-plus blocks, the warm-up edge n = guard + 1,
-# m = 1, and an early zero regressor column that makes b_i singular
+# a series that is all warm-up (n = m = 3), m = 1, and an early zero
+# regressor column that makes b_i singular
 CASES = {
     "three_blocks": (3 * B + 17, 4, 3, 0),
     "warmup_edge": (4, 3, 2, 0),
+    "all_warmup": (3, 3, 2, 0),
     "m1": (2 * B + 5, 1, 2, 0),
     "singular_b": (2 * B + 9, 3, 2, B + 3),
 }
@@ -95,11 +97,16 @@ def test_change_at_block_boundary_leaves_past_bitwise(k):
     assert not np.array_equal(emp_k[k + 1], emp[k + 1])
 
 
-def test_sequence_does_not_depend_on_block_length(monkeypatch):
-    data = series(14, 2 * B + 7, 3, 2, zero_until=9)
-    seq = fit_two_step(data).corr_seq
-    monkeypatch.setattr(corr, "BLOCK_STEPS", 5)
+# blocks shorter than the warm-up (m > BLOCK_STEPS) hold warm-up steps only
+@pytest.mark.parametrize("block,m", [(5, 3), (1, 3), (2, 5), (4, 5)])
+def test_sequence_does_not_depend_on_block_length(monkeypatch, block, m):
+    data = series(14, 2 * B + 7, m, 2, zero_until=9)
+    provider = corr.empirical_running(m, plugin_beta=[0.3, -0.2])
+    link = get_link("identity")
+    seq, emp = fit_two_step(data).corr_seq, provider.realize(data, link)
+    monkeypatch.setattr(corr, "BLOCK_STEPS", block)
     assert np.array_equal(fit_two_step(data).corr_seq, seq)
+    assert np.array_equal(provider.realize(data, link), emp)
 
 
 def test_regularized_empirical_batch_matches_scalar():
