@@ -329,19 +329,6 @@ def _load_arrays(spec: DatasetSpec):
     return Y, Z
 
 
-def _design_row_blocks(spec, Y, Z, i):
-    """Regressor blocks for step index i (absolute row index into Y)."""
-    m = Y.shape[1]
-    blocks = []
-    if spec.intercept:
-        blocks.append(np.ones((m, 1)))
-    for lag in range(1, spec.lags + 1):
-        blocks.append(Y[i - lag][:, None])
-    if Z is not None:
-        blocks.append(Z[i])
-    return np.hstack(blocks) if blocks else np.zeros((m, 0))
-
-
 def parse_dataset(spec: DatasetSpec) -> ClusterSeries:
     """Build the clustered series: steps i = lags..T-1, first ``lags`` rows seed the lags."""
     Y, Z = _load_arrays(spec)
@@ -350,32 +337,36 @@ def parse_dataset(spec: DatasetSpec) -> ClusterSeries:
         raise DataError(
             f"{spec.path}: {T} rows cannot support {spec.lags} lags plus one step"
         )
-    steps = range(spec.lags, T)
-    Xs = np.stack([_design_row_blocks(spec, Y, Z, i) for i in steps])
-    if Xs.shape[2] == 0:
+    lags = spec.lags
+    blocks = [Y[lags - lag : T - lag, :, None] for lag in range(1, lags + 1)]
+    if spec.intercept:
+        blocks.insert(0, np.ones((T - lags, Y.shape[1], 1)))
+    if Z is not None:
+        blocks.append(Z[lags:])
+    if not blocks:
         raise ContractError("design has zero columns; add lags, intercept, or exogenous columns")
-    ys = Y[spec.lags :]
-    zs = Z[spec.lags :].reshape(len(ys), -1) if Z is not None else None
+    Xs = np.concatenate(blocks, axis=2)
+    ys = Y[lags:]
+    zs = Z[lags:].reshape(len(ys), -1) if Z is not None else None
     return ClusterSeries(ys=ys, Xs=Xs, zs=zs)
 
 
-def next_design(spec: DatasetSpec) -> np.ndarray:
+def next_design(spec: DatasetSpec, series: ClusterSeries) -> np.ndarray:
     """Design matrix for the step after the last observed one.
 
-    Lag blocks come from the final rows of the file; an exogenous block, if
-    present, carries the last observed (imputed) values forward, i.e. the
-    unknown next-step exogenous value is nearest-neighbour imputed from the
-    final time index.
+    Built from ``series = parse_dataset(spec)`` without reading the file
+    again: lag 1 is the last response row and lag k is lag k-1 of the last
+    step; an exogenous block, if present, carries the last observed
+    (imputed) values forward, i.e. the unknown next-step exogenous value is
+    nearest-neighbour imputed from the final time index.
     """
-    Y, Z = _load_arrays(spec)
-    m = Y.shape[1]
-    blocks = []
-    if spec.intercept:
-        blocks.append(np.ones((m, 1)))
-    for lag in range(1, spec.lags + 1):
-        blocks.append(Y[Y.shape[0] - lag][:, None])
-    if Z is not None:
-        blocks.append(Z[-1])
+    m, first_lag = series.m, int(spec.intercept)
+    blocks = [np.ones((m, 1))] if spec.intercept else []
+    if spec.lags:
+        blocks.append(series.ys[-1][:, None])
+        blocks.append(series.Xs[-1][:, first_lag : first_lag + spec.lags - 1])
+    if series.zs is not None:
+        blocks.append(series.zs[-1].reshape(m, -1))
     return np.hstack(blocks)
 
 
@@ -519,7 +510,7 @@ def _fit_from_args(args):
     ctx = EstimatingContext(data=series, link=link, corr=_provider_from_args(args, series.m))
     result = fit(ctx, method=args.method, level=args.level, tol=args.tol,
                  max_iter=args.max_iter)
-    x_next = next_design(spec)
+    x_next = next_design(spec, series)
     prediction = predict_next(x_next, result.beta_hat, link)
     return spec, series, ctx, result, prediction
 
@@ -684,7 +675,8 @@ def _cmd_diagnose(args):
     }
     if args.d_grid is not None:
         pert = diagmod.perturbation_sensitivity(
-            ctx, args.method, _float_list(args.d_grid), seed=args.seed, true_corr=rbar
+            ctx, args.method, _float_list(args.d_grid), seed=args.seed, true_corr=rbar,
+            base=(beta, opt_ctx.corr_matrices()),
         )
         diagnostics["perturbation"] = {
             "budgets": pert.budgets,

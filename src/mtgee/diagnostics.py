@@ -18,7 +18,14 @@ import numpy as np
 
 from .corr import SequenceCorr
 from .errors import ContractError, NumericalError, RankDeficiencyError
-from .estfun import EstimatingContext, fit_two_step, solve_linear, solve_newton
+from .estfun import (
+    EstimatingContext,
+    _rows,
+    fit_two_step,
+    solve_linear,
+    solve_newton,
+    weighted_design,
+)
 from .model import moment_arrays
 from .simgen import substream
 
@@ -80,10 +87,22 @@ class LeverageStats:
     a_prime: float
 
 
-def _information_terms(ctx: EstimatingContext, beta_hat):
+def _running_gram(left, right, pts):
+    """sum_{i < pt} left_i' right_i at each checkpoint pt, shape (len(pts), p, q);
+    each increment is one GEMM over the flattened (steps * m, p) rows."""
+    out = np.empty((len(pts), left.shape[-1], right.shape[-1]))
+    running, prev = 0.0, 0
+    for k, pt in enumerate(pts):
+        running = running + _rows(left[prev:pt]).T @ _rows(right[prev:pt])
+        out[k] = running
+        prev = pt
+    return out
+
+
+def _information_design(ctx: EstimatingContext, beta_hat):
+    """A^{1/2} X per step, so that H'_n = sum X' A X is its Gram matrix."""
     _, a, _ = moment_arrays(ctx.data.Xs, ctx.data.ys, beta_hat, ctx.link)
-    # per-step X' A X, shape (n, p, p)
-    return np.einsum("nmp,nm,nmk->npk", ctx.data.Xs, a, ctx.data.Xs)
+    return ctx.data.Xs * np.sqrt(a)[:, :, None]
 
 
 def eigen_conditions(
@@ -105,18 +124,14 @@ def eigen_conditions(
     n, p = ctx.data.n, ctx.data.p
     if n < p:
         raise ContractError(f"need n >= p, got n={n}, p={p}")
-    terms = _information_terms(ctx, beta_hat)
+    xa = _information_design(ctx, beta_hat)
     pts = _checkpoints(n)
     lam_min = np.empty(len(pts))
     lam_max = np.empty(len(pts))
-    running = np.zeros((p, p))
-    prev = 0
-    for k, pt in enumerate(pts):
-        running = running + terms[prev:pt].sum(axis=0)
+    for k, (pt, running) in enumerate(zip(pts, _running_gram(xa, xa, pts))):
         _check_sym_psd(running, "cumulative information", pt)
         w = np.linalg.eigvalsh(running)
         lam_min[k], lam_max[k] = w[0], w[-1]
-        prev = pt
 
     ratios = {}
     for d in delta_grid:
@@ -157,9 +172,8 @@ def eigen_conditions(
 def _score_terms(ctx: EstimatingContext, beta):
     """Per-step score contributions s_i = X' A^{1/2} R^{-1} eps, shape (n, p)."""
     _, a, eps = moment_arrays(ctx.data.Xs, ctx.data.ys, beta, ctx.link)
-    xa = ctx.data.Xs * np.sqrt(a)[:, :, None]
-    rinv_xa = np.einsum("nab,nbk->nak", ctx.corr_inverses(), xa)
-    return np.einsum("nmk,nm->nk", rinv_xa, eps)
+    _, rinv_xa = weighted_design(ctx.data.Xs, a, ctx.corr_inverses())
+    return (eps[:, None, :] @ rinv_xa)[:, 0, :]
 
 
 def ergodicity_check(mc_data, beta0, ctx_template: EstimatingContext) -> ErgodicityReport:
@@ -182,14 +196,8 @@ def ergodicity_check(mc_data, beta0, ctx_template: EstimatingContext) -> Ergodic
         if data.n != n or data.p != p:
             raise ContractError("replications must share dimensions")
         ctx = ctx_template.with_data(data)
-        scores = _score_terms(ctx, beta0)
-        outer = np.einsum("nk,nl->nkl", scores, scores)
-        running = np.zeros((p, p))
-        prev = 0
-        for k, pt in enumerate(pts):
-            running = running + outer[prev:pt].sum(axis=0)
-            v_mats[r, k] = running
-            prev = pt
+        scores = _score_terms(ctx, beta0)[:, None, :]
+        v_mats[r] = _running_gram(scores, scores, pts)
 
     deviations = np.empty((len(pts), len(reps)))
     eye = np.eye(p)
@@ -218,27 +226,16 @@ def optimality_ratios(ctx: EstimatingContext, beta_hat, true_corr) -> Optimality
     """
     true_corr = np.asarray(true_corr, dtype=np.float64)
     _, a, _ = moment_arrays(ctx.data.Xs, ctx.data.ys, beta_hat, ctx.link)
-    xa = ctx.data.Xs * np.sqrt(a)[:, :, None]
-    rinv = ctx.corr_inverses()
-    rbar_inv = np.linalg.inv(true_corr)
-
-    rinv_xa = np.einsum("nab,nbk->nak", rinv, xa)
-    h_terms = np.einsum("nmp,nmk->npk", xa, rinv_xa)
-    mbar_terms = np.einsum("nmp,mb,nbk->npk", xa, rbar_inv, xa)
-    mstar_terms = np.einsum("nap,ab,nbk->npk", rinv_xa, true_corr, rinv_xa)
+    xa, rinv_xa = weighted_design(ctx.data.Xs, a, ctx.corr_inverses())
 
     pts = _checkpoints(ctx.data.n)
-    p = ctx.data.p
+    h_runs = _running_gram(xa, rinv_xa, pts)
+    mbar_runs = _running_gram(xa, np.linalg.inv(true_corr) @ xa, pts)
+    mstar_runs = _running_gram(rinv_xa, true_corr @ rinv_xa, pts)
     ratio_h = np.empty(len(pts))
     ratio_m = np.empty(len(pts))
-    h_run = np.zeros((p, p))
-    mbar_run = np.zeros((p, p))
-    mstar_run = np.zeros((p, p))
-    prev = 0
     for k, pt in enumerate(pts):
-        h_run = h_run + h_terms[prev:pt].sum(axis=0)
-        mbar_run = mbar_run + mbar_terms[prev:pt].sum(axis=0)
-        mstar_run = mstar_run + mstar_terms[prev:pt].sum(axis=0)
+        h_run, mbar_run, mstar_run = h_runs[k], mbar_runs[k], mstar_runs[k]
         _check_sym_psd(h_run, "provider information", pt)
         _check_sym_psd(mbar_run, "reference information", pt)
         _check_sym_psd(mstar_run, "sandwiched information", pt)
@@ -250,7 +247,6 @@ def optimality_ratios(ctx: EstimatingContext, beta_hat, true_corr) -> Optimality
             )
         ratio_h[k] = np.linalg.det(h_run) / det_bar
         ratio_m[k] = np.linalg.det(mstar_run) / det_bar
-        prev = pt
     return OptimalityReport(checkpoints=pts, det_ratio_H=ratio_h, det_ratio_M=ratio_m)
 
 
@@ -260,7 +256,8 @@ def leverage(ctx: EstimatingContext, beta_hat) -> LeverageStats:
     gamma' is the largest quadratic form x_ij' (H'_n)^{-1} x_ij over all
     regressor rows, and a' = lambda_max(H'_n) * gamma'.
     """
-    h_mat = _information_terms(ctx, beta_hat).sum(axis=0)
+    xa = _information_design(ctx, beta_hat)
+    h_mat = _rows(xa).T @ _rows(xa)
     w = np.linalg.eigvalsh(h_mat)
     if w[0] <= max(0.0, w[-1] * h_mat.shape[0] * np.finfo(np.float64).eps):
         raise RankDeficiencyError(
@@ -268,8 +265,7 @@ def leverage(ctx: EstimatingContext, beta_hat) -> LeverageStats:
             lambda_min=float(w[0]),
         )
     hinv = np.linalg.inv(h_mat)
-    quad = np.einsum("nmp,pq,nmq->nm", ctx.data.Xs, hinv, ctx.data.Xs)
-    gamma = float(np.max(quad))
+    gamma = float(np.max(((ctx.data.Xs @ hinv) * ctx.data.Xs).sum(axis=2)))
     return LeverageStats(gamma_prime=gamma, a_prime=float(w[-1]) * gamma)
 
 
@@ -292,6 +288,7 @@ def perturbation_sensitivity(
     d_grid: Sequence[float],
     seed: int,
     true_corr=None,
+    base=None,
 ) -> PerturbationReport:
     """Refit after perturbing regressors within geometrically decaying budgets.
 
@@ -300,7 +297,9 @@ def perturbation_sensitivity(
     report records the estimate drift ||beta(delta) - beta(0)|| and, when
     the true correlation is supplied, the full-sample determinant ratios
     under the perturbed fit.  The grid must include 0, whose drift is
-    exactly zero by construction.
+    exactly zero by construction.  ``base``, the (beta, correlation
+    sequence) of a fit already made with ``beta_method`` on ``ctx``, spares
+    the refit at budget 0.
     """
     budgets = np.asarray(list(d_grid), dtype=np.float64)
     if budgets.size == 0 or not np.any(budgets == 0.0):
@@ -308,7 +307,7 @@ def perturbation_sensitivity(
     if np.any(budgets < 0):
         raise ContractError("budgets must be nonnegative")
 
-    base_beta, base_seq = _refit(ctx, beta_method)
+    base_beta, base_seq = _refit(ctx, beta_method) if base is None else base
     n, m, p = ctx.data.n, ctx.data.m, ctx.data.p
 
     def ratios_at_full_n(data, beta, seq):

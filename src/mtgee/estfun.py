@@ -73,15 +73,29 @@ def _check_beta(ctx, beta):
     return beta
 
 
+def weighted_design(Xs, a, rinv):
+    """Per-step designs A_i^{1/2} X_i and R_i^{-1} A_i^{1/2} X_i, both (n, m, p).
+
+    ``a=None`` means A_i = I.  Every sum over steps of these products is one
+    GEMM over the flattened (n*m, p) rows; ``rinv`` may be a stride-0
+    broadcast of one matrix.
+    """
+    xa = Xs if a is None else Xs * np.sqrt(a)[:, :, None]
+    return xa, rinv @ xa
+
+
+def _rows(arr):
+    """(n, m, k) -> (n*m, k), so a sum over steps and units is one GEMM."""
+    return arr.reshape(-1, arr.shape[-1])
+
+
 def eval_g(ctx: EstimatingContext, beta) -> np.ndarray:
     """Evaluate the estimating function at beta."""
     beta = _check_beta(ctx, beta)
     Xs, ys = ctx.data.Xs, ctx.data.ys
     _, a, eps = moment_arrays(Xs, ys, beta, ctx.link)
-    rinv = ctx.corr_inverses()
-    w = np.einsum("nab,nb->na", rinv, eps)
-    xa = Xs * np.sqrt(a)[:, :, None]
-    return np.einsum("nmp,nm->p", xa, w)
+    w = ctx.corr_inverses() @ eps[:, :, None]
+    return _rows(Xs * np.sqrt(a)[:, :, None]).T @ w.reshape(-1)
 
 
 def eval_jacobian(ctx: EstimatingContext, beta, mode: str = "analytic") -> np.ndarray:
@@ -109,26 +123,20 @@ def eval_jacobian(ctx: EstimatingContext, beta, mode: str = "analytic") -> np.nd
         raise ContractError(f"unknown jacobian mode {mode!r}")
 
     Xs, ys = ctx.data.Xs, ctx.data.ys
-    mu, a, eps = moment_arrays(Xs, ys, beta, ctx.link)
+    _, a, eps = moment_arrays(Xs, ys, beta, ctx.link)
     rinv = ctx.corr_inverses()
-    sqrt_a = np.sqrt(a)
-    xa = Xs * sqrt_a[:, :, None]
-    rinv_xa = np.einsum("nab,nbk->nak", rinv, xa)
-    d_mat = np.einsum("nmp,nmk->pk", xa, rinv_xa)
+    xa, rinv_xa = weighted_design(Xs, a, rinv)
+    d_mat = _rows(xa).T @ _rows(rinv_xa)
     if ctx.link.kind == "identity":
         return d_mat
 
     # curvature terms: with D_l = diag(d * X[:, l]), d = mu''/(2 mu'), the
-    # correction to column l is X' (D_l B - B D_l) r where B = A^{1/2} R^{-1} A^{-1/2}
-    r = ys - mu
+    # correction to column l is X' (D_l B - B D_l) r where B = A^{1/2} R^{-1} A^{-1/2};
+    # X' B D_l r = (R^{-1} A^{1/2} X)' diag(d eps) X by the symmetry of R^{-1}
     d = ctx.link.d2(Xs @ beta) / (2.0 * a)
-    w = sqrt_a * np.einsum("nab,nb->na", rinv, eps)  # B r
-    corr1 = np.einsum("nmp,nm,nmk->pk", Xs, d * w, Xs)
-    m2 = (d * r)[:, :, None] * Xs
-    bm2 = sqrt_a[:, :, None] * np.einsum(
-        "nab,nbk->nak", rinv, m2 / sqrt_a[:, :, None]
-    )
-    corr2 = np.einsum("nmp,nmk->pk", Xs, bm2)
+    w = np.sqrt(a) * (rinv @ eps[:, :, None])[:, :, 0]  # B r
+    corr1 = _rows(Xs).T @ _rows((d * w)[:, :, None] * Xs)
+    corr2 = _rows(rinv_xa).T @ _rows((d * eps)[:, :, None] * Xs)
     return d_mat - corr1 + corr2
 
 
@@ -160,12 +168,14 @@ def solve_linear(ctx: EstimatingContext) -> np.ndarray:
         raise ContractError(
             f"solve_linear requires the identity link, got {ctx.link.kind!r}"
         )
-    Xs, ys = ctx.data.Xs, ctx.data.ys
-    rinv = ctx.corr_inverses()
-    rinv_x = np.einsum("nab,nbk->nak", rinv, Xs)
-    k_mat = np.einsum("nmp,nmk->pk", Xs, rinv_x)
-    rhs = np.einsum("nak,na->k", rinv_x, ys)
-    return _rank_checked_solve(k_mat, rhs, "normal matrix")
+    return _weighted_normal_solve(ctx.data, ctx.corr_inverses(), "normal matrix")
+
+
+def _weighted_normal_solve(data, rinv, what):
+    _, rinv_x = weighted_design(data.Xs, None, rinv)
+    k_mat = _rows(data.Xs).T @ _rows(rinv_x)
+    rhs = _rows(rinv_x).T @ data.ys.reshape(-1)
+    return _rank_checked_solve(k_mat, rhs, what)
 
 
 def solve_newton(
@@ -273,6 +283,7 @@ def resolve_plugin(ctx: EstimatingContext) -> EstimatingContext:
 class TwoStepResult:
     beta: np.ndarray
     corr_seq: np.ndarray  # (n, m, m) matrices actually used per step
+    corr_inv: np.ndarray  # their inverses
 
 
 def fit_two_step(
@@ -309,8 +320,8 @@ def fit_two_step(
     def step_moments(lo, hi):
         x, y = Xs[lo:hi], ys[lo:hi]
         return (
-            np.einsum("imp,imk->ipk", x, x),
-            np.einsum("imp,im->ip", x, y),
+            np.swapaxes(x, 1, 2) @ x,
+            (np.swapaxes(x, 1, 2) @ y[:, :, None])[:, :, 0],
             y[:, :, None] * y[:, None, :],
             y[:, :, None, None] * x[:, None, :, :],
             x[:, :, :, None, None] * x[:, None, None, :, :],
@@ -330,18 +341,16 @@ def fit_two_step(
                     pass
         usable = np.all(np.isfinite(b), axis=1)
         b[~usable] = 0.0
-        c1 = np.einsum("iack,ik->iac", t1, b)
+        c1 = (t1 @ b[:, None, :, None])[..., 0]
         t2_b = (t2.reshape(len(b), -1, b.shape[1]) @ b[:, :, None]).reshape(t2.shape[:-1])
-        quad = np.einsum("iakc,ik->iac", t2_b, b)
+        quad = (b[:, None, None, :] @ t2_b)[:, :, 0, :]
         raw = (syy - c1 - np.swapaxes(c1, 1, 2) + quad) / counts[:, None, None]
         return raw, usable
 
     seq = corrmod.running_corr(n, m, step_moments, average, warmup_steps, floor)
-    rinv_x = np.linalg.solve(seq, Xs)
-    k_mat = np.einsum("nmp,nmk->pk", Xs, rinv_x)
-    rhs = np.einsum("nmk,nm->k", rinv_x, ys)
-    beta = _rank_checked_solve(k_mat, rhs, "two-step normal matrix")
-    return TwoStepResult(beta=beta, corr_seq=seq)
+    rinv = np.linalg.inv(seq)
+    beta = _weighted_normal_solve(data, rinv, "two-step normal matrix")
+    return TwoStepResult(beta=beta, corr_seq=seq, corr_inv=rinv)
 
 
 @dataclass
@@ -397,7 +406,8 @@ def fit(
         corr_seq = ts.corr_seq
         corr_kind = "two_step_empirical"
         infer_ctx = EstimatingContext(
-            data=ctx.data, link=ctx.link, corr=corrmod.SequenceCorr(ts.corr_seq)
+            data=ctx.data, link=ctx.link, corr=corrmod.SequenceCorr(ts.corr_seq),
+            _cache={"inv": ts.corr_inv},
         )
     else:
         infer_ctx = resolve_plugin(ctx)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, RankDeficiencyError
-from .estfun import EstimatingContext, _check_beta
+from .estfun import EstimatingContext, _check_beta, _rows, weighted_design
 from .model import LinkSpec, moment_arrays
 
 
@@ -31,10 +31,9 @@ class SandwichEstimate:
 
 def sandwich_from_arrays(Xs, a, eps, rinv) -> SandwichEstimate:
     """Sandwich pieces from precomputed per-step arrays (see module docstring)."""
-    xa = Xs * np.sqrt(a)[:, :, None]
-    rinv_xa = np.einsum("nab,nbk->nak", rinv, xa)
-    h_mat = np.einsum("nmp,nmk->pk", xa, rinv_xa)
-    scores = np.einsum("nak,na->nk", rinv_xa, eps)
+    xa, rinv_xa = weighted_design(Xs, a, rinv)
+    h_mat = _rows(xa).T @ _rows(rinv_xa)
+    scores = (eps[:, None, :] @ rinv_xa)[:, 0, :]
     m_mat = scores.T @ scores
 
     w = np.linalg.eigvalsh(h_mat)

@@ -156,7 +156,7 @@ def _fit_single(data: ClusterSeries, spec: EstimatorSpec, truth: np.ndarray, lev
     if spec.kind == "two_step":
         ts = fit_two_step(data)
         beta = ts.beta
-        rinv = np.linalg.inv(ts.corr_seq)
+        rinv = ts.corr_inv
     else:
         if spec.kind == "true":
             provider = corrmod.pseudo_fixed(truth)

@@ -1,11 +1,17 @@
-"""Step-by-step reference implementations of the running correlation sequences.
+"""Step-by-step reference implementations of the running correlation sequences
+and of the CSV design matrices.
 
 These are the per-step loops that the block kernel ``corr.running_corr``
 replaced, kept as oracles: one running sum updated per step, and a scalar
 regulariser that shares no code with the batched ``corr.regularized_empirical``.
+``loop_design`` is the row-by-row design construction that ``cli.parse_dataset``
+and ``cli.next_design`` replaced, with the next-step design read from the file
+again.
 """
 
 import numpy as np
+
+from mtgee.cli import _load_arrays
 
 
 def scalar_regularize(mat, count, floor=1e-6):
@@ -73,3 +79,25 @@ def loop_two_step(data, warmup_steps=2, floor=1e-6):
         t1 += np.einsum("a,ck->ack", y_i, x_i)
         t2 += np.einsum("ak,cj->akcj", x_i, x_i)
     return np.linalg.solve(k_mat, rhs), seq
+
+
+def _design_row(spec, Y, Z, i):
+    """Regressors [1 | y_{i-1} .. y_{i-lags} | z_i] for row index i of Y."""
+    m = Y.shape[1]
+    blocks = []
+    if spec.intercept:
+        blocks.append(np.ones((m, 1)))
+    for lag in range(1, spec.lags + 1):
+        blocks.append(Y[i - lag][:, None])
+    if Z is not None:
+        blocks.append(Z[min(i, len(Z) - 1)])  # the step after the last carries z forward
+    return np.hstack(blocks)
+
+
+def loop_design(spec):
+    """(Xs, x_next) built one step at a time from a fresh read of the file."""
+    Y, Z = _load_arrays(spec)
+    T = Y.shape[0]
+    Xs = np.stack([_design_row(spec, Y, Z, i) for i in range(spec.lags, T)])
+    Y, Z = _load_arrays(spec)
+    return Xs, _design_row(spec, Y, Z, T)

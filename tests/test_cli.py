@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from loop_oracle import loop_design
 from mtgee.cli import (
     DatasetSpec,
     emit_report,
@@ -172,9 +173,60 @@ def test_long_layout_matches_wide(tmp_path, wide_file):
 
 
 def test_next_design_carries_exog_forward(wide_file):
-    x_next = next_design(wide_spec(wide_file))
+    spec = wide_spec(wide_file)
+    x_next = next_design(spec, parse_dataset(spec))
     # intercept, last row, second-to-last row, exog carried from the last row
     assert np.array_equal(x_next[0], [1.0, 3.0, 2.5, 16.0])
+
+
+def _design_fixture(tmp_path, layout):
+    """14 days x 3 units with two exogenous variables, a few exogenous cells missing;
+    the long copy lists its rows in shuffled order."""
+    rng = np.random.default_rng(17)
+    T, units = 14, ["a", "b", "c"]
+    y = rng.normal(size=(T, 3)).round(3)
+    z = rng.normal(size=(T, 3, 2)).round(3).astype(object)
+    z[0, 1, 0] = z[6, 2, 1] = z[13, 0, 0] = ""
+    path = tmp_path / f"{layout}.csv"
+    if layout == "wide":
+        head = [f"y_{u}" for u in units] + [f"z{v}_{u}" for v in (1, 2) for u in units]
+        lines = [",".join(["day"] + head)]
+        for t in range(T):
+            cells = [str(y[t, j]) for j in range(3)]
+            cells += [str(z[t, j, v]) for v in range(2) for j in range(3)]
+            lines.append(",".join([f"d{t}"] + cells))
+    else:
+        lines = ["day,unit,y,z1,z2"]
+        body = [f"{t},{u},{y[t, j]},{z[t, j, 0]},{z[t, j, 1]}"
+                for t in range(T) for j, u in enumerate(units)]
+        lines += [body[k] for k in rng.permutation(len(body))]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("layout", ["wide", "long"])
+@pytest.mark.parametrize("exog", [True, False])
+@pytest.mark.parametrize("intercept", [True, False])
+@pytest.mark.parametrize("lags", [0, 1, 2, 3])
+def test_sliced_design_matches_row_by_row(tmp_path, layout, exog, intercept, lags):
+    path = _design_fixture(tmp_path, layout)
+    units = ["a", "b", "c"]
+    if layout == "wide":
+        kw = dict(response_cols=[f"y_{u}" for u in units],
+                  exog_cols=[[f"z{v}_{u}" for u in units] for v in (1, 2)] if exog else [])
+    else:
+        kw = dict(response_cols=["y"], exog_cols=["z1", "z2"] if exog else [],
+                  time_col="day", unit_col="unit")
+    spec = DatasetSpec(path=str(path), layout=layout, lags=lags, intercept=intercept, **kw)
+    if not (exog or intercept or lags):
+        with pytest.raises(ContractError, match="design has zero columns"):
+            parse_dataset(spec)
+        return
+    series = parse_dataset(spec)
+    Xs, x_next = loop_design(spec)
+    assert series.Xs.shape == Xs.shape and np.array_equal(series.Xs, Xs)
+    got = next_design(spec, series)
+    assert got.shape == x_next.shape and np.array_equal(got, x_next)
 
 
 def test_json_dumps_17_digit_roundtrip():

@@ -11,7 +11,7 @@ from mtgee.diagnostics import (
     perturbation_sensitivity,
 )
 from mtgee.errors import ContractError
-from mtgee.estfun import EstimatingContext
+from mtgee.estfun import EstimatingContext, fit, resolve_plugin
 from mtgee.model import ClusterSeries, get_link
 from mtgee.simgen import SimDesign, generate_ar2, substream
 
@@ -170,6 +170,25 @@ def test_perturbation_zero_budget_is_identity():
     report = perturbation_sensitivity(ctx, "linear", [0.0, 0.5], seed=4)
     assert report.perturb_drift[0] == 0.0
     assert report.perturb_drift[1] > 0.0
+
+
+@pytest.mark.parametrize("method, provider", [
+    ("two_step", None),
+    ("linear", corr.compound_symmetry(0.7, 5)),
+    ("newton", corr.empirical_running(5)),
+])
+def test_perturbation_base_from_fit_matches_refit(method, provider):
+    # diagnose hands its own fit over as the budget-0 base instead of refitting
+    ctx = resolve_plugin(ar2_ctx(n=300, seed=2, provider=provider))
+    result = fit(ctx, method=method, with_inference=False)
+    seq = result.corr_seq if method == "two_step" else ctx.corr_matrices()
+    truth = corr.build_fixed_corr("compound_symmetry", 0.7, 5)
+    args = (ctx, method, [0.0, 0.01, 0.1])
+    refit = perturbation_sensitivity(*args, seed=3, true_corr=truth)
+    reused = perturbation_sensitivity(*args, seed=3, true_corr=truth,
+                                      base=(result.beta_hat, seq))
+    for name in ("perturb_drift", "det_ratio_H", "det_ratio_M"):
+        assert np.array_equal(getattr(reused, name), getattr(refit, name))
 
 
 def test_perturbation_requires_zero_in_grid():
