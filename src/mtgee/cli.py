@@ -107,20 +107,10 @@ def _mc_table_csv(reports, metric: str) -> str:
         for summ in report.estimators:
             values = getattr(summ, metric)
             if values is None:
-                values = [float("nan")] * 2
+                values = [float("nan")] * len(summ.bias)
             for k, v in enumerate(values):
                 writer.writerow([summ.label, truth, k + 1, format(float(v), ".17g")])
     return buf.getvalue()
-
-
-def emit_report(result, fmt: str, metric: str = "re") -> bytes:
-    """Serialize a payload dict (json) or MonteCarloReport list (csv)."""
-    if fmt == "json":
-        return json_dumps(result).encode("utf-8")
-    if fmt == "csv":
-        reports = result if isinstance(result, (list, tuple)) else [result]
-        return _mc_table_csv(reports, metric).encode("utf-8")
-    raise ContractError(f"unknown report format {fmt!r}")
 
 
 def _mc_report_dict(report) -> dict:
@@ -389,9 +379,8 @@ def _add_dataset_args(sub):
     sub.add_argument("--time-col", default=None)
     sub.add_argument("--unit-col", default=None)
     sub.add_argument("--lags", type=int, default=2)
-    sub.add_argument("--intercept", action="store_true",
-                     help="include an intercept column (the default)")
-    sub.add_argument("--no-intercept", action="store_true")
+    sub.add_argument("--intercept", action=argparse.BooleanOptionalAction, default=True,
+                     help="include an intercept column")
     sub.add_argument("--impute", choices=["none", "nearest"], default="nearest")
 
 
@@ -484,7 +473,7 @@ def _spec_from_args(args) -> DatasetSpec:
         time_col=args.time_col,
         unit_col=args.unit_col,
         lags=args.lags,
-        intercept=not args.no_intercept,
+        intercept=args.intercept,
         impute="nearest_neighbor" if args.impute == "nearest" else "none",
     )
 
@@ -523,7 +512,7 @@ def _config_echo(args, series):
         "m": series.m,
         "p": series.p,
         "lags": args.lags,
-        "intercept": not args.no_intercept,
+        "intercept": args.intercept,
         "impute": args.impute,
         "link": args.link,
         "method": args.method,
@@ -642,7 +631,8 @@ def _cmd_diagnose(args):
     ctx = resolve_plugin(
         EstimatingContext(data=series, link=link, corr=_provider_from_args(args, series.m))
     )
-    result = fit(ctx, method=args.method, level=args.level, with_inference=False)
+    result = fit(ctx, method=args.method, level=args.level, tol=args.tol,
+                 max_iter=args.max_iter, with_inference=False)
     beta = result.beta_hat
 
     cond = diagmod.eigen_conditions(ctx, beta, _float_list(args.delta_grid))
@@ -650,7 +640,7 @@ def _cmd_diagnose(args):
     # the correlation truth is unknown on real data; plug in the full-sample
     # average of standardized residual outer products
     _, _, eps = moment_arrays(series.Xs, series.ys, beta, link)
-    rbar = corrmod.spd_project((eps[:, :, None] * eps[:, None, :]).mean(axis=0), 1e-6)
+    rbar = corrmod.spd_project((eps[:, :, None] * eps[:, None, :]).mean(axis=0))
     opt_ctx = ctx
     if args.method == "two_step":
         opt_ctx = EstimatingContext(data=series, link=link,

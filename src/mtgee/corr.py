@@ -26,7 +26,11 @@ import numpy as np
 from .errors import ContractError, CorrelationDegeneracyError
 from .model import ClusterSeries, LinkSpec, moment_arrays
 
-FIXED_KINDS = ("independence", "compound_symmetry", "ar1")
+# Running averages are the identity at steps i < max(WARMUP_STEPS, m), where
+# an average of i outer products is rank-deficient; EIG_FLOOR is the absolute
+# eigenvalue floor of every regularised average.
+WARMUP_STEPS = 2
+EIG_FLOOR = 1e-6
 
 # Steps per block of the running-correlation kernel.  The two-step
 # estimator's prefix tensor holds m^2 p^2 floats per step (8 KB at m=8,
@@ -69,7 +73,7 @@ def build_fixed_corr(kind: str, alpha: float, m: int) -> np.ndarray:
     raise ContractError(f"unknown fixed correlation kind {kind!r}")
 
 
-def spd_project(mat: np.ndarray, floor: float = 1e-6) -> np.ndarray:
+def spd_project(mat: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
     """Clip eigenvalues below at ``floor``, reassemble, rescale to unit diagonal.
 
     Idempotent on symmetric matrices whose smallest eigenvalue already
@@ -100,11 +104,11 @@ def _clip_spectrum(w, v, floors):
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
-def regularized_empirical(mats: np.ndarray, counts, floor: float = 1e-6) -> np.ndarray:
+def regularized_empirical(mats: np.ndarray, counts) -> np.ndarray:
     """Floor a stack of empirical averages, ``mats`` (k, m, m), of ``counts``
     (k,) residual outer products each.
 
-    Beyond the absolute ``floor``, eigenvalues are floored at
+    Beyond the absolute floor ``EIG_FLOOR``, eigenvalues are floored at
     min(1/2, m/(2*count)) of the largest one: an average of count outer
     products sits at the hard edge of near-singularity while count is
     comparable to m, and inverting it would hand a handful of early steps
@@ -117,14 +121,14 @@ def regularized_empirical(mats: np.ndarray, counts, floor: float = 1e-6) -> np.n
     out = 0.5 * (mats + np.swapaxes(mats, -1, -2))
     w, v = np.linalg.eigh(out)
     rel = np.minimum(0.5, out.shape[-1] / (2.0 * np.maximum(counts, 1)))
-    floors = np.maximum(floor, rel * w[:, -1])
+    floors = np.maximum(EIG_FLOOR, rel * w[:, -1])
     clip = w[:, 0] < floors
     if np.any(clip):
         out[clip] = _clip_spectrum(w[clip], v[clip], floors[clip])
     return out
 
 
-def running_corr(n, m, step_moments, average, warmup_steps=2, floor=1e-6) -> np.ndarray:
+def running_corr(n, m, step_moments, average) -> np.ndarray:
     """Regularised running averages R_0..R_{n-1} as an (n, m, m) array.
 
     ``step_moments(lo, hi)`` returns a tuple of per-step moment arrays for
@@ -133,10 +137,10 @@ def running_corr(n, m, step_moments, average, warmup_steps=2, floor=1e-6) -> np.
     sums (totals over steps 0..i-1, leading axis k) and the counts i, and
     returns the (k, m, m) raw averages with a (k,) mask of the usable ones.
     Usable averages go through :func:`regularized_empirical`; warm-up steps
-    (count < max(warmup_steps, m), where the average is necessarily
+    (count < max(WARMUP_STEPS, m), where the average is necessarily
     rank-deficient) and unusable steps get the identity.
     """
-    guard = max(int(warmup_steps), m)
+    guard = max(WARMUP_STEPS, m)
     out = np.tile(np.eye(m), (n, 1, 1))
     totals = None
     for lo in range(0, n, BLOCK_STEPS):
@@ -153,11 +157,11 @@ def running_corr(n, m, step_moments, average, warmup_steps=2, floor=1e-6) -> np.
             continue
         counts = np.arange(first, hi)
         raw, usable = average([s[first - lo:-1] for s in sums], counts)
-        out[counts[usable]] = regularized_empirical(raw[usable], counts[usable], floor)
+        out[counts[usable]] = regularized_empirical(raw[usable], counts[usable])
     return out
 
 
-def _check_spd(mat, what, eig_bounds=None):
+def _check_spd(mat, what):
     mat = np.asarray(mat, dtype=np.float64)
     if np.max(np.abs(mat - mat.T)) > 1e-10 * max(1.0, np.max(np.abs(mat))):
         raise CorrelationDegeneracyError(f"{what} is not symmetric")
@@ -167,13 +171,6 @@ def _check_spd(mat, what, eig_bounds=None):
             f"{what} is not positive definite (lambda_min={w[0]!r})",
             eigenvalue=float(w[0]),
         )
-    if eig_bounds is not None:
-        lo, hi = eig_bounds
-        if w[0] < lo or w[-1] > hi:
-            raise CorrelationDegeneracyError(
-                f"{what} eigenvalues [{w[0]:g}, {w[-1]:g}] violate bounds [{lo:g}, {hi:g}]",
-                eigenvalue=float(w[0] if w[0] < lo else w[-1]),
-            )
     return mat
 
 
@@ -194,12 +191,9 @@ class CorrProvider:
 class FixedCorr(CorrProvider):
     """Constant matrix at every step (fixed pattern or user-supplied)."""
 
-    def __init__(self, kind, matrix, alpha=None, eig_bounds=None):
+    def __init__(self, kind, matrix):
         self.kind = kind
-        self.alpha = alpha
-        self.matrix = np.array(
-            _check_spd(matrix, f"{kind} correlation", eig_bounds), dtype=np.float64
-        )
+        self.matrix = np.array(_check_spd(matrix, f"{kind} correlation"), dtype=np.float64)
         self.matrix.flags.writeable = False
 
     @property
@@ -239,7 +233,7 @@ class EmpiricalRunningCorr(CorrProvider):
     """Running average of standardized-residual outer products.
 
     The matrix used at step i averages residuals from steps < i only.
-    While fewer than ``warmup_steps`` residuals have been folded in, it is
+    While fewer than ``WARMUP_STEPS`` residuals have been folded in, it is
     the identity; the same applies while the average is necessarily
     rank-deficient (count < m), since an average of count outer products
     has rank at most count.  Past that point the average is conditioned
@@ -253,24 +247,20 @@ class EmpiricalRunningCorr(CorrProvider):
 
     kind = "empirical_running"
 
-    def __init__(self, m, plugin_beta=None, warmup_steps=2, floor=1e-6):
+    def __init__(self, m, plugin_beta=None):
         if m < 1:
             raise ContractError("cluster size must be >= 1")
         self._m = int(m)
         self.plugin_beta = (
             None if plugin_beta is None else np.asarray(plugin_beta, dtype=np.float64)
         )
-        self.warmup_steps = int(warmup_steps)
-        self.floor = float(floor)
 
     @property
     def m(self):
         return self._m
 
     def with_plugin(self, beta) -> "EmpiricalRunningCorr":
-        return EmpiricalRunningCorr(
-            self._m, plugin_beta=beta, warmup_steps=self.warmup_steps, floor=self.floor
-        )
+        return EmpiricalRunningCorr(self._m, plugin_beta=beta)
 
     def realize(self, data, link):
         if data.m != self._m:
@@ -288,8 +278,6 @@ class EmpiricalRunningCorr(CorrProvider):
             self._m,
             lambda lo, hi: (eps[lo:hi, :, None] * eps[lo:hi, None, :],),
             lambda sums, counts: (sums[0] / counts[:, None, None], np.ones(counts.size, bool)),
-            self.warmup_steps,
-            self.floor,
         )
 
 
@@ -298,22 +286,18 @@ def independence(m: int) -> FixedCorr:
 
 
 def compound_symmetry(alpha: float, m: int) -> FixedCorr:
-    return FixedCorr(
-        "compound_symmetry", build_fixed_corr("compound_symmetry", alpha, m), alpha=alpha
-    )
+    return FixedCorr("compound_symmetry", build_fixed_corr("compound_symmetry", alpha, m))
 
 
 def ar1(alpha: float, m: int) -> FixedCorr:
-    return FixedCorr("ar1", build_fixed_corr("ar1", alpha, m), alpha=alpha)
+    return FixedCorr("ar1", build_fixed_corr("ar1", alpha, m))
 
 
-def pseudo_fixed(matrix, eig_bounds=None) -> FixedCorr:
-    """Wrap a user-supplied constant matrix (validated SPD, optional eigen bounds)."""
-    return FixedCorr("pseudo_fixed", matrix, eig_bounds=eig_bounds)
+def pseudo_fixed(matrix) -> FixedCorr:
+    """Wrap a user-supplied constant matrix (validated SPD)."""
+    return FixedCorr("pseudo_fixed", matrix)
 
 
-def empirical_running(m, plugin_beta=None, warmup_steps=2, floor=1e-6) -> EmpiricalRunningCorr:
-    return EmpiricalRunningCorr(
-        m, plugin_beta=plugin_beta, warmup_steps=warmup_steps, floor=floor
-    )
+def empirical_running(m, plugin_beta=None) -> EmpiricalRunningCorr:
+    return EmpiricalRunningCorr(m, plugin_beta=plugin_beta)
 

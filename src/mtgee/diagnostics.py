@@ -20,6 +20,7 @@ from .corr import SequenceCorr
 from .errors import ContractError, NumericalError, RankDeficiencyError
 from .estfun import (
     EstimatingContext,
+    _check_rank,
     _rows,
     fit_two_step,
     solve_linear,
@@ -204,11 +205,7 @@ def ergodicity_check(mc_data, beta0, ctx_template: EstimatingContext) -> Ergodic
     for k in range(len(pts)):
         m_hat = v_mats[:, k].mean(axis=0)
         w, vecs = np.linalg.eigh(m_hat)
-        if w[0] <= max(0.0, w[-1] * p * np.finfo(np.float64).eps):
-            raise RankDeficiencyError(
-                f"average information singular at checkpoint {pts[k]}",
-                lambda_min=float(w[0]),
-            )
+        _check_rank(w, f"average information singular at checkpoint {pts[k]}")
         m_isqrt = (vecs / np.sqrt(w)) @ vecs.T
         for r in range(len(reps)):
             dev = m_isqrt @ v_mats[r, k] @ m_isqrt - eye
@@ -259,11 +256,7 @@ def leverage(ctx: EstimatingContext, beta_hat) -> LeverageStats:
     xa = _information_design(ctx, beta_hat)
     h_mat = _rows(xa).T @ _rows(xa)
     w = np.linalg.eigvalsh(h_mat)
-    if w[0] <= max(0.0, w[-1] * h_mat.shape[0] * np.finfo(np.float64).eps):
-        raise RankDeficiencyError(
-            f"cumulative information is singular (lambda_min={w[0]!r})",
-            lambda_min=float(w[0]),
-        )
+    _check_rank(w, f"cumulative information is singular (lambda_min={w[0]!r})")
     hinv = np.linalg.inv(h_mat)
     gamma = float(np.max(((ctx.data.Xs @ hinv) * ctx.data.Xs).sum(axis=2)))
     return LeverageStats(gamma_prime=gamma, a_prime=float(w[-1]) * gamma)

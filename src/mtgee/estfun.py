@@ -151,13 +151,16 @@ class SolveReport:
     trace: list
 
 
+def _check_rank(w, message):
+    """Raise RankDeficiencyError(message) unless the ascending eigenvalues
+    ``w`` of a symmetric p x p matrix have lambda_min > lambda_max * p * eps."""
+    if w[0] <= max(0.0, w[-1] * w.size * np.finfo(np.float64).eps):
+        raise RankDeficiencyError(message, lambda_min=float(w[0]))
+
+
 def _rank_checked_solve(mat, rhs, what):
     w = np.linalg.eigvalsh(mat)
-    lam_min, lam_max = float(w[0]), float(w[-1])
-    if lam_min <= max(0.0, lam_max * mat.shape[0] * np.finfo(np.float64).eps):
-        raise RankDeficiencyError(
-            f"{what} is rank deficient (lambda_min={lam_min!r})", lambda_min=lam_min
-        )
+    _check_rank(w, f"{what} is rank deficient (lambda_min={float(w[0])!r})")
     return np.linalg.solve(mat, rhs)
 
 
@@ -289,17 +292,16 @@ class TwoStepResult:
 def fit_two_step(
     data: ClusterSeries,
     link: Optional[LinkSpec] = None,
-    warmup_steps: int = 2,
-    floor: float = 1e-6,
 ) -> TwoStepResult:
     """Sequential pseudo-likelihood estimator (identity link).
 
     For each step i the correlation plug-in is the average of residual
     outer products from steps 1..i-1, with residuals taken at the
     working-independence estimate computed on those same steps; the first
-    two steps (and any step where the average is necessarily singular,
-    i.e. fewer residuals than the cluster size, or where that estimate is
-    singular or non-finite) use the identity.  The final estimate solves
+    ``corr.WARMUP_STEPS`` steps (and any step where the average is
+    necessarily singular, i.e. fewer residuals than the cluster size, or
+    where that estimate is singular or non-finite) use the identity, and
+    eigenvalues are floored at ``corr.EIG_FLOOR``.  The final estimate solves
     the weighted closed form with those per-step matrices.
 
     With b = beta_ind(i-1), sum_l (y_l - X_l b)(y_l - X_l b)' expands into
@@ -347,7 +349,7 @@ def fit_two_step(
         raw = (syy - c1 - np.swapaxes(c1, 1, 2) + quad) / counts[:, None, None]
         return raw, usable
 
-    seq = corrmod.running_corr(n, m, step_moments, average, warmup_steps, floor)
+    seq = corrmod.running_corr(n, m, step_moments, average)
     rinv = np.linalg.inv(seq)
     beta = _weighted_normal_solve(data, rinv, "two-step normal matrix")
     return TwoStepResult(beta=beta, corr_seq=seq, corr_inv=rinv)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, RankDeficiencyError
-from .estfun import EstimatingContext, _check_beta, _rows, weighted_design
+from .errors import ContractError
+from .estfun import EstimatingContext, _check_beta, _check_rank, _rows, weighted_design
 from .model import LinkSpec, moment_arrays
 
 
@@ -37,11 +37,7 @@ def sandwich_from_arrays(Xs, a, eps, rinv) -> SandwichEstimate:
     m_mat = scores.T @ scores
 
     w = np.linalg.eigvalsh(h_mat)
-    if w[0] <= max(0.0, w[-1] * h_mat.shape[0] * np.finfo(np.float64).eps):
-        raise RankDeficiencyError(
-            f"sandwich bread is rank deficient (lambda_min={w[0]!r})",
-            lambda_min=float(w[0]),
-        )
+    _check_rank(w, f"sandwich bread is rank deficient (lambda_min={w[0]!r})")
     hinv_m = np.linalg.solve(h_mat, m_mat)
     psi = np.linalg.solve(h_mat, hinv_m.T)
     psi = 0.5 * (psi + psi.T)

@@ -22,7 +22,7 @@ EXP_SATURATION = 700.0
 
 @dataclass(frozen=True)
 class LinkSpec:
-    """A link function mu together with its first three derivatives.
+    """A link function mu together with its first two derivatives.
 
     All callables are vectorized (accept and return ndarrays).  The model
     requires mu' > 0 wherever the link is evaluated.
@@ -32,7 +32,6 @@ class LinkSpec:
     eval: Callable[[np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray], np.ndarray]
     d2: Callable[[np.ndarray], np.ndarray]
-    d3: Callable[[np.ndarray], np.ndarray]
 
 
 def _sigmoid(theta):
@@ -66,21 +65,15 @@ _IDENTITY = LinkSpec(
     eval=lambda t: np.asarray(t, dtype=np.float64),
     d1=lambda t: np.ones_like(np.asarray(t, dtype=np.float64)),
     d2=lambda t: np.zeros_like(np.asarray(t, dtype=np.float64)),
-    d3=lambda t: np.zeros_like(np.asarray(t, dtype=np.float64)),
 )
 
 _LOGISTIC = LinkSpec(
     kind="logistic",
     eval=lambda t: _sigmoid(np.asarray(t, dtype=np.float64)),
     d1=lambda t: _logistic_d1(np.asarray(t, dtype=np.float64)),
-    # mu'' = mu'(1-2mu);  mu''' = mu'[(1-2mu)^2 - 2mu']
+    # mu'' = mu'(1-2mu)
     d2=lambda t: _logistic_d1(np.asarray(t, dtype=np.float64))
     * (1.0 - 2.0 * _sigmoid(np.asarray(t, dtype=np.float64))),
-    d3=lambda t: _logistic_d1(np.asarray(t, dtype=np.float64))
-    * (
-        (1.0 - 2.0 * _sigmoid(np.asarray(t, dtype=np.float64))) ** 2
-        - 2.0 * _logistic_d1(np.asarray(t, dtype=np.float64))
-    ),
 )
 
 _EXPONENTIAL = LinkSpec(
@@ -88,7 +81,6 @@ _EXPONENTIAL = LinkSpec(
     eval=_guarded_exp,
     d1=_guarded_exp,
     d2=_guarded_exp,
-    d3=_guarded_exp,
 )
 
 LINKS = {
@@ -106,45 +98,6 @@ def get_link(kind):
         raise ContractError(
             f"unknown link {kind!r}; expected one of {sorted(LINKS)}"
         ) from None
-
-
-def link_eval(link: LinkSpec, theta: float):
-    """Evaluate mu and its first three derivatives at a scalar theta.
-
-    Returns (mu, mu', mu'', mu''').  Raises ContractError for non-finite
-    theta and SaturationError on exponential overflow.
-    """
-    theta = float(theta)
-    if not np.isfinite(theta):
-        raise ContractError(f"link argument must be finite, got {theta!r}")
-    t = np.asarray(theta)
-    return (
-        float(link.eval(t)),
-        float(link.d1(t)),
-        float(link.d2(t)),
-        float(link.d3(t)),
-    )
-
-
-@dataclass(frozen=True)
-class TimeStep:
-    """One observation time: response y (m,), regressors X (m, p), optional raw exogenous z."""
-
-    y: np.ndarray
-    X: np.ndarray
-    z: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=np.float64)
-        X = np.asarray(self.X, dtype=np.float64)
-        if y.ndim != 1 or X.ndim != 2 or X.shape[0] != y.shape[0]:
-            raise ContractError(
-                f"TimeStep shapes disagree: y {y.shape}, X {X.shape}"
-            )
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(X))):
-            raise ContractError("TimeStep entries must be finite")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "X", X)
 
 
 @dataclass(frozen=True)
@@ -199,35 +152,9 @@ class ClusterSeries:
     def p(self) -> int:
         return self.Xs.shape[2]
 
-    def step(self, i: int) -> TimeStep:
-        z = self.zs[i] if self.zs is not None else None
-        return TimeStep(y=self.ys[i], X=self.Xs[i], z=z)
-
-    def steps(self):
-        return [self.step(i) for i in range(self.n)]
-
-    @classmethod
-    def from_steps(cls, steps):
-        steps = list(steps)
-        ys = np.stack([s.y for s in steps])
-        Xs = np.stack([s.X for s in steps])
-        return cls(ys=ys, Xs=Xs)
-
     def with_regressors(self, Xs_new) -> "ClusterSeries":
         """Copy of the series with X_i replaced (used by perturbation studies)."""
         return ClusterSeries(ys=self.ys.copy(), Xs=np.asarray(Xs_new, dtype=np.float64).copy(), zs=self.zs)
-
-    def head(self, n: int) -> "ClusterSeries":
-        return ClusterSeries(ys=self.ys[:n].copy(), Xs=self.Xs[:n].copy())
-
-
-@dataclass(frozen=True)
-class ConditionalMoments:
-    """Per-step conditional mean, variance diagonal, and standardized residuals."""
-
-    mu: np.ndarray
-    a_diag: np.ndarray
-    eps_std: np.ndarray
 
 
 def moment_arrays(Xs, ys, beta, link):
@@ -259,18 +186,3 @@ def moment_arrays(Xs, ys, beta, link):
         )
     eps = (ys - mu) / np.sqrt(a)
     return mu, a, eps
-
-
-def conditional_moments(step: TimeStep, beta, link: LinkSpec) -> ConditionalMoments:
-    """Conditional moments for a single time step.
-
-    mu[j] = mu(x_ij' beta), a_diag[j] = mu'(x_ij' beta), and
-    eps_std[j] = (y[j] - mu[j]) / sqrt(a_diag[j]).
-    """
-    beta = np.asarray(beta, dtype=np.float64)
-    if beta.shape != (step.X.shape[1],):
-        raise ContractError(
-            f"beta has shape {beta.shape}, expected ({step.X.shape[1]},)"
-        )
-    mu, a, eps = moment_arrays(step.X[None, :, :], step.y[None, :], beta, link)
-    return ConditionalMoments(mu=mu[0], a_diag=a[0], eps_std=eps[0])

@@ -76,18 +76,6 @@ def true_correlation(design: SimDesign) -> np.ndarray:
     return corrmod.build_fixed_corr(design.corr_kind, design.alpha0, design.m)
 
 
-def mvn_sample(cov, rng: np.random.Generator) -> np.ndarray:
-    """One N(0, cov) draw via the lower Cholesky factor."""
-    cov = np.asarray(cov, dtype=np.float64)
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise CorrelationDegeneracyError(
-            "covariance is not symmetric positive definite (Cholesky failed)"
-        ) from None
-    return chol @ rng.standard_normal(cov.shape[0])
-
-
 def generate_ar2(design: SimDesign, rep: int = 0) -> ClusterSeries:
     """Simulate the design; deterministic given (design.seed, rep).
 
@@ -162,7 +150,7 @@ def _fit_single(data: ClusterSeries, spec: EstimatorSpec, truth: np.ndarray, lev
             provider = corrmod.pseudo_fixed(truth)
         elif spec.kind == "fixed":
             mat = corrmod.build_fixed_corr(spec.corr_kind, spec.alpha or 0.0, data.m)
-            provider = corrmod.FixedCorr(spec.corr_kind, mat, alpha=spec.alpha)
+            provider = corrmod.FixedCorr(spec.corr_kind, mat)
         else:
             raise ContractError(f"unknown estimator kind {spec.kind!r}")
         ctx = EstimatingContext(data=data, link=_IDENTITY_LINK, corr=provider)
@@ -245,7 +233,7 @@ def monte_carlo_study(
     specs = list(estimators) if estimators is not None else default_estimators(design.alpha0)
     if not specs:
         raise ContractError("estimator grid is empty")
-    p = 2
+    p = len(design.beta0)
     n_est = len(specs)
     betas = np.empty((s, n_est, p))
     los = np.empty((s, n_est, p))
@@ -297,11 +285,3 @@ def monte_carlo_study(
         for summ in summaries:
             summ.re = summ.mse / ref_mse
     return MonteCarloReport(design=design, level=level, s=s, estimators=summaries)
-
-
-def coverage_study(
-    design: SimDesign, estimator: EstimatorSpec, s: int, level: float = 0.95
-) -> np.ndarray:
-    """Empirical CI coverage per component for one estimator."""
-    report = monte_carlo_study(design, [estimator], s=s, level=level)
-    return report.estimators[0].coverage

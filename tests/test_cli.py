@@ -7,7 +7,6 @@ import pytest
 from loop_oracle import loop_design
 from mtgee.cli import (
     DatasetSpec,
-    emit_report,
     json_dumps,
     next_design,
     parse_dataset,
@@ -233,17 +232,8 @@ def test_json_dumps_17_digit_roundtrip():
     values = [0.1, 1 / 3, 2.0**-520, 1.7976931348623157e308, 0.95]
     parsed = json.loads(json_dumps({"v": values}))
     assert parsed["v"] == values
-
-
-def test_emit_report_roundtrip_structures():
     payload = {"schema": "mtgee/1", "beta": [0.1, -2.5], "nested": {"ok": True, "x": None}}
-    blob = emit_report(payload, "json")
-    assert json.loads(blob.decode()) == payload
-
-
-def test_emit_report_rejects_unknown_format():
-    with pytest.raises(ContractError):
-        emit_report({}, "yaml")
+    assert json.loads(json_dumps(payload)) == payload
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +291,12 @@ def test_cli_numerical_failure_exit_3(capsys):
 
 
 def test_cli_intercept_flag_is_accepted(capsys):
-    assert run_command(FIT_ARGV + ["--intercept"]) == 0
+    configs = []
+    for flag in ("--intercept", "--no-intercept"):
+        assert run_command(FIT_ARGV + [flag]) == 0
+        configs.append(json.loads(capsys.readouterr().out)["config"])
+    assert configs[0]["intercept"] is True and configs[1]["intercept"] is False
+    assert configs[1]["p"] == configs[0]["p"] - 1
 
 
 def test_fit_json_parse_serialize_idempotent(tmp_path):
@@ -380,3 +375,34 @@ def test_cli_predict_reduced_model(capsys):
     assert run_command(argv) == 0
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["result"]["prediction"]) == 3
+
+
+def write_binary_long(path, days=400, m=4, seed=3):
+    """Shuffled long CSV of 0/1 responses whose log-odds load on lag 1 and on x1."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(days, m))
+    y = np.zeros((days, m))
+    for t in range(1, days):
+        theta = -0.4 + 0.9 * y[t - 1] + 0.7 * x[t]
+        y[t] = rng.uniform(size=m) < 1.0 / (1.0 + np.exp(-theta))
+    rows = [f"{t},u{j},{int(y[t, j])},{x[t, j]:.6f}" for t in range(days) for j in range(m)]
+    rng.shuffle(rows)
+    path.write_text("\n".join(["day,station,y,x1"] + rows) + "\n")
+
+
+def test_cli_diagnose_passes_tol_and_max_iter(tmp_path, capsys):
+    path = tmp_path / "binary.csv"
+    write_binary_long(path)
+    base = ["--data", str(path), "--layout", "long", "--time-col", "day",
+            "--unit-col", "station", "--response", "y", "--exog", "x1", "--lags", "2",
+            "--link", "logistic", "--method", "newton", "--corr", "cs"]
+
+    def beta_of(argv):
+        assert run_command(argv) == 0
+        return json.loads(capsys.readouterr().out)["result"]["beta_hat"]
+
+    converged = beta_of(["fit"] + base)
+    for flags in (["--max-iter", "1"], ["--tol", "1e-2"]):
+        early = beta_of(["fit"] + base + flags)
+        assert early != converged
+        assert beta_of(["diagnose"] + base + flags) == early

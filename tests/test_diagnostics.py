@@ -156,7 +156,8 @@ def test_leverage_decreases_with_n():
     for seed in range(10):
         data = generate_ar2(SimDesign(n=1000, m=5, corr_kind="cs", alpha0=0.7, seed=seed))
         for n in gammas:
-            ctx = EstimatingContext(data=data.head(n), link=IDENT)
+            head = ClusterSeries(ys=data.ys[:n], Xs=data.Xs[:n])
+            ctx = EstimatingContext(data=head, link=IDENT)
             gammas[n].append(leverage(ctx, BETA0).gamma_prime)
     assert np.median(gammas[1000]) < np.median(gammas[250])
 

@@ -4,6 +4,7 @@ import pytest
 from conftest import glm_series, random_series
 from loop_oracle import scalar_regularize
 from mtgee import corr
+from mtgee.diagnostics import ergodicity_check, leverage
 from mtgee.errors import ContractError, RankDeficiencyError, SolverFailureError
 from mtgee.estfun import (
     EstimatingContext,
@@ -15,6 +16,7 @@ from mtgee.estfun import (
     solve_newton,
     working_independence_estimate,
 )
+from mtgee.inference import sandwich
 from mtgee.model import ClusterSeries, get_link
 from mtgee.simgen import SimDesign, generate_ar2, substream
 
@@ -153,6 +155,26 @@ def test_solve_linear_rank_deficiency_reports_eigenvalue():
     ctx = ctx_of(np.ones((4, 2)), np.zeros((4, 2, 2)))
     with pytest.raises(RankDeficiencyError) as err:
         solve_linear(ctx)
+    assert err.value.lambda_min is not None
+
+
+def zero_column_ctx(seed):
+    """Identity-link context whose second regressor is identically zero."""
+    rng = substream(seed, 0)
+    Xs = np.concatenate([rng.normal(size=(30, 3, 1)), np.zeros((30, 3, 1))], axis=2)
+    return ctx_of(rng.normal(size=(30, 3)), Xs, provider=corr.compound_symmetry(0.3, 3))
+
+
+@pytest.mark.parametrize("site, message", [
+    (lambda ctx, b: solve_linear(ctx), "normal matrix is rank deficient"),
+    (sandwich, "sandwich bread is rank deficient"),
+    (leverage, "cumulative information is singular"),
+    (lambda ctx, b: ergodicity_check([zero_column_ctx(s).data for s in range(50)], b, ctx),
+     "average information singular at checkpoint"),
+], ids=["solve_linear", "sandwich", "leverage", "ergodicity_check"])
+def test_rank_check_at_every_site(site, message):
+    with pytest.raises(RankDeficiencyError, match=message) as err:
+        site(zero_column_ctx(0), np.array([0.3, 0.0]))
     assert err.value.lambda_min is not None
 
 
@@ -299,7 +321,7 @@ def test_estimator_consistency_across_providers():
         design = SimDesign(n=max(sizes), m=5, corr_kind="cs", alpha0=0.7, seed=seed)
         data_full = generate_ar2(design)
         for n in sizes:
-            data = data_full.head(n)
+            data = ClusterSeries(ys=data_full.ys[:n], Xs=data_full.Xs[:n])
             for name, make in providers.items():
                 ctx = EstimatingContext(data=data, link=IDENT, corr=make(5))
                 errors[name][n].append(np.linalg.norm(solve_linear(ctx) - beta0))

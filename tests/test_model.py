@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtgee.errors import ContractError, SaturationError
-from mtgee.model import (
-    ClusterSeries,
-    TimeStep,
-    conditional_moments,
-    get_link,
-    link_eval,
-)
+from mtgee.errors import ContractError, ModelViolationError, SaturationError
+from mtgee.model import ClusterSeries, get_link, moment_arrays
 from mtgee.simgen import SimDesign, generate_ar2
 
 
@@ -25,29 +19,36 @@ def taylor_exp(x, terms=60):
     return total
 
 
+def link_values(kind, theta):
+    """(mu, mu', mu'') at the points of ``theta``, from the vectorised link."""
+    link, t = get_link(kind), np.asarray(theta, dtype=np.float64)
+    return link.eval(t), link.d1(t), link.d2(t)
+
+
 def test_logistic_at_zero():
-    assert link_eval(get_link("logistic"), 0.0) == (0.5, 0.25, 0.0, -0.125)
+    mu, d1, d2 = link_values("logistic", [0.0, 0.0])
+    assert np.array_equal(mu, [0.5, 0.5])
+    assert np.array_equal(d1, [0.25, 0.25])
+    assert np.array_equal(d2, [0.0, 0.0])
 
 
 def test_identity_case():
-    assert link_eval(get_link("identity"), 2.5) == (2.5, 1.0, 0.0, 0.0)
+    mu, d1, d2 = link_values("identity", [[2.5, -1.0]])
+    assert np.array_equal(mu, [[2.5, -1.0]])
+    assert np.array_equal(d1, [[1.0, 1.0]])
+    assert np.array_equal(d2, [[0.0, 0.0]])
 
 
 def test_exponential_matches_series_oracle():
-    mu, d1, d2, d3 = link_eval(get_link("exponential"), 1.0)
-    expected = taylor_exp(1.0)
-    for v in (mu, d1, d2, d3):
-        assert abs(v - expected) < 1e-12
-
-
-def test_non_finite_theta_rejected():
-    with pytest.raises(ContractError):
-        link_eval(get_link("identity"), float("nan"))
+    expected = np.array([taylor_exp(x) for x in (-1.0, 0.5, 1.0)])
+    for v in link_values("exponential", [-1.0, 0.5, 1.0]):
+        assert np.max(np.abs(v - expected)) < 1e-12
 
 
 def test_exponential_saturation_guard():
+    Xs = np.array([[[1.0], [710.0]]])
     with pytest.raises(SaturationError) as err:
-        link_eval(get_link("exponential"), 710.0)
+        moment_arrays(Xs, np.zeros((1, 2)), [1.0], get_link("exponential"))
     assert err.value.theta == 710.0
 
 
@@ -67,33 +68,35 @@ def test_d1_matches_central_differences(kind):
 )
 @settings(max_examples=50, deadline=None)
 def test_identity_mean_is_exact_matrix_product(beta, xflat):
-    X = np.asarray(xflat).reshape(3, 2)
-    step = TimeStep(y=np.zeros(3), X=X)
-    cm = conditional_moments(step, np.asarray(beta), get_link("identity"))
-    assert np.array_equal(cm.mu, X @ np.asarray(beta))
+    X = np.asarray(xflat).reshape(1, 3, 2)
+    mu, _, _ = moment_arrays(X, np.zeros((1, 3)), np.asarray(beta), get_link("identity"))
+    assert np.array_equal(mu, X @ np.asarray(beta))
 
 
 def test_conditional_moments_zero_residual_identity():
-    step = TimeStep(y=np.array([3.0, -1.0]), X=np.eye(2))
-    cm = conditional_moments(step, np.array([3.0, -1.0]), get_link("identity"))
-    assert np.allclose(cm.mu, [3.0, -1.0])
-    assert np.array_equal(cm.a_diag, [1.0, 1.0])
-    assert np.array_equal(cm.eps_std, [0.0, 0.0])
+    mu, a, eps = moment_arrays(
+        np.eye(2)[None], np.array([[3.0, -1.0]]), np.array([3.0, -1.0]), get_link("identity")
+    )
+    assert np.allclose(mu, [[3.0, -1.0]])
+    assert np.array_equal(a, [[1.0, 1.0]])
+    assert np.array_equal(eps, [[0.0, 0.0]])
 
 
 def test_conditional_moments_logit_zero_row():
-    step = TimeStep(y=np.array([1.0]), X=np.array([[0.0, 0.0]]))
-    cm = conditional_moments(step, np.array([5.0, -2.0]), get_link("logistic"))
-    assert cm.mu[0] == 0.5
-    assert cm.a_diag[0] == 0.25
+    mu, a, _ = moment_arrays(
+        np.zeros((1, 1, 2)), np.array([[1.0]]), np.array([5.0, -2.0]), get_link("logistic")
+    )
+    assert mu[0, 0] == 0.5
+    assert a[0, 0] == 0.25
 
 
 def test_conditional_moments_hand_matrix_case():
     # mu = X beta = (3, 2); a = 1; eps = y - mu = (1, -1)
-    step = TimeStep(y=np.array([4.0, 1.0]), X=np.array([[2.0, 1.0], [1.0, 1.0]]))
-    cm = conditional_moments(step, np.array([1.0, 1.0]), get_link("identity"))
-    assert np.allclose(cm.mu, [3.0, 2.0])
-    assert np.allclose(cm.eps_std, [1.0, -1.0])
+    X = np.array([[[2.0, 1.0], [1.0, 1.0]]])
+    ys = np.array([[4.0, 1.0]])
+    mu, _, eps = moment_arrays(X, ys, np.array([1.0, 1.0]), get_link("identity"))
+    assert np.allclose(mu, [[3.0, 2.0]])
+    assert np.allclose(eps, [[1.0, -1.0]])
 
 
 def test_eps_std_mean_near_zero_on_true_model():
@@ -101,10 +104,7 @@ def test_eps_std_mean_near_zero_on_true_model():
     n = 10_000
     design = SimDesign(n=n, m=3, beta0=(0.5, 0.2), corr_kind="cs", alpha0=0.5, seed=11)
     data = generate_ar2(design)
-    link = get_link("identity")
-    eps = np.empty((n, 3))
-    for i in range(n):
-        eps[i] = conditional_moments(data.step(i), np.array([0.5, 0.2]), link).eps_std
+    _, _, eps = moment_arrays(data.Xs, data.ys, np.array([0.5, 0.2]), get_link("identity"))
     assert np.all(np.abs(eps.mean(axis=0)) < 4.0 / math.sqrt(n))
 
 
@@ -122,10 +122,9 @@ def test_cluster_series_is_immutable(rng):
 
 
 def test_model_violation_reports_location():
-    # mu' underflows to 0 for an extreme logistic argument
-    from mtgee.errors import ModelViolationError
-
-    step = TimeStep(y=np.array([1.0]), X=np.array([[800.0]]))
+    # mu' underflows to 0 for an extreme logistic argument at step 1, unit 0
+    Xs = np.array([[[0.0], [1.0]], [[800.0], [2.0]]])
     with pytest.raises(ModelViolationError) as err:
-        conditional_moments(step, np.array([1.0]), get_link("logistic"))
+        moment_arrays(Xs, np.ones((2, 2)), np.array([1.0]), get_link("logistic"))
     assert err.value.theta == 800.0
+    assert err.value.index == (1, 0)

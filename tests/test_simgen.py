@@ -4,38 +4,31 @@ import numpy as np
 import pytest
 
 from mtgee.corr import build_fixed_corr
-from mtgee.errors import ContractError, CorrelationDegeneracyError, InstabilityError
+from mtgee.errors import ContractError, InstabilityError
 from mtgee.simgen import (
     EstimatorSpec,
     SimDesign,
-    coverage_study,
     generate_ar2,
     monte_carlo_study,
-    mvn_sample,
     default_estimators,
-    substream,
     true_correlation,
 )
 
 
-def test_mvn_identity_moments():
-    rng = substream(0, 0)
-    draws = np.array([mvn_sample(np.eye(2), rng) for _ in range(100_000)])
-    cov = np.cov(draws, rowvar=False)
-    assert np.max(np.abs(cov - np.eye(2))) < 0.02
+def test_generate_ar2_innovation_covariance():
+    # with beta0 = 0 the responses are the innovations, N(0, R) per step
+    design = SimDesign(n=100_000, m=3, beta0=(0.0, 0.0), corr_kind="cs", alpha0=0.6, seed=0)
+    cov = np.cov(generate_ar2(design).ys, rowvar=False)
+    assert np.max(np.abs(cov - true_correlation(design))) < 0.02
 
 
 def test_mvn_near_degenerate_pair():
-    rng = substream(1, 0)
-    cov = np.array([[1.0, 1.0], [1.0, 1.0]]) + 1e-6 * np.eye(2)
-    draws = np.array([mvn_sample(cov, rng) for _ in range(10_000)])
-    assert np.corrcoef(draws[:, 0], draws[:, 1])[0, 1] > 0.999
-
-
-def test_mvn_rejects_singular():
-    rng = substream(2, 0)
-    with pytest.raises(CorrelationDegeneracyError):
-        mvn_sample(np.array([[1.0, 1.0], [1.0, 1.0]]), rng)
+    # innovations with correlation 1 - 1e-6 are still drawn, and nearly collinear
+    design = SimDesign(
+        n=10_000, m=2, beta0=(0.0, 0.0), corr_kind="cs", alpha0=1.0 - 1e-6, seed=1
+    )
+    ys = generate_ar2(design).ys
+    assert np.corrcoef(ys[:, 0], ys[:, 1])[0, 1] > 0.999
 
 
 def test_generate_pure_noise_mean():
@@ -158,7 +151,7 @@ def test_mse_shrinks_roughly_like_one_over_n():
 def test_coverage_study_level_half():
     design = SimDesign(n=300, m=3, corr_kind="cs", alpha0=0.7, seed=14)
     spec = EstimatorSpec("cs", "fixed", "compound_symmetry", 0.7)
-    coverage = coverage_study(design, spec, s=400, level=0.5)
+    coverage = monte_carlo_study(design, [spec], s=400, level=0.5).estimators[0].coverage
     assert np.all((0.45 <= coverage) & (coverage <= 0.55))
 
 
@@ -174,7 +167,7 @@ def test_coverage_study_rejects_empty():
     design = SimDesign(n=50, m=2, corr_kind="cs", alpha0=0.5, seed=0)
     spec = EstimatorSpec("cs", "fixed", "compound_symmetry", 0.5)
     with pytest.raises(ContractError):
-        coverage_study(design, spec, s=0)
+        monte_carlo_study(design, [spec], s=0)
 
 
 def test_default_estimator_grid_shape():
