@@ -232,6 +232,9 @@ def test_json_dumps_17_digit_roundtrip():
     values = [0.1, 1 / 3, 2.0**-520, 1.7976931348623157e308, 0.95]
     parsed = json.loads(json_dumps({"v": values}))
     assert parsed["v"] == values
+
+
+def test_emit_report_roundtrip_structures():
     payload = {"schema": "mtgee/1", "beta": [0.1, -2.5], "nested": {"ok": True, "x": None}}
     assert json.loads(json_dumps(payload)) == payload
 
