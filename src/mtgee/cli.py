@@ -29,7 +29,7 @@ import numpy as np
 from . import corr as corrmod
 from . import diagnostics as diagmod
 from .errors import ContractError, DataError, MtgeeError, NumericalError
-from .estfun import EstimatingContext, fit, resolve_plugin
+from .estfun import EstimatingContext, fit
 from .inference import predict_next
 from .model import ClusterSeries, get_link, moment_arrays
 from .simgen import (
@@ -290,6 +290,11 @@ def _load_long(spec, header, body):
     for lineno, row in enumerate(body, start=2):
         t = t_pos[row[t_idx].strip()]
         u = u_pos[row[u_idx].strip()]
+        if not math.isnan(Y[t, u]):
+            raise DataError(
+                f"{spec.path}: duplicate row for time {times[t]!r}, unit {units[u]!r} "
+                f"at line {lineno}"
+            )
         Y[t, u] = _cell_value(row[col_index[y_col]], spec.path, lineno, y_col, required=True)
         for v, col in enumerate(spec.exog_cols):
             Z[t, u, v] = _cell_value(row[col_index[col]], spec.path, lineno, col, required=False)
@@ -480,7 +485,7 @@ def _spec_from_args(args) -> DatasetSpec:
 
 def _provider_from_args(args, m):
     if args.method == "two_step":
-        return None
+        return corrmod.two_step(m)
     if args.corr == "independence":
         return corrmod.independence(m)
     if args.corr == "cs":
@@ -499,9 +504,8 @@ def _fit_from_args(args):
     ctx = EstimatingContext(data=series, link=link, corr=_provider_from_args(args, series.m))
     result = fit(ctx, method=args.method, level=args.level, tol=args.tol,
                  max_iter=args.max_iter)
-    x_next = next_design(spec, series)
-    prediction = predict_next(x_next, result.beta_hat, link)
-    return spec, series, ctx, result, prediction
+    prediction = predict_next(next_design(spec, series), result.beta_hat, link)
+    return series, result, prediction
 
 
 def _config_echo(args, series):
@@ -534,7 +538,7 @@ def _solver_dict(result):
 
 
 def _cmd_fit(args):
-    _, series, _, result, prediction = _fit_from_args(args)
+    series, result, prediction = _fit_from_args(args)
     payload = {
         "schema": SCHEMA,
         "command": "fit",
@@ -554,7 +558,7 @@ def _cmd_fit(args):
 
 
 def _cmd_predict(args):
-    _, series, _, result, prediction = _fit_from_args(args)
+    series, result, prediction = _fit_from_args(args)
     payload = {
         "schema": SCHEMA,
         "command": "predict",
@@ -627,13 +631,11 @@ def _cmd_diagnose(args):
     spec = _spec_from_args(args)
     series = parse_dataset(spec)
     link = get_link(args.link)
-    # one context for the fit, the monitors and the perturbation base
-    ctx = resolve_plugin(
-        EstimatingContext(data=series, link=link, corr=_provider_from_args(args, series.m))
-    )
+    ctx = EstimatingContext(data=series, link=link, corr=_provider_from_args(args, series.m))
     result = fit(ctx, method=args.method, level=args.level, tol=args.tol,
                  max_iter=args.max_iter, with_inference=False)
-    beta = result.beta_hat
+    # the fit's own context serves the monitors and the perturbation base
+    ctx, beta = result.ctx, result.beta_hat
 
     cond = diagmod.eigen_conditions(ctx, beta, _float_list(args.delta_grid))
     lev = diagmod.leverage(ctx, beta)
@@ -641,11 +643,7 @@ def _cmd_diagnose(args):
     # average of standardized residual outer products
     _, _, eps = moment_arrays(series.Xs, series.ys, beta, link)
     rbar = corrmod.spd_project((eps[:, :, None] * eps[:, None, :]).mean(axis=0))
-    opt_ctx = ctx
-    if args.method == "two_step":
-        opt_ctx = EstimatingContext(data=series, link=link,
-                                    corr=corrmod.SequenceCorr(result.corr_seq))
-    opt = diagmod.optimality_ratios(opt_ctx, beta, rbar)
+    opt = diagmod.optimality_ratios(ctx, beta, rbar)
 
     diagnostics = {
         "conditions": {
@@ -666,7 +664,7 @@ def _cmd_diagnose(args):
     if args.d_grid is not None:
         pert = diagmod.perturbation_sensitivity(
             ctx, args.method, _float_list(args.d_grid), seed=args.seed, true_corr=rbar,
-            base=(beta, opt_ctx.corr_matrices()),
+            base=beta,
         )
         diagnostics["perturbation"] = {
             "budgets": pert.budgets,

@@ -1,14 +1,15 @@
 """Working correlation structures for the estimating function.
 
-A provider supplies, for every step i, the m x m surrogate matrix used to
-weight that step's standardized residuals.  Fixed patterns (independence,
-compound symmetry, AR(1)) are constant over time; the running empirical
-provider averages outer products of standardized residuals from steps
-strictly before i, so the matrix used at step i is determined by the past
-alone.
+A provider supplies, for every step i, the m x m surrogate matrix R_i used
+to weight that step's standardized residuals, and its inverse.  Fixed
+patterns (independence, compound symmetry, AR(1)) are constant over time;
+the running empirical provider averages outer products of standardized
+residuals from steps strictly before i, and the two-step provider does the
+same with working-independence residuals re-estimated on those steps, so
+the matrix used at step i is determined by the past alone.
 
-Running averages are built by one kernel, :func:`running_corr`, shared with
-the two-step estimator.  It walks the series in blocks of ``BLOCK_STEPS``
+Both running providers build their averages with one kernel,
+:func:`running_corr`.  It walks the series in blocks of ``BLOCK_STEPS``
 steps, takes exclusive prefix sums of per-step moment tensors inside each
 block (carrying the totals into the next block), and regularises a whole
 block of averages with one batched eigendecomposition.  Prefix sums are
@@ -168,7 +169,7 @@ def _check_spd(mat, what):
     w = np.linalg.eigvalsh(mat)
     if w[0] <= 0.0:
         raise CorrelationDegeneracyError(
-            f"{what} is not positive definite (lambda_min={w[0]!r})",
+            f"{what} is not positive definite (lambda_min={float(w[0])!r})",
             eigenvalue=float(w[0]),
         )
     return mat
@@ -179,13 +180,25 @@ class CorrProvider:
 
     kind = "abstract"
 
-    @property
-    def m(self) -> int:
-        raise NotImplementedError
+    def __init__(self, m: int):
+        if m < 1:
+            raise ContractError("cluster size must be >= 1")
+        self.m = int(m)
 
     def realize(self, data: ClusterSeries, link: LinkSpec) -> np.ndarray:
         """Materialize the per-step matrices as an (n, m, m) array."""
         raise NotImplementedError
+
+    def realize_with_inverse(self, data: ClusterSeries, link: LinkSpec):
+        """The per-step matrices R_i and their inverses, each (n, m, m)."""
+        seq = self.realize(data, link)
+        return seq, np.linalg.inv(seq)
+
+    def _check_size(self, data):
+        if data.m != self.m:
+            raise ContractError(
+                f"provider cluster size {self.m} != data cluster size {data.m}"
+            )
 
 
 class FixedCorr(CorrProvider):
@@ -195,38 +208,16 @@ class FixedCorr(CorrProvider):
         self.kind = kind
         self.matrix = np.array(_check_spd(matrix, f"{kind} correlation"), dtype=np.float64)
         self.matrix.flags.writeable = False
-
-    @property
-    def m(self):
-        return self.matrix.shape[0]
+        super().__init__(self.matrix.shape[0])
 
     def realize(self, data, link):
-        if data.m != self.m:
-            raise ContractError(
-                f"provider cluster size {self.m} != data cluster size {data.m}"
-            )
+        self._check_size(data)
         return np.broadcast_to(self.matrix, (data.n, self.m, self.m))
 
-
-class SequenceCorr(CorrProvider):
-    """Explicit per-step matrix sequence (e.g. the two-step procedure's trace)."""
-
-    kind = "sequence"
-
-    def __init__(self, matrices):
-        mats = np.asarray(matrices, dtype=np.float64)
-        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-            raise ContractError(f"sequence provider expects (n, m, m), got {mats.shape}")
-        self.matrices = mats
-
-    @property
-    def m(self):
-        return self.matrices.shape[1]
-
-    def realize(self, data, link):
-        if data.n != self.matrices.shape[0] or data.m != self.m:
-            raise ContractError("sequence provider does not match data dimensions")
-        return self.matrices
+    def realize_with_inverse(self, data, link):
+        # one m x m inverse, broadcast over the steps
+        seq = self.realize(data, link)
+        return seq, np.broadcast_to(np.linalg.inv(self.matrix), seq.shape)
 
 
 class EmpiricalRunningCorr(CorrProvider):
@@ -248,25 +239,16 @@ class EmpiricalRunningCorr(CorrProvider):
     kind = "empirical_running"
 
     def __init__(self, m, plugin_beta=None):
-        if m < 1:
-            raise ContractError("cluster size must be >= 1")
-        self._m = int(m)
+        super().__init__(m)
         self.plugin_beta = (
             None if plugin_beta is None else np.asarray(plugin_beta, dtype=np.float64)
         )
 
-    @property
-    def m(self):
-        return self._m
-
     def with_plugin(self, beta) -> "EmpiricalRunningCorr":
-        return EmpiricalRunningCorr(self._m, plugin_beta=beta)
+        return EmpiricalRunningCorr(self.m, plugin_beta=beta)
 
     def realize(self, data, link):
-        if data.m != self._m:
-            raise ContractError(
-                f"provider cluster size {self._m} != data cluster size {data.m}"
-            )
+        self._check_size(data)
         if self.plugin_beta is None:
             raise ContractError(
                 "empirical provider needs plugin_beta (fit() resolves it to the "
@@ -275,10 +257,68 @@ class EmpiricalRunningCorr(CorrProvider):
         _, _, eps = moment_arrays(data.Xs, data.ys, self.plugin_beta, link)
         return running_corr(
             data.n,
-            self._m,
+            self.m,
             lambda lo, hi: (eps[lo:hi, :, None] * eps[lo:hi, None, :],),
             lambda sums, counts: (sums[0] / counts[:, None, None], np.ones(counts.size, bool)),
         )
+
+
+class TwoStepCorr(CorrProvider):
+    """The plug-in of the sequential two-step pseudo-likelihood estimator.
+
+    R_i averages the outer products of the residuals y_l - X_l b_i over
+    steps l < i, where b_i is the working-independence estimate computed on
+    those same steps.  Warm-up steps, steps where b_i is singular or
+    non-finite, and the flooring follow :func:`running_corr`.  With the
+    identity link, solving g_n = 0 against this sequence is the two-step
+    estimator.
+
+    With b = b_i, sum_l (y_l - X_l b)(y_l - X_l b)' expands into prefix sums
+    of per-step moment tensors, so :func:`running_corr` builds the whole
+    sequence block by block, with one batched solve for the b of a block.
+    """
+
+    kind = "two_step_empirical"
+
+    def realize(self, data, link):
+        self._check_size(data)
+        if link.kind != "identity":
+            raise ContractError("the two-step correlation requires the identity link")
+        if data.n < 3:
+            raise ContractError(f"two-step procedure needs n >= 3, got {data.n}")
+        Xs, ys = data.Xs, data.ys
+
+        def step_moments(lo, hi):
+            x, y = Xs[lo:hi], ys[lo:hi]
+            return (
+                np.swapaxes(x, 1, 2) @ x,
+                (np.swapaxes(x, 1, 2) @ y[:, :, None])[:, :, 0],
+                y[:, :, None] * y[:, None, :],
+                y[:, :, None, None] * x[:, None, :, :],
+                x[:, :, :, None, None] * x[:, None, None, :, :],
+            )
+
+        def average(sums, counts):
+            sxx, sxy, syy, t1, t2 = sums
+            try:
+                b = np.linalg.solve(sxx, sxy[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                # one singular step fails the whole batch; it alone gets the identity
+                b = np.full(sxy.shape, np.nan)
+                for j in range(len(counts)):
+                    try:
+                        b[j] = np.linalg.solve(sxx[j], sxy[j])
+                    except np.linalg.LinAlgError:
+                        pass
+            usable = np.all(np.isfinite(b), axis=1)
+            b[~usable] = 0.0
+            c1 = (t1 @ b[:, None, :, None])[..., 0]
+            t2_b = (t2.reshape(len(b), -1, b.shape[1]) @ b[:, :, None]).reshape(t2.shape[:-1])
+            quad = (b[:, None, None, :] @ t2_b)[:, :, 0, :]
+            raw = (syy - c1 - np.swapaxes(c1, 1, 2) + quad) / counts[:, None, None]
+            return raw, usable
+
+        return running_corr(data.n, self.m, step_moments, average)
 
 
 def independence(m: int) -> FixedCorr:
@@ -301,3 +341,6 @@ def pseudo_fixed(matrix) -> FixedCorr:
 def empirical_running(m, plugin_beta=None) -> EmpiricalRunningCorr:
     return EmpiricalRunningCorr(m, plugin_beta=plugin_beta)
 
+
+def two_step(m) -> TwoStepCorr:
+    return TwoStepCorr(m)

@@ -16,17 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corr import SequenceCorr
 from .errors import ContractError, NumericalError, RankDeficiencyError
-from .estfun import (
-    EstimatingContext,
-    _check_rank,
-    _rows,
-    fit_two_step,
-    solve_linear,
-    solve_newton,
-    weighted_design,
-)
+from .estfun import EstimatingContext, _check_rank, _rows, fit, weighted_design
 from .model import moment_arrays
 from .simgen import substream
 
@@ -256,23 +247,10 @@ def leverage(ctx: EstimatingContext, beta_hat) -> LeverageStats:
     xa = _information_design(ctx, beta_hat)
     h_mat = _rows(xa).T @ _rows(xa)
     w = np.linalg.eigvalsh(h_mat)
-    _check_rank(w, f"cumulative information is singular (lambda_min={w[0]!r})")
+    _check_rank(w, f"cumulative information is singular (lambda_min={float(w[0])!r})")
     hinv = np.linalg.inv(h_mat)
     gamma = float(np.max(((ctx.data.Xs @ hinv) * ctx.data.Xs).sum(axis=2)))
     return LeverageStats(gamma_prime=gamma, a_prime=float(w[-1]) * gamma)
-
-
-def _refit(ctx: EstimatingContext, method: str):
-    """Refit returning (beta, realized correlation sequence)."""
-    if method == "two_step":
-        ts = fit_two_step(ctx.data, ctx.link)
-        return ts.beta, ts.corr_seq
-    if method == "linear":
-        return solve_linear(ctx), ctx.corr_matrices()
-    if method == "newton":
-        report = solve_newton(ctx)
-        return report.beta_hat, ctx.corr_matrices()
-    raise ContractError(f"unknown refit method {method!r}")
 
 
 def perturbation_sensitivity(
@@ -289,10 +267,11 @@ def perturbation_sensitivity(
     matrix of spectral norm exactly d * 2^{-i} (direction uniform); the
     report records the estimate drift ||beta(delta) - beta(0)|| and, when
     the true correlation is supplied, the full-sample determinant ratios
-    under the perturbed fit.  The grid must include 0, whose drift is
-    exactly zero by construction.  ``base``, the (beta, correlation
-    sequence) of a fit already made with ``beta_method`` on ``ctx``, spares
-    the refit at budget 0.
+    under the perturbed fit, each on its refit's own context.  The grid
+    must include 0, whose drift is exactly zero by construction.  ``base``,
+    the beta of a fit already made with ``beta_method`` on ``ctx`` (the
+    fit's own context, which carries its correlation sequence), spares the
+    refit at budget 0.
     """
     budgets = np.asarray(list(d_grid), dtype=np.float64)
     if budgets.size == 0 or not np.any(budgets == 0.0):
@@ -300,21 +279,15 @@ def perturbation_sensitivity(
     if np.any(budgets < 0):
         raise ContractError("budgets must be nonnegative")
 
-    base_beta, base_seq = _refit(ctx, beta_method) if base is None else base
+    if base is None:
+        fitted = fit(ctx, beta_method, with_inference=False)
+        base, ctx = fitted.beta_hat, fitted.ctx
     n, m, p = ctx.data.n, ctx.data.m, ctx.data.p
 
-    def ratios_at_full_n(data, beta, seq):
-        sub = EstimatingContext(data=data, link=ctx.link, corr=SequenceCorr(seq))
-        rep = optimality_ratios(sub, beta, true_corr)
-        return rep.det_ratio_H[-1], rep.det_ratio_M[-1]
-
-    drifts = np.empty(budgets.size)
-    ratio_h = np.empty(budgets.size) if true_corr is not None else None
-    ratio_m = np.empty(budgets.size) if true_corr is not None else None
-    for k, d in enumerate(budgets):
-        if d == 0.0:
-            beta_d, seq_d, data_d = base_beta, base_seq, ctx.data
-        else:
+    def measure(k, d):
+        """Drift and full-sample determinant ratios of the fit at budget d."""
+        beta_d, ctx_d = base, ctx
+        if d > 0.0:
             rng = substream(seed, k)
             deltas = rng.standard_normal((n, m, p))
             # scale each delta_i to spectral norm d * 2^{-i} (i is 1-based)
@@ -323,10 +296,20 @@ def perturbation_sensitivity(
             np.divide(d * 2.0 ** -np.arange(1.0, n + 1), norms, out=scale, where=norms > 0)
             deltas *= scale[:, None, None]
             data_d = ctx.data.with_regressors(ctx.data.Xs + deltas)
-            beta_d, seq_d = _refit(ctx.with_data(data_d), beta_method)
-        drifts[k] = float(np.linalg.norm(beta_d - base_beta))
-        if true_corr is not None:
-            ratio_h[k], ratio_m[k] = ratios_at_full_n(data_d, beta_d, seq_d)
+            refit = fit(ctx.with_data(data_d), beta_method, with_inference=False)
+            beta_d, ctx_d = refit.beta_hat, refit.ctx
+        drift = float(np.linalg.norm(beta_d - base))
+        if true_corr is None:
+            return drift, None, None
+        rep = optimality_ratios(ctx_d, beta_d, true_corr)
+        return drift, rep.det_ratio_H[-1], rep.det_ratio_M[-1]
+
+    # one call per budget, so a refit's context and correlation sequences are
+    # freed before the next refit starts
+    drifts, ratio_h, ratio_m = zip(*(measure(k, d) for k, d in enumerate(budgets)))
     return PerturbationReport(
-        budgets=budgets, perturb_drift=drifts, det_ratio_H=ratio_h, det_ratio_M=ratio_m
+        budgets=budgets,
+        perturb_drift=np.array(drifts),
+        det_ratio_H=None if true_corr is None else np.array(ratio_h),
+        det_ratio_M=None if true_corr is None else np.array(ratio_m),
     )

@@ -5,13 +5,14 @@ g_n(beta) = sum_i X_i' A_i^{1/2} R_i^{-1} A_i^{-1/2} (y_i - mu_i(beta)),
 with A_i = diag(mu'(x_ij' beta)) and R_i the working correlation supplied
 by a provider.  With the independence provider this collapses to
 sum_i X_i' (y_i - mu_i(beta)).  For the identity link the equation is
-affine in beta and admits the closed form implemented by `solve_linear`;
-`fit_two_step` implements the sequential pseudo-likelihood recipe that
-re-estimates the correlation from working-independence residuals as data
-accrue.
+affine in beta and admits the closed form implemented by `solve_linear`.
+The sequential two-step pseudo-likelihood estimator is that closed form
+with the two-step provider, `corr.two_step`, which re-estimates the
+correlation from working-independence residuals as data accrue.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -30,35 +31,28 @@ from .model import ClusterSeries, LinkSpec, get_link, moment_arrays
 class EstimatingContext:
     """Data + link + working correlation, with cached per-step matrices.
 
-    ``corr=None`` means working independence.  The realized correlation
-    sequence and its inverses are cached on first use; all shipped
-    providers are beta-free so the cache is valid for every beta.
+    ``corr=None`` means working independence.  The provider's correlation
+    sequence and its inverses are realized together on first use and
+    cached; all shipped providers are beta-free so the cache is valid for
+    every beta.
     """
 
     data: ClusterSeries
     link: LinkSpec
     corr: Optional[corrmod.CorrProvider] = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.corr = self.corr or corrmod.independence(self.data.m)
+
+    @cached_property
+    def _realized(self):
+        return self.corr.realize_with_inverse(self.data, self.link)
 
     def corr_matrices(self) -> np.ndarray:
-        if "seq" not in self._cache:
-            if self.corr is None:
-                n, m = self.data.n, self.data.m
-                self._cache["seq"] = np.broadcast_to(np.eye(m), (n, m, m))
-            else:
-                self._cache["seq"] = self.corr.realize(self.data, self.link)
-        return self._cache["seq"]
+        return self._realized[0]
 
     def corr_inverses(self) -> np.ndarray:
-        if "inv" not in self._cache:
-            seq = self.corr_matrices()
-            if self.corr is None:
-                self._cache["inv"] = seq
-            elif isinstance(self.corr, corrmod.FixedCorr):
-                self._cache["inv"] = np.broadcast_to(np.linalg.inv(self.corr.matrix), seq.shape)
-            else:
-                self._cache["inv"] = np.linalg.inv(seq)
-        return self._cache["inv"]
+        return self._realized[1]
 
     def with_data(self, data: ClusterSeries) -> "EstimatingContext":
         return EstimatingContext(data=data, link=self.link, corr=self.corr)
@@ -158,12 +152,6 @@ def _check_rank(w, message):
         raise RankDeficiencyError(message, lambda_min=float(w[0]))
 
 
-def _rank_checked_solve(mat, rhs, what):
-    w = np.linalg.eigvalsh(mat)
-    _check_rank(w, f"{what} is rank deficient (lambda_min={float(w[0])!r})")
-    return np.linalg.solve(mat, rhs)
-
-
 def solve_linear(ctx: EstimatingContext) -> np.ndarray:
     """Closed-form root for the identity link:
     (sum X' R^{-1} X)^{-1} sum X' R^{-1} y."""
@@ -171,14 +159,12 @@ def solve_linear(ctx: EstimatingContext) -> np.ndarray:
         raise ContractError(
             f"solve_linear requires the identity link, got {ctx.link.kind!r}"
         )
-    return _weighted_normal_solve(ctx.data, ctx.corr_inverses(), "normal matrix")
-
-
-def _weighted_normal_solve(data, rinv, what):
-    _, rinv_x = weighted_design(data.Xs, None, rinv)
+    data = ctx.data
+    _, rinv_x = weighted_design(data.Xs, None, ctx.corr_inverses())
     k_mat = _rows(data.Xs).T @ _rows(rinv_x)
-    rhs = _rows(rinv_x).T @ data.ys.reshape(-1)
-    return _rank_checked_solve(k_mat, rhs, what)
+    w = np.linalg.eigvalsh(k_mat)
+    _check_rank(w, f"normal matrix is rank deficient (lambda_min={float(w[0])!r})")
+    return np.linalg.solve(k_mat, _rows(rinv_x).T @ data.ys.reshape(-1))
 
 
 def solve_newton(
@@ -273,20 +259,10 @@ def working_independence_estimate(data: ClusterSeries, link: LinkSpec) -> np.nda
     return report.beta_hat
 
 
-def resolve_plugin(ctx: EstimatingContext) -> EstimatingContext:
-    """``ctx`` with an unresolved empirical provider's plug-in beta set to
-    the working-independence estimate; any other context is returned as is."""
-    if isinstance(ctx.corr, corrmod.EmpiricalRunningCorr) and ctx.corr.plugin_beta is None:
-        plugin = working_independence_estimate(ctx.data, ctx.link)
-        return EstimatingContext(data=ctx.data, link=ctx.link, corr=ctx.corr.with_plugin(plugin))
-    return ctx
-
-
 @dataclass
 class TwoStepResult:
     beta: np.ndarray
     corr_seq: np.ndarray  # (n, m, m) matrices actually used per step
-    corr_inv: np.ndarray  # their inverses
 
 
 def fit_two_step(
@@ -295,64 +271,14 @@ def fit_two_step(
 ) -> TwoStepResult:
     """Sequential pseudo-likelihood estimator (identity link).
 
-    For each step i the correlation plug-in is the average of residual
-    outer products from steps 1..i-1, with residuals taken at the
-    working-independence estimate computed on those same steps; the first
-    ``corr.WARMUP_STEPS`` steps (and any step where the average is
-    necessarily singular, i.e. fewer residuals than the cluster size, or
-    where that estimate is singular or non-finite) use the identity, and
-    eigenvalues are floored at ``corr.EIG_FLOOR``.  The final estimate solves
-    the weighted closed form with those per-step matrices.
-
-    With b = beta_ind(i-1), sum_l (y_l - X_l b)(y_l - X_l b)' expands into
-    prefix sums of per-step moment tensors, so :func:`corr.running_corr`
-    builds the whole sequence block by block, with one batched solve for
-    the b of a block.
+    The closed-form root of g_n with the two-step provider,
+    :func:`corr.two_step`, as the working correlation: R_i averages the
+    outer products of residuals from steps 1..i-1, taken at the
+    working-independence estimate computed on those same steps.
     """
-    if link is None:
-        link = get_link("identity")
-    if link.kind != "identity":
-        raise ContractError("fit_two_step requires the identity link")
-    n, m = data.n, data.m
-    if n < 3:
-        raise ContractError(f"two-step procedure needs n >= 3, got {n}")
-
-    Xs, ys = data.Xs, data.ys
-
-    def step_moments(lo, hi):
-        x, y = Xs[lo:hi], ys[lo:hi]
-        return (
-            np.swapaxes(x, 1, 2) @ x,
-            (np.swapaxes(x, 1, 2) @ y[:, :, None])[:, :, 0],
-            y[:, :, None] * y[:, None, :],
-            y[:, :, None, None] * x[:, None, :, :],
-            x[:, :, :, None, None] * x[:, None, None, :, :],
-        )
-
-    def average(sums, counts):
-        sxx, sxy, syy, t1, t2 = sums
-        try:
-            b = np.linalg.solve(sxx, sxy[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            # one singular step fails the whole batch; it alone gets the identity
-            b = np.full(sxy.shape, np.nan)
-            for j in range(len(counts)):
-                try:
-                    b[j] = np.linalg.solve(sxx[j], sxy[j])
-                except np.linalg.LinAlgError:
-                    pass
-        usable = np.all(np.isfinite(b), axis=1)
-        b[~usable] = 0.0
-        c1 = (t1 @ b[:, None, :, None])[..., 0]
-        t2_b = (t2.reshape(len(b), -1, b.shape[1]) @ b[:, :, None]).reshape(t2.shape[:-1])
-        quad = (b[:, None, None, :] @ t2_b)[:, :, 0, :]
-        raw = (syy - c1 - np.swapaxes(c1, 1, 2) + quad) / counts[:, None, None]
-        return raw, usable
-
-    seq = corrmod.running_corr(n, m, step_moments, average)
-    rinv = np.linalg.inv(seq)
-    beta = _weighted_normal_solve(data, rinv, "two-step normal matrix")
-    return TwoStepResult(beta=beta, corr_seq=seq, corr_inv=rinv)
+    ctx = EstimatingContext(data=data, link=link or get_link("identity"),
+                            corr=corrmod.two_step(data.m))
+    return TwoStepResult(beta=solve_linear(ctx), corr_seq=ctx.corr_matrices())
 
 
 @dataclass
@@ -363,6 +289,7 @@ class FitResult:
     method: str
     link_kind: str
     corr_kind: str
+    ctx: EstimatingContext  # the context fitted and used for inference
     se: Optional[np.ndarray] = None
     psi: Optional[np.ndarray] = None
     h_mat: Optional[np.ndarray] = None
@@ -373,7 +300,6 @@ class FitResult:
     iterations: int = 0
     final_residual_norm: float = 0.0
     trace: Optional[list] = None
-    corr_seq: Optional[np.ndarray] = None  # two_step: the (n, m, m) weights used
     diagnostics: Optional[dict] = None
 
 
@@ -389,56 +315,47 @@ def fit(
     """Dispatch to a solver and attach the sandwich-based inference bundle.
 
     ``method`` is one of {"newton", "linear", "two_step"}; the latter two
-    require the identity link.  An unresolved empirical provider gets its
-    plug-in beta from the working-independence estimate.  ``two_step``
-    builds its own correlation sequence and ignores ``ctx.corr``.
+    require the identity link.  ``two_step`` is the closed form with the
+    two-step provider in place of ``ctx.corr``.  An unresolved empirical
+    provider gets its plug-in beta from the working-independence estimate.
     """
     from . import inference  # local import avoids a cycle at module load
 
     if not (0.0 < level < 1.0):
         raise ContractError(f"level must be in (0, 1), got {level}")
-    corr_kind = ctx.corr.kind if ctx.corr is not None else "independence"
-    corr_seq = None
+    if method == "two_step":
+        ctx = EstimatingContext(data=ctx.data, link=ctx.link, corr=corrmod.two_step(ctx.data.m))
+    elif isinstance(ctx.corr, corrmod.EmpiricalRunningCorr) and ctx.corr.plugin_beta is None:
+        plugin = working_independence_estimate(ctx.data, ctx.link)
+        ctx = EstimatingContext(data=ctx.data, link=ctx.link, corr=ctx.corr.with_plugin(plugin))
     trace = None
     converged, iterations, res_norm = True, 0, 0.0
-
-    if method == "two_step":
-        ts = fit_two_step(ctx.data, ctx.link)
-        beta = ts.beta
-        corr_seq = ts.corr_seq
-        corr_kind = "two_step_empirical"
-        infer_ctx = EstimatingContext(
-            data=ctx.data, link=ctx.link, corr=corrmod.SequenceCorr(ts.corr_seq),
-            _cache={"inv": ts.corr_inv},
-        )
+    if method in ("linear", "two_step"):
+        beta = solve_linear(ctx)
+    elif method == "newton":
+        report = solve_newton(ctx, beta_init=beta_init, tol=tol, max_iter=max_iter)
+        beta = report.beta_hat
+        converged = report.converged
+        iterations = report.iterations
+        res_norm = report.final_residual_norm
+        trace = report.trace
     else:
-        infer_ctx = resolve_plugin(ctx)
-        if method == "linear":
-            beta = solve_linear(infer_ctx)
-        elif method == "newton":
-            report = solve_newton(infer_ctx, beta_init=beta_init, tol=tol, max_iter=max_iter)
-            beta = report.beta_hat
-            converged = report.converged
-            iterations = report.iterations
-            res_norm = report.final_residual_norm
-            trace = report.trace
-        else:
-            raise ContractError(f"unknown fit method {method!r}")
+        raise ContractError(f"unknown fit method {method!r}")
 
     result = FitResult(
         beta_hat=beta,
         method=method,
         link_kind=ctx.link.kind,
-        corr_kind=corr_kind,
+        corr_kind=ctx.corr.kind,
+        ctx=ctx,
         level=level,
         converged=converged,
         iterations=iterations,
         final_residual_norm=res_norm,
         trace=trace,
-        corr_seq=corr_seq,
     )
     if with_inference:
-        est = inference.sandwich(infer_ctx, beta)
+        est = inference.sandwich(ctx, beta)
         result.se = est.se
         result.psi = est.psi
         result.h_mat = est.h_mat

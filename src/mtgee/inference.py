@@ -37,7 +37,7 @@ def sandwich_from_arrays(Xs, a, eps, rinv) -> SandwichEstimate:
     m_mat = scores.T @ scores
 
     w = np.linalg.eigvalsh(h_mat)
-    _check_rank(w, f"sandwich bread is rank deficient (lambda_min={w[0]!r})")
+    _check_rank(w, f"sandwich bread is rank deficient (lambda_min={float(w[0])!r})")
     hinv_m = np.linalg.solve(h_mat, m_mat)
     psi = np.linalg.solve(h_mat, hinv_m.T)
     psi = 0.5 * (psi + psi.T)

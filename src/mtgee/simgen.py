@@ -22,21 +22,16 @@ import numpy as np
 
 from . import corr as corrmod
 from .errors import ContractError, CorrelationDegeneracyError, InstabilityError, NumericalError, StudyError
-from .estfun import EstimatingContext, fit_two_step, solve_linear
-from .inference import component_intervals, sandwich_from_arrays
-from .model import ClusterSeries, get_link, moment_arrays
+from .estfun import EstimatingContext, fit
+from .model import ClusterSeries, get_link
 
 EXPLOSION_GUARD = 1e6
 
 CORR_KIND_ALIASES = {
     "independence": "independence",
-    "r1": "independence",
     "cs": "compound_symmetry",
     "compound_symmetry": "compound_symmetry",
-    "exchangeable": "compound_symmetry",
-    "r2": "compound_symmetry",
     "ar1": "ar1",
-    "r3": "ar1",
 }
 
 
@@ -56,8 +51,6 @@ class SimDesign:
     corr_kind: str = "compound_symmetry"
     alpha0: float = 0.7
     seed: int = 0
-    y0: Optional[tuple] = None  # defaults to zeros
-    y1: Optional[tuple] = None
 
     def __post_init__(self):
         if len(self.beta0) != 2:
@@ -79,9 +72,10 @@ def true_correlation(design: SimDesign) -> np.ndarray:
 def generate_ar2(design: SimDesign, rep: int = 0) -> ClusterSeries:
     """Simulate the design; deterministic given (design.seed, rep).
 
-    Step i carries X_i = [y_{i-1} | y_{i-2}] (newest lag first).  The
-    recursion aborts with InstabilityError once any |y| exceeds 1e6, which
-    catches explosive parameter choices long before overflow.
+    Step i carries X_i = [y_{i-1} | y_{i-2}] (newest lag first), starting
+    from y_{-1} = y_{-2} = 0.  The recursion aborts with InstabilityError
+    once any |y| exceeds 1e6, which catches explosive parameter choices
+    long before overflow.
     """
     n, m = design.n, design.m
     rng = substream(design.seed, rep)
@@ -93,8 +87,7 @@ def generate_ar2(design: SimDesign, rep: int = 0) -> ClusterSeries:
     innovations = rng.standard_normal((n, m)) @ chol.T
 
     b1, b2 = float(design.beta0[0]), float(design.beta0[1])
-    prev2 = np.zeros(m) if design.y0 is None else np.asarray(design.y0, dtype=np.float64)
-    prev1 = np.zeros(m) if design.y1 is None else np.asarray(design.y1, dtype=np.float64)
+    prev1 = prev2 = np.zeros(m)
     ys = np.empty((n, m))
     Xs = np.empty((n, m, 2))
     for i in range(n):
@@ -138,28 +131,23 @@ def default_estimators(alpha: float = 0.7) -> list:
 
 _IDENTITY_LINK = get_link("identity")
 
+# EstimatorSpec.kind -> working correlation provider, from (spec, truth, m)
+_PROVIDERS = {
+    "fixed": lambda spec, truth, m: corrmod.FixedCorr(
+        spec.corr_kind, corrmod.build_fixed_corr(spec.corr_kind, spec.alpha or 0.0, m)),
+    "two_step": lambda spec, truth, m: corrmod.two_step(m),
+    "true": lambda spec, truth, m: corrmod.pseudo_fixed(truth),
+}
+
 
 def _fit_single(data: ClusterSeries, spec: EstimatorSpec, truth: np.ndarray, level: float):
     """Fit one estimator and its per-component CI bounds on one replication."""
-    if spec.kind == "two_step":
-        ts = fit_two_step(data)
-        beta = ts.beta
-        rinv = ts.corr_inv
-    else:
-        if spec.kind == "true":
-            provider = corrmod.pseudo_fixed(truth)
-        elif spec.kind == "fixed":
-            mat = corrmod.build_fixed_corr(spec.corr_kind, spec.alpha or 0.0, data.m)
-            provider = corrmod.FixedCorr(spec.corr_kind, mat)
-        else:
-            raise ContractError(f"unknown estimator kind {spec.kind!r}")
-        ctx = EstimatingContext(data=data, link=_IDENTITY_LINK, corr=provider)
-        beta = solve_linear(ctx)
-        rinv = ctx.corr_inverses()
-    _, a, eps = moment_arrays(data.Xs, data.ys, beta, _IDENTITY_LINK)
-    est = sandwich_from_arrays(data.Xs, a, eps, rinv)
-    cis = component_intervals(est, beta, level)
-    return beta, cis[:, 0], cis[:, 1]
+    if spec.kind not in _PROVIDERS:
+        raise ContractError(f"unknown estimator kind {spec.kind!r}")
+    provider = _PROVIDERS[spec.kind](spec, truth, data.m)
+    ctx = EstimatingContext(data=data, link=_IDENTITY_LINK, corr=provider)
+    result = fit(ctx, "linear", level=level)
+    return result.beta_hat, result.cis[:, 0], result.cis[:, 1]
 
 
 def _replication(design: SimDesign, specs, level: float, rep: int):

@@ -136,6 +136,31 @@ def test_long_layout_missing_pair_is_data_error(tmp_path):
         parse_dataset(spec)
 
 
+# (time 2, unit a) appears twice; the second copy is on line 5
+LONG_DUPLICATE = "time,unit,y\n1,a,1.0\n1,b,2.0\n2,a,1.5\n2,a,1.7\n2,b,2.5\n3,a,1.6\n3,b,2.6\n"
+
+
+def test_long_layout_duplicate_pair_is_data_error(tmp_path):
+    path = tmp_path / "long_duplicate.csv"
+    path.write_text(LONG_DUPLICATE)
+    spec = DatasetSpec(
+        path=str(path), layout="long", response_cols=["y"],
+        time_col="time", unit_col="unit", lags=0,
+    )
+    with pytest.raises(DataError, match="duplicate row for time '2', unit 'a' at line 5"):
+        parse_dataset(spec)
+
+
+def test_cli_long_layout_duplicate_pair_exit_2(tmp_path, capsys):
+    path = tmp_path / "long_duplicate.csv"
+    path.write_text(LONG_DUPLICATE)
+    argv = ["fit", "--data", str(path), "--layout", "long", "--response", "y",
+            "--time-col", "time", "--unit-col", "unit", "--lags", "0",
+            "--method", "linear"]
+    assert run_command(argv) == 2
+    assert "duplicate row" in capsys.readouterr().err
+
+
 def test_dataset_spec_validation():
     with pytest.raises(ContractError):
         DatasetSpec(path="x.csv", layout="diagonal", response_cols=["y"])

@@ -120,6 +120,7 @@ def test_pseudo_fixed_rejects_non_spd():
     with pytest.raises(CorrelationDegeneracyError) as err:
         corr.pseudo_fixed(np.array([[1.0, 1.0], [1.0, 1.0]]))
     assert err.value.eigenvalue is not None
+    assert "np.float64" not in str(err.value)
 
 
 def test_emitted_matrices_are_unit_diagonal_spd():

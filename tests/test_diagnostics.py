@@ -11,7 +11,7 @@ from mtgee.diagnostics import (
     perturbation_sensitivity,
 )
 from mtgee.errors import ContractError
-from mtgee.estfun import EstimatingContext, fit, resolve_plugin
+from mtgee.estfun import EstimatingContext, fit
 from mtgee.model import ClusterSeries, get_link
 from mtgee.simgen import SimDesign, generate_ar2, substream
 
@@ -180,14 +180,11 @@ def test_perturbation_zero_budget_is_identity():
 ])
 def test_perturbation_base_from_fit_matches_refit(method, provider):
     # diagnose hands its own fit over as the budget-0 base instead of refitting
-    ctx = resolve_plugin(ar2_ctx(n=300, seed=2, provider=provider))
-    result = fit(ctx, method=method, with_inference=False)
-    seq = result.corr_seq if method == "two_step" else ctx.corr_matrices()
+    result = fit(ar2_ctx(n=300, seed=2, provider=provider), method=method, with_inference=False)
     truth = corr.build_fixed_corr("compound_symmetry", 0.7, 5)
-    args = (ctx, method, [0.0, 0.01, 0.1])
+    args = (result.ctx, method, [0.0, 0.01, 0.1])
     refit = perturbation_sensitivity(*args, seed=3, true_corr=truth)
-    reused = perturbation_sensitivity(*args, seed=3, true_corr=truth,
-                                      base=(result.beta_hat, seq))
+    reused = perturbation_sensitivity(*args, seed=3, true_corr=truth, base=result.beta_hat)
     for name in ("perturb_drift", "det_ratio_H", "det_ratio_M"):
         assert np.array_equal(getattr(reused, name), getattr(refit, name))
 

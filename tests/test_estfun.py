@@ -176,6 +176,8 @@ def test_rank_check_at_every_site(site, message):
     with pytest.raises(RankDeficiencyError, match=message) as err:
         site(zero_column_ctx(0), np.array([0.3, 0.0]))
     assert err.value.lambda_min is not None
+    # lambda_min prints as a plain float, as in "(lambda_min=0.0)"
+    assert "np.float64" not in str(err.value)
 
 
 def test_solve_linear_rejects_logistic():
@@ -288,7 +290,40 @@ def test_fit_method_mismatch(rng):
 def test_fit_two_step_trace_length(rng):
     data = random_series(rng, n=10, m=2, p=2)
     res = fit(EstimatingContext(data=data, link=IDENT), method="two_step")
-    assert len(res.corr_seq) == data.n
+    assert len(res.ctx.corr_matrices()) == data.n
+
+
+def test_two_step_is_the_closed_form_with_the_two_step_provider(rng):
+    data = random_series(rng, n=150, m=3, p=2)
+    ctx = EstimatingContext(data=data, link=IDENT, corr=corr.two_step(3))
+    beta = solve_linear(ctx)
+    via_fit = fit(EstimatingContext(data=data, link=IDENT), method="two_step")
+    wrapper = fit_two_step(data)
+    assert via_fit.corr_kind == "two_step_empirical"
+    for b, seq in ((via_fit.beta_hat, via_fit.ctx.corr_matrices()),
+                   (wrapper.beta, wrapper.corr_seq)):
+        assert np.array_equal(b, beta)
+        assert np.array_equal(seq, ctx.corr_matrices())
+    assert np.array_equal(via_fit.ctx.corr_inverses(), np.linalg.inv(ctx.corr_matrices()))
+
+
+def test_two_step_provider_rejects_other_links(rng):
+    data = glm_series(rng, "logistic", beta0=(0.1, 0.1), n=12, m=2)
+    ctx = EstimatingContext(data=data, link=get_link("logistic"), corr=corr.two_step(2))
+    with pytest.raises(ContractError, match="identity link"):
+        ctx.corr_matrices()
+
+
+@pytest.mark.parametrize("link_kind, method", [("identity", "linear"), ("logistic", "newton")])
+def test_default_corr_is_the_independence_provider(rng, link_kind, method):
+    data = glm_series(rng, link_kind, beta0=(0.3, -0.4), n=80, m=3)
+    link = get_link(link_kind)
+    implicit = fit(EstimatingContext(data=data, link=link), method=method)
+    explicit = fit(EstimatingContext(data=data, link=link, corr=corr.independence(3)),
+                   method=method)
+    assert implicit.corr_kind == "independence"
+    assert np.array_equal(implicit.beta_hat, explicit.beta_hat)
+    assert np.array_equal(implicit.psi, explicit.psi)
 
 
 def test_fit_resolves_empirical_plugin(rng):

@@ -1,8 +1,9 @@
 """The block kernel ``corr.running_corr`` against the per-step loops it replaced.
 
-Both users of the kernel, ``fit_two_step`` and the running empirical
-provider, must agree with the loop oracles in ``loop_oracle`` to within a
-few ulps of float64 accumulation: beta to 1e-12 relative, every R_i to 1e-13.
+Both users of the kernel, the two-step provider (reached directly and
+through ``fit_two_step``) and the running empirical provider, must agree
+with the loop oracles in ``loop_oracle`` to within a few ulps of float64
+accumulation: beta to 1e-12 relative, every R_i to 1e-13.
 """
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from loop_oracle import loop_realize, loop_two_step, scalar_regularize
 from mtgee import corr
-from mtgee.estfun import fit_two_step
+from mtgee.estfun import EstimatingContext, fit_two_step, solve_linear
 from mtgee.model import ClusterSeries, get_link, moment_arrays
 from mtgee.simgen import substream
 
@@ -45,22 +46,40 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_two_step_matches_loop_oracle(case):
+def via_fit_two_step(data):
+    result = fit_two_step(data)
+    return result.beta, result.corr_seq
+
+
+def via_provider(data):
+    link = get_link("identity")
+    provider = corr.two_step(data.m)
+    beta = solve_linear(EstimatingContext(data=data, link=link, corr=provider))
+    return beta, provider.realize(data, link)
+
+
+# each case through fit_two_step (id: the case) and through the provider
+TWO_STEP_RUNS = [pytest.param(case, via_fit_two_step, id=case) for case in sorted(CASES)] + [
+    pytest.param(case, via_provider, id=f"{case}-provider") for case in sorted(CASES)
+]
+
+
+@pytest.mark.parametrize("case, two_step", TWO_STEP_RUNS)
+def test_two_step_matches_loop_oracle(case, two_step):
     n, m, p, zero_until = CASES[case]
     data = series(11, n, m, p, zero_until)
-    result = fit_two_step(data)
+    beta, seq = two_step(data)
     beta_ref, seq_ref = loop_two_step(data)
-    assert np.max(np.abs(result.beta - beta_ref)) <= 1e-12 * np.max(np.abs(beta_ref))
-    assert np.max(np.abs(result.corr_seq - seq_ref)) <= 1e-13
-    assert np.array_equal(result.corr_seq, np.swapaxes(result.corr_seq, 1, 2))
+    assert np.max(np.abs(beta - beta_ref)) <= 1e-12 * np.max(np.abs(beta_ref))
+    assert np.max(np.abs(seq - seq_ref)) <= 1e-13
+    assert np.array_equal(seq, np.swapaxes(seq, 1, 2))
     guard = max(2, m)
-    assert np.array_equal(result.corr_seq[:guard], np.broadcast_to(np.eye(m), (guard, m, m)))
+    assert np.array_equal(seq[:guard], np.broadcast_to(np.eye(m), (guard, m, m)))
     if zero_until:
         # past the warm-up, every step whose b_i is singular falls back to I
         idx = np.arange(guard, zero_until)
-        assert np.array_equal(result.corr_seq[idx], np.broadcast_to(np.eye(m), (idx.size, m, m)))
-        assert not np.array_equal(result.corr_seq[zero_until + 1], np.eye(m))
+        assert np.array_equal(seq[idx], np.broadcast_to(np.eye(m), (idx.size, m, m)))
+        assert not np.array_equal(seq[zero_until + 1], np.eye(m))
 
 
 @pytest.mark.parametrize("link_kind", ["identity", "logistic"])

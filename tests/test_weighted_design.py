@@ -37,6 +37,19 @@ def random_corr(rng, m):
     return c / np.outer(d, d)
 
 
+class RandomSequenceCorr(corr.CorrProvider):
+    """Test provider: a fixed random correlation matrix per step."""
+
+    kind = "random_sequence"
+
+    def __init__(self, matrices):
+        super().__init__(matrices.shape[1])
+        self.matrices = matrices
+
+    def realize(self, data, link):
+        return self.matrices
+
+
 def make_case(seed, n, m, p, link_kind, corr_kind, pieces=1):
     """A context with data drawn from ``link_kind`` and the requested provider.
 
@@ -56,7 +69,7 @@ def make_case(seed, n, m, p, link_kind, corr_kind, pieces=1):
     else:
         ys = rng.poisson(mu).astype(np.float64)
     if corr_kind == "sequence":
-        provider = corr.SequenceCorr(np.stack([random_corr(rng, m) for _ in range(n)]))
+        provider = RandomSequenceCorr(np.stack([random_corr(rng, m) for _ in range(n)]))
     elif corr_kind == "fixed":
         provider = corr.pseudo_fixed(random_corr(rng, m))
     else:
