@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
 """Time the weighted-design kernels and CSV ingestion before and after a change; write BENCH JSON.
 
-Each source tree (``--baseline-src`` and ``--src``, both ``src`` directories
-of an mtgee checkout) is timed in its own child process with BLAS pinned to
-one thread.  Recorded per tree, as the median and minimum of ``--repeats``
-calls after one warm-up call, at the shape of a 6,000-day, 6-station long
-CSV with two lags and one covariate, (n, m, p) = (5998, 6, 4), logistic
-link, running empirical working correlation:
+Recorded per tree, as the median and minimum over all timed calls, at the
+shape of a 6,000-day, 6-station long CSV with two lags and one covariate,
+(n, m, p) = (5998, 6, 4), logistic link, running empirical working
+correlation:
 
 - ``eval_g`` and ``eval_jacobian``;
 - ``sandwich``;
 - ``optimality_ratios`` against a compound-symmetry reference;
 - ``parse_dataset`` of that long CSV (rows shuffled);
 - ``fit --corr empirical`` on that CSV end to end, through the CLI entry point.
+
+The trees alternate in ABBA order, as described in ``bench_running_corr.py``,
+whose timing harness this script uses.
 
 Usage::
 
@@ -21,23 +22,19 @@ Usage::
         --src src --output BENCH_kernels.json
 """
 
-import argparse
-import json
 import os
-import subprocess
-import sys
-import tempfile
 
-from bench_running_corr import THREAD_VARS, _environment, _time
+from bench_running_corr import _time, main
 
 DAYS, STATIONS, LAGS = 6000, 6, 2
 BETA = (-0.4, 0.9, 0.4, 0.7)  # intercept, lag 1, lag 2, x1
 
 
-def write_long_csv(path):
+def write_long_csv(directory):
     """Binary responses from the logistic model with two lags and one covariate."""
     import numpy as np
 
+    path = os.path.join(directory, "binary_long.csv")
     rng = np.random.default_rng(2024)
     x = rng.normal(size=(DAYS, STATIONS))
     y = np.zeros((DAYS, STATIONS))
@@ -49,6 +46,7 @@ def write_long_csv(path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("day,station,y,x1\n")
         fh.write("\n".join(rows[k] for k in rng.permutation(len(rows))) + "\n")
+    return path
 
 
 def _worker(repeats, csv_path):
@@ -82,61 +80,12 @@ def _worker(repeats, csv_path):
             "--link", "logistic", "--method", "newton", "--corr", "empirical",
             "--output", os.devnull]
     out["fit_cli_empirical"] = _time(lambda: run_command(argv), max(1, repeats // 4))
-    out["shape"] = list(data.Xs.shape)
-    json.dump(out, sys.stdout)
-
-
-def _run_tree(src, repeats, csv_path):
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    env.update({var: "1" for var in THREAD_VARS})
-    proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--worker", "--repeats", str(repeats),
-         "--csv", csv_path],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    return json.loads(proc.stdout)
-
-
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--csv", help=argparse.SUPPRESS)
-    parser.add_argument("--baseline-src", help="src directory of the version before the change")
-    parser.add_argument("--src", default="src", help="src directory of the version after it")
-    parser.add_argument("--repeats", type=int, default=15)
-    parser.add_argument("--output", default="BENCH_kernels.json")
-    args = parser.parse_args()
-    if args.worker:
-        _worker(args.repeats, args.csv)
-        return
-    if not args.baseline_src:
-        parser.error("--baseline-src is required")
-    with tempfile.TemporaryDirectory() as tmp:
-        csv_path = os.path.join(tmp, "binary_long.csv")
-        write_long_csv(csv_path)
-        before = _run_tree(args.baseline_src, args.repeats, csv_path)
-        after = _run_tree(args.src, args.repeats, csv_path)
-    shape = after.pop("shape")
-    before.pop("shape")
-    report = {
-        "schema": "mtgee-bench/1",
-        "what": "weighted design R^-1 A^1/2 X: batched einsum vs one GEMM kernel; "
-                "CSV design built row by row and read twice vs sliced and read once",
-        "shape_n_m_p": shape,
-        "environment": _environment(),
-        "timings": {
-            name: {
-                "before": before[name],
-                "after": after[name],
-                "speedup_median": before[name]["median_s"] / after[name]["median_s"],
-            }
-            for name in before
-        },
-    }
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return out
 
 
 if __name__ == "__main__":
-    main()
+    main(__file__, _worker,
+         "weighted design R^-1 A^1/2 X: batched einsum vs one GEMM kernel; "
+         "CSV design built row by row and read twice vs sliced and read once",
+         "BENCH_kernels.json", 15, prepare=write_long_csv,
+         extra={"shape_n_m_p": [DAYS - LAGS, STATIONS, len(BETA)]})

@@ -1,16 +1,21 @@
 #!/usr/bin/env python3
 """Time the running-correlation layer before and after a change; write BENCH JSON.
 
-Each source tree (``--baseline-src`` and ``--src``, both ``src`` directories
-of an mtgee checkout) is timed in its own child process with BLAS pinned to
-one thread.  Recorded per tree, as the median and minimum of ``--repeats``
-calls after one warm-up call:
+Recorded per tree, as the median and minimum over all timed calls:
 
 - ``fit_two_step`` at (n, m, p) = (500, 5, 2) and (4800, 8, 4);
 - ``EmpiricalRunningCorr.realize`` with the logistic link at (5948, 6, 4);
 - one replication of the paper design (n=500, m=5, cs truth, alpha=0.7,
   all five estimators), from a ``monte_carlo_study`` of 20 replications;
 - ``replicate-tables --s 50`` end to end, through the CLI entry point.
+
+This file also holds the timing harness that ``bench_kernels.py`` uses.
+The two source trees (``--baseline-src`` and ``--src``, both ``src``
+directories of an mtgee checkout) run in four child processes in ABBA
+order (baseline, change, change, baseline), with BLAS pinned to one
+thread.  Each child makes half of ``--repeats`` timed calls per entry
+after one warm-up call, and the two children of a tree are pooled, so a
+drift of the host's speed over the run falls on both trees alike.
 
 Usage::
 
@@ -26,23 +31,109 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+ORDER = ("before", "after", "after", "before")
 REPLICATIONS = 20
 
 
 def _time(fn, repeats):
+    """Seconds taken by each of ``repeats`` calls of ``fn``, after one warm-up call."""
     fn()
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
-    return {"median_s": statistics.median(times), "min_s": min(times), "repeats": repeats}
+    return times
 
 
-def _worker(repeats):
+def _run_tree(script, src, repeats, extra):
+    """One child process of ``script`` importing mtgee from ``src``: {entry: [seconds]}."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env.update({var: "1" for var in THREAD_VARS})
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(script), "--worker", "--repeats", str(repeats),
+         *extra],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def _environment():
+    import numpy as np
+
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {
+        "cores": os.cpu_count(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "blas_config": blas.get("openblas configuration", ""),
+        "thread_vars": {var: "1" for var in THREAD_VARS},
+    }
+
+
+def _summary(times):
+    return {"median_s": statistics.median(times), "min_s": min(times), "repeats": len(times)}
+
+
+def main(script, worker, what, output, repeats, prepare=None, extra=None):
+    """Command line of a bench script.
+
+    With ``--worker`` the process is a child: it prints the JSON of
+    ``worker(repeats, input_path)``, a dict of entry name to seconds per
+    call.  Otherwise ``prepare(directory)``, if given, writes the input file
+    whose path every child receives, the trees run in ``ORDER``, and the
+    report, with the keys of ``extra`` added, goes to ``--output``.
+    """
+    parser = argparse.ArgumentParser(description=sys.modules["__main__"].__doc__.splitlines()[0])
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--input", help=argparse.SUPPRESS)
+    parser.add_argument("--baseline-src", help="src directory of the version before the change")
+    parser.add_argument("--src", default="src", help="src directory of the version after it")
+    parser.add_argument("--repeats", type=int, default=repeats)
+    parser.add_argument("--output", default=output)
+    args = parser.parse_args()
+    if args.worker:
+        json.dump(worker(args.repeats, args.input), sys.stdout)
+        return
+    if not args.baseline_src:
+        parser.error("--baseline-src is required")
+    trees = {"before": args.baseline_src, "after": args.src}
+    times = {"before": {}, "after": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = ["--input", prepare(tmp)] if prepare else []
+        for label in ORDER:
+            for name, ts in _run_tree(script, trees[label], -(-args.repeats // 2),
+                                      inputs).items():
+                times[label].setdefault(name, []).extend(ts)
+    before = {name: _summary(ts) for name, ts in times["before"].items()}
+    after = {name: _summary(ts) for name, ts in times["after"].items()}
+    report = {
+        "schema": "mtgee-bench/1",
+        "what": what,
+        **(extra or {}),
+        "environment": _environment(),
+        "timings": {
+            name: {
+                "before": before[name],
+                "after": after[name],
+                "speedup_median": before[name]["median_s"] / after[name]["median_s"],
+            }
+            for name in before
+        },
+    }
+    with open(args.output, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _worker(repeats, _input):
     import numpy as np
 
     from mtgee import corr
@@ -71,75 +162,12 @@ def _worker(repeats):
 
     design = SimDesign(n=500, m=5, corr_kind="cs", alpha0=0.7, seed=11)
     study = _time(lambda: monte_carlo_study(design, s=REPLICATIONS), max(1, repeats // 4))
-    out["paper_replication"] = {
-        "median_s": study["median_s"] / REPLICATIONS,
-        "min_s": study["min_s"] / REPLICATIONS,
-        "repeats": study["repeats"],
-        "replications_per_repeat": REPLICATIONS,
-    }
+    out["paper_replication"] = [t / REPLICATIONS for t in study]
     argv = ["replicate-tables", "--s", "50", "--seed", "3", "--output", os.devnull]
     out["replicate_tables_s50"] = _time(lambda: run_command(argv), 1)
-    json.dump(out, sys.stdout)
-
-
-def _run_tree(src, repeats):
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    env.update({var: "1" for var in THREAD_VARS})
-    proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--worker", "--repeats", str(repeats)],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    return json.loads(proc.stdout)
-
-
-def _environment():
-    import numpy as np
-
-    config = np.show_config(mode="dicts")
-    blas = config["Build Dependencies"]["blas"]
-    return {
-        "cores": os.cpu_count(),
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas": f"{blas['name']} {blas['version']}",
-        "blas_config": blas.get("openblas configuration", ""),
-        "thread_vars": {var: "1" for var in THREAD_VARS},
-    }
-
-
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--baseline-src", help="src directory of the version before the change")
-    parser.add_argument("--src", default="src", help="src directory of the version after it")
-    parser.add_argument("--repeats", type=int, default=7)
-    parser.add_argument("--output", default="BENCH_running_corr.json")
-    args = parser.parse_args()
-    if args.worker:
-        _worker(args.repeats)
-        return
-    if not args.baseline_src:
-        parser.error("--baseline-src is required")
-    before = _run_tree(args.baseline_src, args.repeats)
-    after = _run_tree(args.src, args.repeats)
-    report = {
-        "schema": "mtgee-bench/1",
-        "what": "running-correlation kernel: per-step loops vs one block kernel",
-        "environment": _environment(),
-        "timings": {
-            name: {
-                "before": before[name],
-                "after": after[name],
-                "speedup_median": before[name]["median_s"] / after[name]["median_s"],
-            }
-            for name in before
-        },
-    }
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return out
 
 
 if __name__ == "__main__":
-    main()
+    main(__file__, _worker, "running-correlation kernel: per-step loops vs one block kernel",
+         "BENCH_running_corr.json", 7)

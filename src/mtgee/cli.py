@@ -21,6 +21,7 @@ import csv as _csv
 import io
 import math
 import sys
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -182,24 +183,28 @@ class DatasetSpec:
 
 
 def _read_rows(path):
+    """The header, the non-blank body rows, and the file line number of each body row."""
+    rows, lines = [], array("q")  # 8 bytes a line number, not a Python int per row
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = _csv.reader(fh)
-            rows = list(reader)
+            for row in reader:
+                if row and any(cell.strip() for cell in row):
+                    rows.append(row)
+                    lines.append(reader.line_num)
     except OSError as exc:
         raise DataError(f"cannot read dataset {path!r}: {exc}") from exc
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
     if len(rows) < 2:
         raise DataError(f"dataset {path!r} has no data rows")
     header = [h.strip() for h in rows[0]]
-    body = rows[1:]
-    for lineno, row in enumerate(body, start=2):
+    body, lines = rows[1:], lines[1:]
+    for lineno, row in zip(lines, body):
         if len(row) != len(header):
             raise DataError(
                 f"{path}: ragged row at line {lineno} "
                 f"({len(row)} cells, header has {len(header)})"
             )
-    return header, body
+    return header, body, lines
 
 
 def _cell_value(cell, path, lineno, col, required):
@@ -231,7 +236,7 @@ def _impute_nearest(series):
     return out
 
 
-def _load_wide(spec, header, body):
+def _load_wide(spec, header, body, lines):
     col_index = {name: k for k, name in enumerate(header)}
     for name in list(spec.response_cols) + [c for grp in spec.exog_cols for c in grp]:
         if name not in col_index:
@@ -241,7 +246,7 @@ def _load_wide(spec, header, body):
     Y = np.empty((T, m))
     for t, row in enumerate(body):
         for j, col in enumerate(spec.response_cols):
-            Y[t, j] = _cell_value(row[col_index[col]], spec.path, t + 2, col, required=True)
+            Y[t, j] = _cell_value(row[col_index[col]], spec.path, lines[t], col, required=True)
     Z = None
     if spec.exog_cols:
         q = len(spec.exog_cols)
@@ -254,12 +259,12 @@ def _load_wide(spec, header, body):
             for t, row in enumerate(body):
                 for j, col in enumerate(group):
                     Z[t, j, v] = _cell_value(
-                        row[col_index[col]], spec.path, t + 2, col, required=False
+                        row[col_index[col]], spec.path, lines[t], col, required=False
                     )
     return Y, Z
 
 
-def _load_long(spec, header, body):
+def _load_long(spec, header, body, lines):
     if spec.time_col is None or spec.unit_col is None:
         raise ContractError("long layout requires time_col and unit_col")
     col_index = {name: k for k, name in enumerate(header)}
@@ -287,7 +292,7 @@ def _load_long(spec, header, body):
     Y = np.full((T, m), math.nan)
     q = len(spec.exog_cols)
     Z = np.full((T, m, q), math.nan) if q else None
-    for lineno, row in enumerate(body, start=2):
+    for lineno, row in zip(lines, body):
         t = t_pos[row[t_idx].strip()]
         u = u_pos[row[u_idx].strip()]
         if not math.isnan(Y[t, u]):
@@ -307,11 +312,11 @@ def _load_long(spec, header, body):
 
 
 def _load_arrays(spec: DatasetSpec):
-    header, body = _read_rows(spec.path)
+    header, body, lines = _read_rows(spec.path)
     if spec.layout == "wide":
-        Y, Z = _load_wide(spec, header, body)
+        Y, Z = _load_wide(spec, header, body, lines)
     else:
-        Y, Z = _load_long(spec, header, body)
+        Y, Z = _load_long(spec, header, body, lines)
     if Z is not None:
         if spec.impute == "nearest_neighbor":
             for j in range(Z.shape[1]):
@@ -374,7 +379,9 @@ class _Parser(argparse.ArgumentParser):
         raise ContractError(message)
 
 
-def _add_dataset_args(sub):
+def _add_dataset_command(commands, name, summary):
+    """fit, predict and diagnose: dataset, model, seed and output flags."""
+    sub = commands.add_parser(name, help=summary)
     sub.add_argument("--data", required=True, help="CSV file")
     sub.add_argument("--layout", choices=["wide", "long"], default="wide")
     sub.add_argument("--response", required=True,
@@ -387,9 +394,6 @@ def _add_dataset_args(sub):
     sub.add_argument("--intercept", action=argparse.BooleanOptionalAction, default=True,
                      help="include an intercept column")
     sub.add_argument("--impute", choices=["none", "nearest"], default="nearest")
-
-
-def _add_model_args(sub):
     sub.add_argument("--link", choices=["identity", "logistic", "exponential"],
                      default="identity")
     sub.add_argument("--method", choices=["two_step", "linear", "newton"],
@@ -401,58 +405,40 @@ def _add_model_args(sub):
     sub.add_argument("--level", type=float, default=0.95)
     sub.add_argument("--tol", type=float, default=1e-8)
     sub.add_argument("--max-iter", type=int, default=50)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--output", default=None, help="JSON path (default: stdout)")
+    return sub
+
+
+def _add_monte_carlo_command(commands, name, summary):
+    """simulate and replicate-tables: design, study, seed and output flags."""
+    sub = commands.add_parser(name, help=summary)
+    sub.add_argument("--alpha", type=float, default=0.7)
+    sub.add_argument("--n", type=int, default=500)
+    sub.add_argument("--m", type=int, default=5)
+    sub.add_argument("--beta0", default="0.5,0.2")
+    sub.add_argument("--s", type=int, default=500)
+    sub.add_argument("--level", type=float, default=0.95)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--parallel", action="store_true")
+    sub.add_argument("--output", default=None,
+                     help="prefix: writes PREFIX.json, PREFIX_table1.csv, PREFIX_table2.csv")
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mtgee", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p_fit = commands.add_parser("fit", help="fit the model on a dataset")
-    _add_dataset_args(p_fit)
-    _add_model_args(p_fit)
-    p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--output", default=None, help="JSON path (default: stdout)")
-
-    p_pred = commands.add_parser("predict", help="one-step-ahead prediction")
-    _add_dataset_args(p_pred)
-    _add_model_args(p_pred)
-    p_pred.add_argument("--seed", type=int, default=0)
-    p_pred.add_argument("--output", default=None)
-
-    p_sim = commands.add_parser("simulate", help="Monte Carlo study of one design")
-    p_sim.add_argument("--design", choices=["ar2"], default="ar2")
+    _add_dataset_command(commands, "fit", "fit the model on a dataset")
+    _add_dataset_command(commands, "predict", "one-step-ahead prediction")
+    p_sim = _add_monte_carlo_command(commands, "simulate", "Monte Carlo study of one design")
     p_sim.add_argument("--truth", choices=["independence", "cs", "ar1"], default="cs")
-    p_sim.add_argument("--alpha", type=float, default=0.7)
-    p_sim.add_argument("--n", type=int, default=500)
-    p_sim.add_argument("--m", type=int, default=5)
-    p_sim.add_argument("--beta0", default="0.5,0.2")
-    p_sim.add_argument("--s", type=int, default=500)
-    p_sim.add_argument("--level", type=float, default=0.95)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--parallel", action="store_true")
-    p_sim.add_argument("--output", default=None,
-                       help="prefix: writes PREFIX.json, PREFIX_table1.csv, PREFIX_table2.csv")
-
-    p_rep = commands.add_parser("replicate-tables",
-                                help="full simulation grid over all three truths")
-    p_rep.add_argument("--alpha", type=float, default=0.7)
-    p_rep.add_argument("--n", type=int, default=500)
-    p_rep.add_argument("--m", type=int, default=5)
-    p_rep.add_argument("--beta0", default="0.5,0.2")
-    p_rep.add_argument("--s", type=int, default=500)
-    p_rep.add_argument("--level", type=float, default=0.95)
-    p_rep.add_argument("--seed", type=int, default=0)
-    p_rep.add_argument("--parallel", action="store_true")
-    p_rep.add_argument("--output", default=None)
-
-    p_diag = commands.add_parser("diagnose", help="condition and optimality monitors")
-    _add_dataset_args(p_diag)
-    _add_model_args(p_diag)
+    _add_monte_carlo_command(commands, "replicate-tables",
+                             "full simulation grid over all three truths")
+    p_diag = _add_dataset_command(commands, "diagnose", "condition and optimality monitors")
     p_diag.add_argument("--delta-grid", default="0.1,0.25,0.5")
     p_diag.add_argument("--d-grid", default=None,
                         help="perturbation budgets (must include 0), e.g. 0,0.01,0.1")
-    p_diag.add_argument("--seed", type=int, default=0)
-    p_diag.add_argument("--output", default=None)
     return parser
 
 
@@ -483,120 +469,115 @@ def _spec_from_args(args) -> DatasetSpec:
     )
 
 
-def _provider_from_args(args, m):
-    if args.method == "two_step":
-        return corrmod.two_step(m)
-    if args.corr == "independence":
-        return corrmod.independence(m)
-    if args.corr == "cs":
-        return corrmod.compound_symmetry(args.alpha, m)
-    if args.corr == "ar1":
-        return corrmod.ar1(args.alpha, m)
-    if args.corr == "empirical":
-        return corrmod.empirical_running(m)
-    raise ContractError(f"unknown correlation {args.corr!r}")
+# the provider of --method two_step, else of --corr, from (alpha, m)
+_PROVIDERS = {
+    "two_step": lambda alpha, m: corrmod.two_step(m),
+    "independence": lambda alpha, m: corrmod.independence(m),
+    "cs": corrmod.compound_symmetry,
+    "ar1": corrmod.ar1,
+    "empirical": lambda alpha, m: corrmod.empirical_running(m),
+}
 
 
-def _fit_from_args(args):
+def _fit_from_args(args, with_inference=True):
+    """Read the dataset and fit it as the model flags say; returns (spec, result)."""
     spec = _spec_from_args(args)
     series = parse_dataset(spec)
-    link = get_link(args.link)
-    ctx = EstimatingContext(data=series, link=link, corr=_provider_from_args(args, series.m))
+    provider = _PROVIDERS["two_step" if args.method == "two_step" else args.corr]
+    ctx = EstimatingContext(data=series, link=get_link(args.link),
+                            corr=provider(args.alpha, series.m))
     result = fit(ctx, method=args.method, level=args.level, tol=args.tol,
-                 max_iter=args.max_iter)
-    prediction = predict_next(next_design(spec, series), result.beta_hat, link)
-    return series, result, prediction
+                 max_iter=args.max_iter, with_inference=with_inference)
+    return spec, result
 
 
-def _config_echo(args, series):
+def _prediction(spec, result):
+    """One-step-ahead conditional mean at the fitted beta."""
+    ctx = result.ctx
+    return predict_next(next_design(spec, ctx.data), result.beta_hat, ctx.link)
+
+
+def _dataset_payload(args, result, out, diagnostics=None):
+    series = result.ctx.data
     return {
-        "data": args.data,
-        "layout": args.layout,
-        "n": series.n,
-        "m": series.m,
-        "p": series.p,
-        "lags": args.lags,
-        "intercept": args.intercept,
-        "impute": args.impute,
-        "link": args.link,
-        "method": args.method,
-        "corr": args.corr if args.method != "two_step" else "two_step_empirical",
-        "level": args.level,
-        "seed": args.seed,
+        "schema": SCHEMA,
+        "command": args.command,
+        "config": {
+            "data": args.data,
+            "layout": args.layout,
+            "n": series.n,
+            "m": series.m,
+            "p": series.p,
+            "lags": args.lags,
+            "intercept": args.intercept,
+            "impute": args.impute,
+            "link": args.link,
+            "method": args.method,
+            "corr": args.corr if args.method != "two_step" else "two_step_empirical",
+            "level": args.level,
+            "seed": args.seed,
+        },
+        "result": out,
+        "diagnostics": diagnostics,
     }
 
 
 def _solver_dict(result):
-    if result.trace is None:
+    report = result.solver
+    if report is None:
         return None
     return {
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "final_residual_norm": result.final_residual_norm,
-        "trace": [{"beta": b, "g_norm": g} for b, g in result.trace],
+        "converged": report.converged,
+        "iterations": report.iterations,
+        "final_residual_norm": report.final_residual_norm,
+        "trace": [{"beta": b, "g_norm": g} for b, g in report.trace],
     }
 
 
 def _cmd_fit(args):
-    series, result, prediction = _fit_from_args(args)
-    payload = {
-        "schema": SCHEMA,
-        "command": "fit",
-        "config": _config_echo(args, series),
-        "result": {
-            "beta_hat": result.beta_hat,
-            "se": result.se,
-            "cis": result.cis,
-            "psi": result.psi,
-            "level": result.level,
-            "solver": _solver_dict(result),
-            "prediction": prediction,
-        },
-        "diagnostics": None,
-    }
-    return payload, {}
+    spec, result = _fit_from_args(args)
+    return _dataset_payload(args, result, {
+        "beta_hat": result.beta_hat,
+        "se": result.se,
+        "cis": result.cis,
+        "psi": result.psi,
+        "level": result.level,
+        "solver": _solver_dict(result),
+        "prediction": _prediction(spec, result),
+    }), {}
 
 
 def _cmd_predict(args):
-    series, result, prediction = _fit_from_args(args)
+    spec, result = _fit_from_args(args, with_inference=False)
+    out = {"prediction": _prediction(spec, result), "beta_hat": result.beta_hat}
+    return _dataset_payload(args, result, out), {}
+
+
+def _cmd_monte_carlo(args):
+    """simulate (the --truth design) and replicate-tables (all three truths)."""
+    if args.command == "simulate":
+        truths = [CORR_KIND_ALIASES[args.truth]]
+    else:
+        truths = ["independence", "compound_symmetry", "ar1"]
+    beta0 = _float_list(args.beta0)
+    reports = [
+        monte_carlo_study(
+            SimDesign(n=args.n, m=args.m, beta0=tuple(beta0), corr_kind=truth,
+                      alpha0=args.alpha, seed=args.seed),
+            default_estimators(args.alpha),
+            s=args.s,
+            level=args.level,
+            parallel=args.parallel,
+        )
+        for truth in truths
+    ]
     payload = {
         "schema": SCHEMA,
-        "command": "predict",
-        "config": _config_echo(args, series),
-        "result": {"prediction": prediction, "beta_hat": result.beta_hat},
-        "diagnostics": None,
-    }
-    return payload, {}
-
-
-def _run_designs(args, truths):
-    beta0 = tuple(_float_list(args.beta0))
-    reports = []
-    for truth in truths:
-        design = SimDesign(
-            n=args.n, m=args.m, beta0=beta0, corr_kind=truth,
-            alpha0=args.alpha, seed=args.seed,
-        )
-        reports.append(
-            monte_carlo_study(
-                design,
-                default_estimators(args.alpha),
-                s=args.s,
-                level=args.level,
-                parallel=args.parallel,
-            )
-        )
-    return reports
-
-
-def _sim_payload(args, command, reports):
-    return {
-        "schema": SCHEMA,
-        "command": command,
+        "command": args.command,
         "config": {
             "n": args.n,
             "m": args.m,
-            "beta0": _float_list(args.beta0),
+            "beta0": beta0,
             "alpha": args.alpha,
             "s": args.s,
             "level": args.level,
@@ -605,21 +586,6 @@ def _sim_payload(args, command, reports):
         "reports": [_mc_report_dict(r) for r in reports],
         "diagnostics": None,
     }
-
-
-def _cmd_simulate(args):
-    reports = _run_designs(args, [CORR_KIND_ALIASES[args.truth]])
-    payload = _sim_payload(args, "simulate", reports)
-    tables = {
-        "table1": _mc_table_csv(reports, "rb"),
-        "table2": _mc_table_csv(reports, "re"),
-    }
-    return payload, tables
-
-
-def _cmd_replicate(args):
-    reports = _run_designs(args, ["independence", "compound_symmetry", "ar1"])
-    payload = _sim_payload(args, "replicate-tables", reports)
     tables = {
         "table1": _mc_table_csv(reports, "rb"),
         "table2": _mc_table_csv(reports, "re"),
@@ -628,12 +594,7 @@ def _cmd_replicate(args):
 
 
 def _cmd_diagnose(args):
-    spec = _spec_from_args(args)
-    series = parse_dataset(spec)
-    link = get_link(args.link)
-    ctx = EstimatingContext(data=series, link=link, corr=_provider_from_args(args, series.m))
-    result = fit(ctx, method=args.method, level=args.level, tol=args.tol,
-                 max_iter=args.max_iter, with_inference=False)
+    _, result = _fit_from_args(args, with_inference=False)
     # the fit's own context serves the monitors and the perturbation base
     ctx, beta = result.ctx, result.beta_hat
 
@@ -641,7 +602,7 @@ def _cmd_diagnose(args):
     lev = diagmod.leverage(ctx, beta)
     # the correlation truth is unknown on real data; plug in the full-sample
     # average of standardized residual outer products
-    _, _, eps = moment_arrays(series.Xs, series.ys, beta, link)
+    _, _, eps = moment_arrays(ctx.data.Xs, ctx.data.ys, beta, ctx.link)
     rbar = corrmod.spd_project((eps[:, :, None] * eps[:, None, :]).mean(axis=0))
     opt = diagmod.optimality_ratios(ctx, beta, rbar)
 
@@ -672,29 +633,21 @@ def _cmd_diagnose(args):
             "det_ratio_H": pert.det_ratio_H,
             "det_ratio_M": pert.det_ratio_M,
         }
-
-    payload = {
-        "schema": SCHEMA,
-        "command": "diagnose",
-        "config": _config_echo(args, series),
-        "result": {"beta_hat": beta},
-        "diagnostics": diagnostics,
-    }
-    return payload, {}
+    return _dataset_payload(args, result, {"beta_hat": beta}, diagnostics), {}
 
 
 _COMMANDS = {
     "fit": _cmd_fit,
     "predict": _cmd_predict,
-    "simulate": _cmd_simulate,
-    "replicate-tables": _cmd_replicate,
+    "simulate": _cmd_monte_carlo,
+    "replicate-tables": _cmd_monte_carlo,
     "diagnose": _cmd_diagnose,
 }
 
 
 def _write_outputs(args, payload, tables):
     text = json_dumps(payload)
-    if getattr(args, "output", None):
+    if args.output:
         base = args.output
         json_path = base if base.endswith(".json") else base + ".json"
         with open(json_path, "w", encoding="utf-8", newline="") as fh:

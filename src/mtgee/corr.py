@@ -244,9 +244,6 @@ class EmpiricalRunningCorr(CorrProvider):
             None if plugin_beta is None else np.asarray(plugin_beta, dtype=np.float64)
         )
 
-    def with_plugin(self, beta) -> "EmpiricalRunningCorr":
-        return EmpiricalRunningCorr(self.m, plugin_beta=beta)
-
     def realize(self, data, link):
         self._check_size(data)
         if self.plugin_beta is None:

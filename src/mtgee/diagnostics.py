@@ -50,15 +50,6 @@ class ConditionReport:
 
 
 @dataclass
-class ErgodicityReport:
-    checkpoints: list
-    deviations: np.ndarray  # (n_checkpoints, n_replications)
-
-    def median(self):
-        return np.median(self.deviations, axis=1)
-
-
-@dataclass
 class OptimalityReport:
     checkpoints: list
     det_ratio_H: np.ndarray
@@ -159,49 +150,6 @@ def eigen_conditions(
         s_delta_ratio=ratios,
         verdicts=verdicts,
     )
-
-
-def _score_terms(ctx: EstimatingContext, beta):
-    """Per-step score contributions s_i = X' A^{1/2} R^{-1} eps, shape (n, p)."""
-    _, a, eps = moment_arrays(ctx.data.Xs, ctx.data.ys, beta, ctx.link)
-    _, rinv_xa = weighted_design(ctx.data.Xs, a, ctx.corr_inverses())
-    return (eps[:, None, :] @ rinv_xa)[:, 0, :]
-
-
-def ergodicity_check(mc_data, beta0, ctx_template: EstimatingContext) -> ErgodicityReport:
-    """How far each replication's realized information V_n sits from the average.
-
-    V_n is the running sum of score outer products at beta0; the
-    across-replication mean at each checkpoint estimates its expectation
-    M_n, and the report records ||M_n^{-1/2} V_n M_n^{-1/2} - I|| (spectral
-    norm) per replication.  Under ergodic designs the deviations shrink
-    with n.
-    """
-    reps = list(mc_data)
-    if len(reps) < 50:
-        raise ContractError(f"ergodicity check needs >= 50 replications, got {len(reps)}")
-    n = reps[0].n
-    p = reps[0].p
-    pts = _checkpoints(n)
-    v_mats = np.empty((len(reps), len(pts), p, p))
-    for r, data in enumerate(reps):
-        if data.n != n or data.p != p:
-            raise ContractError("replications must share dimensions")
-        ctx = ctx_template.with_data(data)
-        scores = _score_terms(ctx, beta0)[:, None, :]
-        v_mats[r] = _running_gram(scores, scores, pts)
-
-    deviations = np.empty((len(pts), len(reps)))
-    eye = np.eye(p)
-    for k in range(len(pts)):
-        m_hat = v_mats[:, k].mean(axis=0)
-        w, vecs = np.linalg.eigh(m_hat)
-        _check_rank(w, f"average information singular at checkpoint {pts[k]}")
-        m_isqrt = (vecs / np.sqrt(w)) @ vecs.T
-        for r in range(len(reps)):
-            dev = m_isqrt @ v_mats[r, k] @ m_isqrt - eye
-            deviations[k, r] = np.linalg.norm(dev, 2)
-    return ErgodicityReport(checkpoints=pts, deviations=deviations)
 
 
 def optimality_ratios(ctx: EstimatingContext, beta_hat, true_corr) -> OptimalityReport:

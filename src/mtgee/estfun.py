@@ -92,30 +92,14 @@ def eval_g(ctx: EstimatingContext, beta) -> np.ndarray:
     return _rows(Xs * np.sqrt(a)[:, :, None]).T @ w.reshape(-1)
 
 
-def eval_jacobian(ctx: EstimatingContext, beta, mode: str = "analytic") -> np.ndarray:
+def eval_jacobian(ctx: EstimatingContext, beta) -> np.ndarray:
     """Derivative matrix D_n(beta) = -d g_n / d beta'.
 
-    The analytic mode differentiates through the mean and variance terms
-    while holding the (beta-free) correlation matrices fixed; for the
-    identity link it reduces to sum_i X_i' R_i^{-1} X_i exactly.  The
-    finite-difference mode central-differences `eval_g` and also covers
-    hypothetical beta-dependent providers.
+    Differentiates through the mean and variance terms while holding the
+    (beta-free) correlation matrices fixed; for the identity link it
+    reduces to sum_i X_i' R_i^{-1} X_i exactly.
     """
     beta = _check_beta(ctx, beta)
-    if mode == "finite_diff":
-        p = beta.size
-        out = np.empty((p, p))
-        for l in range(p):
-            h = 1e-6 * max(1.0, abs(beta[l]))
-            bp = beta.copy()
-            bm = beta.copy()
-            bp[l] += h
-            bm[l] -= h
-            out[:, l] = -(eval_g(ctx, bp) - eval_g(ctx, bm)) / (2.0 * h)
-        return out
-    if mode != "analytic":
-        raise ContractError(f"unknown jacobian mode {mode!r}")
-
     Xs, ys = ctx.data.Xs, ctx.data.ys
     _, a, eps = moment_arrays(Xs, ys, beta, ctx.link)
     rinv = ctx.corr_inverses()
@@ -286,21 +270,12 @@ class FitResult:
     """Estimate plus inference bundle produced by `fit`."""
 
     beta_hat: np.ndarray
-    method: str
-    link_kind: str
-    corr_kind: str
     ctx: EstimatingContext  # the context fitted and used for inference
+    level: float
+    solver: Optional[SolveReport] = None  # the Newton report; None for closed forms
     se: Optional[np.ndarray] = None
     psi: Optional[np.ndarray] = None
-    h_mat: Optional[np.ndarray] = None
-    m_mat: Optional[np.ndarray] = None
     cis: Optional[np.ndarray] = None  # (p, 2) per-component intervals
-    level: float = 0.95
-    converged: bool = True
-    iterations: int = 0
-    final_residual_norm: float = 0.0
-    trace: Optional[list] = None
-    diagnostics: Optional[dict] = None
 
 
 def fit(
@@ -327,38 +302,20 @@ def fit(
         ctx = EstimatingContext(data=ctx.data, link=ctx.link, corr=corrmod.two_step(ctx.data.m))
     elif isinstance(ctx.corr, corrmod.EmpiricalRunningCorr) and ctx.corr.plugin_beta is None:
         plugin = working_independence_estimate(ctx.data, ctx.link)
-        ctx = EstimatingContext(data=ctx.data, link=ctx.link, corr=ctx.corr.with_plugin(plugin))
-    trace = None
-    converged, iterations, res_norm = True, 0, 0.0
+        ctx = EstimatingContext(data=ctx.data, link=ctx.link,
+                                corr=corrmod.empirical_running(ctx.corr.m, plugin))
+    solver = None
     if method in ("linear", "two_step"):
         beta = solve_linear(ctx)
     elif method == "newton":
-        report = solve_newton(ctx, beta_init=beta_init, tol=tol, max_iter=max_iter)
-        beta = report.beta_hat
-        converged = report.converged
-        iterations = report.iterations
-        res_norm = report.final_residual_norm
-        trace = report.trace
+        solver = solve_newton(ctx, beta_init=beta_init, tol=tol, max_iter=max_iter)
+        beta = solver.beta_hat
     else:
         raise ContractError(f"unknown fit method {method!r}")
 
-    result = FitResult(
-        beta_hat=beta,
-        method=method,
-        link_kind=ctx.link.kind,
-        corr_kind=ctx.corr.kind,
-        ctx=ctx,
-        level=level,
-        converged=converged,
-        iterations=iterations,
-        final_residual_norm=res_norm,
-        trace=trace,
-    )
+    result = FitResult(beta_hat=beta, ctx=ctx, level=level, solver=solver)
     if with_inference:
         est = inference.sandwich(ctx, beta)
-        result.se = est.se
-        result.psi = est.psi
-        result.h_mat = est.h_mat
-        result.m_mat = est.m_mat
+        result.se, result.psi = est.se, est.psi
         result.cis = inference.component_intervals(est, beta, level)
     return result

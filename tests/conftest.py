@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mtgee.estfun import eval_g
 from mtgee.model import ClusterSeries, get_link
 from mtgee.simgen import substream
 
@@ -30,6 +31,21 @@ def glm_series(rng, link_kind, beta0, n=60, m=3, x_scale=0.4):
     else:
         ys = rng.poisson(mu).astype(np.float64)
     return ClusterSeries(ys=ys, Xs=Xs)
+
+
+def finite_diff_jacobian(ctx, beta):
+    """Central differences of ``eval_g``, the oracle for ``eval_jacobian``.
+
+    Column l steps beta_l by h = 1e-6 * max(1, |beta_l|) each way; this
+    also covers providers whose matrices would depend on beta.
+    """
+    beta = np.asarray(beta, dtype=np.float64)
+    out = np.empty((beta.size, beta.size))
+    for l in range(beta.size):
+        step = np.zeros(beta.size)
+        step[l] = 1e-6 * max(1.0, abs(beta[l]))
+        out[:, l] = -(eval_g(ctx, beta + step) - eval_g(ctx, beta - step)) / (2.0 * step[l])
+    return out
 
 
 @pytest.fixture

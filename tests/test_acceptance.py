@@ -19,7 +19,7 @@ from mtgee.inference import sandwich
 from mtgee.model import ClusterSeries, get_link
 from mtgee.simgen import SimDesign, generate_ar2, monte_carlo_study, substream
 
-from conftest import glm_series
+from conftest import finite_diff_jacobian, glm_series
 
 SEED = 1
 S = 500
@@ -153,7 +153,7 @@ def test_criterion_4c_jacobian_vs_finite_differences():
             ctx = EstimatingContext(data=data, link=link, corr=corr.ar1(0.3, 3))
             beta = np.array([0.25, -0.1]) + 0.05 * rng.standard_normal(2)
             analytic = eval_jacobian(ctx, beta)
-            fd = eval_jacobian(ctx, beta, mode="finite_diff")
+            fd = finite_diff_jacobian(ctx, beta)
             rel = float(np.max(np.abs(analytic - fd)) / max(np.max(np.abs(fd)), 1e-12))
             worst = max(worst, rel)
     assert worst <= 1e-4

@@ -119,6 +119,13 @@ def test_ragged_row_reports_line_number(tmp_path):
         parse_dataset(DatasetSpec(path=str(path), response_cols=["y1"], lags=0))
 
 
+def test_wide_cell_error_names_the_file_line_after_blank_lines(tmp_path):
+    path = tmp_path / "blank_lines.csv"
+    path.write_text("t,y1\n1,1.0\n\n\n3,x\n")  # '3,x' is on line 5
+    with pytest.raises(DataError, match="cannot parse 'x' at line 5,"):
+        parse_dataset(DatasetSpec(path=str(path), response_cols=["y1"], lags=0))
+
+
 def test_responses_never_modified_by_imputation(wide_file):
     series = parse_dataset(wide_spec(wide_file))
     raw = np.array([[2.0, 3.0, 4.0], [2.5, 3.5, 4.5], [3.0, 4.0, 5.0]])
@@ -148,6 +155,18 @@ def test_long_layout_duplicate_pair_is_data_error(tmp_path):
         time_col="time", unit_col="unit", lags=0,
     )
     with pytest.raises(DataError, match="duplicate row for time '2', unit 'a' at line 5"):
+        parse_dataset(spec)
+
+
+def test_long_layout_duplicate_names_the_file_line_after_blank_lines(tmp_path):
+    path = tmp_path / "long_blank_lines.csv"
+    # two blank lines, then the second copy of (time 2, unit a) on line 7
+    path.write_text("time,unit,y\n1,a,1.0\n1,b,2.0\n\n\n2,a,1.5\n2,a,1.7\n2,b,2.5\n")
+    spec = DatasetSpec(
+        path=str(path), layout="long", response_cols=["y"],
+        time_col="time", unit_col="unit", lags=0,
+    )
+    with pytest.raises(DataError, match="duplicate row for time '2', unit 'a' at line 7"):
         parse_dataset(spec)
 
 
@@ -307,6 +326,7 @@ def test_cli_method_mismatch_exit_1(capsys):
 
 def test_cli_bad_flag_exit_1(capsys):
     assert run_command(["fit", "--data", "x.csv", "--response", "y", "--method", "bogus"]) == 1
+    assert run_command(["simulate", "--design", "ar2"]) == 1
 
 
 def test_cli_numerical_failure_exit_3(capsys):
@@ -359,6 +379,21 @@ def test_cli_simulate_deterministic(tmp_path):
     assert run_command(argv + ["--output", str(b)]) == 0
     assert (a.parent / "r1.json").read_bytes() == (b.parent / "r2.json").read_bytes()
     assert (a.parent / "r1_table2.csv").read_bytes() == (b.parent / "r2_table2.csv").read_bytes()
+
+
+def test_replicate_tables_is_the_three_simulate_runs(tmp_path):
+    common = ["--n", "60", "--m", "3", "--s", "4", "--seed", "11"]
+    assert run_command(["replicate-tables", *common, "--output", str(tmp_path / "grid")]) == 0
+    reports, tables = [], {"table1": [], "table2": []}
+    for truth in ("independence", "cs", "ar1"):
+        argv = ["simulate", "--truth", truth, *common, "--output", str(tmp_path / truth)]
+        assert run_command(argv) == 0
+        reports += json.loads((tmp_path / f"{truth}.json").read_text())["reports"]
+        for name, rows in tables.items():
+            rows += (tmp_path / f"{truth}_{name}.csv").read_text().splitlines()[1:]
+    assert json.loads((tmp_path / "grid.json").read_text())["reports"] == reports
+    for name, rows in tables.items():
+        assert (tmp_path / f"grid_{name}.csv").read_text().splitlines()[1:] == rows
 
 
 def test_cli_diagnose_payload(capsys):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import random_series
+from ergodicity import ergodicity_check
 from mtgee import corr
 from mtgee.diagnostics import (
     eigen_conditions,
-    ergodicity_check,
     leverage,
     optimality_ratios,
     perturbation_sensitivity,

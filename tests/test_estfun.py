@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import glm_series, random_series
+from conftest import finite_diff_jacobian, glm_series, random_series
+from ergodicity import ergodicity_check
 from loop_oracle import scalar_regularize
 from mtgee import corr
-from mtgee.diagnostics import ergodicity_check, leverage
+from mtgee.diagnostics import leverage
 from mtgee.errors import ContractError, RankDeficiencyError, SolverFailureError
 from mtgee.estfun import (
     EstimatingContext,
@@ -90,8 +91,8 @@ def test_jacobian_matches_finite_differences(link_kind):
         provider = corr.ar1(0.4, 3) if seed % 2 else corr.compound_symmetry(0.3, 3)
         ctx = EstimatingContext(data=data, link=link, corr=provider)
         beta = np.array([0.25, -0.15]) + 0.05 * rng.standard_normal(2)
-        analytic = eval_jacobian(ctx, beta, mode="analytic")
-        fd = eval_jacobian(ctx, beta, mode="finite_diff")
+        analytic = eval_jacobian(ctx, beta)
+        fd = finite_diff_jacobian(ctx, beta)
         rel = np.max(np.abs(analytic - fd)) / max(np.max(np.abs(fd)), 1e-12)
         assert rel < 1e-4
 
@@ -299,7 +300,7 @@ def test_two_step_is_the_closed_form_with_the_two_step_provider(rng):
     beta = solve_linear(ctx)
     via_fit = fit(EstimatingContext(data=data, link=IDENT), method="two_step")
     wrapper = fit_two_step(data)
-    assert via_fit.corr_kind == "two_step_empirical"
+    assert via_fit.ctx.corr.kind == "two_step_empirical"
     for b, seq in ((via_fit.beta_hat, via_fit.ctx.corr_matrices()),
                    (wrapper.beta, wrapper.corr_seq)):
         assert np.array_equal(b, beta)
@@ -321,7 +322,7 @@ def test_default_corr_is_the_independence_provider(rng, link_kind, method):
     implicit = fit(EstimatingContext(data=data, link=link), method=method)
     explicit = fit(EstimatingContext(data=data, link=link, corr=corr.independence(3)),
                    method=method)
-    assert implicit.corr_kind == "independence"
+    assert implicit.ctx.corr.kind == "independence"
     assert np.array_equal(implicit.beta_hat, explicit.beta_hat)
     assert np.array_equal(implicit.psi, explicit.psi)
 

@@ -11,7 +11,6 @@ from mtgee.estfun import EstimatingContext, solve_linear
 from mtgee.inference import (
     SandwichEstimate,
     component_intervals,
-    confidence_interval,
     normal_quantile,
     predict_next,
     sandwich,
@@ -105,37 +104,18 @@ def test_quantile_rejects_boundary():
             normal_quantile(q)
 
 
-def test_ci_standard_normal_case():
-    est = SandwichEstimate(h_mat=np.eye(2), m_mat=np.eye(2), psi=np.eye(2), se=np.ones(2))
-    lo, hi = confidence_interval(est, np.zeros(2), np.array([1.0, 0.0]), level=0.95)
-    assert abs(lo + 1.959964) < 1e-3
-    assert abs(hi - 1.959964) < 1e-3
-
-
-def test_ci_degenerate_zero_variance():
-    est = SandwichEstimate(
-        h_mat=np.eye(1), m_mat=np.zeros((1, 1)), psi=np.zeros((1, 1)), se=np.zeros(1)
-    )
-    lo, hi = confidence_interval(est, np.array([2.5]), np.array([1.0]), level=0.95)
-    assert lo == hi == 2.5
-
-
-def test_ci_requires_unit_contrast():
-    est = SandwichEstimate(h_mat=np.eye(2), m_mat=np.eye(2), psi=np.eye(2), se=np.ones(2))
-    with pytest.raises(ContractError):
-        confidence_interval(est, np.zeros(2), np.array([1.0, 1.0]), level=0.95)
-
-
 def test_component_intervals_match_basis_contrasts():
+    # interval k is beta_k -/+ z_{0.975} sqrt(e_k' Psi e_k), z from scipy
     psi = np.array([[4.0, 0.5], [0.5, 0.25]])
     est = SandwichEstimate(h_mat=np.eye(2), m_mat=psi, psi=psi, se=np.sqrt(np.diag(psi)))
     beta = np.array([1.0, -2.0])
     cis = component_intervals(est, beta, 0.95)
+    z = stats.norm.ppf(0.975)
     for k in range(2):
         e_k = np.eye(2)[k]
-        lo, hi = confidence_interval(est, beta, e_k, 0.95)
-        assert abs(cis[k, 0] - lo) < 1e-12
-        assert abs(cis[k, 1] - hi) < 1e-12
+        half = z * np.sqrt(e_k @ psi @ e_k)
+        assert abs(cis[k, 0] - (beta[k] - half)) < 1e-12
+        assert abs(cis[k, 1] - (beta[k] + half)) < 1e-12
 
 
 def test_predict_identity_design():

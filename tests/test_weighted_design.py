@@ -12,8 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import einsum_oracle as oracle
+from ergodicity import score_terms
 from mtgee import corr
-from mtgee.diagnostics import _checkpoints, _score_terms, leverage, optimality_ratios
+from mtgee.diagnostics import _checkpoints, leverage, optimality_ratios
 from mtgee.estfun import EstimatingContext, eval_g, eval_jacobian, solve_linear
 from mtgee.inference import sandwich_from_arrays
 from mtgee.model import ClusterSeries, get_link, moment_arrays
@@ -136,7 +137,7 @@ def test_sandwich_matches_einsum(seed, n, m, p, link, corr_kind):
 def test_score_terms_match_einsum(seed, n, m, p, link, corr_kind):
     ctx, beta, _ = make_case(seed, n, m, p, link, corr_kind)
     d = ctx.data
-    close(_score_terms(ctx, beta),
+    close(score_terms(ctx, beta),
           oracle.oracle_score_terms(d.Xs, d.ys, beta, ctx.link, ctx.corr_inverses()))
 
 
