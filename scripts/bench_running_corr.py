@@ -5,8 +5,14 @@ Recorded per tree, as the median and minimum over all timed calls:
 
 - ``fit_two_step`` at (n, m, p) = (500, 5, 2) and (4800, 8, 4);
 - ``EmpiricalRunningCorr.realize`` with the logistic link at (5948, 6, 4);
-- one replication of the paper design (n=500, m=5, cs truth, alpha=0.7,
-  all five estimators), from a ``monte_carlo_study`` of 20 replications;
+- ``TwoStepCorr.realize`` on one replication of the paper design
+  (n=500, m=5, p=2, cs truth, alpha=0.7);
+- ``generate_ar2`` per replication of the paper design, from 20
+  replications simulated as the Monte Carlo harness simulates them (one
+  chunk where ``simgen.CHUNK_REPS`` exists, one call per replication
+  before it);
+- one replication of the paper design (all five estimators), from a
+  ``monte_carlo_study`` of 20 replications;
 - ``replicate-tables --s 50`` end to end, through the CLI entry point.
 
 This file also holds the timing harness that ``bench_kernels.py`` uses.
@@ -136,11 +142,11 @@ def main(script, worker, what, output, repeats, prepare=None, extra=None):
 def _worker(repeats, _input):
     import numpy as np
 
-    from mtgee import corr
+    from mtgee import corr, simgen
     from mtgee.cli import run_command
     from mtgee.estfun import fit_two_step
     from mtgee.model import ClusterSeries, get_link
-    from mtgee.simgen import SimDesign, monte_carlo_study, substream
+    from mtgee.simgen import SimDesign, generate_ar2, monte_carlo_study, substream
 
     def gaussian(n, m, p):
         rng = substream(2024, n)
@@ -161,6 +167,17 @@ def _worker(repeats, _input):
     out["realize_5948x6x4"] = _time(lambda: provider.realize(binary, logistic), repeats)
 
     design = SimDesign(n=500, m=5, corr_kind="cs", alpha0=0.7, seed=11)
+    paper = generate_ar2(design, 0)
+    two_step = corr.two_step(5)
+    identity = get_link("identity")
+    out["realize_two_step_500x5x2"] = _time(lambda: two_step.realize(paper, identity), repeats)
+    if hasattr(simgen, "CHUNK_REPS"):
+        def simulate():
+            return generate_ar2(design, range(REPLICATIONS))
+    else:
+        def simulate():
+            return [generate_ar2(design, rep) for rep in range(REPLICATIONS)]
+    out["generate_ar2_per_replication"] = [t / REPLICATIONS for t in _time(simulate, repeats)]
     study = _time(lambda: monte_carlo_study(design, s=REPLICATIONS), max(1, repeats // 4))
     out["paper_replication"] = [t / REPLICATIONS for t in study]
     argv = ["replicate-tables", "--s", "50", "--seed", "3", "--output", os.devnull]
@@ -169,5 +186,7 @@ def _worker(repeats, _input):
 
 
 if __name__ == "__main__":
-    main(__file__, _worker, "running-correlation kernel: per-step loops vs one block kernel",
+    main(__file__, _worker, "Monte Carlo harness and running-correlation kernel: one AR(2) "
+         "recursion and one eigendecomposition per block vs chunked recursions and a Cholesky "
+         "screen before the eigendecomposition",
          "BENCH_running_corr.json", 7)

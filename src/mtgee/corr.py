@@ -12,14 +12,18 @@ Both running providers build their averages with one kernel,
 :func:`running_corr`.  It walks the series in blocks of ``BLOCK_STEPS``
 steps, takes exclusive prefix sums of per-step moment tensors inside each
 block (carrying the totals into the next block), and regularises a whole
-block of averages with one batched eigendecomposition.  Prefix sums are
+block of averages with one call of :func:`regularized_empirical`.  Prefix sums are
 accumulated step by step, so R_i depends on steps before i only and does
 not depend on the block length.
 
 Degenerate empirical averages (fewer residuals folded in than the cluster
 size, hence rank-deficient) fall back to the identity; near-singular
 averages are eigenvalue-floored by :func:`regularized_empirical` instead of
-being rejected, keeping sequential procedures total.
+being rejected, keeping sequential procedures total.  Past the first block
+few averages need a floor, so :func:`regularized_empirical` first screens a
+block with one batched Cholesky factorisation, which can prove that no
+matrix needs its floor, and runs the batched eigendecomposition only on a
+block that fails the screen.  The result is the same either way, bit for bit.
 """
 
 import numpy as np
@@ -32,6 +36,9 @@ from .model import ClusterSeries, LinkSpec, moment_arrays
 # eigenvalue floor of every regularised average.
 WARMUP_STEPS = 2
 EIG_FLOOR = 1e-6
+# Margin of the Cholesky screen in regularized_empirical, relative to the
+# Frobenius norm of the matrix screened.
+SCREEN_MARGIN = 1e-10
 
 # Steps per block of the running-correlation kernel.  The two-step
 # estimator's prefix tensor holds m^2 p^2 floats per step (8 KB at m=8,
@@ -118,10 +125,26 @@ def regularized_empirical(mats: np.ndarray, counts) -> np.ndarray:
     nothing as data accrue, so the sequence converges to the plain
     empirical average.  A matrix whose eigenvalues all meet the floor is
     returned symmetrised but otherwise unchanged.
+
+    A stack whose every matrix passes the Cholesky screen skips the
+    eigendecomposition: with B the Frobenius norm, an upper bound on the
+    largest eigenvalue, a factorisation of S - c I with
+    c = max(EIG_FLOOR, rel * B) + SCREEN_MARGIN * B proves that S meets its
+    floor.  The margin dwarfs the ~m^2 eps B rounding of both factorisations,
+    so a matrix that passes is one the eigendecomposition would not clip.
     """
     out = 0.5 * (mats + np.swapaxes(mats, -1, -2))
+    m = out.shape[-1]
+    rel = np.minimum(0.5, m / (2.0 * np.maximum(counts, 1)))
+    bound = np.sqrt(np.sum(out * out, axis=(1, 2)))
+    if np.all(np.isfinite(bound)):
+        shift = np.maximum(EIG_FLOOR, rel * bound) + SCREEN_MARGIN * bound
+        try:
+            np.linalg.cholesky(out - shift[:, None, None] * np.eye(m))
+            return out
+        except np.linalg.LinAlgError:
+            pass  # some matrix may need its floor; the whole stack takes the exact path
     w, v = np.linalg.eigh(out)
-    rel = np.minimum(0.5, out.shape[-1] / (2.0 * np.maximum(counts, 1)))
     floors = np.maximum(EIG_FLOOR, rel * w[:, -1])
     clip = w[:, 0] < floors
     if np.any(clip):

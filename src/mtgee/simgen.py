@@ -11,10 +11,20 @@ Bias / RB / MSE / RE and confidence-interval coverage.
 Randomness uses the counter-based Philox generator with one substream per
 replication (keyed by (seed, replication index)), so serial and parallel
 runs produce identical output.
+
+The harness works in chunks of at most ``CHUNK_REPS`` replications.
+:func:`generate_ar2` simulates a chunk in one recursion over (chunk, m)
+slices; each replication still draws its innovations from its own
+substream, so its series is bit-identical to a one-replication call.  A
+serial study walks the chunks in order, and ``parallel=True`` maps them
+over a process pool, at least one chunk per worker; both give the same
+estimates, whatever the chunk length, and raise the same
+InstabilityError: the first exploding replication's, at its first step past
+the guard.
 """
 
+import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -26,6 +36,10 @@ from .estfun import EstimatingContext, fit
 from .model import ClusterSeries, get_link
 
 EXPLOSION_GUARD = 1e6
+
+# Replications simulated in one AR(2) recursion and fitted together: one chunk
+# of the paper design (n=500, m=5) holds about 2.5 MB of series, whatever s is.
+CHUNK_REPS = 32
 
 CORR_KIND_ALIASES = {
     "independence": "independence",
@@ -69,39 +83,49 @@ def true_correlation(design: SimDesign) -> np.ndarray:
     return corrmod.build_fixed_corr(design.corr_kind, design.alpha0, design.m)
 
 
-def generate_ar2(design: SimDesign, rep: int = 0) -> ClusterSeries:
+def generate_ar2(design: SimDesign, rep=0):
     """Simulate the design; deterministic given (design.seed, rep).
 
+    ``rep`` is one replication index, giving its ClusterSeries, or a range
+    of indices, giving a list of them in order.  A range runs one recursion
+    over (len(rep), m) slices; each replication draws its innovations from
+    its own substream, so every series is bit-identical to a one-index call.
+
     Step i carries X_i = [y_{i-1} | y_{i-2}] (newest lag first), starting
-    from y_{-1} = y_{-2} = 0.  The recursion aborts with InstabilityError
-    once any |y| exceeds 1e6, which catches explosive parameter choices
-    long before overflow.
+    from y_{-1} = y_{-2} = 0.  InstabilityError is raised for the first
+    replication in which some |y| exceeds 1e6, at its first such step,
+    which catches explosive parameter choices long before overflow.
     """
-    n, m = design.n, design.m
-    rng = substream(design.seed, rep)
+    reps = rep if isinstance(rep, range) else range(rep, rep + 1)
+    n, m, k = design.n, design.m, len(reps)
     cov = true_correlation(design)
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         raise CorrelationDegeneracyError("innovation covariance is not SPD") from None
-    innovations = rng.standard_normal((n, m)) @ chol.T
+    # ys[i + 2] is step i of every replication; rows 0 and 1 are the zero start
+    ys = np.zeros((n + 2, k, m))
+    for j, r in enumerate(reps):
+        ys[2:, j] = substream(design.seed, r).standard_normal((n, m)) @ chol.T
 
     b1, b2 = float(design.beta0[0]), float(design.beta0[1])
-    prev1 = prev2 = np.zeros(m)
-    ys = np.empty((n, m))
-    Xs = np.empty((n, m, 2))
-    for i in range(n):
-        Xs[i, :, 0] = prev1
-        Xs[i, :, 1] = prev2
-        y_i = b1 * prev1 + b2 * prev2 + innovations[i]
-        if np.max(np.abs(y_i)) > EXPLOSION_GUARD:
+    # an exploding replication overflows after it crossed the guard; it is located below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(2, n + 2):
+            ys[i] += b1 * ys[i - 1] + b2 * ys[i - 2]
+        # a step whose max is NaN does not count, as for np.max of one step
+        exceeded = np.max(np.abs(ys[2:]), axis=2) > EXPLOSION_GUARD
+
+    series = []
+    for j in range(k):
+        if exceeded[:, j].any():
+            step = int(np.argmax(exceeded[:, j]))
             raise InstabilityError(
-                f"simulated series exceeded {EXPLOSION_GUARD:g} at step {i}", step=i
+                f"simulated series exceeded {EXPLOSION_GUARD:g} at step {step}", step=step
             )
-        ys[i] = y_i
-        prev2 = prev1
-        prev1 = y_i
-    return ClusterSeries(ys=ys, Xs=Xs)
+        Xs = np.stack([ys[1:-1, j], ys[:-2, j]], axis=2)
+        series.append(ClusterSeries(ys=ys[2:, j], Xs=Xs))
+    return series if isinstance(rep, range) else series[0]
 
 
 @dataclass(frozen=True)
@@ -150,26 +174,34 @@ def _fit_single(data: ClusterSeries, spec: EstimatorSpec, truth: np.ndarray, lev
     return result.beta_hat, result.cis[:, 0], result.cis[:, 1]
 
 
-def _replication(design: SimDesign, specs, level: float, rep: int):
-    data = generate_ar2(design, rep=rep)
+def _replications(design: SimDesign, specs, level: float, reps: range):
+    """Estimates, CI bounds and failure flags of every estimator on a chunk of
+    replications, as arrays with leading axis len(reps)."""
     truth = true_correlation(design)
-    p = data.p
-    n_est = len(specs)
-    betas = np.full((n_est, p), np.nan)
-    los = np.full((n_est, p), np.nan)
-    his = np.full((n_est, p), np.nan)
-    failed = np.zeros(n_est, dtype=bool)
-    for j, spec in enumerate(specs):
-        try:
-            betas[j], los[j], his[j] = _fit_single(data, spec, truth, level)
-        except NumericalError:
-            failed[j] = True
+    shape = (len(reps), len(specs), len(design.beta0))
+    betas, los, his = np.full(shape, np.nan), np.full(shape, np.nan), np.full(shape, np.nan)
+    failed = np.zeros(shape[:2], dtype=bool)
+    for r, data in enumerate(generate_ar2(design, reps)):
+        for j, spec in enumerate(specs):
+            try:
+                betas[r, j], los[r, j], his[r, j] = _fit_single(data, spec, truth, level)
+            except NumericalError:
+                failed[r, j] = True
     return betas, los, his, failed
 
 
-def _replication_worker(args):
-    design, specs, level, rep = args
-    return rep, _replication(design, specs, level, rep)
+def _pool_size() -> int:
+    """Worker processes for a parallel study: MTGEE_THREADS, else the core count."""
+    text = os.environ.get("MTGEE_THREADS")
+    if text is None:
+        return os.cpu_count() or 1
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ContractError(f"MTGEE_THREADS must be a positive integer, got {text!r}")
+    return workers
 
 
 @dataclass
@@ -221,26 +253,18 @@ def monte_carlo_study(
     specs = list(estimators) if estimators is not None else default_estimators(design.alpha0)
     if not specs:
         raise ContractError("estimator grid is empty")
-    p = len(design.beta0)
-    n_est = len(specs)
-    betas = np.empty((s, n_est, p))
-    los = np.empty((s, n_est, p))
-    his = np.empty((s, n_est, p))
-    failed = np.empty((s, n_est), dtype=bool)
-
+    workers = _pool_size() if parallel else 1
+    size = min(CHUNK_REPS, -(-s // workers))  # at least one chunk per worker
+    chunks = [range(lo, min(lo + size, s)) for lo in range(0, s, size)]
+    work = functools.partial(_replications, design, specs, level)
     if parallel:
-        max_workers = int(os.environ.get("MTGEE_THREADS", os.cpu_count() or 1))
-        args = [(design, specs, level, rep) for rep in range(s)]
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            for rep, (b, lo, hi, f) in pool.map(
-                _replication_worker, args, chunksize=max(1, s // (4 * max_workers))
-            ):
-                betas[rep], los[rep], his[rep], failed[rep] = b, lo, hi, f
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(work, chunks))
     else:
-        for rep in range(s):
-            betas[rep], los[rep], his[rep], failed[rep] = _replication(
-                design, specs, level, rep
-            )
+        parts = list(map(work, chunks))
+    betas, los, his, failed = (np.concatenate(arrays) for arrays in zip(*parts))
 
     beta0 = np.asarray(design.beta0, dtype=np.float64)
     mse_by_label = {}

@@ -1,9 +1,13 @@
-"""Step-by-step reference implementations of the running correlation sequences
-and of the CSV design matrices.
+"""Step-by-step reference implementations of the running correlation sequences,
+the simulated series and the CSV design matrices.
 
 These are the per-step loops that the block kernel ``corr.running_corr``
 replaced, kept as oracles: one running sum updated per step, and a scalar
 regulariser that shares no code with the batched ``corr.regularized_empirical``.
+``unscreened_regularized_empirical`` is the batched regulariser as it was
+before the Cholesky screen: one eigendecomposition of every matrix.
+``loop_generate_ar2`` is the one-replication AR(2) recursion that the chunked
+``simgen.generate_ar2`` replaced, with its explosion check on every step.
 ``loop_design`` is the row-by-row design construction that ``cli.parse_dataset``
 and ``cli.next_design`` replaced, with the next-step design read from the file
 again.
@@ -12,6 +16,10 @@ again.
 import numpy as np
 
 from mtgee.cli import _load_arrays
+from mtgee.corr import EIG_FLOOR, _clip_spectrum
+from mtgee.errors import InstabilityError
+from mtgee.model import ClusterSeries
+from mtgee.simgen import EXPLOSION_GUARD, substream, true_correlation
 
 
 def scalar_regularize(mat, count, floor=1e-6):
@@ -28,6 +36,41 @@ def scalar_regularize(mat, count, floor=1e-6):
     out = out / np.outer(d, d)
     np.fill_diagonal(out, 1.0)
     return 0.5 * (out + out.T)
+
+
+def unscreened_regularized_empirical(mats, counts):
+    """The batched floor of a (k, m, m) stack, through one eigh of every matrix."""
+    out = 0.5 * (mats + np.swapaxes(mats, -1, -2))
+    w, v = np.linalg.eigh(out)
+    rel = np.minimum(0.5, out.shape[-1] / (2.0 * np.maximum(counts, 1)))
+    floors = np.maximum(EIG_FLOOR, rel * w[:, -1])
+    clip = w[:, 0] < floors
+    if np.any(clip):
+        out[clip] = _clip_spectrum(w[clip], v[clip], floors[clip])
+    return out
+
+
+def loop_generate_ar2(design, rep):
+    """One replication of the AR(2) design, one step at a time."""
+    n, m = design.n, design.m
+    innovations = (substream(design.seed, rep).standard_normal((n, m))
+                   @ np.linalg.cholesky(true_correlation(design)).T)
+    b1, b2 = float(design.beta0[0]), float(design.beta0[1])
+    prev1 = prev2 = np.zeros(m)
+    ys = np.empty((n, m))
+    Xs = np.empty((n, m, 2))
+    for i in range(n):
+        Xs[i, :, 0] = prev1
+        Xs[i, :, 1] = prev2
+        y_i = b1 * prev1 + b2 * prev2 + innovations[i]
+        if np.max(np.abs(y_i)) > EXPLOSION_GUARD:
+            raise InstabilityError(
+                f"simulated series exceeded {EXPLOSION_GUARD:g} at step {i}", step=i
+            )
+        ys[i] = y_i
+        prev2 = prev1
+        prev1 = y_i
+    return ClusterSeries(ys=ys, Xs=Xs)
 
 
 def loop_realize(eps, warmup_steps=2, floor=1e-6):

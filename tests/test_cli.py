@@ -329,6 +329,21 @@ def test_cli_bad_flag_exit_1(capsys):
     assert run_command(["simulate", "--design", "ar2"]) == 1
 
 
+@pytest.mark.parametrize("threads", ["0", "-1", "abc"])
+def test_cli_bad_thread_count_is_a_usage_error(monkeypatch, capsys, threads):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv("MTGEE_THREADS", threads)
+    argv = ["simulate", "--n", "30", "--m", "2", "--s", "4", "--parallel"]
+    assert run_command(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: MTGEE_THREADS must be a positive integer, got {threads!r}\n"
+
+
 def test_cli_numerical_failure_exit_3(capsys):
     # explosive design trips the generation guard -> numerical failure
     argv = [

@@ -8,8 +8,15 @@ accumulation: beta to 1e-12 relative, every R_i to 1e-13.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from loop_oracle import loop_realize, loop_two_step, scalar_regularize
+from loop_oracle import (
+    loop_realize,
+    loop_two_step,
+    scalar_regularize,
+    unscreened_regularized_empirical,
+)
 from mtgee import corr
 from mtgee.estfun import EstimatingContext, fit_two_step, solve_linear
 from mtgee.model import ClusterSeries, get_link, moment_arrays
@@ -123,6 +130,9 @@ def test_sequence_does_not_depend_on_block_length(monkeypatch, block, m):
     provider = corr.empirical_running(m, plugin_beta=[0.3, -0.2])
     link = get_link("identity")
     seq, emp = fit_two_step(data).corr_seq, provider.realize(data, link)
+    _, _, eps = moment_arrays(data.Xs, data.ys, np.array([0.3, -0.2]), link)
+    assert np.max(np.abs(seq - loop_two_step(data)[1])) <= 1e-13
+    assert np.max(np.abs(emp - loop_realize(eps))) <= 1e-13
     monkeypatch.setattr(corr, "BLOCK_STEPS", block)
     assert np.array_equal(fit_two_step(data).corr_seq, seq)
     assert np.array_equal(provider.realize(data, link), emp)
@@ -141,3 +151,75 @@ def test_regularized_empirical_batch_matches_scalar():
     kept = w[:, 0] >= np.minimum(0.5, 4 / (2.0 * counts)) * w[:, -1]
     assert kept.any() and (~kept).any()
     assert np.array_equal(out[kept], 0.5 * (mats[kept] + np.swapaxes(mats[kept], 1, 2)))
+
+
+def _with_spectrum(rng, eigenvalues):
+    """A symmetric matrix with the given eigenvalues, in a random orthonormal basis."""
+    q, _ = np.linalg.qr(rng.standard_normal((len(eigenvalues), len(eigenvalues))))
+    return (q * eigenvalues) @ q.T
+
+
+def _average(rng, kind, m, count, side=0.0):
+    """One (m, m) average of ``kind``.  Except for "wishart", its smallest eigenvalue
+    is the floor the regulariser applies times (1 + side)."""
+    rel = min(0.5, m / (2.0 * count))
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    if kind == "wishart":
+        eps = rng.standard_normal((min(count, 200), m)) * scale
+        return eps.T @ eps / len(eps)
+    lam_max = scale
+    if kind == "floor":  # EIG_FLOOR <= lam_max and rel * lam_max < EIG_FLOOR
+        lam_max = 0.5 * (1.0 + 1.0 / rel) * corr.EIG_FLOOR
+    lam_min = max(corr.EIG_FLOOR, rel * lam_max) * (1.0 + side)
+    if m == 1:
+        return np.array([[lam_max]])
+    if kind == "rank1":  # one dominant direction: the Frobenius norm is about lambda_max
+        middle = np.full(m - 2, lam_min)
+    else:
+        middle = rng.uniform(lam_min, lam_max, size=m - 2)
+    return _with_spectrum(rng, np.concatenate([[lam_min], middle, [lam_max]]))
+
+
+@given(
+    m=st.integers(1, 6),
+    kinds=st.lists(st.sampled_from(["wishart", "edge", "floor", "rank1"]), min_size=1, max_size=6),
+    sides=st.lists(st.sampled_from([-1e-12, -1e-14, 0.0, 1e-14, 1e-12]), min_size=6, max_size=6),
+    counts=st.lists(st.integers(1, 10**7), min_size=6, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_screened_regularizer_matches_unscreened_bitwise(m, kinds, sides, counts, seed):
+    # sides within ~1e-14 of the floor are where a screen without its margin
+    # passes matrices that the eigendecomposition clips
+    rng = np.random.default_rng(seed)
+    counts = np.array(counts[: len(kinds)])
+    mats = np.stack([_average(rng, kind, m, c, side)
+                     for kind, c, side in zip(kinds, counts, sides)])
+    # a slight asymmetry, as accumulated sums carry, is symmetrised on both paths
+    mats = mats + 1e-17 * np.max(np.abs(mats)) * rng.standard_normal(mats.shape)
+    want = unscreened_regularized_empirical(mats.copy(), counts)
+    assert np.array_equal(corr.regularized_empirical(mats.copy(), counts), want)
+
+
+def test_screen_skips_the_eigendecomposition_only_when_nothing_is_clipped(monkeypatch):
+    rng = substream(16, 0)
+    counts = np.array([400, 900, 5000])
+    rel = 4 / (2.0 * counts[1])
+    passing = np.stack([_average(rng, "wishart", 4, c) for c in counts])
+    # meets its floor rel * lambda_max by 3e-11, which the screen cannot prove
+    edge = passing.copy()
+    edge[1] = _with_spectrum(rng, np.array([rel + 3e-11, 0.4, 0.7, 1.0]))
+    # half its floor: clipped
+    failing = passing.copy()
+    failing[1] = _with_spectrum(rng, np.array([0.5 * rel, 0.4, 0.7, 1.0]))
+    stacks = {"passing": passing, "edge": edge, "failing": failing}
+    want = {name: unscreened_regularized_empirical(stack.copy(), counts)
+            for name, stack in stacks.items()}
+    eigh_calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_calls.append(len(a)) or eigh(a))
+    for name, stack in stacks.items():
+        assert np.array_equal(corr.regularized_empirical(stack, counts), want[name])
+    assert eigh_calls == [3, 3]  # the edge and the failing stack, each whole
+    assert np.array_equal(want["edge"], 0.5 * (edge + np.swapaxes(edge, 1, 2)))
+    assert not np.array_equal(want["failing"][1], 0.5 * (failing[1] + failing[1].T))

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from loop_oracle import loop_generate_ar2
+from mtgee import simgen
 from mtgee.corr import build_fixed_corr
 from mtgee.errors import ContractError, InstabilityError
 from mtgee.simgen import (
@@ -107,6 +109,90 @@ def test_study_parallel_matches_serial(monkeypatch):
         assert np.array_equal(a.bias, b.bias)
         assert np.array_equal(a.mse, b.mse)
         assert np.array_equal(a.coverage, b.coverage)
+
+
+# beta0 = (1.025, 0) explodes late and at steps that differ between replications:
+# at seed 1, replication 0 crosses the guard at step 492, replication 1 never
+# and replication 2 at step 481; at seed 3, replications 0-2 never, 3 at step
+# 486, 4 at step 488 and 5 at step 457
+EXPLOSIVE = dict(n=500, m=2, beta0=(1.025, 0.0), corr_kind="independence")
+
+
+def _first_instability(design, reps):
+    """The oracle's error for the lowest exploding replication of ``reps``."""
+    for rep in reps:
+        try:
+            loop_generate_ar2(design, rep)
+        except InstabilityError as exc:
+            return exc
+    return None
+
+
+@pytest.mark.parametrize("design,reps", [
+    (SimDesign(n=500, m=5, corr_kind="cs", alpha0=0.7, seed=3), range(0, 3)),
+    (SimDesign(n=60, m=3, corr_kind="ar1", alpha0=-0.5, beta0=(0.4, -0.3), seed=17), range(0, 1)),
+    (SimDesign(n=60, m=3, corr_kind="ar1", alpha0=-0.5, beta0=(0.4, -0.3), seed=17), range(5, 45)),
+    (SimDesign(n=1, m=1, corr_kind="independence", seed=2), range(2, 9)),
+])
+def test_chunk_matches_one_replication_oracle(design, reps):
+    chunk = generate_ar2(design, reps)
+    assert len(chunk) == len(reps)
+    for rep, data in zip(reps, chunk):
+        want = loop_generate_ar2(design, rep)
+        one = generate_ar2(design, rep)
+        assert np.array_equal(data.ys, want.ys) and np.array_equal(data.Xs, want.Xs)
+        assert np.array_equal(one.ys, want.ys) and np.array_equal(one.Xs, want.Xs)
+
+
+@pytest.mark.parametrize("seed,reps", [(1, range(0, 3)), (1, range(1, 4)), (2, range(2, 8)),
+                                       (0, range(7, 8))])
+def test_chunk_raises_for_the_lowest_exploding_replication(seed, reps):
+    design = SimDesign(**EXPLOSIVE, seed=seed)
+    want = _first_instability(design, reps)
+    with pytest.raises(InstabilityError) as err:
+        generate_ar2(design, reps)
+    assert err.value.step == want.step and str(err.value) == str(want)
+
+
+@pytest.mark.parametrize("seed,want", [(1, [492, None, 481]),
+                                       (3, [None, None, None, 486, 488, 457])])
+def test_explosive_fixture_has_a_later_replication_crossing_first(seed, want):
+    design = SimDesign(**EXPLOSIVE, seed=seed)
+    steps = [getattr(_first_instability(design, [rep]), "step", None)
+             for rep in range(len(want))]
+    assert steps == want
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+@pytest.mark.parametrize("chunk", [1, 3, 5, 50])
+def test_study_does_not_depend_on_chunk_length(monkeypatch, chunk, parallel):
+    # chunks of one replication are the harness before chunking; s = 8 is split
+    # into chunks of 1, 3 (8 = 3 + 3 + 2), 5 and one chunk longer than s, or, on
+    # two workers, of at most 4
+    design = SimDesign(n=120, m=3, corr_kind="cs", alpha0=0.7, seed=21)
+    monkeypatch.setattr(simgen, "CHUNK_REPS", 1)
+    want = monte_carlo_study(design, s=8, level=0.9)
+    monkeypatch.setattr(simgen, "CHUNK_REPS", chunk)
+    monkeypatch.setenv("MTGEE_THREADS", "2")
+    got = monte_carlo_study(design, s=8, level=0.9, parallel=parallel)
+    for a, b in zip(want.estimators, got.estimators):
+        assert a.label == b.label and a.failures == b.failures
+        for name in ("bias", "rb", "mse", "re", "coverage"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+@pytest.mark.parametrize("chunk", [1, 2, 4])
+def test_study_explosion_matches_one_replication_path(monkeypatch, chunk, parallel):
+    # replications 0-2 are fitted first; the error is replication 3's, not 5's
+    design = SimDesign(**EXPLOSIVE, seed=3)
+    want = _first_instability(design, range(6))
+    monkeypatch.setattr(simgen, "CHUNK_REPS", chunk)
+    monkeypatch.setenv("MTGEE_THREADS", "2")
+    with pytest.raises(InstabilityError) as err:
+        monte_carlo_study(design, [EstimatorSpec("independence", "fixed", "independence")],
+                          s=6, parallel=parallel)
+    assert err.value.step == want.step and str(err.value) == str(want)
 
 
 def test_study_reproducible_across_runs():
