@@ -93,9 +93,10 @@ def main(script, worker, what, output, repeats, prepare=None, extra=None):
 
     With ``--worker`` the process is a child: it prints the JSON of
     ``worker(repeats, input_path)``, a dict of entry name to seconds per
-    call.  Otherwise ``prepare(directory)``, if given, writes the input file
-    whose path every child receives, the trees run in ``ORDER``, and the
-    report, with the keys of ``extra`` added, goes to ``--output``.
+    call.  Otherwise ``prepare(directory)``, if given, writes the inputs into
+    ``directory`` and returns the path (a file or the directory) that every
+    child receives, the trees run in ``ORDER``, and the report, with the keys
+    of ``extra`` added, goes to ``--output``.
     """
     parser = argparse.ArgumentParser(description=sys.modules["__main__"].__doc__.splitlines()[0])
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)

@@ -21,7 +21,6 @@ import csv as _csv
 import io
 import math
 import sys
-from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -59,7 +58,7 @@ def _json_scalar(value):
     if isinstance(value, (float, np.floating)):
         v = float(value)
         if not math.isfinite(v):
-            raise ContractError("cannot serialize non-finite float to JSON")
+            raise NumericalError("cannot serialize non-finite float to JSON")
         return format(v, ".17g")
     if isinstance(value, str):
         import json as _json
@@ -183,88 +182,167 @@ class DatasetSpec:
 
 
 def _read_rows(path):
-    """The header, the non-blank body rows, and the file line number of each body row."""
-    rows, lines = [], array("q")  # 8 bytes a line number, not a Python int per row
+    """The stripped header and the non-blank body rows, all of the header's width."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = _csv.reader(fh)
-            for row in reader:
-                if row and any(cell.strip() for cell in row):
-                    rows.append(row)
-                    lines.append(reader.line_num)
+            rows = list(_csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read dataset {path!r}: {exc}") from exc
+    if not all(map(str.strip, map("".join, rows))):
+        rows = [row for row in rows if "".join(row).strip()]
     if len(rows) < 2:
         raise DataError(f"dataset {path!r} has no data rows")
-    header = [h.strip() for h in rows[0]]
-    body, lines = rows[1:], lines[1:]
-    for lineno, row in zip(lines, body):
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}: ragged row at line {lineno} "
-                f"({len(row)} cells, header has {len(header)})"
-            )
-    return header, body, lines
-
-
-def _cell_value(cell, path, lineno, col, required):
-    text = cell.strip()
-    if text.lower() in MISSING_TOKENS:
-        if required:
-            raise DataError(
-                f"{path}: missing response value at line {lineno}, column {col!r} "
-                "(responses are never imputed)"
-            )
-        return math.nan
-    try:
-        return float(text)
-    except ValueError:
+    header = [h.strip() for h in rows.pop(0)]
+    if set(map(len, rows)) != {len(header)}:
+        k, row = next((k, row) for k, row in enumerate(rows) if len(row) != len(header))
         raise DataError(
-            f"{path}: cannot parse {text!r} at line {lineno}, column {col!r}"
-        ) from None
+            f"{path}: ragged row at line {_file_line(path, k)} "
+            f"({len(row)} cells, header has {len(header)})"
+        )
+    return header, rows
+
+
+def _file_line(path, k):
+    """File line number of body row ``k``, found by reading the file again (for messages)."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = _csv.reader(fh)
+        for index, _ in enumerate(row for row in reader if "".join(row).strip()):
+            if index == k + 1:  # non-blank row 0 is the header
+                return reader.line_num
+
+
+def _rejection(text, required):
+    """Why the stripped cell ``text`` is rejected, as (what, note) around its
+    location; None if it reads as a float (or, not ``required``, as missing)."""
+    if text.lower() in MISSING_TOKENS:
+        return ("missing response value", " (responses are never imputed)") if required else None
+    try:
+        value = float(text)
+    except ValueError:
+        return f"cannot parse {text!r}", ""
+    if required and not math.isfinite(value):
+        return f"non-finite response value {text!r}", " (responses must be finite)"
+    return None
+
+
+def _cell_error(path, cell, k, col, required):
+    """The DataError for ``cell``, of body row ``k`` and column ``col``."""
+    what, note = _rejection(cell.strip(), required)
+    return DataError(f"{path}: {what} at line {_file_line(path, k)}, column {col!r}{note}")
+
+
+def _column(body, index):
+    """The cells of column ``index``, row by row."""
+    from operator import itemgetter
+
+    return map(itemgetter(index), body)
+
+
+def _floats(texts, n, required):
+    """The ``n`` texts as float64; None if one does not convert or a required one is not finite."""
+    try:
+        values = np.fromiter(map(float, texts), dtype=np.float64, count=n)
+    except ValueError:
+        return None
+    return values if not required or np.isfinite(values).all() else None
+
+
+def _read_column(body, index, required):
+    """Column ``index`` as float64 with NaN for a missing token, and None; or None and
+    the row of the first cell that ``_rejection`` rejects.  Responses are ``required``."""
+    values = _floats(_column(body, index), len(body), required)
+    if values is None:
+        # missing tokens such as "" and "NA" do not convert, and float() strips
+        # fewer characters than str.strip()
+        texts = (text if text.lower() not in MISSING_TOKENS else "nan"
+                 for text in map(str.strip, _column(body, index)))
+        values = _floats(texts, len(body), required)
+    if values is not None:
+        return values, None
+    return None, next(k for k, row in enumerate(body) if _rejection(row[index].strip(), required))
+
+
+def _read_block(body, col_index, names, required, out, at=slice(None)):
+    """Read the named columns into the columns of ``out``, body row k into row
+    ``at[k]``; return the (row, column position) of the first rejected cell in
+    row-major order, or None."""
+    rejected = []
+    for j, name in enumerate(names):
+        values, k = _read_column(body, col_index[name], required)
+        if k is None:
+            out[at, j] = values
+        else:
+            rejected.append((k, j))
+    return min(rejected, default=None)
 
 
 def _impute_nearest(series):
     """Fill NaNs from the nearest time index (earlier index wins ties)."""
     out = series.copy()
-    finite = np.flatnonzero(np.isfinite(out))
+    known = np.isfinite(out)
+    finite = np.flatnonzero(known)
     if finite.size == 0:
         raise DataError("a column is entirely missing; nothing to impute from")
-    for t in np.flatnonzero(~np.isfinite(out)):
-        dist = np.abs(finite - t)
-        out[t] = out[finite[np.argmin(dist)]]  # argmin takes the earliest on ties
+    gaps = np.flatnonzero(~known)
+    after = np.searchsorted(finite, gaps)
+    before = finite[np.maximum(after - 1, 0)]
+    after = finite[np.minimum(after, finite.size - 1)]
+    out[gaps] = out[np.where(gaps - before <= after - gaps, before, after)]
     return out
 
 
-def _load_wide(spec, header, body, lines):
+def _load_wide(spec, header, body):
     col_index = {name: k for k, name in enumerate(header)}
     for name in list(spec.response_cols) + [c for grp in spec.exog_cols for c in grp]:
         if name not in col_index:
             raise DataError(f"{spec.path}: column {name!r} not found in header")
     m = len(spec.response_cols)
-    T = len(body)
-    Y = np.empty((T, m))
-    for t, row in enumerate(body):
-        for j, col in enumerate(spec.response_cols):
-            Y[t, j] = _cell_value(row[col_index[col]], spec.path, lines[t], col, required=True)
-    Z = None
-    if spec.exog_cols:
-        q = len(spec.exog_cols)
-        Z = np.empty((T, m, q))
-        for v, group in enumerate(spec.exog_cols):
-            if len(group) != m:
-                raise DataError(
-                    f"{spec.path}: exogenous group {group} must list {m} columns (one per unit)"
-                )
-            for t, row in enumerate(body):
-                for j, col in enumerate(group):
-                    Z[t, j, v] = _cell_value(
-                        row[col_index[col]], spec.path, lines[t], col, required=False
-                    )
-    return Y, Z
+    Y = np.empty((len(body), m))
+    Z = np.empty((len(body), m, len(spec.exog_cols)))
+    blocks = [(spec.response_cols, True, Y)]
+    blocks += [(group, False, Z[:, :, v]) for v, group in enumerate(spec.exog_cols)]
+    for names, required, out in blocks:
+        if len(names) != m:
+            raise DataError(
+                f"{spec.path}: exogenous group {names} must list {m} columns (one per unit)"
+            )
+        rejected = _read_block(body, col_index, names, required, out)
+        if rejected is not None:
+            k, j = rejected
+            raise _cell_error(spec.path, body[k][col_index[names[j]]], k, names[j], required)
+    return Y, Z if spec.exog_cols else None
 
 
-def _load_long(spec, header, body, lines):
+def _time_key(text):
+    """Numeric times first, by value and then text; then the rest by text."""
+    text = text.strip()
+    try:
+        return (0, float(text), text)
+    except ValueError:
+        return (1, 0.0, text)
+
+
+def _time_order(times):
+    """The set ``times`` sorted by ``_time_key``.  When every time is a finite
+    number the order comes from one stable argsort of the text-sorted times,
+    without a key tuple per time."""
+    texts = sorted(times)
+    values = _floats(texts, len(texts), True)
+    if values is None:
+        return sorted(times, key=_time_key)
+    return [texts[k] for k in np.argsort(values, kind="stable")]
+
+
+def _ranks(body, index, order=sorted):
+    """The distinct stripped cells of column ``index`` in ``order``, and the
+    position of each row's among them."""
+    distinct = order(set(map(str.strip, _column(body, index))))
+    rank = {cell: k for k, cell in enumerate(distinct)}
+    cells = map(rank.__getitem__, map(str.strip, _column(body, index)))
+    return distinct, np.fromiter(cells, dtype=np.intp, count=len(body))
+
+
+def _load_long(spec, header, body):
     if spec.time_col is None or spec.unit_col is None:
         raise ContractError("long layout requires time_col and unit_col")
     col_index = {name: k for k, name in enumerate(header)}
@@ -274,49 +352,53 @@ def _load_long(spec, header, body, lines):
     for name in needed:
         if name not in col_index:
             raise DataError(f"{spec.path}: column {name!r} not found in header")
-    t_idx, u_idx = col_index[spec.time_col], col_index[spec.unit_col]
     y_col = spec.response_cols[0]
-
-    def time_key(text):
-        text = text.strip()
-        try:
-            return (0, float(text), text)
-        except ValueError:
-            return (1, 0.0, text)
-
-    times = sorted({row[t_idx].strip() for row in body}, key=time_key)
-    units = sorted({row[u_idx].strip() for row in body})
-    t_pos = {t: k for k, t in enumerate(times)}
-    u_pos = {u: k for k, u in enumerate(units)}
+    times, code = _ranks(body, col_index[spec.time_col], _time_order)
+    units, unit_code = _ranks(body, col_index[spec.unit_col])
     T, m = len(times), len(units)
-    Y = np.full((T, m), math.nan)
-    q = len(spec.exog_cols)
-    Z = np.full((T, m, q), math.nan) if q else None
-    for lineno, row in zip(lines, body):
-        t = t_pos[row[t_idx].strip()]
-        u = u_pos[row[u_idx].strip()]
-        if not math.isnan(Y[t, u]):
+    code *= m
+    code += unit_code  # cell t*m + u of each row
+    del unit_code  # hold one index array, not two, while the values are read
+    Y = np.empty((T * m, 1))
+    Z = np.empty((T * m, len(spec.exog_cols)))
+    y_rejected = _read_block(body, col_index, [y_col], True, Y, code)
+    z_rejected = _read_block(body, col_index, spec.exog_cols, False, Z, code)
+
+    # the first fault in file order; within a row: a repeated (time, unit),
+    # then the response cell, then the exogenous cells
+    faults = [] if y_rejected is None else [y_rejected]
+    if z_rejected is not None:
+        faults.append((z_rejected[0], 1 + z_rejected[1]))
+    seen = np.zeros(T * m, dtype=bool)
+    seen[code] = True
+    if np.count_nonzero(seen) < len(code):
+        repeat = np.ones(len(code), dtype=bool)
+        repeat[np.unique(code, return_index=True)[1]] = False
+        faults.append((int(np.argmax(repeat)), -1))
+    if faults:
+        k, j = min(faults)
+        if j < 0:
+            t, u = divmod(int(code[k]), m)
             raise DataError(
                 f"{spec.path}: duplicate row for time {times[t]!r}, unit {units[u]!r} "
-                f"at line {lineno}"
+                f"at line {_file_line(spec.path, k)}"
             )
-        Y[t, u] = _cell_value(row[col_index[y_col]], spec.path, lineno, y_col, required=True)
-        for v, col in enumerate(spec.exog_cols):
-            Z[t, u, v] = _cell_value(row[col_index[col]], spec.path, lineno, col, required=False)
-    if np.any(~np.isfinite(Y)):
-        t, u = np.argwhere(~np.isfinite(Y))[0]
+        name = ([y_col] + list(spec.exog_cols))[j]
+        raise _cell_error(spec.path, body[k][col_index[name]], k, name, j == 0)
+    if len(code) < T * m:
+        t, u = divmod(int(np.argmin(seen)), m)
         raise DataError(
             f"{spec.path}: no response observation for time {times[t]!r}, unit {units[u]!r}"
         )
-    return Y, Z
+    return Y.reshape(T, m), Z.reshape(T, m, -1) if spec.exog_cols else None
 
 
 def _load_arrays(spec: DatasetSpec):
-    header, body, lines = _read_rows(spec.path)
+    header, body = _read_rows(spec.path)
     if spec.layout == "wide":
-        Y, Z = _load_wide(spec, header, body, lines)
+        Y, Z = _load_wide(spec, header, body)
     else:
-        Y, Z = _load_long(spec, header, body, lines)
+        Y, Z = _load_long(spec, header, body)
     if Z is not None:
         if spec.impute == "nearest_neighbor":
             for j in range(Z.shape[1]):

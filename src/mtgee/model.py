@@ -35,18 +35,34 @@ class LinkSpec:
 
 
 def _sigmoid(theta):
-    out = np.empty_like(theta, dtype=np.float64)
-    pos = theta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-theta[pos]))
-    ez = np.exp(theta[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1/(1+e^-t) for t >= 0 and e^t/(1+e^t) below, from one e = exp(-|t|);
+    # in place, so that a call holds two arrays of theta's size, not four
+    e = np.exp(-np.abs(theta))
+    mu = np.where(theta >= 0, 1.0, e)
+    e += 1.0
+    mu /= e
+    return mu
 
 
 def _logistic_d1(theta):
     # exp(-|theta|)/(1+exp(-|theta|))^2 is symmetric and avoids overflow
     e = np.exp(-np.abs(theta))
     return e / (1.0 + e) ** 2
+
+
+def _logistic_d2(theta):
+    # mu'' = mu'(1-2mu), with mu' = e/(1+e)^2 and mu as in _sigmoid from one
+    # e = exp(-|t|): the operations of those two, in place
+    e = np.exp(-np.abs(theta))
+    one_e = 1.0 + e
+    mu = np.where(theta >= 0, 1.0, e)
+    mu /= one_e
+    mu *= -2.0
+    mu += 1.0
+    one_e **= 2
+    e /= one_e
+    e *= mu
+    return e
 
 
 def _guarded_exp(theta):
@@ -71,9 +87,7 @@ _LOGISTIC = LinkSpec(
     kind="logistic",
     eval=lambda t: _sigmoid(np.asarray(t, dtype=np.float64)),
     d1=lambda t: _logistic_d1(np.asarray(t, dtype=np.float64)),
-    # mu'' = mu'(1-2mu)
-    d2=lambda t: _logistic_d1(np.asarray(t, dtype=np.float64))
-    * (1.0 - 2.0 * _sigmoid(np.asarray(t, dtype=np.float64))),
+    d2=lambda t: _logistic_d2(np.asarray(t, dtype=np.float64)),
 )
 
 _EXPONENTIAL = LinkSpec(

@@ -69,6 +69,8 @@ class SimDesign:
     def __post_init__(self):
         if len(self.beta0) != 2:
             raise ContractError("the AR(2) design uses a 2-dimensional beta0")
+        if not np.all(np.isfinite(self.beta0)):
+            raise ContractError(f"beta0 must be finite, got {tuple(self.beta0)}")
         if self.n < 1 or self.m < 1:
             raise ContractError("n and m must be positive")
         kind = CORR_KIND_ALIASES.get(str(self.corr_kind).lower())

@@ -10,14 +10,23 @@ before the Cholesky screen: one eigendecomposition of every matrix.
 ``simgen.generate_ar2`` replaced, with its explosion check on every step.
 ``loop_design`` is the row-by-row design construction that ``cli.parse_dataset``
 and ``cli.next_design`` replaced, with the next-step design read from the file
-again.
+again.  ``cell_load_arrays`` is the row-by-row, cell-by-cell CSV loader that
+the columnar ``cli._load_arrays`` replaced, with one ``float`` call per cell,
+a dict of (time, unit) positions and a per-gap imputation loop; it keeps the
+rule that a response cell must be finite.  ``masked_sigmoid`` and
+``masked_logistic_d2`` are the logistic link as it was before it shared one
+``exp``: two boolean-mask gathers, and mu'' from two ``exp`` calls.
 """
+
+import csv
+import math
+from array import array
 
 import numpy as np
 
-from mtgee.cli import _load_arrays
+from mtgee.cli import MISSING_TOKENS, _load_arrays
 from mtgee.corr import EIG_FLOOR, _clip_spectrum
-from mtgee.errors import InstabilityError
+from mtgee.errors import ContractError, DataError, InstabilityError
 from mtgee.model import ClusterSeries
 from mtgee.simgen import EXPLOSION_GUARD, substream, true_correlation
 
@@ -144,3 +153,170 @@ def loop_design(spec):
     Xs = np.stack([_design_row(spec, Y, Z, i) for i in range(spec.lags, T)])
     Y, Z = _load_arrays(spec)
     return Xs, _design_row(spec, Y, Z, T)
+
+
+def masked_sigmoid(theta):
+    """The logistic mean, filled through two boolean masks."""
+    out = np.empty_like(theta, dtype=np.float64)
+    pos = theta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-theta[pos]))
+    ez = np.exp(theta[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def masked_logistic_d2(theta):
+    """mu'' = mu'(1-2mu), with mu' and mu each from its own exp."""
+    e = np.exp(-np.abs(theta))
+    return e / (1.0 + e) ** 2 * (1.0 - 2.0 * masked_sigmoid(theta))
+
+
+def _read_rows(path):
+    rows, lines = [], array("q")
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            for row in reader:
+                if row and any(cell.strip() for cell in row):
+                    rows.append(row)
+                    lines.append(reader.line_num)
+    except OSError as exc:
+        raise DataError(f"cannot read dataset {path!r}: {exc}") from exc
+    if len(rows) < 2:
+        raise DataError(f"dataset {path!r} has no data rows")
+    header = [h.strip() for h in rows[0]]
+    body, lines = rows[1:], lines[1:]
+    for lineno, row in zip(lines, body):
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}: ragged row at line {lineno} "
+                f"({len(row)} cells, header has {len(header)})"
+            )
+    return header, body, lines
+
+
+def _cell_value(cell, path, lineno, col, required):
+    text = cell.strip()
+    if text.lower() in MISSING_TOKENS:
+        if required:
+            raise DataError(
+                f"{path}: missing response value at line {lineno}, column {col!r} "
+                "(responses are never imputed)"
+            )
+        return math.nan
+    try:
+        value = float(text)
+    except ValueError:
+        raise DataError(
+            f"{path}: cannot parse {text!r} at line {lineno}, column {col!r}"
+        ) from None
+    if required and not math.isfinite(value):
+        raise DataError(
+            f"{path}: non-finite response value {text!r} at line {lineno}, column {col!r} "
+            "(responses must be finite)"
+        )
+    return value
+
+
+def _impute_nearest(series):
+    out = series.copy()
+    finite = np.flatnonzero(np.isfinite(out))
+    if finite.size == 0:
+        raise DataError("a column is entirely missing; nothing to impute from")
+    for t in np.flatnonzero(~np.isfinite(out)):
+        dist = np.abs(finite - t)
+        out[t] = out[finite[np.argmin(dist)]]  # argmin takes the earliest on ties
+    return out
+
+
+def time_key(text):
+    """Numbers first, by value and then text; then the rest by text."""
+    text = text.strip()
+    try:
+        return (0, float(text), text)
+    except ValueError:
+        return (1, 0.0, text)
+
+
+def _load_wide(spec, header, body, lines):
+    col_index = {name: k for k, name in enumerate(header)}
+    for name in list(spec.response_cols) + [c for grp in spec.exog_cols for c in grp]:
+        if name not in col_index:
+            raise DataError(f"{spec.path}: column {name!r} not found in header")
+    m = len(spec.response_cols)
+    T = len(body)
+    Y = np.empty((T, m))
+    for t, row in enumerate(body):
+        for j, col in enumerate(spec.response_cols):
+            Y[t, j] = _cell_value(row[col_index[col]], spec.path, lines[t], col, required=True)
+    Z = None
+    if spec.exog_cols:
+        q = len(spec.exog_cols)
+        Z = np.empty((T, m, q))
+        for v, group in enumerate(spec.exog_cols):
+            if len(group) != m:
+                raise DataError(
+                    f"{spec.path}: exogenous group {group} must list {m} columns (one per unit)"
+                )
+            for t, row in enumerate(body):
+                for j, col in enumerate(group):
+                    Z[t, j, v] = _cell_value(
+                        row[col_index[col]], spec.path, lines[t], col, required=False
+                    )
+    return Y, Z
+
+
+def _load_long(spec, header, body, lines):
+    if spec.time_col is None or spec.unit_col is None:
+        raise ContractError("long layout requires time_col and unit_col")
+    col_index = {name: k for k, name in enumerate(header)}
+    needed = [spec.time_col, spec.unit_col, spec.response_cols[0]] + list(spec.exog_cols)
+    for name in needed:
+        if name not in col_index:
+            raise DataError(f"{spec.path}: column {name!r} not found in header")
+    t_idx, u_idx = col_index[spec.time_col], col_index[spec.unit_col]
+    y_col = spec.response_cols[0]
+    times = sorted({row[t_idx].strip() for row in body}, key=time_key)
+    units = sorted({row[u_idx].strip() for row in body})
+    t_pos = {t: k for k, t in enumerate(times)}
+    u_pos = {u: k for k, u in enumerate(units)}
+    T, m = len(times), len(units)
+    Y = np.full((T, m), math.nan)
+    q = len(spec.exog_cols)
+    Z = np.full((T, m, q), math.nan) if q else None
+    for lineno, row in zip(lines, body):
+        t = t_pos[row[t_idx].strip()]
+        u = u_pos[row[u_idx].strip()]
+        if not math.isnan(Y[t, u]):
+            raise DataError(
+                f"{spec.path}: duplicate row for time {times[t]!r}, unit {units[u]!r} "
+                f"at line {lineno}"
+            )
+        Y[t, u] = _cell_value(row[col_index[y_col]], spec.path, lineno, y_col, required=True)
+        for v, col in enumerate(spec.exog_cols):
+            Z[t, u, v] = _cell_value(row[col_index[col]], spec.path, lineno, col, required=False)
+    if np.any(~np.isfinite(Y)):
+        t, u = np.argwhere(~np.isfinite(Y))[0]
+        raise DataError(
+            f"{spec.path}: no response observation for time {times[t]!r}, unit {units[u]!r}"
+        )
+    return Y, Z
+
+
+def cell_load_arrays(spec):
+    """(Y, Z) of ``spec``'s CSV, read one row and one cell at a time."""
+    header, body, lines = _read_rows(spec.path)
+    if spec.layout == "wide":
+        Y, Z = _load_wide(spec, header, body, lines)
+    else:
+        Y, Z = _load_long(spec, header, body, lines)
+    if Z is not None:
+        if spec.impute == "nearest_neighbor":
+            for j in range(Z.shape[1]):
+                for v in range(Z.shape[2]):
+                    Z[:, j, v] = _impute_nearest(Z[:, j, v])
+        elif np.any(~np.isfinite(Z)):
+            raise DataError(
+                f"{spec.path}: missing exogenous values present and imputation is 'none'"
+            )
+    return Y, Z

@@ -126,6 +126,42 @@ def test_wide_cell_error_names_the_file_line_after_blank_lines(tmp_path):
         parse_dataset(DatasetSpec(path=str(path), response_cols=["y1"], lags=0))
 
 
+@pytest.mark.parametrize("cell", ["inf", " -nan ", "-Infinity", "1e999"])
+def test_wide_non_finite_response_is_data_error(tmp_path, capsys, cell):
+    path = tmp_path / "non_finite.csv"
+    path.write_text(f"t,y1,y2\n1,1.0,2.0\n2,1.5,{cell}\n3,1.2,2.2\n")
+    argv = ["fit", "--data", str(path), "--response", "y1,y2", "--lags", "0",
+            "--method", "linear"]
+    assert run_command(argv) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {path}: non-finite response value {cell.strip()!r} at line 3, "
+        "column 'y2' (responses must be finite)\n"
+    )
+
+
+def test_wide_non_finite_exogenous_cell_is_imputed(tmp_path):
+    path = tmp_path / "exog_inf.csv"
+    path.write_text("t,y1,z1\n1,1.0,5.0\n2,1.1,inf\n3,1.2,9.0\n")
+    series = parse_dataset(DatasetSpec(path=str(path), response_cols=["y1"],
+                                       exog_cols=[["z1"]], lags=0))
+    assert np.array_equal(series.Xs[:, 0, 1], [5.0, 5.0, 9.0])
+
+
+def test_long_non_finite_response_is_data_error(tmp_path):
+    path = tmp_path / "long_non_finite.csv"
+    # the first copy of (2, a) reads -nan; the second copy, on line 6, is a duplicate
+    path.write_text("time,unit,y\n1,a,1.0\n1,b,2.0\n2,b,2.5\n2,a,-nan\n2,a,1.7\n")
+    spec = DatasetSpec(
+        path=str(path), layout="long", response_cols=["y"],
+        time_col="time", unit_col="unit", lags=0,
+    )
+    with pytest.raises(DataError, match="non-finite response value '-nan' at line 5, column 'y'"):
+        parse_dataset(spec)
+    path.write_text("time,unit,y\n1,a,1.0\n1,b,inf\n2,a,1.5\n2,b,2.5\n")
+    with pytest.raises(DataError, match="non-finite response value 'inf' at line 3, column 'y'"):
+        parse_dataset(spec)
+
+
 def test_responses_never_modified_by_imputation(wide_file):
     series = parse_dataset(wide_spec(wide_file))
     raw = np.array([[2.0, 3.0, 4.0], [2.5, 3.5, 4.5], [3.0, 4.0, 5.0]])
@@ -351,6 +387,22 @@ def test_cli_numerical_failure_exit_3(capsys):
         "--n", "500", "--m", "3", "--s", "4", "--seed", "0",
     ]
     assert run_command(argv) == 3
+
+
+def test_cli_non_finite_output_exit_3(capsys):
+    # a perturbation budget of 1e100 overflows the determinant ratios to NaN
+    argv = ["diagnose", "--data", FIXTURE, "--response", "wind_s1,wind_s2,wind_s3",
+            "--method", "linear", "--corr", "cs", "--d-grid", "0,1e100"]
+    with np.errstate(all="ignore"):
+        assert run_command(argv) == 3
+    assert capsys.readouterr().err.endswith(
+        "numerical failure: cannot serialize non-finite float to JSON\n")
+
+
+def test_cli_simulate_non_finite_beta0_exit_1(capsys):
+    argv = ["simulate", "--n", "50", "--m", "2", "--s", "4", "--beta0", "inf,0"]
+    assert run_command(argv) == 1
+    assert capsys.readouterr().err == "usage error: beta0 must be finite, got (inf, 0.0)\n"
 
 
 def test_cli_intercept_flag_is_accepted(capsys):

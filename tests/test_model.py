@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loop_oracle import masked_logistic_d2, masked_sigmoid
 from mtgee.errors import ContractError, ModelViolationError, SaturationError
 from mtgee.model import ClusterSeries, get_link, moment_arrays
 from mtgee.simgen import SimDesign, generate_ar2
@@ -30,6 +31,25 @@ def test_logistic_at_zero():
     assert np.array_equal(mu, [0.5, 0.5])
     assert np.array_equal(d1, [0.25, 0.25])
     assert np.array_equal(d2, [0.0, 0.0])
+
+
+THETAS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, width=64),
+    st.sampled_from([0.0, -0.0, 800.0, -800.0, 36.7, -745.2]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(THETAS, min_size=1, max_size=40), st.integers(1, 3))
+def test_logistic_matches_masked_oracle_bit_for_bit(values, rows):
+    theta = np.array(values * rows).reshape(rows, -1)
+    link = get_link("logistic")
+    for got, want in ((link.eval(theta), masked_sigmoid(theta)),
+                      (link.d2(theta), masked_logistic_d2(theta))):
+        assert got.shape == want.shape
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        finite = ~np.isnan(want)
+        assert got[finite].tobytes() == want[finite].tobytes()
 
 
 def test_identity_case():

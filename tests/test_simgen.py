@@ -89,6 +89,12 @@ def test_design_validation():
         SimDesign(corr_kind="cs", alpha0=1.5)
 
 
+@pytest.mark.parametrize("beta0", [(math.inf, 0.0), (0.5, -math.inf), (math.nan, 0.2)])
+def test_design_rejects_non_finite_beta0(beta0):
+    with pytest.raises(ContractError, match="beta0 must be finite"):
+        SimDesign(beta0=beta0)
+
+
 def test_true_correlation_patterns():
     assert np.array_equal(
         true_correlation(SimDesign(corr_kind="independence")), np.eye(5)
