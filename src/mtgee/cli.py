@@ -22,6 +22,7 @@ import io
 import math
 import sys
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -182,33 +183,38 @@ class DatasetSpec:
 
 
 def _read_rows(path):
-    """The stripped header and the non-blank body rows, all of the header's width."""
+    """The stripped header, the non-blank body rows (all of the header's width),
+    and every row the reader gave, blank rows and the header included."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(_csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read dataset {path!r}: {exc}") from exc
+    body = rows
     if not all(map(str.strip, map("".join, rows))):
-        rows = [row for row in rows if "".join(row).strip()]
-    if len(rows) < 2:
+        body = [row for row in rows if "".join(row).strip()]
+    if len(body) < 2:
         raise DataError(f"dataset {path!r} has no data rows")
-    header = [h.strip() for h in rows.pop(0)]
-    if set(map(len, rows)) != {len(header)}:
-        k, row = next((k, row) for k, row in enumerate(rows) if len(row) != len(header))
+    header = [h.strip() for h in body[0]]
+    body = body[1:]
+    if set(map(len, body)) != {len(header)}:
+        row = next(row for row in body if len(row) != len(header))
         raise DataError(
-            f"{path}: ragged row at line {_file_line(path, k)} "
+            f"{path}: ragged row at line {_file_line(rows, row)} "
             f"({len(row)} cells, header has {len(header)})"
         )
-    return header, rows
+    return header, body, rows
 
 
-def _file_line(path, k):
-    """File line number of body row ``k``, found by reading the file again (for messages)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv.reader(fh)
-        for index, _ in enumerate(row for row in reader if "".join(row).strip()):
-            if index == k + 1:  # non-blank row 0 is the header
-                return reader.line_num
+def _file_line(rows, row):
+    """The file line on which the reader finished ``row``, one of its ``rows``
+    (for messages): a row spans one line more than its cells hold line breaks."""
+    lines = 0
+    for read in rows:
+        text = "".join(read)
+        lines += 1 + text.count("\n") + text.count("\r") - text.count("\r\n")
+        if read is row:
+            return lines
 
 
 def _rejection(text, required):
@@ -225,17 +231,10 @@ def _rejection(text, required):
     return None
 
 
-def _cell_error(path, cell, k, col, required):
-    """The DataError for ``cell``, of body row ``k`` and column ``col``."""
-    what, note = _rejection(cell.strip(), required)
-    return DataError(f"{path}: {what} at line {_file_line(path, k)}, column {col!r}{note}")
-
-
-def _column(body, index):
-    """The cells of column ``index``, row by row."""
-    from operator import itemgetter
-
-    return map(itemgetter(index), body)
+def _cell_error(path, rows, row, index, col, required):
+    """The DataError for cell ``index`` (column ``col``) of ``row``, one of ``rows``."""
+    what, note = _rejection(row[index].strip(), required)
+    return DataError(f"{path}: {what} at line {_file_line(rows, row)}, column {col!r}{note}")
 
 
 def _floats(texts, n, required):
@@ -249,13 +248,17 @@ def _floats(texts, n, required):
 
 def _read_column(body, index, required):
     """Column ``index`` as float64 with NaN for a missing token, and None; or None and
-    the row of the first cell that ``_rejection`` rejects.  Responses are ``required``."""
-    values = _floats(_column(body, index), len(body), required)
+    the row of the first cell that ``_rejection`` rejects.  Responses are ``required``.
+
+    A column without missing tokens converts in one pass over the raw cells
+    (``float`` of a padded cell equals ``float`` of the stripped cell whenever
+    it succeeds); another column stops that pass at its first missing token
+    and is converted over the stripped cells with the tokens mapped to "nan"."""
+    values = _floats(map(itemgetter(index), body), len(body), required)
     if values is None:
-        # missing tokens such as "" and "NA" do not convert, and float() strips
-        # fewer characters than str.strip()
+        # float() strips fewer characters than str.strip()
         texts = (text if text.lower() not in MISSING_TOKENS else "nan"
-                 for text in map(str.strip, _column(body, index)))
+                 for text in map(str.strip, map(itemgetter(index), body)))
         values = _floats(texts, len(body), required)
     if values is not None:
         return values, None
@@ -291,7 +294,7 @@ def _impute_nearest(series):
     return out
 
 
-def _load_wide(spec, header, body):
+def _load_wide(spec, header, body, rows):
     col_index = {name: k for k, name in enumerate(header)}
     for name in list(spec.response_cols) + [c for grp in spec.exog_cols for c in grp]:
         if name not in col_index:
@@ -309,7 +312,7 @@ def _load_wide(spec, header, body):
         rejected = _read_block(body, col_index, names, required, out)
         if rejected is not None:
             k, j = rejected
-            raise _cell_error(spec.path, body[k][col_index[names[j]]], k, names[j], required)
+            raise _cell_error(spec.path, rows, body[k], col_index[names[j]], names[j], required)
     return Y, Z if spec.exog_cols else None
 
 
@@ -322,27 +325,16 @@ def _time_key(text):
         return (1, 0.0, text)
 
 
-def _time_order(times):
-    """The set ``times`` sorted by ``_time_key``.  When every time is a finite
-    number the order comes from one stable argsort of the text-sorted times,
-    without a key tuple per time."""
-    texts = sorted(times)
-    values = _floats(texts, len(texts), True)
-    if values is None:
-        return sorted(times, key=_time_key)
-    return [texts[k] for k in np.argsort(values, kind="stable")]
-
-
-def _ranks(body, index, order=sorted):
-    """The distinct stripped cells of column ``index`` in ``order``, and the
-    position of each row's among them."""
-    distinct = order(set(map(str.strip, _column(body, index))))
+def _ranks(body, index, key=None):
+    """The distinct stripped cells of column ``index``, sorted by ``key``, and
+    the position of each row's among them."""
+    distinct = sorted(set(map(str.strip, map(itemgetter(index), body))), key=key)
     rank = {cell: k for k, cell in enumerate(distinct)}
-    cells = map(rank.__getitem__, map(str.strip, _column(body, index)))
+    cells = map(rank.__getitem__, map(str.strip, map(itemgetter(index), body)))
     return distinct, np.fromiter(cells, dtype=np.intp, count=len(body))
 
 
-def _load_long(spec, header, body):
+def _load_long(spec, header, body, rows):
     if spec.time_col is None or spec.unit_col is None:
         raise ContractError("long layout requires time_col and unit_col")
     col_index = {name: k for k, name in enumerate(header)}
@@ -353,7 +345,7 @@ def _load_long(spec, header, body):
         if name not in col_index:
             raise DataError(f"{spec.path}: column {name!r} not found in header")
     y_col = spec.response_cols[0]
-    times, code = _ranks(body, col_index[spec.time_col], _time_order)
+    times, code = _ranks(body, col_index[spec.time_col], _time_key)
     units, unit_code = _ranks(body, col_index[spec.unit_col])
     T, m = len(times), len(units)
     code *= m
@@ -381,10 +373,10 @@ def _load_long(spec, header, body):
             t, u = divmod(int(code[k]), m)
             raise DataError(
                 f"{spec.path}: duplicate row for time {times[t]!r}, unit {units[u]!r} "
-                f"at line {_file_line(spec.path, k)}"
+                f"at line {_file_line(rows, body[k])}"
             )
         name = ([y_col] + list(spec.exog_cols))[j]
-        raise _cell_error(spec.path, body[k][col_index[name]], k, name, j == 0)
+        raise _cell_error(spec.path, rows, body[k], col_index[name], name, j == 0)
     if len(code) < T * m:
         t, u = divmod(int(np.argmin(seen)), m)
         raise DataError(
@@ -394,11 +386,11 @@ def _load_long(spec, header, body):
 
 
 def _load_arrays(spec: DatasetSpec):
-    header, body = _read_rows(spec.path)
+    header, body, rows = _read_rows(spec.path)
     if spec.layout == "wide":
-        Y, Z = _load_wide(spec, header, body)
+        Y, Z = _load_wide(spec, header, body, rows)
     else:
-        Y, Z = _load_long(spec, header, body)
+        Y, Z = _load_long(spec, header, body, rows)
     if Z is not None:
         if spec.impute == "nearest_neighbor":
             for j in range(Z.shape[1]):

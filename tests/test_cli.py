@@ -126,6 +126,29 @@ def test_wide_cell_error_names_the_file_line_after_blank_lines(tmp_path):
         parse_dataset(DatasetSpec(path=str(path), response_cols=["y1"], lags=0))
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("text, layout, message", [
+    ("t,y1\n1,1.0\n\n3,x\n", "wide", "cannot parse 'x' at line 4,"),
+    ('t,y1\n"1\n",1.0\n2,1.0,extra\n', "wide", "ragged row at line 4 "),
+    ("time,unit,y\n1,a,1.0\n\n1,a,2.0\n", "long",
+     "duplicate row for time '1', unit 'a' at line 4"),
+])
+def test_error_line_when_the_data_comes_through_a_pipe(capsys, text, layout, message):
+    """A pipe can be read only once; the line number must come from that one read."""
+    read, write = os.pipe()
+    os.write(write, text.encode())
+    os.close(write)
+    argv = ["fit", "--data", f"/dev/fd/{read}", "--layout", layout, "--response",
+            "y" if layout == "long" else "y1", "--lags", "0", "--method", "linear"]
+    if layout == "long":
+        argv += ["--time-col", "time", "--unit-col", "unit"]
+    try:
+        assert run_command(argv) == 2
+    finally:
+        os.close(read)
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cell", ["inf", " -nan ", "-Infinity", "1e999"])
 def test_wide_non_finite_response_is_data_error(tmp_path, capsys, cell):
     path = tmp_path / "non_finite.csv"
