@@ -13,7 +13,9 @@ Recorded per tree, as the median and minimum over all timed calls:
   before it);
 - one replication of the paper design (all five estimators), from a
   ``monte_carlo_study`` of 20 replications;
-- ``replicate-tables --s 50`` end to end, through the CLI entry point.
+- ``replicate-tables --s 50`` end to end, through the CLI entry point;
+- ``replicate-tables --s 500`` end to end, serial, one call per child
+  after the calls above (no warm-up of its own).
 
 This file also holds the timing harness that ``bench_kernels.py`` uses.
 The two source trees (``--baseline-src`` and ``--src``, both ``src``
@@ -183,11 +185,14 @@ def _worker(repeats, _input):
     out["paper_replication"] = [t / REPLICATIONS for t in study]
     argv = ["replicate-tables", "--s", "50", "--seed", "3", "--output", os.devnull]
     out["replicate_tables_s50"] = _time(lambda: run_command(argv), 1)
+    start = time.perf_counter()
+    run_command(["replicate-tables", "--s", "500", "--seed", "3", "--output", os.devnull])
+    out["replicate_tables_s500"] = [time.perf_counter() - start]
     return out
 
 
 if __name__ == "__main__":
-    main(__file__, _worker, "Monte Carlo harness and running-correlation kernel: one AR(2) "
-         "recursion and one eigendecomposition per block vs chunked recursions and a Cholesky "
-         "screen before the eigendecomposition",
+    main(__file__, _worker, "Monte Carlo fits: one fit per replication and estimator vs a "
+         "chunk fitted in stacks of replications (one two-step kernel pass, one stacked GEMM "
+         "per sum, one batched rank test and solve per estimator and stack)",
          "BENCH_running_corr.json", 7)

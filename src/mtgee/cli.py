@@ -317,12 +317,16 @@ def _load_wide(spec, header, body, rows):
 
 
 def _time_key(text):
-    """Numeric times first, by value and then text; then the rest by text."""
+    """Numeric times first, by value and then text; then the rest by text.
+    A numeric time that is not finite has no place in that order: ValueError."""
     text = text.strip()
     try:
-        return (0, float(text), text)
+        value = float(text)
     except ValueError:
         return (1, 0.0, text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite time value {text!r}")
+    return (0, value, text)
 
 
 def _ranks(body, index, key=None):
@@ -345,7 +349,17 @@ def _load_long(spec, header, body, rows):
         if name not in col_index:
             raise DataError(f"{spec.path}: column {name!r} not found in header")
     y_col = spec.response_cols[0]
-    times, code = _ranks(body, col_index[spec.time_col], _time_key)
+    try:
+        times, code = _ranks(body, col_index[spec.time_col], _time_key)
+    except ValueError:
+        # report the first such cell in file order, not the first the sort met
+        for row in body:
+            try:
+                _time_key(row[col_index[spec.time_col]])
+            except ValueError as exc:
+                raise DataError(f"{spec.path}: {exc} at line {_file_line(rows, row)}, "
+                                f"column {spec.time_col!r}") from None
+        raise
     units, unit_code = _ranks(body, col_index[spec.unit_col])
     T, m = len(times), len(units)
     code *= m

@@ -14,7 +14,9 @@ steps, takes exclusive prefix sums of per-step moment tensors inside each
 block (carrying the totals into the next block), and regularises a whole
 block of averages with one call of :func:`regularized_empirical`.  Prefix sums are
 accumulated step by step, so R_i depends on steps before i only and does
-not depend on the block length.
+not depend on the block length.  Every provider also takes a stack of
+series with a leading replication axis; a block then covers all of them,
+and each series' matrices are the ones it gets alone.
 
 Degenerate empirical averages (fewer residuals folded in than the cluster
 size, hence rank-deficient) fall back to the identity; near-singular
@@ -25,6 +27,8 @@ block with one batched Cholesky factorisation, which can prove that no
 matrix needs its floor, and runs the batched eigendecomposition only on a
 block that fails the screen.  The result is the same either way, bit for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -40,9 +44,10 @@ EIG_FLOOR = 1e-6
 # Frobenius norm of the matrix screened.
 SCREEN_MARGIN = 1e-10
 
-# Steps per block of the running-correlation kernel.  The two-step
-# estimator's prefix tensor holds m^2 p^2 floats per step (8 KB at m=8,
-# p=4), so this bounds the kernel's working memory to a few MB.
+# Steps per block of the running-correlation kernel, for each series of a
+# stack.  The two-step estimator's prefix tensor holds m^2 p^2 floats per
+# step (8 KB at m=8, p=4), so this bounds the kernel's working memory to a
+# few MB per series.
 BLOCK_STEPS = 64
 
 
@@ -152,36 +157,55 @@ def regularized_empirical(mats: np.ndarray, counts) -> np.ndarray:
     return out
 
 
-def running_corr(n, m, step_moments, average) -> np.ndarray:
-    """Regularised running averages R_0..R_{n-1} as an (n, m, m) array.
+def _split(slab, shapes):
+    """Views of the last axis of ``slab`` as consecutive arrays of the given
+    trailing ``shapes``, each keeping the leading axes."""
+    views, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(slab[..., at:at + size].reshape(slab.shape[:-1] + shape))
+        at += size
+    return views
 
-    ``step_moments(lo, hi)`` returns a tuple of per-step moment arrays for
-    steps lo..hi-1, each with leading axis hi - lo.  For steps i at or past
-    the warm-up, ``average(sums, counts)`` receives their exclusive prefix
-    sums (totals over steps 0..i-1, leading axis k) and the counts i, and
-    returns the (k, m, m) raw averages with a (k,) mask of the usable ones.
-    Usable averages go through :func:`regularized_empirical`; warm-up steps
-    (count < max(WARMUP_STEPS, m), where the average is necessarily
-    rank-deficient) and unusable steps get the identity.
+
+def running_corr(k, n, m, shapes, step_moments, average) -> np.ndarray:
+    """Regularised running averages R_0..R_{n-1} of k series as a (k, n, m, m) array.
+
+    Each step contributes moment arrays of the trailing ``shapes``;
+    ``step_moments(lo, hi, out)`` writes those of steps lo..hi-1 of every
+    series into ``out``, one array per shape with leading axes (k, hi - lo).
+    For the steps i at or past the warm-up, ``average(sums, counts)``
+    receives their exclusive prefix sums (totals over steps 0..i-1, leading
+    axes (k, steps)) and the counts i, and returns the (k, steps, m, m) raw
+    averages with a (k, steps) mask of the usable ones.  Usable averages go
+    through :func:`regularized_empirical`; warm-up steps (count <
+    max(WARMUP_STEPS, m), where the average is necessarily rank-deficient)
+    and unusable steps get the identity.  A block holds ``BLOCK_STEPS`` steps
+    of all k series, so one round of ``step_moments``, prefix sums,
+    ``average`` and regularisation serves every series; a single series is
+    the case k = 1.
     """
     guard = max(WARMUP_STEPS, m)
-    out = np.tile(np.eye(m), (n, 1, 1))
-    totals = None
+    out = np.tile(np.eye(m), (k, n, 1, 1))
+    width = sum(math.prod(shape) for shape in shapes)
+    total = 0.0
     for lo in range(0, n, BLOCK_STEPS):
         hi = min(lo + BLOCK_STEPS, n)
-        moments = step_moments(lo, hi)
-        if totals is None:
-            totals = [np.zeros_like(t[0]) for t in moments]
-        # row j sums steps before lo + j; the last row carries into the next block
-        sums = [np.cumsum(np.concatenate([tot[None], t]), axis=0)
-                for tot, t in zip(totals, moments)]
-        totals = [s[-1] for s in sums]
+        # a step's moments lie side by side in one slab, so that one cumsum
+        # sums them all: entry j sums the steps before lo + j, and the last
+        # entry carries into the next block
+        slab = np.empty((k, hi - lo + 1, width))
+        slab[:, 0] = total
+        step_moments(lo, hi, _split(slab[:, 1:], shapes))
+        np.cumsum(slab, axis=1, out=slab)
+        total = slab[:, -1]
         first = max(lo, guard)
         if first >= hi:  # the whole block is warm-up
             continue
         counts = np.arange(first, hi)
-        raw, usable = average([s[first - lo:-1] for s in sums], counts)
-        out[counts[usable]] = regularized_empirical(raw[usable], counts[usable])
+        raw, usable = average(_split(slab[:, first - lo:-1], shapes), counts)
+        rep, step = np.nonzero(usable)
+        out[rep, first + step] = regularized_empirical(raw[rep, step], counts[step])
     return out
 
 
@@ -198,8 +222,18 @@ def _check_spd(mat, what):
     return mat
 
 
+def _stack(arr, core):
+    """``arr`` as a stack: a single series' array (``core`` axes) gains a
+    leading axis of one, a stack of them keeps its own."""
+    return arr.reshape((-1,) + arr.shape[arr.ndim - core:])
+
+
 class CorrProvider:
-    """Base class: one m x m surrogate matrix per time step."""
+    """Base class: one m x m surrogate matrix per time step.
+
+    ``data`` may be one series or a stack of them with a leading replication
+    axis; the matrices then carry that axis too.
+    """
 
     kind = "abstract"
 
@@ -209,11 +243,11 @@ class CorrProvider:
         self.m = int(m)
 
     def realize(self, data: ClusterSeries, link: LinkSpec) -> np.ndarray:
-        """Materialize the per-step matrices as an (n, m, m) array."""
+        """Materialize the per-step matrices as an (n, m, m) array, or (k, n, m, m)."""
         raise NotImplementedError
 
     def realize_with_inverse(self, data: ClusterSeries, link: LinkSpec):
-        """The per-step matrices R_i and their inverses, each (n, m, m)."""
+        """The per-step matrices R_i and their inverses, each shaped as ``realize``'s."""
         seq = self.realize(data, link)
         return seq, np.linalg.inv(seq)
 
@@ -235,10 +269,10 @@ class FixedCorr(CorrProvider):
 
     def realize(self, data, link):
         self._check_size(data)
-        return np.broadcast_to(self.matrix, (data.n, self.m, self.m))
+        return np.broadcast_to(self.matrix, data.ys.shape + (self.m,))
 
     def realize_with_inverse(self, data, link):
-        # one m x m inverse, broadcast over the steps
+        # one m x m inverse, broadcast over the steps (and replications)
         seq = self.realize(data, link)
         return seq, np.broadcast_to(np.linalg.inv(self.matrix), seq.shape)
 
@@ -275,12 +309,17 @@ class EmpiricalRunningCorr(CorrProvider):
                 "working-independence estimate)"
             )
         _, _, eps = moment_arrays(data.Xs, data.ys, self.plugin_beta, link)
-        return running_corr(
+        eps = _stack(eps, 2)
+        seq = running_corr(
+            len(eps),
             data.n,
             self.m,
-            lambda lo, hi: (eps[lo:hi, :, None] * eps[lo:hi, None, :],),
-            lambda sums, counts: (sums[0] / counts[:, None, None], np.ones(counts.size, bool)),
+            [(self.m, self.m)],
+            lambda lo, hi, out: np.multiply(eps[:, lo:hi, :, None], eps[:, lo:hi, None, :],
+                                            out=out[0]),
+            lambda sums, counts: (sums[0] / counts[:, None, None], np.ones(sums[0].shape[:2], bool)),
         )
+        return seq.reshape(data.ys.shape + (self.m,))
 
 
 class TwoStepCorr(CorrProvider):
@@ -295,7 +334,8 @@ class TwoStepCorr(CorrProvider):
 
     With b = b_i, sum_l (y_l - X_l b)(y_l - X_l b)' expands into prefix sums
     of per-step moment tensors, so :func:`running_corr` builds the whole
-    sequence block by block, with one batched solve for the b of a block.
+    sequence block by block, with one batched solve for the b of a block
+    (of every series of a stack).
     """
 
     kind = "two_step_empirical"
@@ -306,39 +346,42 @@ class TwoStepCorr(CorrProvider):
             raise ContractError("the two-step correlation requires the identity link")
         if data.n < 3:
             raise ContractError(f"two-step procedure needs n >= 3, got {data.n}")
-        Xs, ys = data.Xs, data.ys
+        Xs, ys = _stack(data.Xs, 3), _stack(data.ys, 2)
+        m, p = self.m, data.p
+        # x'x, x'y, y y', y (x) x and x (x) x of each step
+        shapes = [(p, p), (p,), (m, m), (m, m, p), (m, p, m, p)]
 
-        def step_moments(lo, hi):
-            x, y = Xs[lo:hi], ys[lo:hi]
-            return (
-                np.swapaxes(x, 1, 2) @ x,
-                (np.swapaxes(x, 1, 2) @ y[:, :, None])[:, :, 0],
-                y[:, :, None] * y[:, None, :],
-                y[:, :, None, None] * x[:, None, :, :],
-                x[:, :, :, None, None] * x[:, None, None, :, :],
-            )
+        def step_moments(lo, hi, out):
+            x, y = Xs[:, lo:hi], ys[:, lo:hi]
+            xt = np.swapaxes(x, -1, -2)
+            np.matmul(xt, x, out=out[0])
+            np.matmul(xt, y[..., None], out=out[1][..., None])
+            np.multiply(y[..., :, None], y[..., None, :], out=out[2])
+            np.multiply(y[..., :, None, None], x[..., None, :, :], out=out[3])
+            np.multiply(x[..., :, :, None, None], x[..., None, None, :, :], out=out[4])
 
         def average(sums, counts):
             sxx, sxy, syy, t1, t2 = sums
             try:
-                b = np.linalg.solve(sxx, sxy[:, :, None])[:, :, 0]
+                b = np.linalg.solve(sxx, sxy[..., None])[..., 0]
             except np.linalg.LinAlgError:
                 # one singular step fails the whole batch; it alone gets the identity
                 b = np.full(sxy.shape, np.nan)
-                for j in range(len(counts)):
+                for j in np.ndindex(b.shape[:-1]):
                     try:
                         b[j] = np.linalg.solve(sxx[j], sxy[j])
                     except np.linalg.LinAlgError:
                         pass
-            usable = np.all(np.isfinite(b), axis=1)
+            usable = np.all(np.isfinite(b), axis=-1)
             b[~usable] = 0.0
-            c1 = (t1 @ b[:, None, :, None])[..., 0]
-            t2_b = (t2.reshape(len(b), -1, b.shape[1]) @ b[:, :, None]).reshape(t2.shape[:-1])
-            quad = (b[:, None, None, :] @ t2_b)[:, :, 0, :]
-            raw = (syy - c1 - np.swapaxes(c1, 1, 2) + quad) / counts[:, None, None]
+            c1 = (t1.reshape(*b.shape[:-1], -1, p) @ b[..., None]).reshape(t1.shape[:-1])
+            t2_b = (t2.reshape(*b.shape[:-1], -1, p) @ b[..., None]).reshape(t2.shape[:-1])
+            quad = (b[..., None, None, :] @ t2_b)[..., 0, :]
+            raw = (syy - c1 - np.swapaxes(c1, -1, -2) + quad) / counts[:, None, None]
             return raw, usable
 
-        return running_corr(data.n, self.m, step_moments, average)
+        seq = running_corr(len(ys), data.n, m, shapes, step_moments, average)
+        return seq.reshape(data.ys.shape + (self.m,))
 
 
 def independence(m: int) -> FixedCorr:

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ContractError, NumericalError, RankDeficiencyError
-from .estfun import EstimatingContext, _check_rank, _rows, fit, weighted_design
+from .estfun import EstimatingContext, _check_rank, _gram, fit, weighted_design
 from .model import moment_arrays
 from .simgen import substream
 
@@ -76,7 +76,7 @@ def _running_gram(left, right, pts):
     out = np.empty((len(pts), left.shape[-1], right.shape[-1]))
     running, prev = 0.0, 0
     for k, pt in enumerate(pts):
-        running = running + _rows(left[prev:pt]).T @ _rows(right[prev:pt])
+        running = running + _gram(left[prev:pt], right[prev:pt])
         out[k] = running
         prev = pt
     return out
@@ -193,7 +193,7 @@ def leverage(ctx: EstimatingContext, beta_hat) -> LeverageStats:
     regressor rows, and a' = lambda_max(H'_n) * gamma'.
     """
     xa = _information_design(ctx, beta_hat)
-    h_mat = _rows(xa).T @ _rows(xa)
+    h_mat = _gram(xa, xa)
     w = np.linalg.eigvalsh(h_mat)
     _check_rank(w, f"cumulative information is singular (lambda_min={float(w[0])!r})")
     hinv = np.linalg.inv(h_mat)

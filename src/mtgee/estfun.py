@@ -58,29 +58,49 @@ class EstimatingContext:
         return EstimatingContext(data=data, link=self.link, corr=self.corr)
 
 
-def _check_beta(ctx, beta):
+def _check_beta(ctx, beta, failed=None):
+    """``beta`` as float64, one (p,) row per series of ``ctx.data``.  A
+    non-finite row is a ContractError, or, with ``failed``, a row already
+    flagged there (a replication whose fit failed)."""
     beta = np.asarray(beta, dtype=np.float64)
-    if beta.shape != (ctx.data.p,):
-        raise ContractError(f"beta has shape {beta.shape}, expected ({ctx.data.p},)")
-    if not np.all(np.isfinite(beta)):
+    want = ctx.data.ys.shape[:-2] + (ctx.data.p,)
+    if beta.shape != want:
+        raise ContractError(f"beta has shape {beta.shape}, expected {want}")
+    finite = np.isfinite(beta).all(axis=-1)
+    if not np.all(finite if failed is None else finite | failed):
         raise ContractError("beta must be finite")
     return beta
 
 
 def weighted_design(Xs, a, rinv):
-    """Per-step designs A_i^{1/2} X_i and R_i^{-1} A_i^{1/2} X_i, both (n, m, p).
+    """Per-step designs A_i^{1/2} X_i and R_i^{-1} A_i^{1/2} X_i, both (n, m, p),
+    or (k, n, m, p) for a stack of series.
 
     ``a=None`` means A_i = I.  Every sum over steps of these products is one
-    GEMM over the flattened (n*m, p) rows; ``rinv`` may be a stride-0
-    broadcast of one matrix.
+    GEMM per series over the flattened (n*m, p) rows (:func:`_gram`).
+    ``rinv`` may be a stride-0 broadcast of one matrix (a fixed pattern);
+    then R^{-1} A^{1/2} X is one GEMM over all steps, not one per step.
     """
-    xa = Xs if a is None else Xs * np.sqrt(a)[:, :, None]
-    return xa, rinv @ xa
+    xa = Xs if a is None else Xs * np.sqrt(a)[..., None]
+    # numpy runs a one-column product per step as a matrix-vector product,
+    # whose rounding the GEMM does not reproduce
+    if any(rinv.strides[:-2]) or xa.shape[-1] == 1:
+        return xa, rinv @ xa
+    m = rinv.shape[-1]
+    rows = np.swapaxes(xa, -1, -2).reshape(-1, m) @ rinv[(0,) * (rinv.ndim - 2)].T
+    rinv_xa = np.swapaxes(rows.reshape(xa.shape[:-2] + (xa.shape[-1], m)), -1, -2)
+    return xa, np.ascontiguousarray(rinv_xa)
 
 
 def _rows(arr):
-    """(n, m, k) -> (n*m, k), so a sum over steps and units is one GEMM."""
-    return arr.reshape(-1, arr.shape[-1])
+    """(..., n, m, k) -> (..., n*m, k), so a sum over steps and units is one GEMM."""
+    return arr.reshape(arr.shape[:-3] + (-1, arr.shape[-1]))
+
+
+def _gram(left, right):
+    """sum_i left_i' right_i over the steps of (..., n, m, p) and (..., n, m, q)
+    arrays: one (p, n*m) x (n*m, q) GEMM per series."""
+    return np.swapaxes(_rows(left), -1, -2) @ _rows(right)
 
 
 def eval_g(ctx: EstimatingContext, beta) -> np.ndarray:
@@ -104,7 +124,7 @@ def eval_jacobian(ctx: EstimatingContext, beta) -> np.ndarray:
     _, a, eps = moment_arrays(Xs, ys, beta, ctx.link)
     rinv = ctx.corr_inverses()
     xa, rinv_xa = weighted_design(Xs, a, rinv)
-    d_mat = _rows(xa).T @ _rows(rinv_xa)
+    d_mat = _gram(xa, rinv_xa)
     if ctx.link.kind == "identity":
         return d_mat
 
@@ -113,8 +133,8 @@ def eval_jacobian(ctx: EstimatingContext, beta) -> np.ndarray:
     # X' B D_l r = (R^{-1} A^{1/2} X)' diag(d eps) X by the symmetry of R^{-1}
     d = ctx.link.d2(Xs @ beta) / (2.0 * a)
     w = np.sqrt(a) * (rinv @ eps[:, :, None])[:, :, 0]  # B r
-    corr1 = _rows(Xs).T @ _rows((d * w)[:, :, None] * Xs)
-    corr2 = _rows(rinv_xa).T @ _rows((d * eps)[:, :, None] * Xs)
+    corr1 = _gram(Xs, (d * w)[:, :, None] * Xs)
+    corr2 = _gram(rinv_xa, (d * eps)[:, :, None] * Xs)
     return d_mat - corr1 + corr2
 
 
@@ -129,26 +149,64 @@ class SolveReport:
     trace: list
 
 
+def _rank_deficient(w):
+    """Whether ascending eigenvalues ``w`` (..., p) of symmetric p x p matrices
+    fail lambda_min > lambda_max * p * eps (NaN fails)."""
+    return ~(w[..., 0] > np.maximum(0.0, w[..., -1] * w.shape[-1] * np.finfo(np.float64).eps))
+
+
 def _check_rank(w, message):
-    """Raise RankDeficiencyError(message) unless the ascending eigenvalues
-    ``w`` of a symmetric p x p matrix have lambda_min > lambda_max * p * eps."""
-    if w[0] <= max(0.0, w[-1] * w.size * np.finfo(np.float64).eps):
+    """Raise RankDeficiencyError(message) if the ascending eigenvalues ``w``
+    of one symmetric p x p matrix are rank deficient."""
+    if _rank_deficient(w):
         raise RankDeficiencyError(message, lambda_min=float(w[0]))
 
 
-def solve_linear(ctx: EstimatingContext) -> np.ndarray:
+def _rank_test(mats, what, failed=None):
+    """The mask of the symmetric p x p matrices of a stack (..., p, p) that are
+    finite and pass the rank test, with one batched ``eigvalsh``.
+
+    Without ``failed`` the first that does not pass raises: NumericalError if
+    it is not finite, else RankDeficiencyError.  With it, a bool array of the
+    stack's shape, each is flagged there instead.
+    """
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    w = np.full(mats.shape[:-1], np.nan)
+    w[finite] = np.linalg.eigvalsh(mats[finite])
+    bad = _rank_deficient(w)
+    if failed is not None:
+        failed |= bad
+    elif bad.any():
+        first = np.unravel_index(np.argmax(bad), bad.shape)
+        if not finite[first]:
+            raise NumericalError(f"{what} is not finite")
+        lam = float(w[first][0])
+        raise RankDeficiencyError(f"{what} is rank deficient (lambda_min={lam!r})", lambda_min=lam)
+    return ~bad
+
+
+def solve_linear(ctx: EstimatingContext, failed=None) -> np.ndarray:
     """Closed-form root for the identity link:
-    (sum X' R^{-1} X)^{-1} sum X' R^{-1} y."""
+    (sum X' R^{-1} X)^{-1} sum X' R^{-1} y.
+
+    For a stack of series the roots are (k, p), from one stacked GEMM each
+    for the normal matrices and the right-hand sides, one batched rank test
+    and one batched solve.  A normal matrix that is not finite or fails the
+    rank test raises (:func:`_rank_test`), or, with ``failed``, is flagged
+    there and its root is NaN.
+    """
     if ctx.link.kind != "identity":
         raise ContractError(
             f"solve_linear requires the identity link, got {ctx.link.kind!r}"
         )
     data = ctx.data
     _, rinv_x = weighted_design(data.Xs, None, ctx.corr_inverses())
-    k_mat = _rows(data.Xs).T @ _rows(rinv_x)
-    w = np.linalg.eigvalsh(k_mat)
-    _check_rank(w, f"normal matrix is rank deficient (lambda_min={float(w[0])!r})")
-    return np.linalg.solve(k_mat, _rows(rinv_x).T @ data.ys.reshape(-1))
+    k_mat = _gram(data.Xs, rinv_x)
+    ok = _rank_test(k_mat, "normal matrix", failed)
+    rhs = _gram(rinv_x, data.ys[..., None])
+    beta = np.full(k_mat.shape[:-1], np.nan)
+    beta[ok] = np.linalg.solve(k_mat[ok], rhs[ok])[..., 0]
+    return beta
 
 
 def solve_newton(
@@ -275,7 +333,7 @@ class FitResult:
     solver: Optional[SolveReport] = None  # the Newton report; None for closed forms
     se: Optional[np.ndarray] = None
     psi: Optional[np.ndarray] = None
-    cis: Optional[np.ndarray] = None  # (p, 2) per-component intervals
+    cis: Optional[np.ndarray] = None  # (p, 2) per-component intervals, (k, p, 2) for a stack
 
 
 def fit(
@@ -286,6 +344,7 @@ def fit(
     tol: float = 1e-8,
     max_iter: int = 50,
     with_inference: bool = True,
+    failed=None,
 ) -> FitResult:
     """Dispatch to a solver and attach the sandwich-based inference bundle.
 
@@ -293,11 +352,21 @@ def fit(
     require the identity link.  ``two_step`` is the closed form with the
     two-step provider in place of ``ctx.corr``.  An unresolved empirical
     provider gets its plug-in beta from the working-independence estimate.
+
+    The closed forms also fit a stack of series (``ctx.data`` with a leading
+    replication axis) in one pass, every result with that axis.  With
+    ``failed``, a bool array of the stack's shape, a replication whose
+    normal matrix or sandwich bread is not finite or rank deficient is
+    flagged there, with NaN results, instead of raising.
     """
     from . import inference  # local import avoids a cycle at module load
 
     if not (0.0 < level < 1.0):
         raise ContractError(f"level must be in (0, 1), got {level}")
+    if ctx.data.ys.ndim > 2 and (method == "newton" or isinstance(
+            ctx.corr, corrmod.EmpiricalRunningCorr)):
+        raise ContractError("a stack of series is fitted by a closed form with a "
+                            "fixed or two-step correlation")
     if method == "two_step":
         ctx = EstimatingContext(data=ctx.data, link=ctx.link, corr=corrmod.two_step(ctx.data.m))
     elif isinstance(ctx.corr, corrmod.EmpiricalRunningCorr) and ctx.corr.plugin_beta is None:
@@ -306,7 +375,7 @@ def fit(
                                 corr=corrmod.empirical_running(ctx.corr.m, plugin))
     solver = None
     if method in ("linear", "two_step"):
-        beta = solve_linear(ctx)
+        beta = solve_linear(ctx, failed)
     elif method == "newton":
         solver = solve_newton(ctx, beta_init=beta_init, tol=tol, max_iter=max_iter)
         beta = solver.beta_hat
@@ -315,7 +384,7 @@ def fit(
 
     result = FitResult(beta_hat=beta, ctx=ctx, level=level, solver=solver)
     if with_inference:
-        est = inference.sandwich(ctx, beta)
+        est = inference.sandwich(ctx, beta, failed)
         result.se, result.psi = est.se, est.psi
         result.cis = inference.component_intervals(est, beta, level)
     return result

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .estfun import EstimatingContext, _check_beta, _check_rank, _rows, weighted_design
+from .estfun import EstimatingContext, _check_beta, _gram, _rank_test, weighted_design
 from .model import LinkSpec, moment_arrays
 
 
@@ -29,27 +29,36 @@ class SandwichEstimate:
     se: np.ndarray
 
 
-def sandwich_from_arrays(Xs, a, eps, rinv) -> SandwichEstimate:
-    """Sandwich pieces from precomputed per-step arrays (see module docstring)."""
-    xa, rinv_xa = weighted_design(Xs, a, rinv)
-    h_mat = _rows(xa).T @ _rows(rinv_xa)
-    scores = (eps[:, None, :] @ rinv_xa)[:, 0, :]
-    m_mat = scores.T @ scores
+def sandwich_from_arrays(Xs, a, eps, rinv, failed=None) -> SandwichEstimate:
+    """Sandwich pieces from precomputed per-step arrays (see module docstring).
 
-    w = np.linalg.eigvalsh(h_mat)
-    _check_rank(w, f"sandwich bread is rank deficient (lambda_min={float(w[0])!r})")
-    hinv_m = np.linalg.solve(h_mat, m_mat)
-    psi = np.linalg.solve(h_mat, hinv_m.T)
-    psi = 0.5 * (psi + psi.T)
-    se = np.sqrt(np.maximum(np.diag(psi), 0.0))
+    The arrays may be stacks of series with a leading replication axis; each
+    piece then has it too, from one stacked GEMM per sum, one batched rank
+    test of the breads and one batched solve.  A bread that is not finite or
+    fails the rank test raises, or, with ``failed``, is flagged there and
+    its psi and se are NaN (see ``estfun._rank_test``).
+    """
+    xa, rinv_xa = weighted_design(Xs, a, rinv)
+    h_mat = _gram(xa, rinv_xa)
+    scores = (eps[..., None, :] @ rinv_xa)[..., 0, :]
+    m_mat = np.swapaxes(scores, -1, -2) @ scores
+
+    ok = _rank_test(h_mat, "sandwich bread", failed)
+    psi = np.full(h_mat.shape, np.nan)
+    hinv_m = np.linalg.solve(h_mat[ok], m_mat[ok])
+    psi[ok] = np.linalg.solve(h_mat[ok], np.swapaxes(hinv_m, -1, -2))
+    psi = 0.5 * (psi + np.swapaxes(psi, -1, -2))
+    se = np.sqrt(np.maximum(np.diagonal(psi, axis1=-2, axis2=-1), 0.0))
     return SandwichEstimate(h_mat=h_mat, m_mat=m_mat, psi=psi, se=se)
 
 
-def sandwich(ctx: EstimatingContext, beta_hat) -> SandwichEstimate:
-    """Sandwich covariance of beta_hat under the context's working correlation."""
-    beta_hat = _check_beta(ctx, beta_hat)
+def sandwich(ctx: EstimatingContext, beta_hat, failed=None) -> SandwichEstimate:
+    """Sandwich covariance of beta_hat under the context's working correlation;
+    ``failed`` as in :func:`sandwich_from_arrays`, where a replication already
+    flagged may have a NaN beta."""
+    beta_hat = _check_beta(ctx, beta_hat, failed)
     _, a, eps = moment_arrays(ctx.data.Xs, ctx.data.ys, beta_hat, ctx.link)
-    return sandwich_from_arrays(ctx.data.Xs, a, eps, ctx.corr_inverses())
+    return sandwich_from_arrays(ctx.data.Xs, a, eps, ctx.corr_inverses(), failed)
 
 
 # Acklam's rational approximation to the standard-normal quantile, followed
@@ -94,11 +103,11 @@ def normal_quantile(q: float) -> float:
 
 
 def component_intervals(est: SandwichEstimate, beta_hat, level: float = 0.95) -> np.ndarray:
-    """Per-component intervals, stacked as a (p, 2) array."""
+    """Per-component intervals, stacked as a (p, 2) array, or (k, p, 2) for a stack."""
     beta_hat = np.asarray(beta_hat, dtype=np.float64)
     c = normal_quantile(1.0 - (1.0 - level) / 2.0)
     half = c * est.se
-    return np.column_stack([beta_hat - half, beta_hat + half])
+    return np.stack([beta_hat - half, beta_hat + half], axis=-1)
 
 
 def predict_next(X_next, beta_hat, link: LinkSpec) -> np.ndarray:

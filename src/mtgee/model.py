@@ -119,8 +119,10 @@ class ClusterSeries:
     """An ordered sequence of (y_i, X_i) pairs with constant cluster size.
 
     ``ys`` has shape (n, m) and ``Xs`` shape (n, m, p); index order is time
-    order.  Construction does not (cannot) verify the measurability contract
-    that row j of X_i uses only information prior to y_i; generators and the
+    order.  A stack of k series of one shape, as the Monte Carlo harness fits
+    them, has a leading replication axis: ys (k, n, m) and Xs (k, n, m, p).
+    Construction does not (cannot) verify the measurability contract that
+    row j of X_i uses only information prior to y_i; generators and the
     dataset loader are responsible for honouring it.  Arrays are frozen
     read-only so instances are safe to share across workers.
     """
@@ -133,15 +135,16 @@ class ClusterSeries:
         # private copies so freezing never mutates caller-owned arrays
         ys = np.array(self.ys, dtype=np.float64, order="C")
         Xs = np.array(self.Xs, dtype=np.float64, order="C")
-        if ys.ndim != 2 or Xs.ndim != 3:
+        if ys.ndim not in (2, 3) or Xs.ndim != ys.ndim + 1:
             raise ContractError(
-                f"ClusterSeries expects ys (n,m) and Xs (n,m,p); got {ys.shape}, {Xs.shape}"
+                f"ClusterSeries expects ys (n,m) and Xs (n,m,p), or a stack (k,n,m) and "
+                f"(k,n,m,p); got {ys.shape}, {Xs.shape}"
             )
-        if Xs.shape[:2] != ys.shape:
+        if Xs.shape[:-1] != ys.shape:
             raise ContractError(
                 f"ClusterSeries shapes disagree: ys {ys.shape}, Xs {Xs.shape}"
             )
-        if ys.shape[0] == 0:
+        if ys.shape[-2] == 0:
             raise ContractError("ClusterSeries needs at least one time step")
         if not (np.all(np.isfinite(ys)) and np.all(np.isfinite(Xs))):
             raise ContractError("ClusterSeries entries must be finite")
@@ -156,15 +159,15 @@ class ClusterSeries:
 
     @property
     def n(self) -> int:
-        return self.ys.shape[0]
+        return self.ys.shape[-2]
 
     @property
     def m(self) -> int:
-        return self.ys.shape[1]
+        return self.ys.shape[-1]
 
     @property
     def p(self) -> int:
-        return self.Xs.shape[2]
+        return self.Xs.shape[-1]
 
     def with_regressors(self, Xs_new) -> "ClusterSeries":
         """Copy of the series with X_i replaced (used by perturbation studies)."""
@@ -176,18 +179,21 @@ def moment_arrays(Xs, ys, beta, link):
 
     Parameters
     ----------
-    Xs : ndarray (n, m, p)
-    ys : ndarray (n, m)
-    beta : ndarray (p,)
+    Xs : ndarray (n, m, p), or (k, n, m, p) for a stack of series
+    ys : ndarray (n, m), or (k, n, m)
+    beta : ndarray (p,), or (k, p): one row per series of a stack
     link : LinkSpec
 
     Returns
     -------
-    mu, a, eps : ndarrays of shape (n, m); a holds the mu' diagonal entries
+    mu, a, eps : ndarrays shaped as ys; a holds the mu' diagonal entries
     and eps the A^{-1/2}-standardized residuals.
     """
     beta = np.asarray(beta, dtype=np.float64)
-    thetas = Xs @ beta
+    if Xs.shape[-2] > 1:  # one matrix-vector product per series over its (n*m, p) rows
+        thetas = (Xs.reshape(Xs.shape[:-3] + (-1, Xs.shape[-1])) @ beta[..., None]).reshape(ys.shape)
+    else:  # numpy runs a one-row product per step as a dot product, which rounds differently
+        thetas = (Xs @ beta[..., None, :, None])[..., 0]
     mu = link.eval(thetas)
     a = link.d1(thetas)
     if np.any(a <= 0.0):

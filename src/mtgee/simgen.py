@@ -14,13 +14,20 @@ runs produce identical output.
 
 The harness works in chunks of at most ``CHUNK_REPS`` replications.
 :func:`generate_ar2` simulates a chunk in one recursion over (chunk, m)
-slices; each replication still draws its innovations from its own
-substream, so its series is bit-identical to a one-replication call.  A
-serial study walks the chunks in order, and ``parallel=True`` maps them
-over a process pool, at least one chunk per worker; both give the same
-estimates, whatever the chunk length, and raise the same
-InstabilityError: the first exploding replication's, at its first step past
-the guard.
+slices and returns it as one stacked series; each replication still draws
+its innovations from its own substream, so its series is bit-identical to a
+one-replication call.  The chunk is fitted in stacks of replications (a
+leading axis on every array): per estimator and stack, one realization of
+the working correlation (one m x m inverse for a fixed pattern, one pass of
+the two-step kernel), one stacked GEMM per normal matrix and sandwich sum,
+one batched rank test and one batched solve.  Every per-replication
+operation is the one a single series runs, so the estimates are
+bit-identical to one fit per replication, and a replication that fails
+numerically is flagged alone.  A serial study walks the chunks in order,
+and ``parallel=True`` maps them over a process pool, at least one chunk
+per worker; both give the same estimates, whatever the chunk length, and
+raise the same InstabilityError: the first exploding replication's, at its
+first step past the guard.
 """
 
 import functools
@@ -37,8 +44,10 @@ from .model import ClusterSeries, get_link
 
 EXPLOSION_GUARD = 1e6
 
-# Replications simulated in one AR(2) recursion and fitted together: one chunk
-# of the paper design (n=500, m=5) holds about 2.5 MB of series, whatever s is.
+# Replications simulated in one AR(2) recursion and fitted together, whatever
+# s is.  At the paper design (n=500, m=5) a chunk's series take 1.9 MB, and a
+# chunk's traced working set peaks at 3.6 MB: the series, a copy of one stack
+# of 4 replications (see _replications) and the two-step fit of that stack.
 CHUNK_REPS = 32
 
 CORR_KIND_ALIASES = {
@@ -89,7 +98,8 @@ def generate_ar2(design: SimDesign, rep=0):
     """Simulate the design; deterministic given (design.seed, rep).
 
     ``rep`` is one replication index, giving its ClusterSeries, or a range
-    of indices, giving a list of them in order.  A range runs one recursion
+    of indices, giving one ClusterSeries that stacks them in order (ys
+    (len(rep), n, m), Xs (len(rep), n, m, 2)).  A range runs one recursion
     over (len(rep), m) slices; each replication draws its innovations from
     its own substream, so every series is bit-identical to a one-index call.
 
@@ -118,16 +128,17 @@ def generate_ar2(design: SimDesign, rep=0):
         # a step whose max is NaN does not count, as for np.max of one step
         exceeded = np.max(np.abs(ys[2:]), axis=2) > EXPLOSION_GUARD
 
-    series = []
     for j in range(k):
         if exceeded[:, j].any():
             step = int(np.argmax(exceeded[:, j]))
             raise InstabilityError(
                 f"simulated series exceeded {EXPLOSION_GUARD:g} at step {step}", step=step
             )
-        Xs = np.stack([ys[1:-1, j], ys[:-2, j]], axis=2)
-        series.append(ClusterSeries(ys=ys[2:, j], Xs=Xs))
-    return series if isinstance(rep, range) else series[0]
+    ys = np.moveaxis(ys, 1, 0) if isinstance(rep, range) else ys[:, 0]
+    # views of the recursion's rows, copied once by ClusterSeries: window i
+    # of the lags holds (y_{i-2}, y_{i-1}), reversed to newest first
+    lags = np.lib.stride_tricks.sliding_window_view(ys[..., :-1, :], 2, axis=-2)
+    return ClusterSeries(ys=ys[..., 2:, :], Xs=lags[..., ::-1])
 
 
 @dataclass(frozen=True)
@@ -157,6 +168,7 @@ def default_estimators(alpha: float = 0.7) -> list:
 
 _IDENTITY_LINK = get_link("identity")
 
+
 # EstimatorSpec.kind -> working correlation provider, from (spec, truth, m)
 _PROVIDERS = {
     "fixed": lambda spec, truth, m: corrmod.FixedCorr(
@@ -166,29 +178,42 @@ _PROVIDERS = {
 }
 
 
-def _fit_single(data: ClusterSeries, spec: EstimatorSpec, truth: np.ndarray, level: float):
-    """Fit one estimator and its per-component CI bounds on one replication."""
-    if spec.kind not in _PROVIDERS:
-        raise ContractError(f"unknown estimator kind {spec.kind!r}")
-    provider = _PROVIDERS[spec.kind](spec, truth, data.m)
-    ctx = EstimatingContext(data=data, link=_IDENTITY_LINK, corr=provider)
-    result = fit(ctx, "linear", level=level)
-    return result.beta_hat, result.cis[:, 0], result.cis[:, 1]
-
-
 def _replications(design: SimDesign, specs, level: float, reps: range):
     """Estimates, CI bounds and failure flags of every estimator on a chunk of
-    replications, as arrays with leading axis len(reps)."""
+    replications, as arrays with leading axis len(reps).
+
+    The chunk is fitted in stacks of replications, each estimator with one
+    realization of its provider per stack.  A replication whose fit fails
+    numerically is flagged; its neighbours in the stack are unaffected.
+    """
     truth = true_correlation(design)
-    shape = (len(reps), len(specs), len(design.beta0))
+    providers = []
+    for spec in specs:
+        if spec.kind not in _PROVIDERS:
+            raise ContractError(f"unknown estimator kind {spec.kind!r}")
+        try:
+            providers.append(_PROVIDERS[spec.kind](spec, truth, design.m))
+        except NumericalError:  # a pattern that is not positive definite fails every fit
+            providers.append(None)
+    chunk = generate_ar2(design, reps)
+    shape = (len(reps), len(specs), chunk.p)
     betas, los, his = np.full(shape, np.nan), np.full(shape, np.nan), np.full(shape, np.nan)
     failed = np.zeros(shape[:2], dtype=bool)
-    for r, data in enumerate(generate_ar2(design, reps)):
-        for j, spec in enumerate(specs):
-            try:
-                betas[r, j], los[r, j], his[r, j] = _fit_single(data, spec, truth, level)
-            except NumericalError:
-                failed[r, j] = True
+    failed[:, [provider is None for provider in providers]] = True
+    # a two-step fit holds R_i and R_i^{-1} for every step of its stack, so a
+    # stack holds at most CHUNK_REPS * BLOCK_STEPS (replication, step) rows:
+    # 0.8 MB of both at m=5, a stack of 4 at n=500
+    size = max(1, CHUNK_REPS * corrmod.BLOCK_STEPS // design.n)
+    for lo in range(0, len(reps), size):
+        at = slice(lo, lo + size)
+        data = ClusterSeries(ys=chunk.ys[at], Xs=chunk.Xs[at])
+        for j, provider in enumerate(providers):
+            if provider is None:
+                continue
+            ctx = EstimatingContext(data=data, link=_IDENTITY_LINK, corr=provider)
+            result = fit(ctx, "linear", level=level, failed=failed[at, j])
+            betas[at, j] = result.beta_hat
+            los[at, j], his[at, j] = result.cis[..., 0], result.cis[..., 1]
     return betas, los, his, failed
 
 

@@ -230,12 +230,16 @@ def _impute_nearest(series):
 
 
 def time_key(text):
-    """Numbers first, by value and then text; then the rest by text."""
+    """Numbers first, by value and then text; then the rest by text.  A
+    non-finite number has no place in that order: ValueError."""
     text = text.strip()
     try:
-        return (0, float(text), text)
+        value = float(text)
     except ValueError:
         return (1, 0.0, text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite time value {text!r}")
+    return (0, value, text)
 
 
 def _load_wide(spec, header, body, lines):
@@ -276,6 +280,11 @@ def _load_long(spec, header, body, lines):
             raise DataError(f"{spec.path}: column {name!r} not found in header")
     t_idx, u_idx = col_index[spec.time_col], col_index[spec.unit_col]
     y_col = spec.response_cols[0]
+    for lineno, row in zip(lines, body):
+        try:
+            time_key(row[t_idx])
+        except ValueError as exc:
+            raise DataError(f"{spec.path}: {exc} at line {lineno}, column {spec.time_col!r}") from None
     times = sorted({row[t_idx].strip() for row in body}, key=time_key)
     units = sorted({row[u_idx].strip() for row in body})
     t_pos = {t: k for k, t in enumerate(times)}

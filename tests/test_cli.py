@@ -185,6 +185,19 @@ def test_long_non_finite_response_is_data_error(tmp_path):
         parse_dataset(spec)
 
 
+@pytest.mark.parametrize("cell", ["nan", " inf", "-Infinity", "1e999"])
+def test_long_non_finite_time_is_data_error(tmp_path, capsys, cell):
+    # a NaN time key made the time order depend on the string hash seed; the
+    # first such cell in file order is reported (line 4, not line 6)
+    path = tmp_path / "long_time.csv"
+    path.write_text(f"time,unit,y\n1,a,1.0\n1,b,2.0\n{cell},a,1.5\n2,b,2.5\n{cell},b,1.7\n")
+    argv = ["fit", "--data", str(path), "--layout", "long", "--response", "y",
+            "--time-col", "time", "--unit-col", "unit", "--lags", "0", "--method", "linear"]
+    assert run_command(argv) == 2
+    want = f"non-finite time value {cell.strip()!r} at line 4, column 'time'"
+    assert capsys.readouterr().err == f"data error: {path}: {want}\n"
+
+
 def test_responses_never_modified_by_imputation(wide_file):
     series = parse_dataset(wide_spec(wide_file))
     raw = np.array([[2.0, 3.0, 4.0], [2.5, 3.5, 4.5], [3.0, 4.0, 5.0]])
@@ -420,6 +433,16 @@ def test_cli_non_finite_output_exit_3(capsys):
         assert run_command(argv) == 3
     assert capsys.readouterr().err.endswith(
         "numerical failure: cannot serialize non-finite float to JSON\n")
+
+
+def test_cli_overflowing_refit_is_a_numerical_failure_exit_3(capsys):
+    # a budget of 1e200 overflows the two-step refit's normal matrix to inf;
+    # its rank test rejects it instead of handing it to eigvalsh
+    argv = ["diagnose", "--data", FIXTURE, "--response", "wind_s1,wind_s2,wind_s3",
+            "--d-grid", "0,1e200"]
+    with np.errstate(all="ignore"):
+        assert run_command(argv) == 3
+    assert capsys.readouterr().err == "numerical failure: normal matrix is not finite\n"
 
 
 def test_cli_simulate_non_finite_beta0_exit_1(capsys):

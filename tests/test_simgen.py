@@ -142,11 +142,12 @@ def _first_instability(design, reps):
 ])
 def test_chunk_matches_one_replication_oracle(design, reps):
     chunk = generate_ar2(design, reps)
-    assert len(chunk) == len(reps)
-    for rep, data in zip(reps, chunk):
+    assert chunk.ys.shape == (len(reps), design.n, design.m)
+    assert chunk.Xs.shape == (len(reps), design.n, design.m, 2)
+    for j, rep in enumerate(reps):
         want = loop_generate_ar2(design, rep)
         one = generate_ar2(design, rep)
-        assert np.array_equal(data.ys, want.ys) and np.array_equal(data.Xs, want.Xs)
+        assert np.array_equal(chunk.ys[j], want.ys) and np.array_equal(chunk.Xs[j], want.Xs)
         assert np.array_equal(one.ys, want.ys) and np.array_equal(one.Xs, want.Xs)
 
 
