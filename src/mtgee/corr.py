@@ -246,10 +246,9 @@ class CorrProvider:
         """Materialize the per-step matrices as an (n, m, m) array, or (k, n, m, m)."""
         raise NotImplementedError
 
-    def realize_with_inverse(self, data: ClusterSeries, link: LinkSpec):
-        """The per-step matrices R_i and their inverses, each shaped as ``realize``'s."""
-        seq = self.realize(data, link)
-        return seq, np.linalg.inv(seq)
+    def inverses(self, seq: np.ndarray) -> np.ndarray:
+        """The inverses of per-step matrices ``seq`` this provider realized."""
+        return np.linalg.inv(seq)
 
     def _check_size(self, data):
         if data.m != self.m:
@@ -271,10 +270,9 @@ class FixedCorr(CorrProvider):
         self._check_size(data)
         return np.broadcast_to(self.matrix, data.ys.shape + (self.m,))
 
-    def realize_with_inverse(self, data, link):
+    def inverses(self, seq):
         # one m x m inverse, broadcast over the steps (and replications)
-        seq = self.realize(data, link)
-        return seq, np.broadcast_to(np.linalg.inv(self.matrix), seq.shape)
+        return np.broadcast_to(np.linalg.inv(self.matrix), seq.shape)
 
 
 class EmpiricalRunningCorr(CorrProvider):

@@ -31,10 +31,11 @@ from .model import ClusterSeries, LinkSpec, get_link, moment_arrays
 class EstimatingContext:
     """Data + link + working correlation, with cached per-step matrices.
 
-    ``corr=None`` means working independence.  The provider's correlation
-    sequence and its inverses are realized together on first use and
-    cached; all shipped providers are beta-free so the cache is valid for
-    every beta.
+    ``corr=None`` means working independence.  The provider's inverse
+    matrices R_i^{-1}, which the fits read, are realized on first use and
+    cached; the matrices R_i are cached only once a caller asks for them
+    (before the inverses, to realize them once).  All shipped providers are
+    beta-free so the cache is valid for every beta.
     """
 
     data: ClusterSeries
@@ -45,29 +46,33 @@ class EstimatingContext:
         self.corr = self.corr or corrmod.independence(self.data.m)
 
     @cached_property
-    def _realized(self):
-        return self.corr.realize_with_inverse(self.data, self.link)
+    def _matrices(self):
+        return self.corr.realize(self.data, self.link)
+
+    @cached_property
+    def _inverses(self):
+        seq = self.__dict__.get("_matrices")  # cached R, if a caller asked for it
+        return self.corr.inverses(self.corr.realize(self.data, self.link) if seq is None else seq)
 
     def corr_matrices(self) -> np.ndarray:
-        return self._realized[0]
+        return self._matrices
 
     def corr_inverses(self) -> np.ndarray:
-        return self._realized[1]
+        return self._inverses
 
     def with_data(self, data: ClusterSeries) -> "EstimatingContext":
         return EstimatingContext(data=data, link=self.link, corr=self.corr)
 
 
-def _check_beta(ctx, beta, failed=None):
-    """``beta`` as float64, one (p,) row per series of ``ctx.data``.  A
-    non-finite row is a ContractError, or, with ``failed``, a row already
-    flagged there (a replication whose fit failed)."""
+def _check_beta(ctx, beta):
+    """``beta`` as float64, one (p,) row per series of ``ctx.data``.  For a
+    single series a non-finite beta is a ContractError; a stack's non-finite
+    row is a replication whose fit failed, and its results are NaN."""
     beta = np.asarray(beta, dtype=np.float64)
     want = ctx.data.ys.shape[:-2] + (ctx.data.p,)
     if beta.shape != want:
         raise ContractError(f"beta has shape {beta.shape}, expected {want}")
-    finite = np.isfinite(beta).all(axis=-1)
-    if not np.all(finite if failed is None else finite | failed):
+    if beta.ndim == 1 and not np.all(np.isfinite(beta)):
         raise ContractError("beta must be finite")
     return beta
 
@@ -77,19 +82,11 @@ def weighted_design(Xs, a, rinv):
     or (k, n, m, p) for a stack of series.
 
     ``a=None`` means A_i = I.  Every sum over steps of these products is one
-    GEMM per series over the flattened (n*m, p) rows (:func:`_gram`).
-    ``rinv`` may be a stride-0 broadcast of one matrix (a fixed pattern);
-    then R^{-1} A^{1/2} X is one GEMM over all steps, not one per step.
+    GEMM per series over the flattened (n*m, p) rows (:func:`_gram`);
+    ``rinv`` may be a stride-0 broadcast of one matrix.
     """
     xa = Xs if a is None else Xs * np.sqrt(a)[..., None]
-    # numpy runs a one-column product per step as a matrix-vector product,
-    # whose rounding the GEMM does not reproduce
-    if any(rinv.strides[:-2]) or xa.shape[-1] == 1:
-        return xa, rinv @ xa
-    m = rinv.shape[-1]
-    rows = np.swapaxes(xa, -1, -2).reshape(-1, m) @ rinv[(0,) * (rinv.ndim - 2)].T
-    rinv_xa = np.swapaxes(rows.reshape(xa.shape[:-2] + (xa.shape[-1], m)), -1, -2)
-    return xa, np.ascontiguousarray(rinv_xa)
+    return xa, rinv @ xa
 
 
 def _rows(arr):
@@ -162,38 +159,34 @@ def _check_rank(w, message):
         raise RankDeficiencyError(message, lambda_min=float(w[0]))
 
 
-def _rank_test(mats, what, failed=None):
+def _rank_test(mats, what):
     """The mask of the symmetric p x p matrices of a stack (..., p, p) that are
-    finite and pass the rank test, with one batched ``eigvalsh``.
+    finite and pass the rank test, from one batched ``eigvalsh``.
 
-    Without ``failed`` the first that does not pass raises: NumericalError if
-    it is not finite, else RankDeficiencyError.  With it, a bool array of the
-    stack's shape, each is flagged there instead.
+    A single matrix (no stack axis) that does not pass raises instead:
+    NumericalError if it is not finite, else RankDeficiencyError.
     """
     finite = np.isfinite(mats).all(axis=(-2, -1))
     w = np.full(mats.shape[:-1], np.nan)
     w[finite] = np.linalg.eigvalsh(mats[finite])
-    bad = _rank_deficient(w)
-    if failed is not None:
-        failed |= bad
-    elif bad.any():
-        first = np.unravel_index(np.argmax(bad), bad.shape)
-        if not finite[first]:
+    ok = ~_rank_deficient(w)
+    if mats.ndim == 2 and not ok:
+        if not finite:
             raise NumericalError(f"{what} is not finite")
-        lam = float(w[first][0])
+        lam = float(w[0])
         raise RankDeficiencyError(f"{what} is rank deficient (lambda_min={lam!r})", lambda_min=lam)
-    return ~bad
+    return ok
 
 
-def solve_linear(ctx: EstimatingContext, failed=None) -> np.ndarray:
+def solve_linear(ctx: EstimatingContext) -> np.ndarray:
     """Closed-form root for the identity link:
     (sum X' R^{-1} X)^{-1} sum X' R^{-1} y.
 
     For a stack of series the roots are (k, p), from one stacked GEMM each
     for the normal matrices and the right-hand sides, one batched rank test
     and one batched solve.  A normal matrix that is not finite or fails the
-    rank test raises (:func:`_rank_test`), or, with ``failed``, is flagged
-    there and its root is NaN.
+    rank test raises for a single series (:func:`_rank_test`); in a stack it
+    gives its replication a NaN root.
     """
     if ctx.link.kind != "identity":
         raise ContractError(
@@ -202,7 +195,7 @@ def solve_linear(ctx: EstimatingContext, failed=None) -> np.ndarray:
     data = ctx.data
     _, rinv_x = weighted_design(data.Xs, None, ctx.corr_inverses())
     k_mat = _gram(data.Xs, rinv_x)
-    ok = _rank_test(k_mat, "normal matrix", failed)
+    ok = _rank_test(k_mat, "normal matrix")
     rhs = _gram(rinv_x, data.ys[..., None])
     beta = np.full(k_mat.shape[:-1], np.nan)
     beta[ok] = np.linalg.solve(k_mat[ok], rhs[ok])[..., 0]
@@ -320,7 +313,8 @@ def fit_two_step(
     """
     ctx = EstimatingContext(data=data, link=link or get_link("identity"),
                             corr=corrmod.two_step(data.m))
-    return TwoStepResult(beta=solve_linear(ctx), corr_seq=ctx.corr_matrices())
+    seq = ctx.corr_matrices()
+    return TwoStepResult(beta=solve_linear(ctx), corr_seq=seq)
 
 
 @dataclass
@@ -334,6 +328,9 @@ class FitResult:
     se: Optional[np.ndarray] = None
     psi: Optional[np.ndarray] = None
     cis: Optional[np.ndarray] = None  # (p, 2) per-component intervals, (k, p, 2) for a stack
+    # a stack's replications whose estimate is not finite or whose normal
+    # matrix or sandwich bread failed (a single series raises instead)
+    failed: Optional[np.ndarray] = None
 
 
 def fit(
@@ -344,7 +341,6 @@ def fit(
     tol: float = 1e-8,
     max_iter: int = 50,
     with_inference: bool = True,
-    failed=None,
 ) -> FitResult:
     """Dispatch to a solver and attach the sandwich-based inference bundle.
 
@@ -354,10 +350,10 @@ def fit(
     provider gets its plug-in beta from the working-independence estimate.
 
     The closed forms also fit a stack of series (``ctx.data`` with a leading
-    replication axis) in one pass, every result with that axis.  With
-    ``failed``, a bool array of the stack's shape, a replication whose
-    normal matrix or sandwich bread is not finite or rank deficient is
-    flagged there, with NaN results, instead of raising.
+    replication axis) in one pass, every result with that axis.  A
+    replication whose normal matrix or sandwich bread is not finite or rank
+    deficient is flagged in ``failed``, with NaN results, where a single
+    series raises.
     """
     from . import inference  # local import avoids a cycle at module load
 
@@ -375,16 +371,18 @@ def fit(
                                 corr=corrmod.empirical_running(ctx.corr.m, plugin))
     solver = None
     if method in ("linear", "two_step"):
-        beta = solve_linear(ctx, failed)
+        beta = solve_linear(ctx)
     elif method == "newton":
         solver = solve_newton(ctx, beta_init=beta_init, tol=tol, max_iter=max_iter)
         beta = solver.beta_hat
     else:
         raise ContractError(f"unknown fit method {method!r}")
 
-    result = FitResult(beta_hat=beta, ctx=ctx, level=level, solver=solver)
+    result = FitResult(beta_hat=beta, ctx=ctx, level=level, solver=solver,
+                       failed=~np.isfinite(beta).all(axis=-1))
     if with_inference:
-        est = inference.sandwich(ctx, beta, failed)
+        est = inference.sandwich(ctx, beta)
         result.se, result.psi = est.se, est.psi
+        result.failed |= est.failed
         result.cis = inference.component_intervals(est, beta, level)
     return result

@@ -27,38 +27,38 @@ class SandwichEstimate:
     m_mat: np.ndarray
     psi: np.ndarray
     se: np.ndarray
+    # a stack's replications whose bread failed; False for a single series
+    failed: np.ndarray = False
 
 
-def sandwich_from_arrays(Xs, a, eps, rinv, failed=None) -> SandwichEstimate:
+def sandwich_from_arrays(Xs, a, eps, rinv) -> SandwichEstimate:
     """Sandwich pieces from precomputed per-step arrays (see module docstring).
 
     The arrays may be stacks of series with a leading replication axis; each
     piece then has it too, from one stacked GEMM per sum, one batched rank
     test of the breads and one batched solve.  A bread that is not finite or
-    fails the rank test raises, or, with ``failed``, is flagged there and
-    its psi and se are NaN (see ``estfun._rank_test``).
+    fails the rank test raises for a single series (``estfun._rank_test``);
+    in a stack it is flagged in ``failed`` and its psi and se are NaN.
     """
     xa, rinv_xa = weighted_design(Xs, a, rinv)
     h_mat = _gram(xa, rinv_xa)
     scores = (eps[..., None, :] @ rinv_xa)[..., 0, :]
     m_mat = np.swapaxes(scores, -1, -2) @ scores
 
-    ok = _rank_test(h_mat, "sandwich bread", failed)
+    ok = _rank_test(h_mat, "sandwich bread")
     psi = np.full(h_mat.shape, np.nan)
     hinv_m = np.linalg.solve(h_mat[ok], m_mat[ok])
     psi[ok] = np.linalg.solve(h_mat[ok], np.swapaxes(hinv_m, -1, -2))
     psi = 0.5 * (psi + np.swapaxes(psi, -1, -2))
     se = np.sqrt(np.maximum(np.diagonal(psi, axis1=-2, axis2=-1), 0.0))
-    return SandwichEstimate(h_mat=h_mat, m_mat=m_mat, psi=psi, se=se)
+    return SandwichEstimate(h_mat=h_mat, m_mat=m_mat, psi=psi, se=se, failed=~ok)
 
 
-def sandwich(ctx: EstimatingContext, beta_hat, failed=None) -> SandwichEstimate:
-    """Sandwich covariance of beta_hat under the context's working correlation;
-    ``failed`` as in :func:`sandwich_from_arrays`, where a replication already
-    flagged may have a NaN beta."""
-    beta_hat = _check_beta(ctx, beta_hat, failed)
+def sandwich(ctx: EstimatingContext, beta_hat) -> SandwichEstimate:
+    """Sandwich covariance of beta_hat under the context's working correlation."""
+    beta_hat = _check_beta(ctx, beta_hat)
     _, a, eps = moment_arrays(ctx.data.Xs, ctx.data.ys, beta_hat, ctx.link)
-    return sandwich_from_arrays(ctx.data.Xs, a, eps, ctx.corr_inverses(), failed)
+    return sandwich_from_arrays(ctx.data.Xs, a, eps, ctx.corr_inverses())
 
 
 # Acklam's rational approximation to the standard-normal quantile, followed

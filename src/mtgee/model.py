@@ -114,6 +114,21 @@ def get_link(kind):
         ) from None
 
 
+def _frozen(arr):
+    """``arr`` as a read-only C-ordered float64 array.  An array that already
+    is one, over memory nothing can write (a slice of another series'
+    arrays), is shared; anything else is copied, so freezing never mutates
+    caller-owned arrays."""
+    base = arr
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if base is None and arr.dtype == np.float64 and arr.flags.c_contiguous:
+        return arr
+    out = np.array(arr, dtype=np.float64, order="C")
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class ClusterSeries:
     """An ordered sequence of (y_i, X_i) pairs with constant cluster size.
@@ -124,7 +139,8 @@ class ClusterSeries:
     Construction does not (cannot) verify the measurability contract that
     row j of X_i uses only information prior to y_i; generators and the
     dataset loader are responsible for honouring it.  Arrays are frozen
-    read-only so instances are safe to share across workers.
+    read-only so instances are safe to share across workers, and slices of
+    one series' arrays are shared, not copied, by the series built on them.
     """
 
     ys: np.ndarray
@@ -132,9 +148,7 @@ class ClusterSeries:
     zs: Optional[np.ndarray] = field(default=None)
 
     def __post_init__(self):
-        # private copies so freezing never mutates caller-owned arrays
-        ys = np.array(self.ys, dtype=np.float64, order="C")
-        Xs = np.array(self.Xs, dtype=np.float64, order="C")
+        ys, Xs = _frozen(self.ys), _frozen(self.Xs)
         if ys.ndim not in (2, 3) or Xs.ndim != ys.ndim + 1:
             raise ContractError(
                 f"ClusterSeries expects ys (n,m) and Xs (n,m,p), or a stack (k,n,m) and "
@@ -148,14 +162,10 @@ class ClusterSeries:
             raise ContractError("ClusterSeries needs at least one time step")
         if not (np.all(np.isfinite(ys)) and np.all(np.isfinite(Xs))):
             raise ContractError("ClusterSeries entries must be finite")
-        ys.flags.writeable = False
-        Xs.flags.writeable = False
         object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "Xs", Xs)
         if self.zs is not None:
-            zs = np.array(self.zs, dtype=np.float64, order="C")
-            zs.flags.writeable = False
-            object.__setattr__(self, "zs", zs)
+            object.__setattr__(self, "zs", _frozen(self.zs))
 
     @property
     def n(self) -> int:
@@ -190,10 +200,7 @@ def moment_arrays(Xs, ys, beta, link):
     and eps the A^{-1/2}-standardized residuals.
     """
     beta = np.asarray(beta, dtype=np.float64)
-    if Xs.shape[-2] > 1:  # one matrix-vector product per series over its (n*m, p) rows
-        thetas = (Xs.reshape(Xs.shape[:-3] + (-1, Xs.shape[-1])) @ beta[..., None]).reshape(ys.shape)
-    else:  # numpy runs a one-row product per step as a dot product, which rounds differently
-        thetas = (Xs @ beta[..., None, :, None])[..., 0]
+    thetas = (Xs @ beta[..., None, :, None])[..., 0]
     mu = link.eval(thetas)
     a = link.d1(thetas)
     if np.any(a <= 0.0):

@@ -16,18 +16,18 @@ The harness works in chunks of at most ``CHUNK_REPS`` replications.
 :func:`generate_ar2` simulates a chunk in one recursion over (chunk, m)
 slices and returns it as one stacked series; each replication still draws
 its innovations from its own substream, so its series is bit-identical to a
-one-replication call.  The chunk is fitted in stacks of replications (a
-leading axis on every array): per estimator and stack, one realization of
-the working correlation (one m x m inverse for a fixed pattern, one pass of
-the two-step kernel), one stacked GEMM per normal matrix and sandwich sum,
-one batched rank test and one batched solve.  Every per-replication
-operation is the one a single series runs, so the estimates are
-bit-identical to one fit per replication, and a replication that fails
-numerically is flagged alone.  A serial study walks the chunks in order,
-and ``parallel=True`` maps them over a process pool, at least one chunk
-per worker; both give the same estimates, whatever the chunk length, and
-raise the same InstabilityError: the first exploding replication's, at its
-first step past the guard.
+one-replication call.  The chunk is fitted in stacks of replications,
+views of the chunk with a leading axis on every array: per estimator and
+stack, one realization of the working correlation (one m x m inverse for a
+fixed pattern, one pass of the two-step kernel), one stacked GEMM per
+normal matrix and sandwich sum, one batched rank test and one batched
+solve.  Every per-replication operation is the one a single series runs,
+so the estimates are bit-identical to one fit per replication, and a
+replication that fails numerically is flagged alone.  A serial study walks
+the chunks in order, and ``parallel=True`` maps them over a process pool,
+at least one chunk per worker; both give the same estimates, whatever the
+chunk length, and raise the same InstabilityError: the first exploding
+replication's, at its first step past the guard.
 """
 
 import functools
@@ -46,8 +46,8 @@ EXPLOSION_GUARD = 1e6
 
 # Replications simulated in one AR(2) recursion and fitted together, whatever
 # s is.  At the paper design (n=500, m=5) a chunk's series take 1.9 MB, and a
-# chunk's traced working set peaks at 3.6 MB: the series, a copy of one stack
-# of 4 replications (see _replications) and the two-step fit of that stack.
+# chunk's traced working set peaks at 3.3 MB: the series and the two-step fit
+# of one stack of 4 replications (see _replications).
 CHUNK_REPS = 32
 
 CORR_KIND_ALIASES = {
@@ -186,6 +186,7 @@ def _replications(design: SimDesign, specs, level: float, reps: range):
     realization of its provider per stack.  A replication whose fit fails
     numerically is flagged; its neighbours in the stack are unaffected.
     """
+    chunk = generate_ar2(design, reps)
     truth = true_correlation(design)
     providers = []
     for spec in specs:
@@ -195,14 +196,13 @@ def _replications(design: SimDesign, specs, level: float, reps: range):
             providers.append(_PROVIDERS[spec.kind](spec, truth, design.m))
         except NumericalError:  # a pattern that is not positive definite fails every fit
             providers.append(None)
-    chunk = generate_ar2(design, reps)
     shape = (len(reps), len(specs), chunk.p)
     betas, los, his = np.full(shape, np.nan), np.full(shape, np.nan), np.full(shape, np.nan)
     failed = np.zeros(shape[:2], dtype=bool)
     failed[:, [provider is None for provider in providers]] = True
-    # a two-step fit holds R_i and R_i^{-1} for every step of its stack, so a
-    # stack holds at most CHUNK_REPS * BLOCK_STEPS (replication, step) rows:
-    # 0.8 MB of both at m=5, a stack of 4 at n=500
+    # a two-step fit holds R_i^{-1} for every step of its stack, so a stack
+    # holds at most CHUNK_REPS * BLOCK_STEPS (replication, step) rows: 0.4 MB
+    # at m=5, a stack of 4 at n=500.  The stacks are views of the chunk.
     size = max(1, CHUNK_REPS * corrmod.BLOCK_STEPS // design.n)
     for lo in range(0, len(reps), size):
         at = slice(lo, lo + size)
@@ -210,10 +210,11 @@ def _replications(design: SimDesign, specs, level: float, reps: range):
         for j, provider in enumerate(providers):
             if provider is None:
                 continue
-            ctx = EstimatingContext(data=data, link=_IDENTITY_LINK, corr=provider)
-            result = fit(ctx, "linear", level=level, failed=failed[at, j])
+            result = fit(EstimatingContext(data=data, link=_IDENTITY_LINK, corr=provider),
+                         "linear", level=level)
             betas[at, j] = result.beta_hat
             los[at, j], his[at, j] = result.cis[..., 0], result.cis[..., 1]
+            failed[at, j] = result.failed
     return betas, los, his, failed
 
 

@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtgee import corr, simgen
-from mtgee.errors import NumericalError, RankDeficiencyError
+from mtgee.errors import InstabilityError, NumericalError, RankDeficiencyError
 from mtgee.estfun import EstimatingContext, fit, solve_linear
 from mtgee.model import ClusterSeries, get_link
-from mtgee.simgen import SimDesign, default_estimators, generate_ar2, substream
+from mtgee.simgen import EstimatorSpec, SimDesign, default_estimators, generate_ar2, substream
 
 IDENTITY = get_link("identity")
 
@@ -97,16 +97,32 @@ def test_stack_flags_what_a_single_series_raises():
     Xs = np.array(stack.Xs)
     Xs[1, :, :, 1] = 0.0  # the second lag of replication 1 carries no information
     data = ClusterSeries(ys=stack.ys, Xs=Xs)
-    ctx = EstimatingContext(data, IDENTITY, corr.ar1(0.3, design.m))
-    failed = np.zeros(3, dtype=bool)
-    beta = solve_linear(ctx, failed)
-    assert failed.tolist() == [False, True, False]
-    assert np.isnan(beta[1]).all() and np.isfinite(beta[[0, 2]]).all()
-    with pytest.raises(RankDeficiencyError, match="normal matrix is rank deficient"):
-        solve_linear(EstimatingContext(data, IDENTITY, corr.ar1(0.3, design.m)))
+    result = fit(EstimatingContext(data, IDENTITY, corr.ar1(0.3, design.m)), "linear")
+    assert result.failed.tolist() == [False, True, False]
+    assert np.isnan(result.beta_hat[1]).all() and np.isfinite(result.beta_hat[[0, 2]]).all()
+    assert np.isnan(result.cis[1]).all() and np.isfinite(result.cis[[0, 2]]).all()
     with pytest.raises(RankDeficiencyError, match="normal matrix is rank deficient"):
         solve_linear(EstimatingContext(ClusterSeries(ys=data.ys[1], Xs=data.Xs[1]), IDENTITY,
                                        corr.ar1(0.3, design.m)))
+
+
+def test_chunk_is_simulated_before_its_estimators_are_built():
+    # an exploding replication's InstabilityError precedes an estimator's ContractError
+    design = SimDesign(n=500, m=3, beta0=(1.2, 0.5), corr_kind="independence", seed=0)
+    with pytest.raises(InstabilityError):
+        simgen._replications(design, [EstimatorSpec("bad", "no such kind")], 0.95, range(2))
+
+
+def test_stacks_share_the_chunk_and_fits_cache_only_the_inverses():
+    chunk = generate_ar2(DESIGNS["ar1_m3"], range(4))
+    data = ClusterSeries(ys=chunk.ys[1:3], Xs=chunk.Xs[1:3])
+    assert np.shares_memory(data.ys, chunk.ys) and np.shares_memory(data.Xs, chunk.Xs)
+    own = np.array(chunk.ys[1:3])
+    assert not np.shares_memory(ClusterSeries(ys=own, Xs=data.Xs).ys, own)
+    ctx = EstimatingContext(data, IDENTITY, corr.two_step(3))
+    fit(ctx, "linear")
+    assert "_matrices" not in vars(ctx)
+    assert np.array_equal(ctx.corr_inverses(), np.linalg.inv(ctx.corr_matrices()))
 
 
 def test_non_finite_normal_matrix_is_a_numerical_error_not_a_rank_error():
