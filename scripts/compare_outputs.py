@@ -1,0 +1,161 @@
+#!/usr/bin/env python3
+"""Run a fixed list of CLI commands on two source trees and compare every output byte.
+
+The commands:
+
+- ``fit``, ``predict`` and ``diagnose --d-grid 0,0.01,0.1`` for every
+  ``--method`` x ``--corr`` pair on ``data/wind_synthetic.csv`` and on the
+  two CSVs of ``bench_kernels.write_inputs``: the wide wind file and the
+  long binary file (logistic link, so the closed forms exit 1 there);
+- a few error paths: other links on the wind fixture and a bad flag;
+- ``simulate --s 50`` and ``replicate-tables --s 50`` with seeds 1 and 3,
+  and ``replicate-tables --s 500 --seed 3``.
+
+Each tree (``--baseline-src`` and ``--src``, both ``src`` directories of
+an mtgee checkout) runs the whole list in one child process, with BLAS on
+one thread, through ``mtgee.cli.run_command``.  Every JSON and CSV file
+written, every exit code and every stderr text (the output directory
+replaced by ``<out>``) is compared; any difference is printed and the
+script exits 1.
+
+Usage::
+
+    git archive <parent> src | tar -x -C /tmp/parent
+    python scripts/compare_outputs.py --baseline-src /tmp/parent/src --src src
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+from bench_kernels import LAGS, LONG_CSV, WIDE_CSV, WIND_STATIONS, write_inputs
+
+FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "data",
+                       "wind_synthetic.csv")
+METHODS = ("two_step", "linear", "newton")
+CORRS = ("independence", "cs", "ar1", "empirical")
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def commands(inputs):
+    """(name, argv without --output) of every command, in run order."""
+    wind = ["--data", os.path.abspath(FIXTURE), "--response", "wind_s1,wind_s2,wind_s3",
+            "--exog", "airtemp_s1,airtemp_s2,airtemp_s3", "--lags", "2"]
+    datasets = {
+        "wind_synthetic": wind,
+        "wind_wide": [
+            "--data", os.path.join(inputs, WIDE_CSV),
+            "--response", ",".join(f"wind_s{j}" for j in range(WIND_STATIONS)),
+            "--exog", ",".join(f"airtemp_s{j}" for j in range(WIND_STATIONS)),
+            "--lags", str(LAGS),
+        ],
+        "binary_long": [
+            "--data", os.path.join(inputs, LONG_CSV), "--layout", "long",
+            "--time-col", "day", "--unit-col", "station", "--response", "y",
+            "--exog", "x1", "--lags", str(LAGS), "--link", "logistic",
+        ],
+    }
+    out = []
+    for data, flags in datasets.items():
+        for method in METHODS:
+            for corr in CORRS:
+                model = flags + ["--method", method, "--corr", corr]
+                out.append((f"fit_{data}_{method}_{corr}", ["fit"] + model))
+                out.append((f"predict_{data}_{method}_{corr}", ["predict"] + model))
+                out.append((f"diagnose_{data}_{method}_{corr}",
+                            ["diagnose"] + model + ["--d-grid", "0,0.01,0.1", "--seed", "4"]))
+    for link in ("logistic", "exponential"):
+        out.append((f"fit_wind_synthetic_newton_{link}",
+                    ["fit"] + wind + ["--method", "newton", "--link", link]))
+        out.append((f"fit_wind_synthetic_two_step_{link}",
+                    ["fit"] + wind + ["--method", "two_step", "--link", link]))
+    out.append(("fit_bad_method", ["fit"] + wind + ["--method", "bogus"]))
+    for seed in (1, 3):
+        out.append((f"simulate_s50_seed{seed}", ["simulate", "--s", "50", "--seed", str(seed)]))
+        out.append((f"replicate_s50_seed{seed}",
+                    ["replicate-tables", "--s", "50", "--seed", str(seed)]))
+    out.append(("replicate_s500_seed3", ["replicate-tables", "--s", "500", "--seed", "3"]))
+    return out
+
+
+def worker(inputs, out_dir):
+    """Run every command, writing its outputs under ``out_dir``; print {name: [exit, stderr]}."""
+    from mtgee.cli import run_command
+
+    results = {}
+    for name, argv in commands(inputs):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_command(argv + ["--output", os.path.join(out_dir, name)])
+        results[name] = [code, err.getvalue().replace(out_dir, "<out>")]
+    json.dump(results, sys.stdout)
+
+
+def run_tree(src, inputs, out_dir):
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env.update({var: "1" for var in THREAD_VARS})
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--worker", "--input", inputs,
+         "--out", out_dir],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def compare(before, after, dirs):
+    """Lines naming every difference between the two trees' runs."""
+    diffs = []
+    for name in before:
+        if before[name][0] != after[name][0]:
+            diffs.append(f"{name}: exit {before[name][0]} -> {after[name][0]}")
+        if before[name][1] != after[name][1]:
+            diffs.append(f"{name}: stderr {before[name][1]!r} -> {after[name][1]!r}")
+    files = [sorted(os.listdir(d)) for d in dirs]
+    if files[0] != files[1]:
+        diffs.append(f"files differ: {sorted(set(files[0]) ^ set(files[1]))}")
+    for fname in sorted(set(files[0]) & set(files[1])):
+        blobs = []
+        for d in dirs:
+            with open(os.path.join(d, fname), "rb") as fh:
+                blobs.append(fh.read())
+        if blobs[0] != blobs[1]:
+            diffs.append(f"{fname}: bytes differ")
+    return diffs, len(files[1])
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--input", help=argparse.SUPPRESS)
+    parser.add_argument("--out", help=argparse.SUPPRESS)
+    parser.add_argument("--baseline-src", help="src directory of the version before the change")
+    parser.add_argument("--src", default="src", help="src directory of the version after it")
+    args = parser.parse_args()
+    if args.worker:
+        worker(args.input, args.out)
+        return 0
+    if not args.baseline_src:
+        parser.error("--baseline-src is required")
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = write_inputs(tempfile.mkdtemp(dir=tmp))
+        dirs = [os.path.join(tmp, "before"), os.path.join(tmp, "after")]
+        runs = []
+        for src, out_dir in zip((args.baseline_src, args.src), dirs):
+            os.mkdir(out_dir)
+            runs.append(run_tree(src, inputs, out_dir))
+        diffs, n_files = compare(runs[0], runs[1], dirs)
+    for line in diffs:
+        print(line)
+    codes = sorted({code for code, _ in runs[1].values()})
+    print(f"{len(runs[1])} commands (exit codes {codes}), {n_files} files: "
+          f"{len(diffs)} difference(s)")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -43,6 +43,7 @@ from .simgen import (
 SCHEMA = "mtgee/1"
 
 MISSING_TOKENS = {"", "na", "nan", "null", "none"}
+JSON_INDENT = "  "
 
 
 # ---------------------------------------------------------------------------
@@ -68,12 +69,12 @@ def _json_scalar(value):
     raise ContractError(f"cannot serialize {type(value).__name__} to JSON")
 
 
-def json_dumps(obj, indent: int = 2) -> str:
+def json_dumps(obj) -> str:
     """Deterministic JSON: insertion-ordered keys, floats at 17 significant digits."""
 
     def render(node, depth):
-        pad = " " * (indent * depth)
-        pad_in = " " * (indent * (depth + 1))
+        pad = JSON_INDENT * depth
+        pad_in = pad + JSON_INDENT
         if isinstance(node, dict):
             if not node:
                 return "{}"
@@ -434,9 +435,7 @@ def parse_dataset(spec: DatasetSpec) -> ClusterSeries:
     if not blocks:
         raise ContractError("design has zero columns; add lags, intercept, or exogenous columns")
     Xs = np.concatenate(blocks, axis=2)
-    ys = Y[lags:]
-    zs = Z[lags:].reshape(len(ys), -1) if Z is not None else None
-    return ClusterSeries(ys=ys, Xs=Xs, zs=zs)
+    return ClusterSeries(ys=Y[lags:], Xs=Xs)
 
 
 def next_design(spec: DatasetSpec, series: ClusterSeries) -> np.ndarray:
@@ -453,8 +452,7 @@ def next_design(spec: DatasetSpec, series: ClusterSeries) -> np.ndarray:
     if spec.lags:
         blocks.append(series.ys[-1][:, None])
         blocks.append(series.Xs[-1][:, first_lag : first_lag + spec.lags - 1])
-    if series.zs is not None:
-        blocks.append(series.zs[-1].reshape(m, -1))
+    blocks.append(series.Xs[-1][:, first_lag + spec.lags :])
     return np.hstack(blocks)
 
 
@@ -557,7 +555,7 @@ def _spec_from_args(args) -> DatasetSpec:
     )
 
 
-# the provider of --method two_step, else of --corr, from (alpha, m)
+# the provider of --method two_step (a closed form), else of --corr, from (alpha, m)
 _PROVIDERS = {
     "two_step": lambda alpha, m: corrmod.two_step(m),
     "independence": lambda alpha, m: corrmod.independence(m),
@@ -571,11 +569,12 @@ def _fit_from_args(args, with_inference=True):
     """Read the dataset and fit it as the model flags say; returns (spec, result)."""
     spec = _spec_from_args(args)
     series = parse_dataset(spec)
-    provider = _PROVIDERS["two_step" if args.method == "two_step" else args.corr]
+    two_step = args.method == "two_step"
+    provider = _PROVIDERS["two_step" if two_step else args.corr]
     ctx = EstimatingContext(data=series, link=get_link(args.link),
                             corr=provider(args.alpha, series.m))
-    result = fit(ctx, method=args.method, level=args.level, tol=args.tol,
-                 max_iter=args.max_iter, with_inference=with_inference)
+    result = fit(ctx, method="linear" if two_step else args.method, level=args.level,
+                 tol=args.tol, max_iter=args.max_iter, with_inference=with_inference)
     return spec, result
 
 
@@ -712,8 +711,8 @@ def _cmd_diagnose(args):
     }
     if args.d_grid is not None:
         pert = diagmod.perturbation_sensitivity(
-            ctx, args.method, _float_list(args.d_grid), seed=args.seed, true_corr=rbar,
-            base=beta,
+            ctx, "linear" if result.solver is None else "newton", _float_list(args.d_grid),
+            seed=args.seed, true_corr=rbar, base=beta,
         )
         diagnostics["perturbation"] = {
             "budgets": pert.budgets,

@@ -86,8 +86,8 @@ def build_fixed_corr(kind: str, alpha: float, m: int) -> np.ndarray:
     raise ContractError(f"unknown fixed correlation kind {kind!r}")
 
 
-def spd_project(mat: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
-    """Clip eigenvalues below at ``floor``, reassemble, rescale to unit diagonal.
+def spd_project(mat: np.ndarray) -> np.ndarray:
+    """Clip eigenvalues below at ``EIG_FLOOR``, reassemble, rescale to unit diagonal.
 
     Idempotent on symmetric matrices whose smallest eigenvalue already
     meets the floor (returned unchanged).  Asymmetric input is a contract
@@ -100,9 +100,9 @@ def spd_project(mat: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
     if np.max(np.abs(mat - mat.T)) > 1e-8 * scale:
         raise ContractError("spd_project requires symmetric input")
     w, v = np.linalg.eigh(mat)
-    if w[0] >= floor:
+    if w[0] >= EIG_FLOOR:
         return mat
-    return _clip_spectrum(w, v, np.asarray(floor))
+    return _clip_spectrum(w, v, np.asarray(EIG_FLOOR))
 
 
 def _clip_spectrum(w, v, floors):

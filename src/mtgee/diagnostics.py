@@ -17,11 +17,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ContractError, NumericalError, RankDeficiencyError
-from .estfun import EstimatingContext, _check_rank, _gram, fit, weighted_design
-from .model import moment_arrays
+from .estfun import EstimatingContext, _gram, _rank_test, _single_series, fit, weighted_design
+from .model import ClusterSeries, moment_arrays
 from .simgen import substream
 
 _TINY = 1e-12
+CHECKPOINT_PIECES = 10  # the monitors report at the ends of this many equal stretches
 
 
 def _check_sym_psd(mat, what, checkpoint):
@@ -32,8 +33,8 @@ def _check_sym_psd(mat, what, checkpoint):
         raise NumericalError(f"{what} lost positive semidefiniteness at checkpoint {checkpoint}")
 
 
-def _checkpoints(n: int, pieces: int = 10):
-    stride = max(1, -(-n // pieces))  # ceil(n / pieces)
+def _checkpoints(n: int):
+    stride = max(1, -(-n // CHECKPOINT_PIECES))  # ceil(n / CHECKPOINT_PIECES)
     pts = list(range(stride, n + 1, stride))
     if pts[-1] != n:
         pts.append(n)
@@ -101,6 +102,7 @@ def eigen_conditions(
     series over the second half of the checkpoints stays above half its
     first-half minimum.
     """
+    _single_series(ctx, "eigen_conditions")
     for d in delta_grid:
         if not (0.0 < d <= 0.5):
             raise ContractError(f"delta values must lie in (0, 0.5], got {d}")
@@ -160,6 +162,7 @@ def optimality_ratios(ctx: EstimatingContext, beta_hat, true_corr) -> Optimality
     R_i^{-1} A^{1/2} X.  When R_i equals the true matrix at every step all
     three coincide and both ratios are exactly 1.
     """
+    _single_series(ctx, "optimality_ratios")
     true_corr = np.asarray(true_corr, dtype=np.float64)
     _, a, _ = moment_arrays(ctx.data.Xs, ctx.data.ys, beta_hat, ctx.link)
     xa, rinv_xa = weighted_design(ctx.data.Xs, a, ctx.corr_inverses())
@@ -192,13 +195,13 @@ def leverage(ctx: EstimatingContext, beta_hat) -> LeverageStats:
     gamma' is the largest quadratic form x_ij' (H'_n)^{-1} x_ij over all
     regressor rows, and a' = lambda_max(H'_n) * gamma'.
     """
+    _single_series(ctx, "leverage")
     xa = _information_design(ctx, beta_hat)
     h_mat = _gram(xa, xa)
-    w = np.linalg.eigvalsh(h_mat)
-    _check_rank(w, f"cumulative information is singular (lambda_min={float(w[0])!r})")
+    _rank_test(h_mat, "cumulative information")
     hinv = np.linalg.inv(h_mat)
     gamma = float(np.max(((ctx.data.Xs @ hinv) * ctx.data.Xs).sum(axis=2)))
-    return LeverageStats(gamma_prime=gamma, a_prime=float(w[-1]) * gamma)
+    return LeverageStats(gamma_prime=gamma, a_prime=float(np.linalg.eigvalsh(h_mat)[-1]) * gamma)
 
 
 def perturbation_sensitivity(
@@ -221,6 +224,7 @@ def perturbation_sensitivity(
     fit's own context, which carries its correlation sequence), spares the
     refit at budget 0.
     """
+    _single_series(ctx, "perturbation_sensitivity")
     budgets = np.asarray(list(d_grid), dtype=np.float64)
     if budgets.size == 0 or not np.any(budgets == 0.0):
         raise ContractError("d_grid must include 0")
@@ -243,7 +247,7 @@ def perturbation_sensitivity(
             scale = np.zeros(n)
             np.divide(d * 2.0 ** -np.arange(1.0, n + 1), norms, out=scale, where=norms > 0)
             deltas *= scale[:, None, None]
-            data_d = ctx.data.with_regressors(ctx.data.Xs + deltas)
+            data_d = ClusterSeries(ys=ctx.data.ys, Xs=ctx.data.Xs + deltas)
             refit = fit(ctx.with_data(data_d), beta_method, with_inference=False)
             beta_d, ctx_d = refit.beta_hat, refit.ctx
         drift = float(np.linalg.norm(beta_d - base))

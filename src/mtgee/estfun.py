@@ -64,6 +64,13 @@ class EstimatingContext:
         return EstimatingContext(data=data, link=self.link, corr=self.corr)
 
 
+def _single_series(ctx, what):
+    """Raise ContractError if ``ctx.data`` is a stack of series: ``what``
+    works on one series only."""
+    if ctx.data.ys.ndim > 2:
+        raise ContractError(f"{what} takes a single series, not a stack of series")
+
+
 def _check_beta(ctx, beta):
     """``beta`` as float64, one (p,) row per series of ``ctx.data``.  For a
     single series a non-finite beta is a ContractError; a stack's non-finite
@@ -102,6 +109,7 @@ def _gram(left, right):
 
 def eval_g(ctx: EstimatingContext, beta) -> np.ndarray:
     """Evaluate the estimating function at beta."""
+    _single_series(ctx, "eval_g")
     beta = _check_beta(ctx, beta)
     Xs, ys = ctx.data.Xs, ctx.data.ys
     _, a, eps = moment_arrays(Xs, ys, beta, ctx.link)
@@ -116,6 +124,7 @@ def eval_jacobian(ctx: EstimatingContext, beta) -> np.ndarray:
     (beta-free) correlation matrices fixed; for the identity link it
     reduces to sum_i X_i' R_i^{-1} X_i exactly.
     """
+    _single_series(ctx, "eval_jacobian")
     beta = _check_beta(ctx, beta)
     Xs, ys = ctx.data.Xs, ctx.data.ys
     _, a, eps = moment_arrays(Xs, ys, beta, ctx.link)
@@ -146,22 +155,10 @@ class SolveReport:
     trace: list
 
 
-def _rank_deficient(w):
-    """Whether ascending eigenvalues ``w`` (..., p) of symmetric p x p matrices
-    fail lambda_min > lambda_max * p * eps (NaN fails)."""
-    return ~(w[..., 0] > np.maximum(0.0, w[..., -1] * w.shape[-1] * np.finfo(np.float64).eps))
-
-
-def _check_rank(w, message):
-    """Raise RankDeficiencyError(message) if the ascending eigenvalues ``w``
-    of one symmetric p x p matrix are rank deficient."""
-    if _rank_deficient(w):
-        raise RankDeficiencyError(message, lambda_min=float(w[0]))
-
-
 def _rank_test(mats, what):
     """The mask of the symmetric p x p matrices of a stack (..., p, p) that are
-    finite and pass the rank test, from one batched ``eigvalsh``.
+    finite and pass the rank test lambda_min > lambda_max * p * eps, from one
+    batched ``eigvalsh``.
 
     A single matrix (no stack axis) that does not pass raises instead:
     NumericalError if it is not finite, else RankDeficiencyError.
@@ -169,7 +166,7 @@ def _rank_test(mats, what):
     finite = np.isfinite(mats).all(axis=(-2, -1))
     w = np.full(mats.shape[:-1], np.nan)
     w[finite] = np.linalg.eigvalsh(mats[finite])
-    ok = ~_rank_deficient(w)
+    ok = w[..., 0] > np.maximum(0.0, w[..., -1] * w.shape[-1] * np.finfo(np.float64).eps)
     if mats.ndim == 2 and not ok:
         if not finite:
             raise NumericalError(f"{what} is not finite")
@@ -215,6 +212,7 @@ def solve_newton(
     the trace collected so far.  Exceeding ``max_iter`` returns a
     non-converged report rather than raising.
     """
+    _single_series(ctx, "solve_newton")
     if beta_init is None:
         beta = working_independence_estimate(ctx.data, ctx.link)
     else:
@@ -328,8 +326,8 @@ class FitResult:
     se: Optional[np.ndarray] = None
     psi: Optional[np.ndarray] = None
     cis: Optional[np.ndarray] = None  # (p, 2) per-component intervals, (k, p, 2) for a stack
-    # a stack's replications whose estimate is not finite or whose normal
-    # matrix or sandwich bread failed (a single series raises instead)
+    # a stack's replications whose normal matrix failed, so that their
+    # estimate is not finite (a single series raises instead)
     failed: Optional[np.ndarray] = None
 
 
@@ -337,52 +335,48 @@ def fit(
     ctx: EstimatingContext,
     method: str = "newton",
     level: float = 0.95,
-    beta_init=None,
     tol: float = 1e-8,
     max_iter: int = 50,
     with_inference: bool = True,
 ) -> FitResult:
-    """Dispatch to a solver and attach the sandwich-based inference bundle.
+    """Find the root of g_n with a solver and attach the sandwich-based
+    inference bundle.
 
-    ``method`` is one of {"newton", "linear", "two_step"}; the latter two
-    require the identity link.  ``two_step`` is the closed form with the
-    two-step provider in place of ``ctx.corr``.  An unresolved empirical
-    provider gets its plug-in beta from the working-independence estimate.
+    ``method`` picks the solver, "newton" or "linear" (the closed form, for
+    the identity link); ``ctx.corr`` alone picks the working correlation, so
+    the two-step estimator is "linear" with the provider ``corr.two_step``.
+    An unresolved empirical provider gets its plug-in beta from the
+    working-independence estimate.
 
-    The closed forms also fit a stack of series (``ctx.data`` with a leading
+    The closed form also fits a stack of series (``ctx.data`` with a leading
     replication axis) in one pass, every result with that axis.  A
-    replication whose normal matrix or sandwich bread is not finite or rank
-    deficient is flagged in ``failed``, with NaN results, where a single
-    series raises.
+    replication whose normal matrix is not finite or rank deficient is
+    flagged in ``failed``, with NaN results, where a single series raises;
+    for the identity link the sandwich bread is that normal matrix.
     """
     from . import inference  # local import avoids a cycle at module load
 
     if not (0.0 < level < 1.0):
         raise ContractError(f"level must be in (0, 1), got {level}")
-    if ctx.data.ys.ndim > 2 and (method == "newton" or isinstance(
-            ctx.corr, corrmod.EmpiricalRunningCorr)):
-        raise ContractError("a stack of series is fitted by a closed form with a "
-                            "fixed or two-step correlation")
-    if method == "two_step":
-        ctx = EstimatingContext(data=ctx.data, link=ctx.link, corr=corrmod.two_step(ctx.data.m))
-    elif isinstance(ctx.corr, corrmod.EmpiricalRunningCorr) and ctx.corr.plugin_beta is None:
+    if method not in ("linear", "newton"):
+        raise ContractError(f"unknown fit method {method!r}")
+    if method == "newton" or isinstance(ctx.corr, corrmod.EmpiricalRunningCorr):
+        _single_series(ctx, "a Newton fit or a running empirical correlation")
+    if isinstance(ctx.corr, corrmod.EmpiricalRunningCorr) and ctx.corr.plugin_beta is None:
         plugin = working_independence_estimate(ctx.data, ctx.link)
         ctx = EstimatingContext(data=ctx.data, link=ctx.link,
                                 corr=corrmod.empirical_running(ctx.corr.m, plugin))
     solver = None
-    if method in ("linear", "two_step"):
+    if method == "linear":
         beta = solve_linear(ctx)
-    elif method == "newton":
-        solver = solve_newton(ctx, beta_init=beta_init, tol=tol, max_iter=max_iter)
-        beta = solver.beta_hat
     else:
-        raise ContractError(f"unknown fit method {method!r}")
+        solver = solve_newton(ctx, tol=tol, max_iter=max_iter)
+        beta = solver.beta_hat
 
     result = FitResult(beta_hat=beta, ctx=ctx, level=level, solver=solver,
                        failed=~np.isfinite(beta).all(axis=-1))
     if with_inference:
         est = inference.sandwich(ctx, beta)
         result.se, result.psi = est.se, est.psi
-        result.failed |= est.failed
         result.cis = inference.component_intervals(est, beta, level)
     return result

@@ -27,8 +27,6 @@ class SandwichEstimate:
     m_mat: np.ndarray
     psi: np.ndarray
     se: np.ndarray
-    # a stack's replications whose bread failed; False for a single series
-    failed: np.ndarray = False
 
 
 def sandwich_from_arrays(Xs, a, eps, rinv) -> SandwichEstimate:
@@ -38,7 +36,7 @@ def sandwich_from_arrays(Xs, a, eps, rinv) -> SandwichEstimate:
     piece then has it too, from one stacked GEMM per sum, one batched rank
     test of the breads and one batched solve.  A bread that is not finite or
     fails the rank test raises for a single series (``estfun._rank_test``);
-    in a stack it is flagged in ``failed`` and its psi and se are NaN.
+    in a stack its psi and se are NaN.
     """
     xa, rinv_xa = weighted_design(Xs, a, rinv)
     h_mat = _gram(xa, rinv_xa)
@@ -51,7 +49,7 @@ def sandwich_from_arrays(Xs, a, eps, rinv) -> SandwichEstimate:
     psi[ok] = np.linalg.solve(h_mat[ok], np.swapaxes(hinv_m, -1, -2))
     psi = 0.5 * (psi + np.swapaxes(psi, -1, -2))
     se = np.sqrt(np.maximum(np.diagonal(psi, axis1=-2, axis2=-1), 0.0))
-    return SandwichEstimate(h_mat=h_mat, m_mat=m_mat, psi=psi, se=se, failed=~ok)
+    return SandwichEstimate(h_mat=h_mat, m_mat=m_mat, psi=psi, se=se)
 
 
 def sandwich(ctx: EstimatingContext, beta_hat) -> SandwichEstimate:

@@ -8,8 +8,8 @@ fixed at 1).  Everything downstream (estimating functions, sandwich
 covariances, diagnostics) consumes the quantities computed here.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -68,10 +68,10 @@ def _logistic_d2(theta):
 def _guarded_exp(theta):
     theta = np.asarray(theta, dtype=np.float64)
     if np.any(np.abs(theta) > EXP_SATURATION):
-        bad = theta.ravel()[np.argmax(np.abs(theta.ravel()))]
+        bad = float(theta.ravel()[np.argmax(np.abs(theta.ravel()))])
         raise SaturationError(
             f"exponential link argument theta={bad!r} exceeds |theta| <= {EXP_SATURATION}",
-            theta=float(bad),
+            theta=bad,
         )
     return np.exp(theta)
 
@@ -145,7 +145,6 @@ class ClusterSeries:
 
     ys: np.ndarray
     Xs: np.ndarray
-    zs: Optional[np.ndarray] = field(default=None)
 
     def __post_init__(self):
         ys, Xs = _frozen(self.ys), _frozen(self.Xs)
@@ -164,8 +163,6 @@ class ClusterSeries:
             raise ContractError("ClusterSeries entries must be finite")
         object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "Xs", Xs)
-        if self.zs is not None:
-            object.__setattr__(self, "zs", _frozen(self.zs))
 
     @property
     def n(self) -> int:
@@ -178,10 +175,6 @@ class ClusterSeries:
     @property
     def p(self) -> int:
         return self.Xs.shape[-1]
-
-    def with_regressors(self, Xs_new) -> "ClusterSeries":
-        """Copy of the series with X_i replaced (used by perturbation studies)."""
-        return ClusterSeries(ys=self.ys.copy(), Xs=np.asarray(Xs_new, dtype=np.float64).copy(), zs=self.zs)
 
 
 def moment_arrays(Xs, ys, beta, link):
@@ -204,12 +197,13 @@ def moment_arrays(Xs, ys, beta, link):
     mu = link.eval(thetas)
     a = link.d1(thetas)
     if np.any(a <= 0.0):
-        flat = np.argmin(a)
-        i, j = np.unravel_index(flat, a.shape)
+        at = np.unravel_index(np.argmin(a), a.shape)
+        i, j = int(at[-2]), int(at[-1])  # a stack's replication axis leads
+        theta = float(thetas[at])
         raise ModelViolationError(
-            f"mu'(theta) <= 0 at step {i}, component {j} (theta={thetas[i, j]!r})",
-            index=(int(i), int(j)),
-            theta=float(thetas[i, j]),
+            f"mu'(theta) <= 0 at step {i}, component {j} (theta={theta!r})",
+            index=(i, j),
+            theta=theta,
         )
     eps = (ys - mu) / np.sqrt(a)
     return mu, a, eps

@@ -250,12 +250,6 @@ class MonteCarloReport:
     s: int
     estimators: list = field(default_factory=list)
 
-    def summary(self, label: str) -> EstimatorSummary:
-        for e in self.estimators:
-            if e.label == label:
-                return e
-        raise KeyError(label)
-
 
 def monte_carlo_study(
     design: SimDesign,

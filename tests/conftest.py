@@ -48,6 +48,11 @@ def finite_diff_jacobian(ctx, beta):
     return out
 
 
+def estimator_summary(report, label):
+    """The EstimatorSummary labelled ``label`` in a MonteCarloReport."""
+    return {e.label: e for e in report.estimators}[label]
+
+
 @pytest.fixture
 def rng():
     return substream(20240311, 0)

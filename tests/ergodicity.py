@@ -12,7 +12,7 @@ import numpy as np
 
 from mtgee.diagnostics import _checkpoints, _running_gram
 from mtgee.errors import ContractError
-from mtgee.estfun import EstimatingContext, _check_rank, weighted_design
+from mtgee.estfun import EstimatingContext, _rank_test, weighted_design
 from mtgee.model import moment_arrays
 
 
@@ -57,8 +57,8 @@ def ergodicity_check(mc_data, beta0, ctx_template: EstimatingContext) -> Ergodic
     eye = np.eye(p)
     for k in range(len(pts)):
         m_hat = v_mats[:, k].mean(axis=0)
+        _rank_test(m_hat, f"average information at checkpoint {pts[k]}")
         w, vecs = np.linalg.eigh(m_hat)
-        _check_rank(w, f"average information singular at checkpoint {pts[k]}")
         m_isqrt = (vecs / np.sqrt(w)) @ vecs.T
         for r in range(len(reps)):
             dev = m_isqrt @ v_mats[r, k] @ m_isqrt - eye

@@ -19,7 +19,7 @@ from mtgee.inference import sandwich
 from mtgee.model import ClusterSeries, get_link
 from mtgee.simgen import SimDesign, generate_ar2, monte_carlo_study, substream
 
-from conftest import finite_diff_jacobian, glm_series
+from conftest import estimator_summary, finite_diff_jacobian, glm_series
 
 SEED = 1
 S = 500
@@ -48,22 +48,22 @@ def grid():
 
 
 def test_criterion_1_relative_efficiency_bands(grid):
-    re_ind_cs = grid["compound_symmetry"].summary("independence").re
+    re_ind_cs = estimator_summary(grid["compound_symmetry"], "independence").re
     assert np.all((2.4 <= re_ind_cs) & (re_ind_cs <= 3.4)), re_ind_cs
 
-    re_ind_ar1 = grid["ar1"].summary("independence").re
+    re_ind_ar1 = estimator_summary(grid["ar1"], "independence").re
     assert np.all((1.9 <= re_ind_ar1) & (re_ind_ar1 <= 2.8)), re_ind_ar1
 
     for truth in TRUTHS:
-        re_two = grid[truth].summary("two_step").re
+        re_two = estimator_summary(grid[truth], "two_step").re
         assert np.all((1.0 <= re_two) & (re_two <= 1.3)), (truth, re_two)
 
-    re_cs_cs = grid["compound_symmetry"].summary("cs").re
+    re_cs_cs = estimator_summary(grid["compound_symmetry"], "cs").re
     assert np.all((0.95 <= re_cs_cs) & (re_cs_cs <= 1.05)), re_cs_cs
 
     # under the independence truth the working-independence estimator IS the
     # reference, so its RE is 1 by construction
-    assert np.array_equal(grid["independence"].summary("independence").re, np.ones(2))
+    assert np.array_equal(estimator_summary(grid["independence"], "independence").re, np.ones(2))
     # the reference estimator is (near-)optimal, and the adaptive two-step
     # beats working independence whenever there is correlation to exploit
     for truth in TRUTHS:
@@ -71,7 +71,8 @@ def test_criterion_1_relative_efficiency_bands(grid):
             assert np.all(summ.re >= 0.9), (truth, summ.label, summ.re)
     for truth in ("compound_symmetry", "ar1"):
         assert np.all(
-            grid[truth].summary("independence").re > grid[truth].summary("two_step").re
+            estimator_summary(grid[truth], "independence").re
+            > estimator_summary(grid[truth], "two_step").re
         )
 
     _ok(
@@ -79,7 +80,7 @@ def test_criterion_1_relative_efficiency_bands(grid):
         "RE bands hold: indep|CS={}, indep|AR1={}, two-step max={:.3f}".format(
             np.round(re_ind_cs, 2),
             np.round(re_ind_ar1, 2),
-            max(float(np.max(grid[t].summary("two_step").re)) for t in TRUTHS),
+            max(float(np.max(estimator_summary(grid[t], "two_step").re)) for t in TRUTHS),
         ),
     )
 
@@ -239,8 +240,8 @@ def test_criterion_7_perturbation_robustness():
             SimDesign(n=N, m=M, beta0=tuple(BETA0), corr_kind="compound_symmetry",
                       alpha0=ALPHA0, seed=1000 + seed)
         )
-        ctx = EstimatingContext(data=data, link=IDENT)
-        rep = perturbation_sensitivity(ctx, "two_step", [0.0, 0.01], seed=seed, true_corr=truth)
+        ctx = EstimatingContext(data=data, link=IDENT, corr=corr.two_step(M))
+        rep = perturbation_sensitivity(ctx, "linear", [0.0, 0.01], seed=seed, true_corr=truth)
         drifts.append(rep.perturb_drift[1])
         ratio_moves.append(abs(rep.det_ratio_H[1] - rep.det_ratio_H[0]))
         ratio_moves.append(abs(rep.det_ratio_M[1] - rep.det_ratio_M[0]))

@@ -13,6 +13,7 @@ from mtgee.cli import (
     run_command,
 )
 from mtgee.errors import ContractError, DataError
+from mtgee.estfun import fit_two_step
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "..", "data", "wind_synthetic.csv")
 
@@ -377,6 +378,18 @@ def test_cli_fit_on_fixture(tmp_path, capsys):
     assert len(payload["result"]["cis"]) == 4
     assert len(payload["result"]["prediction"]) == 3
     assert payload["diagnostics"] is None
+
+
+def test_cli_two_step_is_fit_two_step(capsys):
+    # --method two_step is the closed form with the two-step provider; the
+    # 17-digit JSON floats round-trip to fit_two_step's beta bit for bit
+    assert run_command(FIT_ARGV) == 0
+    beta = json.loads(capsys.readouterr().out)["result"]["beta_hat"]
+    series = parse_dataset(DatasetSpec(
+        path=FIXTURE, response_cols=["wind_s1", "wind_s2", "wind_s3"],
+        exog_cols=[["airtemp_s1", "airtemp_s2", "airtemp_s3"]], lags=2,
+    ))
+    assert np.array_equal(np.array(beta), fit_two_step(series).beta)
 
 
 def test_cli_fit_deterministic_bytes(tmp_path):

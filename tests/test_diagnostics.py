@@ -174,7 +174,7 @@ def test_perturbation_zero_budget_is_identity():
 
 
 @pytest.mark.parametrize("method, provider", [
-    ("two_step", None),
+    ("linear", corr.two_step(5)),
     ("linear", corr.compound_symmetry(0.7, 5)),
     ("newton", corr.empirical_running(5)),
 ])

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from loop_oracle import masked_logistic_d2, masked_sigmoid
 from mtgee.errors import ContractError, ModelViolationError, SaturationError
+from mtgee.estfun import EstimatingContext
+from mtgee.inference import sandwich
 from mtgee.model import ClusterSeries, get_link, moment_arrays
 from mtgee.simgen import SimDesign, generate_ar2
 
@@ -148,3 +150,29 @@ def test_model_violation_reports_location():
         moment_arrays(Xs, np.ones((2, 2)), np.array([1.0]), get_link("logistic"))
     assert err.value.theta == 800.0
     assert err.value.index == (1, 0)
+
+
+def stacked_logistic_sandwich():
+    # replication 1 of a stack of 2: mu' underflows to 0 at step 1, unit 1
+    Xs = np.zeros((2, 3, 2, 1))
+    Xs[1, 1, 1, 0] = 1.0
+    data = ClusterSeries(ys=np.zeros((2, 3, 2)), Xs=Xs)
+    ctx = EstimatingContext(data=data, link=get_link("logistic"))
+    sandwich(ctx, np.full((2, 1), 1e4))
+
+
+@pytest.mark.parametrize("call, error, text, index", [
+    (lambda: get_link("exponential").eval(np.array([1.0, 800.0])), SaturationError,
+     "argument theta=800.0 exceeds", None),
+    (lambda: moment_arrays(np.array([[[0.0], [1.0]], [[800.0], [2.0]]]), np.ones((2, 2)),
+                           np.array([1.0]), get_link("logistic")), ModelViolationError,
+     "at step 1, component 0 (theta=800.0)", (1, 0)),
+    (stacked_logistic_sandwich, ModelViolationError,
+     "at step 1, component 1 (theta=10000.0)", (1, 1)),
+], ids=["exp_saturation", "mu_prime_single", "mu_prime_stack"])
+def test_link_errors_print_plain_floats(call, error, text, index):
+    with pytest.raises(error) as err:
+        call()
+    assert text in str(err.value)
+    assert "np.float64" not in str(err.value)
+    assert getattr(err.value, "index", None) == index

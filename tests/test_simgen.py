@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import estimator_summary
 from loop_oracle import loop_generate_ar2
 from mtgee import simgen
 from mtgee.corr import build_fixed_corr
@@ -218,7 +219,7 @@ def test_study_metric_identities():
         assert np.all(summ.mse + 1e-12 >= summ.bias**2)
         assert np.allclose(summ.rb, summ.bias / beta0)
         assert np.all((0 <= summ.coverage) & (summ.coverage <= 1))
-    assert np.array_equal(report.summary("quasi_true").re, np.ones(2))
+    assert np.array_equal(estimator_summary(report, "quasi_true").re, np.ones(2))
 
 
 def test_study_requires_replications():

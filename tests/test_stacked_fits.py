@@ -14,9 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtgee import corr, simgen
-from mtgee.errors import InstabilityError, NumericalError, RankDeficiencyError
-from mtgee.estfun import EstimatingContext, fit, solve_linear
+from mtgee import corr, diagnostics, simgen
+from mtgee.errors import ContractError, InstabilityError, NumericalError, RankDeficiencyError
+from mtgee.estfun import (
+    EstimatingContext,
+    eval_g,
+    eval_jacobian,
+    fit,
+    solve_linear,
+    solve_newton,
+)
 from mtgee.model import ClusterSeries, get_link
 from mtgee.simgen import EstimatorSpec, SimDesign, default_estimators, generate_ar2, substream
 
@@ -176,3 +183,22 @@ def test_stacked_two_step_kernel_keeps_replications_and_the_past_apart(
         seq3 = provider.realize(ClusterSeries(ys=ys3, Xs=Xs), IDENTITY)
     assert np.array_equal(seq3[r, : step + 1], seq[r, : step + 1])
     assert np.array_equal(np.delete(seq3, r, axis=0), np.delete(seq, r, axis=0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx, beta: eval_g(ctx, beta),
+    lambda ctx, beta: eval_jacobian(ctx, beta),
+    lambda ctx, beta: solve_newton(ctx),
+    lambda ctx, beta: diagnostics.eigen_conditions(ctx, beta),
+    lambda ctx, beta: diagnostics.optimality_ratios(ctx, beta, np.eye(3)),
+    lambda ctx, beta: diagnostics.leverage(ctx, beta),
+    lambda ctx, beta: diagnostics.perturbation_sensitivity(ctx, "linear", [0.0, 0.1], seed=0),
+    lambda ctx, beta: fit(ctx, "newton"),
+    lambda ctx, beta: fit(EstimatingContext(ctx.data, IDENTITY, corr.empirical_running(3)),
+                          "linear"),
+], ids=["eval_g", "eval_jacobian", "solve_newton", "eigen_conditions", "optimality_ratios",
+        "leverage", "perturbation_sensitivity", "fit_newton", "fit_empirical"])
+def test_single_series_functions_reject_a_stack(call):
+    ctx = EstimatingContext(generate_ar2(DESIGNS["ar1_m3"], range(2)), IDENTITY, corr.ar1(0.3, 3))
+    with pytest.raises(ContractError, match="takes a single series, not a stack of series"):
+        call(ctx, np.full((2, 2), 0.3))
