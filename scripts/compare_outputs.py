@@ -16,7 +16,8 @@ an mtgee checkout) runs the whole list in one child process, with BLAS on
 one thread, through ``mtgee.cli.run_command``.  Every JSON and CSV file
 written, every exit code and every stderr text (the output directory
 replaced by ``<out>``) is compared; any difference is printed and the
-script exits 1.
+script exits 1.  A JSON file that differs is reported by JSON path, each
+with its largest absolute difference; any other file only as "bytes differ".
 
 Usage::
 
@@ -28,6 +29,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -124,8 +126,30 @@ def compare(before, after, dirs):
             with open(os.path.join(d, fname), "rb") as fh:
                 blobs.append(fh.read())
         if blobs[0] != blobs[1]:
-            diffs.append(f"{fname}: bytes differ")
+            paths = {}
+            if fname.endswith(".json"):
+                json_diffs(*(json.loads(blob) for blob in blobs), "", paths)
+            diffs.extend(f"{fname}: {path} differs by at most {gap:.3g}"
+                         for path, gap in paths.items())
+            if not paths:
+                diffs.append(f"{fname}: bytes differ")
     return diffs, len(files[1])
+
+
+def json_diffs(a, b, path, out):
+    """Record in ``out`` the largest absolute difference at each JSON path
+    where ``a`` and ``b`` differ.  List items fold into their list's path;
+    a difference that is not between two numbers counts as inf."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        for key in a:
+            json_diffs(a[key], b[key], f"{path}.{key}" if path else key, out)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for x, y in zip(a, b):
+            json_diffs(x, y, path, out)
+    elif a != b and not (a != a and b != b):  # two NaNs are the same output
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+        key = path or "$"
+        out[key] = max(out.get(key, 0.0), abs(a - b) if numbers else math.inf)
 
 
 def main():

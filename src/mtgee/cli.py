@@ -688,9 +688,11 @@ def _cmd_diagnose(args):
     cond = diagmod.eigen_conditions(ctx, beta, _float_list(args.delta_grid))
     lev = diagmod.leverage(ctx, beta)
     # the correlation truth is unknown on real data; plug in the full-sample
-    # average of standardized residual outer products
+    # average of standardized residual outer products, regularised as every
+    # running average is at its own count
     _, _, eps = moment_arrays(ctx.data.Xs, ctx.data.ys, beta, ctx.link)
-    rbar = corrmod.spd_project((eps[:, :, None] * eps[:, None, :]).mean(axis=0))
+    avg = (eps[:, :, None] * eps[:, None, :]).mean(axis=0)
+    rbar = corrmod.regularized_empirical(avg[None], np.array([ctx.data.n]))[0]
     opt = diagmod.optimality_ratios(ctx, beta, rbar)
 
     diagnostics = {

@@ -86,35 +86,17 @@ def build_fixed_corr(kind: str, alpha: float, m: int) -> np.ndarray:
     raise ContractError(f"unknown fixed correlation kind {kind!r}")
 
 
-def spd_project(mat: np.ndarray) -> np.ndarray:
-    """Clip eigenvalues below at ``EIG_FLOOR``, reassemble, rescale to unit diagonal.
-
-    Idempotent on symmetric matrices whose smallest eigenvalue already
-    meets the floor (returned unchanged).  Asymmetric input is a contract
-    violation.
-    """
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ContractError(f"spd_project expects a square matrix, got {mat.shape}")
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    if np.max(np.abs(mat - mat.T)) > 1e-8 * scale:
-        raise ContractError("spd_project requires symmetric input")
-    w, v = np.linalg.eigh(mat)
-    if w[0] >= EIG_FLOOR:
-        return mat
-    return _clip_spectrum(w, v, np.asarray(EIG_FLOOR))
-
-
 def _clip_spectrum(w, v, floors):
-    """Reassemble eigenpairs (stacked or single) with eigenvalues clipped
-    below at ``floors``, rescaled to unit diagonal and exactly symmetric."""
-    w = np.maximum(w, floors[..., None])
-    out = (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
-    d = np.sqrt(np.diagonal(out, axis1=-2, axis2=-1))
-    out = out / (d[..., :, None] * d[..., None, :])
+    """Reassemble a stack of eigenpairs, ``w`` (k, m) and ``v`` (k, m, m),
+    with eigenvalues clipped below at ``floors`` (k,), rescaled to unit
+    diagonal and exactly symmetric."""
+    w = np.maximum(w, floors[:, None])
+    out = (v * w[:, None, :]) @ np.swapaxes(v, 1, 2)
+    d = np.sqrt(np.diagonal(out, axis1=1, axis2=2))
+    out = out / (d[:, :, None] * d[:, None, :])
     diag = np.arange(out.shape[-1])
-    out[..., diag, diag] = 1.0
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
+    out[:, diag, diag] = 1.0
+    return 0.5 * (out + np.swapaxes(out, 1, 2))
 
 
 def regularized_empirical(mats: np.ndarray, counts) -> np.ndarray:

@@ -346,7 +346,7 @@ def fit(
     the identity link); ``ctx.corr`` alone picks the working correlation, so
     the two-step estimator is "linear" with the provider ``corr.two_step``.
     An unresolved empirical provider gets its plug-in beta from the
-    working-independence estimate.
+    working-independence estimate, which is also the Newton start.
 
     The closed form also fits a stack of series (``ctx.data`` with a leading
     replication axis) in one pass, every result with that axis.  A
@@ -362,15 +362,16 @@ def fit(
         raise ContractError(f"unknown fit method {method!r}")
     if method == "newton" or isinstance(ctx.corr, corrmod.EmpiricalRunningCorr):
         _single_series(ctx, "a Newton fit or a running empirical correlation")
+    start = None  # solve_newton's own working-independence start
     if isinstance(ctx.corr, corrmod.EmpiricalRunningCorr) and ctx.corr.plugin_beta is None:
-        plugin = working_independence_estimate(ctx.data, ctx.link)
+        start = working_independence_estimate(ctx.data, ctx.link)
         ctx = EstimatingContext(data=ctx.data, link=ctx.link,
-                                corr=corrmod.empirical_running(ctx.corr.m, plugin))
+                                corr=corrmod.empirical_running(ctx.corr.m, start))
     solver = None
     if method == "linear":
         beta = solve_linear(ctx)
     else:
-        solver = solve_newton(ctx, tol=tol, max_iter=max_iter)
+        solver = solve_newton(ctx, beta_init=start, tol=tol, max_iter=max_iter)
         beta = solver.beta_hat
 
     result = FitResult(beta_hat=beta, ctx=ctx, level=level, solver=solver,

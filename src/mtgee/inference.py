@@ -11,8 +11,8 @@ scaling consistent with the normal approximation
 Psi^{-1/2} (beta_hat - beta_0) ~ N(0, I).
 """
 
-import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -59,45 +59,12 @@ def sandwich(ctx: EstimatingContext, beta_hat) -> SandwichEstimate:
     return sandwich_from_arrays(ctx.data.Xs, a, eps, ctx.corr_inverses())
 
 
-# Acklam's rational approximation to the standard-normal quantile, followed
-# by one Halley refinement against the exact erfc-based CDF.  Against
-# scipy.stats.norm.ppf the refined result is within 1e-13 on (0, 0.9999].
-# Above that, the Halley residual Phi(x) - q loses digits to cancellation:
-# the error is 1.8e-9 at q = 1 - 3e-9 and 7.4e-9 at q = 1 - 1e-12.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-
-
 def normal_quantile(q: float) -> float:
-    """Inverse standard-normal CDF, no statistical library required."""
+    """Inverse standard-normal CDF (Wichura's AS241, from the standard library)."""
     q = float(q)
     if not (0.0 < q < 1.0):
         raise ContractError(f"quantile argument must be in (0, 1), got {q}")
-    p_low, p_high = 0.02425, 1.0 - 0.02425
-    if q < p_low:
-        u = math.sqrt(-2.0 * math.log(q))
-        x = (((((_C[0] * u + _C[1]) * u + _C[2]) * u + _C[3]) * u + _C[4]) * u + _C[5]) / \
-            ((((_D[0] * u + _D[1]) * u + _D[2]) * u + _D[3]) * u + 1.0)
-    elif q <= p_high:
-        u = q - 0.5
-        r = u * u
-        x = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * u / \
-            (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-    else:
-        u = math.sqrt(-2.0 * math.log(1.0 - q))
-        x = -(((((_C[0] * u + _C[1]) * u + _C[2]) * u + _C[3]) * u + _C[4]) * u + _C[5]) / \
-            ((((_D[0] * u + _D[1]) * u + _D[2]) * u + _D[3]) * u + 1.0)
-    # Halley step: e = Phi(x) - q, Phi via erfc for tail accuracy
-    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - q
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    x = x - u / (1.0 + 0.5 * x * u)
-    return x
+    return NormalDist().inv_cdf(q)
 
 
 def component_intervals(est: SandwichEstimate, beta_hat, level: float = 0.95) -> np.ndarray:

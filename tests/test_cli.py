@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from loop_oracle import loop_design
+from mtgee import corr
 from mtgee.cli import (
     DatasetSpec,
     json_dumps,
@@ -14,6 +15,7 @@ from mtgee.cli import (
 )
 from mtgee.errors import ContractError, DataError
 from mtgee.estfun import fit_two_step
+from mtgee.model import get_link, moment_arrays
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "..", "data", "wind_synthetic.csv")
 
@@ -551,6 +553,24 @@ def test_cli_diagnose_with_empirical_provider(capsys):
     assert run_command(argv) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["diagnostics"]["optimality"]["det_ratio_H"]
+
+
+def test_cli_diagnose_reference_correlation_is_the_running_regulariser(capsys):
+    # rbar regularises the full-sample average of the standardized residual
+    # outer products at the fitted beta, as a running average of n steps is
+    argv = ["diagnose", "--data", FIXTURE, "--response", "wind_s1,wind_s2,wind_s3",
+            "--lags", "2", "--method", "two_step"]
+    assert run_command(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    series = parse_dataset(DatasetSpec(path=FIXTURE, layout="wide",
+                                       response_cols=["wind_s1", "wind_s2", "wind_s3"],
+                                       exog_cols=[], lags=2))
+    beta = np.array(payload["result"]["beta_hat"])
+    _, _, eps = moment_arrays(series.Xs, series.ys, beta, get_link("identity"))
+    avg = np.mean(eps[:, :, None] * eps[:, None, :], axis=0)
+    want = corr.regularized_empirical(avg[None], np.array([series.n]))[0]
+    assert np.array_equal(np.array(payload["diagnostics"]["optimality"]["reference_correlation"]),
+                          want)
 
 
 def test_cli_predict_reduced_model(capsys):

@@ -80,16 +80,28 @@ def test_empirical_running_convergence_monotone_in_n():
     assert med[0] > med[1] > med[2]
 
 
+# The SPD projection of one matrix is regularized_empirical on a stack of
+# one, as diagnose builds its reference correlation.  At COUNT averaged
+# outer products of m = 2 the relative floor is 1/COUNT of the largest
+# eigenvalue, so it binds in the eigen oracle below.
+COUNT = 1000
+
+
+def regularize_one(mat):
+    return corr.regularized_empirical(np.asarray(mat)[None], np.array([COUNT]))[0]
+
+
 def test_spd_project_identity_unchanged():
-    out = corr.spd_project(np.eye(3))
+    out = regularize_one(np.eye(3))
     assert np.array_equal(out, np.eye(3))
 
 
 def test_spd_project_matches_eigen_oracle():
     mat = np.array([[1.0, 1.0], [1.0, 1.0]])
-    out = corr.spd_project(mat)
+    out = regularize_one(mat)
     w, v = np.linalg.eigh(mat)
-    rebuilt = (v * np.maximum(w, corr.EIG_FLOOR)) @ v.T
+    floor = max(corr.EIG_FLOOR, min(0.5, 2 / (2.0 * COUNT)) * w[-1])
+    rebuilt = (v * np.maximum(w, floor)) @ v.T
     d = np.sqrt(np.diag(rebuilt))
     expected = rebuilt / np.outer(d, d)
     assert np.max(np.abs(out - expected)) < 1e-12
@@ -99,21 +111,16 @@ def test_spd_project_matches_eigen_oracle():
 
 def test_spd_project_keeps_valid_correlation():
     mat = corr.build_fixed_corr("compound_symmetry", 0.7, 5)
-    assert np.array_equal(corr.spd_project(mat), mat)
+    assert np.array_equal(regularize_one(mat), mat)
 
 
 def test_spd_project_idempotent_on_admissible_input():
     # contract: inputs whose smallest eigenvalue already meets the floor
     # pass through unchanged, so repeated application is a no-op
     mat = np.array([[1.0, 0.9], [0.9, 1.0]])  # eigenvalues 0.1, 1.9
-    once = corr.spd_project(mat)
+    once = regularize_one(mat)
     assert np.array_equal(once, mat)
-    assert np.array_equal(corr.spd_project(once), mat)
-
-
-def test_spd_project_rejects_asymmetric():
-    with pytest.raises(ContractError):
-        corr.spd_project(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    assert np.array_equal(regularize_one(once), mat)
 
 
 def test_pseudo_fixed_rejects_non_spd():
@@ -180,7 +187,7 @@ def test_spd_project_clipped_output_is_unit_diagonal_pd(rho, m):
     v = np.full(m, 1.0)
     v[0] = rho
     mat = np.outer(v, v) + 1e-12 * np.eye(m)
-    out = corr.spd_project(mat)
+    out = regularize_one(mat)
     assert np.allclose(np.diag(out), 1.0)
     assert np.linalg.eigvalsh(out)[0] > 0
     assert np.max(np.abs(out - out.T)) == 0.0

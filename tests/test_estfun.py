@@ -4,7 +4,7 @@ import pytest
 from conftest import finite_diff_jacobian, glm_series, random_series
 from ergodicity import ergodicity_check
 from loop_oracle import scalar_regularize
-from mtgee import corr
+from mtgee import corr, estfun
 from mtgee.diagnostics import leverage
 from mtgee.errors import ContractError, RankDeficiencyError, SolverFailureError
 from mtgee.estfun import (
@@ -343,6 +343,25 @@ def test_fit_resolves_empirical_plugin(rng):
     # unresolved provider still refuses direct evaluation
     with pytest.raises(ContractError):
         eval_g(ctx, res.beta_hat)
+
+
+@pytest.mark.parametrize("link_kind", ["identity", "logistic"])
+def test_empirical_newton_fit_solves_working_independence_once(rng, monkeypatch, link_kind):
+    # the resolved plug-in is also the Newton start, bit for bit
+    data = glm_series(rng, link_kind, beta0=(0.3, -0.4), n=80, m=3)
+    estimates = []
+    solve = estfun.working_independence_estimate
+
+    def counted(*args):
+        estimates.append(solve(*args))
+        return estimates[-1]
+
+    monkeypatch.setattr(estfun, "working_independence_estimate", counted)
+    ctx = EstimatingContext(data=data, link=get_link(link_kind), corr=corr.empirical_running(3))
+    res = fit(ctx, method="newton")
+    assert len(estimates) == 1
+    assert np.array_equal(res.ctx.corr.plugin_beta, estimates[0])
+    assert np.array_equal(res.solver.trace[0][0], estimates[0])
 
 
 # ---------------------------------------------------------------------------

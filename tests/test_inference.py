@@ -84,6 +84,21 @@ def test_quantile_against_scipy():
     assert np.max(np.abs(ours - ref)) < 1e-8
 
 
+def test_quantile_far_tail_against_scipy():
+    grid = np.array([1e-12, 3e-9, 1 - 3e-9, 1 - 1e-12])
+    ours = np.array([normal_quantile(q) for q in grid])
+    assert np.max(np.abs(ours - stats.norm.ppf(grid))) < 1e-12
+
+
+def test_interval_quantile_matches_scipy():
+    # the 95% intervals are beta -/+ z se with z within 1e-15 of scipy's
+    est = SandwichEstimate(h_mat=np.eye(1), m_mat=np.eye(1), psi=np.eye(1), se=np.ones(1))
+    cis = component_intervals(est, np.zeros(1), 0.95)
+    z = stats.norm.ppf(0.975)
+    assert abs(cis[0, 1] - z) <= 1e-15
+    assert abs(cis[0, 0] + z) <= 1e-15
+
+
 @given(st.floats(min_value=1e-7, max_value=0.5))
 @settings(max_examples=100, deadline=None)
 def test_quantile_symmetry(q):
