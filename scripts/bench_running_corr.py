@@ -19,11 +19,13 @@ Recorded per tree, as the median and minimum over all timed calls:
 
 This file also holds the timing harness that ``bench_kernels.py`` uses.
 The two source trees (``--baseline-src`` and ``--src``, both ``src``
-directories of an mtgee checkout) run in four child processes in ABBA
-order (baseline, change, change, baseline), with BLAS pinned to one
-thread.  Each child makes half of ``--repeats`` timed calls per entry
-after one warm-up call, and the two children of a tree are pooled, so a
-drift of the host's speed over the run falls on both trees alike.
+directories of an mtgee checkout) run in ``ROUNDS`` rounds of four child
+processes in ABBA order (baseline, change, change, baseline), with BLAS
+pinned to one thread.  Each child makes half of ``--repeats`` timed calls
+per entry after one warm-up call, and the children of a tree are pooled,
+so a drift of the host's speed over the run falls on both trees alike.
+Each entry gives the quartiles of its pooled times and the speed-up of
+every round, whose spread shows how much of a speed-up is host noise.
 
 Usage::
 
@@ -44,6 +46,7 @@ import time
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 ORDER = ("before", "after", "after", "before")
+ROUNDS = 5
 REPLICATIONS = 20
 
 
@@ -87,7 +90,9 @@ def _environment():
 
 
 def _summary(times):
-    return {"median_s": statistics.median(times), "min_s": min(times), "repeats": len(times)}
+    q1, _, q3 = statistics.quantiles(times, n=4)
+    return {"median_s": statistics.median(times), "min_s": min(times), "q1_s": q1, "q3_s": q3,
+            "repeats": len(times)}
 
 
 def main(script, worker, what, output, repeats, prepare=None, extra=None):
@@ -97,8 +102,8 @@ def main(script, worker, what, output, repeats, prepare=None, extra=None):
     ``worker(repeats, input_path)``, a dict of entry name to seconds per
     call.  Otherwise ``prepare(directory)``, if given, writes the inputs into
     ``directory`` and returns the path (a file or the directory) that every
-    child receives, the trees run in ``ORDER``, and the report, with the keys
-    of ``extra`` added, goes to ``--output``.
+    child receives, the trees run in ``ORDER`` once per round, and the
+    report, with the keys of ``extra`` added, goes to ``--output``.
     """
     parser = argparse.ArgumentParser(description=sys.modules["__main__"].__doc__.splitlines()[0])
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
@@ -114,18 +119,30 @@ def main(script, worker, what, output, repeats, prepare=None, extra=None):
     if not args.baseline_src:
         parser.error("--baseline-src is required")
     trees = {"before": args.baseline_src, "after": args.src}
-    times = {"before": {}, "after": {}}
+    rounds = []  # per round: {tree: {entry: [seconds]}}
     with tempfile.TemporaryDirectory() as tmp:
         inputs = ["--input", prepare(tmp)] if prepare else []
-        for label in ORDER:
-            for name, ts in _run_tree(script, trees[label], -(-args.repeats // 2),
-                                      inputs).items():
-                times[label].setdefault(name, []).extend(ts)
-    before = {name: _summary(ts) for name, ts in times["before"].items()}
-    after = {name: _summary(ts) for name, ts in times["after"].items()}
+        for _ in range(ROUNDS):
+            times = {"before": {}, "after": {}}
+            for label in ORDER:
+                for name, ts in _run_tree(script, trees[label], -(-args.repeats // 2),
+                                          inputs).items():
+                    times[label].setdefault(name, []).extend(ts)
+            rounds.append(times)
+
+    def pooled(label, name):
+        return [t for times in rounds for t in times[label][name]]
+
+    def speedup(times, name):
+        return statistics.median(times["before"][name]) / statistics.median(times["after"][name])
+
+    names = list(rounds[0]["before"])
+    before = {name: _summary(pooled("before", name)) for name in names}
+    after = {name: _summary(pooled("after", name)) for name in names}
     report = {
         "schema": "mtgee-bench/1",
         "what": what,
+        "rounds": ROUNDS,
         **(extra or {}),
         "environment": _environment(),
         "timings": {
@@ -133,8 +150,9 @@ def main(script, worker, what, output, repeats, prepare=None, extra=None):
                 "before": before[name],
                 "after": after[name],
                 "speedup_median": before[name]["median_s"] / after[name]["median_s"],
+                "speedup_rounds": [speedup(times, name) for times in rounds],
             }
-            for name in before
+            for name in names
         },
     }
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -192,7 +210,7 @@ def _worker(repeats, _input):
 
 
 if __name__ == "__main__":
-    main(__file__, _worker, "Monte Carlo fits: one fit per replication and estimator vs a "
-         "chunk fitted in stacks of replications (one two-step kernel pass, one stacked GEMM "
-         "per sum, one batched rank test and solve per estimator and stack)",
+    main(__file__, _worker, "Identity-link fits: R_i^{-1} from one batched inv, multiplied "
+         "into X by the closed form and again by the sandwich, vs R_i^{-1} X_i from one "
+         "batched solve per context, shared by the closed form and the sandwich",
          "BENCH_running_corr.json", 7)

@@ -17,7 +17,10 @@ one thread, through ``mtgee.cli.run_command``.  Every JSON and CSV file
 written, every exit code and every stderr text (the output directory
 replaced by ``<out>``) is compared; any difference is printed and the
 script exits 1.  A JSON file that differs is reported by JSON path, each
-with its largest absolute difference; any other file only as "bytes differ".
+with its largest absolute and relative difference, and a CSV file with the
+largest of each over its cells.  A relative difference is |a - b| /
+max(|a|, |b|); a difference that is not between two finite numbers counts
+as inf.
 
 Usage::
 
@@ -27,6 +30,7 @@ Usage::
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -129,17 +133,32 @@ def compare(before, after, dirs):
             paths = {}
             if fname.endswith(".json"):
                 json_diffs(*(json.loads(blob) for blob in blobs), "", paths)
-            diffs.extend(f"{fname}: {path} differs by at most {gap:.3g}"
-                         for path, gap in paths.items())
+            elif fname.endswith(".csv"):
+                paths["a cell"] = csv_gap(*blobs)
+            diffs.extend(f"{fname}: {path} differs by at most {gap:.3g} (relative {rel:.3g})"
+                         for path, (gap, rel) in paths.items())
             if not paths:
                 diffs.append(f"{fname}: bytes differ")
     return diffs, len(files[1])
 
 
+def gap(a, b):
+    """(absolute, relative) difference of two different values: inf, inf
+    unless both are finite numbers."""
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+    if not (numbers and math.isfinite(a) and math.isfinite(b)):
+        return math.inf, math.inf
+    return abs(a - b), abs(a - b) / max(abs(a), abs(b))
+
+
+def widest(old, new):
+    return max(old[0], new[0]), max(old[1], new[1])
+
+
 def json_diffs(a, b, path, out):
-    """Record in ``out`` the largest absolute difference at each JSON path
-    where ``a`` and ``b`` differ.  List items fold into their list's path;
-    a difference that is not between two numbers counts as inf."""
+    """Record in ``out`` the largest (absolute, relative) difference at each
+    JSON path where ``a`` and ``b`` differ.  List items fold into their
+    list's path."""
     if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
         for key in a:
             json_diffs(a[key], b[key], f"{path}.{key}" if path else key, out)
@@ -147,9 +166,24 @@ def json_diffs(a, b, path, out):
         for x, y in zip(a, b):
             json_diffs(x, y, path, out)
     elif a != b and not (a != a and b != b):  # two NaNs are the same output
-        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
         key = path or "$"
-        out[key] = max(out.get(key, 0.0), abs(a - b) if numbers else math.inf)
+        out[key] = widest(out.get(key, (0.0, 0.0)), gap(a, b))
+
+
+def csv_gap(a, b):
+    """The largest (absolute, relative) difference between the cells of two
+    CSV files; a cell that is not a number, or a different shape, counts as inf."""
+    tables = [list(csv.reader(io.StringIO(blob.decode("utf-8")))) for blob in (a, b)]
+    if list(map(len, tables[0])) != list(map(len, tables[1])):
+        return math.inf, math.inf
+    worst = (0.0, 0.0)
+    for x, y in zip(*(sum(t, []) for t in tables)):
+        if x != y:
+            try:
+                worst = widest(worst, gap(float(x), float(y)))
+            except ValueError:
+                return math.inf, math.inf
+    return worst
 
 
 def main():

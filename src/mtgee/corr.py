@@ -1,7 +1,7 @@
 """Working correlation structures for the estimating function.
 
 A provider supplies, for every step i, the m x m surrogate matrix R_i used
-to weight that step's standardized residuals, and its inverse.  Fixed
+to weight that step's standardized residuals, and applies R_i^{-1}.  Fixed
 patterns (independence, compound symmetry, AR(1)) are constant over time;
 the running empirical provider averages outer products of standardized
 residuals from steps strictly before i, and the two-step provider does the
@@ -228,9 +228,10 @@ class CorrProvider:
         """Materialize the per-step matrices as an (n, m, m) array, or (k, n, m, m)."""
         raise NotImplementedError
 
-    def inverses(self, seq: np.ndarray) -> np.ndarray:
-        """The inverses of per-step matrices ``seq`` this provider realized."""
-        return np.linalg.inv(seq)
+    def solve(self, seq: np.ndarray, rhs=None) -> np.ndarray:
+        """R_i^{-1} rhs_i for the per-step matrices ``seq`` this provider
+        realized, from one batched solve; R_i^{-1} itself when ``rhs`` is None."""
+        return np.linalg.inv(seq) if rhs is None else np.linalg.solve(seq, rhs)
 
     def _check_size(self, data):
         if data.m != self.m:
@@ -252,9 +253,11 @@ class FixedCorr(CorrProvider):
         self._check_size(data)
         return np.broadcast_to(self.matrix, data.ys.shape + (self.m,))
 
-    def inverses(self, seq):
-        # one m x m inverse, broadcast over the steps (and replications)
-        return np.broadcast_to(np.linalg.inv(self.matrix), seq.shape)
+    def solve(self, seq, rhs=None):
+        # one m x m inverse, multiplied into rhs or broadcast over the steps
+        # (and replications)
+        inv = np.linalg.inv(self.matrix)
+        return np.broadcast_to(inv, seq.shape) if rhs is None else inv @ rhs
 
 
 class EmpiricalRunningCorr(CorrProvider):

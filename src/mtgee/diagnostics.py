@@ -165,7 +165,7 @@ def optimality_ratios(ctx: EstimatingContext, beta_hat, true_corr) -> Optimality
     _single_series(ctx, "optimality_ratios")
     true_corr = np.asarray(true_corr, dtype=np.float64)
     _, a, _ = moment_arrays(ctx.data.Xs, ctx.data.ys, beta_hat, ctx.link)
-    xa, rinv_xa = weighted_design(ctx.data.Xs, a, ctx.corr_inverses())
+    xa, rinv_xa = weighted_design(ctx, a)
 
     pts = _checkpoints(ctx.data.n)
     h_runs = _running_gram(xa, rinv_xa, pts)

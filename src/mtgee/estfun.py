@@ -4,11 +4,14 @@ g_n(beta) = sum_i X_i' A_i^{1/2} R_i^{-1} A_i^{-1/2} (y_i - mu_i(beta)),
 
 with A_i = diag(mu'(x_ij' beta)) and R_i the working correlation supplied
 by a provider.  With the independence provider this collapses to
-sum_i X_i' (y_i - mu_i(beta)).  For the identity link the equation is
-affine in beta and admits the closed form implemented by `solve_linear`.
-The sequential two-step pseudo-likelihood estimator is that closed form
-with the two-step provider, `corr.two_step`, which re-estimates the
-correlation from working-independence residuals as data accrue.
+sum_i X_i' (y_i - mu_i(beta)).  For the identity link A_i = I, so the
+equation is affine in beta and admits the closed form implemented by
+`solve_linear`; g_n = sum_i (R_i^{-1} X_i)' (y_i - X_i beta), its derivative
+and the closed form read R_i only through the beta-free array R_i^{-1} X_i,
+which the context solves for once.  The sequential two-step
+pseudo-likelihood estimator is that closed form with the two-step provider,
+`corr.two_step`, which re-estimates the correlation from
+working-independence residuals as data accrue.
 """
 
 from dataclasses import dataclass
@@ -29,13 +32,16 @@ from .model import ClusterSeries, LinkSpec, get_link, moment_arrays
 
 @dataclass
 class EstimatingContext:
-    """Data + link + working correlation, with cached per-step matrices.
+    """Data + link + working correlation, with one cached per-step array.
 
-    ``corr=None`` means working independence.  The provider's inverse
-    matrices R_i^{-1}, which the fits read, are realized on first use and
-    cached; the matrices R_i are cached only once a caller asks for them
-    (before the inverses, to realize them once).  All shipped providers are
-    beta-free so the cache is valid for every beta.
+    ``corr=None`` means working independence.  The fits read the provider's
+    sequence R_i through one array, built on first use and cached: for the
+    identity link R_i^{-1} X_i (``rinv_x``), from one batched solve, since
+    A_i = I there and every fit, sandwich and diagnostic reads R_i only
+    through it; for the other links, whose A_i depends on beta, R_i^{-1}
+    (``corr_inverses``).  The matrices R_i are cached only once a caller
+    asks for them (before the fits, so that R_i is realized once).  All
+    shipped providers are beta-free so the cache is valid for every beta.
     """
 
     data: ClusterSeries
@@ -49,16 +55,26 @@ class EstimatingContext:
     def _matrices(self):
         return self.corr.realize(self.data, self.link)
 
+    def _realized(self):
+        seq = self.__dict__.get("_matrices")  # cached R, if a caller asked for it
+        return self.corr.realize(self.data, self.link) if seq is None else seq
+
     @cached_property
     def _inverses(self):
-        seq = self.__dict__.get("_matrices")  # cached R, if a caller asked for it
-        return self.corr.inverses(self.corr.realize(self.data, self.link) if seq is None else seq)
+        return self.corr.solve(self._realized())
+
+    @cached_property
+    def _rinv_x(self):
+        return self.corr.solve(self._realized(), self.data.Xs)
 
     def corr_matrices(self) -> np.ndarray:
         return self._matrices
 
     def corr_inverses(self) -> np.ndarray:
         return self._inverses
+
+    def rinv_x(self) -> np.ndarray:
+        return self._rinv_x
 
     def with_data(self, data: ClusterSeries) -> "EstimatingContext":
         return EstimatingContext(data=data, link=self.link, corr=self.corr)
@@ -84,16 +100,20 @@ def _check_beta(ctx, beta):
     return beta
 
 
-def weighted_design(Xs, a, rinv):
-    """Per-step designs A_i^{1/2} X_i and R_i^{-1} A_i^{1/2} X_i, both (n, m, p),
-    or (k, n, m, p) for a stack of series.
+def weighted_design(ctx, a):
+    """Per-step designs A_i^{1/2} X_i and R_i^{-1} A_i^{1/2} X_i of a context,
+    both (n, m, p), or (k, n, m, p) for a stack of series, with ``a`` the
+    variance function at the current beta.
 
-    ``a=None`` means A_i = I.  Every sum over steps of these products is one
-    GEMM per series over the flattened (n*m, p) rows (:func:`_gram`);
-    ``rinv`` may be a stride-0 broadcast of one matrix.
+    With the identity link A_i = I and ``a`` is not read: the pair is X_i and
+    the context's cached R_i^{-1} X_i.  Every sum over steps of these
+    products is one GEMM per series over the flattened (n*m, p) rows
+    (:func:`_gram`).
     """
-    xa = Xs if a is None else Xs * np.sqrt(a)[..., None]
-    return xa, rinv @ xa
+    if ctx.link.kind == "identity":
+        return ctx.data.Xs, ctx.rinv_x()
+    xa = ctx.data.Xs * np.sqrt(a)[..., None]
+    return xa, ctx.corr_inverses() @ xa
 
 
 def _rows(arr):
@@ -113,6 +133,8 @@ def eval_g(ctx: EstimatingContext, beta) -> np.ndarray:
     beta = _check_beta(ctx, beta)
     Xs, ys = ctx.data.Xs, ctx.data.ys
     _, a, eps = moment_arrays(Xs, ys, beta, ctx.link)
+    if ctx.link.kind == "identity":
+        return _rows(ctx.rinv_x()).T @ eps.reshape(-1)  # (R^{-1} X)' eps by symmetry
     w = ctx.corr_inverses() @ eps[:, :, None]
     return _rows(Xs * np.sqrt(a)[:, :, None]).T @ w.reshape(-1)
 
@@ -128,11 +150,11 @@ def eval_jacobian(ctx: EstimatingContext, beta) -> np.ndarray:
     beta = _check_beta(ctx, beta)
     Xs, ys = ctx.data.Xs, ctx.data.ys
     _, a, eps = moment_arrays(Xs, ys, beta, ctx.link)
-    rinv = ctx.corr_inverses()
-    xa, rinv_xa = weighted_design(Xs, a, rinv)
+    xa, rinv_xa = weighted_design(ctx, a)
     d_mat = _gram(xa, rinv_xa)
     if ctx.link.kind == "identity":
         return d_mat
+    rinv = ctx.corr_inverses()
 
     # curvature terms: with D_l = diag(d * X[:, l]), d = mu''/(2 mu'), the
     # correction to column l is X' (D_l B - B D_l) r where B = A^{1/2} R^{-1} A^{-1/2};
@@ -177,7 +199,7 @@ def _rank_test(mats, what):
 
 def solve_linear(ctx: EstimatingContext) -> np.ndarray:
     """Closed-form root for the identity link:
-    (sum X' R^{-1} X)^{-1} sum X' R^{-1} y.
+    (sum X' R^{-1} X)^{-1} sum (R^{-1} X)' y, from the context's R^{-1} X.
 
     For a stack of series the roots are (k, p), from one stacked GEMM each
     for the normal matrices and the right-hand sides, one batched rank test
@@ -190,7 +212,7 @@ def solve_linear(ctx: EstimatingContext) -> np.ndarray:
             f"solve_linear requires the identity link, got {ctx.link.kind!r}"
         )
     data = ctx.data
-    _, rinv_x = weighted_design(data.Xs, None, ctx.corr_inverses())
+    rinv_x = ctx.rinv_x()
     k_mat = _gram(data.Xs, rinv_x)
     ok = _rank_test(k_mat, "normal matrix")
     rhs = _gram(rinv_x, data.ys[..., None])
@@ -307,7 +329,9 @@ def fit_two_step(
     The closed-form root of g_n with the two-step provider,
     :func:`corr.two_step`, as the working correlation: R_i averages the
     outer products of residuals from steps 1..i-1, taken at the
-    working-independence estimate computed on those same steps.
+    working-independence estimate computed on those same steps.  The
+    sequence is realized once: the closed form solves against the R_i it
+    returns.
     """
     ctx = EstimatingContext(data=data, link=link or get_link("identity"),
                             corr=corrmod.two_step(data.m))

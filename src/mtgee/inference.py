@@ -3,9 +3,12 @@
 The estimator covariance is approximated by Psi = H^{-1} M H^{-1} with
 
     H = sum_i X_i' A_i^{1/2} R_i^{-1} A_i^{1/2} X_i,
-    M = sum_i s_i s_i',   s_i = X_i' A_i^{1/2} R_i^{-1} eps_i,
+    M = sum_i s_i s_i',   s_i = (R_i^{-1} A_i^{1/2} X_i)' eps_i,
 
-where eps_i are the standardized residuals at the fitted beta.  Interval
+where eps_i are the standardized residuals at the fitted beta.  Both read
+R_i only through the weighted design R_i^{-1} A_i^{1/2} X_i
+(``estfun.weighted_design``); with the identity link that is the context's
+cached R_i^{-1} X_i, the array the closed form solved with.  Interval
 half-widths scale with the standard errors sqrt(Psi_kk); that is the
 scaling consistent with the normal approximation
 Psi^{-1/2} (beta_hat - beta_0) ~ N(0, I).
@@ -29,8 +32,9 @@ class SandwichEstimate:
     se: np.ndarray
 
 
-def sandwich_from_arrays(Xs, a, eps, rinv) -> SandwichEstimate:
-    """Sandwich pieces from precomputed per-step arrays (see module docstring).
+def sandwich_from_arrays(xa, rinv_xa, eps) -> SandwichEstimate:
+    """Sandwich pieces from the per-step weighted designs A^{1/2} X and
+    R^{-1} A^{1/2} X and the standardized residuals (see module docstring).
 
     The arrays may be stacks of series with a leading replication axis; each
     piece then has it too, from one stacked GEMM per sum, one batched rank
@@ -38,7 +42,6 @@ def sandwich_from_arrays(Xs, a, eps, rinv) -> SandwichEstimate:
     fails the rank test raises for a single series (``estfun._rank_test``);
     in a stack its psi and se are NaN.
     """
-    xa, rinv_xa = weighted_design(Xs, a, rinv)
     h_mat = _gram(xa, rinv_xa)
     scores = (eps[..., None, :] @ rinv_xa)[..., 0, :]
     m_mat = np.swapaxes(scores, -1, -2) @ scores
@@ -56,7 +59,7 @@ def sandwich(ctx: EstimatingContext, beta_hat) -> SandwichEstimate:
     """Sandwich covariance of beta_hat under the context's working correlation."""
     beta_hat = _check_beta(ctx, beta_hat)
     _, a, eps = moment_arrays(ctx.data.Xs, ctx.data.ys, beta_hat, ctx.link)
-    return sandwich_from_arrays(ctx.data.Xs, a, eps, ctx.corr_inverses())
+    return sandwich_from_arrays(*weighted_design(ctx, a), eps)
 
 
 def normal_quantile(q: float) -> float:

@@ -18,9 +18,10 @@ slices and returns it as one stacked series; each replication still draws
 its innovations from its own substream, so its series is bit-identical to a
 one-replication call.  The chunk is fitted in stacks of replications,
 views of the chunk with a leading axis on every array: per estimator and
-stack, one realization of the working correlation (one m x m inverse for a
-fixed pattern, one pass of the two-step kernel), one stacked GEMM per
-normal matrix and sandwich sum, one batched rank test and one batched
+stack, one realization of the working correlation and one R_i^{-1} X_i
+(one m x m inverse times X for a fixed pattern; one pass of the two-step
+kernel and one batched solve for the two-step estimator), one stacked GEMM
+per normal matrix and sandwich sum, one batched rank test and one batched
 solve.  Every per-replication operation is the one a single series runs,
 so the estimates are bit-identical to one fit per replication, and a
 replication that fails numerically is flagged alone.  A serial study walks
@@ -200,7 +201,7 @@ def _replications(design: SimDesign, specs, level: float, reps: range):
     betas, los, his = np.full(shape, np.nan), np.full(shape, np.nan), np.full(shape, np.nan)
     failed = np.zeros(shape[:2], dtype=bool)
     failed[:, [provider is None for provider in providers]] = True
-    # a two-step fit holds R_i^{-1} for every step of its stack, so a stack
+    # a two-step fit realizes R_i for every step of its stack, so a stack
     # holds at most CHUNK_REPS * BLOCK_STEPS (replication, step) rows: 0.4 MB
     # at m=5, a stack of 4 at n=500.  The stacks are views of the chunk.
     size = max(1, CHUNK_REPS * corrmod.BLOCK_STEPS // design.n)

@@ -28,7 +28,7 @@ class ErgodicityReport:
 def score_terms(ctx: EstimatingContext, beta):
     """Per-step score contributions s_i = X' A^{1/2} R^{-1} eps, shape (n, p)."""
     _, a, eps = moment_arrays(ctx.data.Xs, ctx.data.ys, beta, ctx.link)
-    _, rinv_xa = weighted_design(ctx.data.Xs, a, ctx.corr_inverses())
+    _, rinv_xa = weighted_design(ctx, a)
     return (eps[:, None, :] @ rinv_xa)[:, 0, :]
 
 

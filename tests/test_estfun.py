@@ -5,7 +5,7 @@ from conftest import finite_diff_jacobian, glm_series, random_series
 from ergodicity import ergodicity_check
 from loop_oracle import scalar_regularize
 from mtgee import corr, estfun
-from mtgee.diagnostics import leverage
+from mtgee.diagnostics import leverage, optimality_ratios, perturbation_sensitivity
 from mtgee.errors import ContractError, RankDeficiencyError, SolverFailureError
 from mtgee.estfun import (
     EstimatingContext,
@@ -362,6 +362,67 @@ def test_empirical_newton_fit_solves_working_independence_once(rng, monkeypatch,
     assert len(estimates) == 1
     assert np.array_equal(res.ctx.corr.plugin_beta, estimates[0])
     assert np.array_equal(res.solver.trace[0][0], estimates[0])
+
+
+@pytest.fixture
+def realizations(monkeypatch):
+    """Count each running provider's realizations, and fail any read of R^{-1}
+    from an identity-link context: its fits, sandwich and diagnostics read
+    R^{-1} X alone."""
+    counts = {"two_step": 0, "empirical": 0}
+    for kind, cls in (("two_step", corr.TwoStepCorr), ("empirical", corr.EmpiricalRunningCorr)):
+        def counted(self, data, link, _kind=kind, _realize=cls.realize):
+            counts[_kind] += 1
+            return _realize(self, data, link)
+
+        monkeypatch.setattr(cls, "realize", counted)
+    solve, inverses = corr.CorrProvider.solve, EstimatingContext.corr_inverses
+
+    def guarded_solve(self, seq, rhs=None):
+        if rhs is None:
+            raise AssertionError("a running provider formed R^-1")
+        return solve(self, seq, rhs)
+
+    def guarded_inverses(ctx):
+        if ctx.link.kind == "identity":
+            raise AssertionError("an identity-link consumer read corr_inverses()")
+        return inverses(ctx)
+
+    monkeypatch.setattr(corr.CorrProvider, "solve", guarded_solve)
+    monkeypatch.setattr(EstimatingContext, "corr_inverses", guarded_inverses)
+    return counts
+
+
+@pytest.mark.parametrize("kind", ["two_step", "empirical"])
+def test_identity_link_fit_and_diagnostics_realize_once(rng, realizations, kind):
+    data = random_series(rng, n=60, m=3, p=2)
+    provider = corr.two_step(3) if kind == "two_step" else corr.empirical_running(3)
+    res = fit(EstimatingContext(data=data, link=IDENT, corr=provider), method="linear")
+    assert np.all(np.isfinite(res.se))
+    assert realizations[kind] == 1
+    true_corr = corr.build_fixed_corr("compound_symmetry", 0.3, 3)
+    optimality_ratios(res.ctx, res.beta_hat, true_corr)
+    perturbation_sensitivity(res.ctx, "linear", (0.0,), seed=1, true_corr=true_corr,
+                             base=res.beta_hat)
+    assert realizations[kind] == 1
+    # each refit at a positive budget realizes its own context once
+    perturbation_sensitivity(res.ctx, "linear", (0.0, 0.01, 0.1), seed=1,
+                             true_corr=true_corr, base=res.beta_hat)
+    assert realizations[kind] == 3
+
+
+def test_identity_link_empirical_newton_fit_realizes_once(rng, realizations):
+    data = random_series(rng, n=60, m=3, p=2)
+    res = fit(EstimatingContext(data=data, link=IDENT, corr=corr.empirical_running(3)),
+              method="newton")
+    assert res.solver.converged and np.all(np.isfinite(res.se))
+    assert realizations["empirical"] == 1
+
+
+def test_fit_two_step_realizes_once(rng, realizations):
+    res = fit_two_step(random_series(rng, n=60, m=3, p=2))
+    assert realizations["two_step"] == 1
+    assert res.corr_seq.shape == (60, 3, 3) and np.all(np.isfinite(res.beta))
 
 
 # ---------------------------------------------------------------------------

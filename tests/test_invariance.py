@@ -4,7 +4,14 @@
   and every R_i becomes P R_i P'.
 - Measurability: R_i depends on steps before i only, so changing y_k
   leaves R_0..R_k bit-identical, whatever the block length of the kernel.
+- No look-ahead in ingestion: the design of step i holds the responses of
+  rows before i only, so changing the responses of file row r leaves the
+  design of every step i <= r and the responses of every step before r
+  bit-identical, in either layout.
 """
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -12,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtgee import corr
+from mtgee.cli import DatasetSpec, parse_dataset
 from mtgee.estfun import EstimatingContext, fit
 from mtgee.model import ClusterSeries, get_link
 from mtgee.simgen import substream
@@ -67,3 +75,53 @@ def test_change_at_any_step_leaves_past_bitwise(seed, n, m, block, data):
             # a later step past the warm-up, whose b_i leaves a residual, sees the change
             if k + 1 < n and k + 1 >= max(corr.WARMUP_STEPS, m, base.p + 1):
                 assert not np.array_equal(seq_k[k + 1:], seq[k + 1:])
+
+
+def write_dataset(path, Y, Z, layout, order):
+    """Responses ``Y`` and one exogenous variable ``Z``, both (T, m), as a CSV
+    of the given layout; a long file lists its (time, unit) rows in ``order``."""
+    T, m = Y.shape
+    with open(path, "w", encoding="utf-8") as fh:
+        if layout == "wide":
+            fh.write(",".join([f"y{j}" for j in range(m)] + [f"z{j}" for j in range(m)]) + "\n")
+            for t in range(T):
+                fh.write(",".join(map(repr, Y[t].tolist() + Z[t].tolist())) + "\n")
+        else:
+            fh.write("time,unit,y,z\n")
+            for cell in order:
+                t, j = divmod(int(cell), m)
+                fh.write(f"{t},u{j},{float(Y[t, j])!r},{float(Z[t, j])!r}\n")
+
+
+def parse(path, layout, m, lags):
+    if layout == "wide":
+        spec = DatasetSpec(path=path, response_cols=[f"y{j}" for j in range(m)],
+                           exog_cols=[[f"z{j}" for j in range(m)]], lags=lags)
+    else:
+        spec = DatasetSpec(path=path, layout="long", response_cols=["y"], exog_cols=["z"],
+                           time_col="time", unit_col="unit", lags=lags)
+    return parse_dataset(spec)
+
+
+@given(seed=st.integers(0, 2**32 - 1), lags=st.integers(0, 3), steps=st.integers(1, 12),
+       m=st.integers(1, 4), layout=st.sampled_from(["wide", "long"]), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_parse_dataset_has_no_look_ahead(seed, lags, steps, m, layout, data):
+    T = lags + steps
+    r = data.draw(st.integers(0, T - 1))
+    rng = substream(seed, 1)
+    Y, Z = rng.normal(size=(T, m)), rng.normal(size=(T, m))
+    Y_r = Y.copy()
+    Y_r[r] += 1.0 + rng.uniform(size=m)  # every response cell of row r changes
+    order = rng.permutation(T * m)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, "base.csv"), os.path.join(tmp, "changed.csv")]
+        for path, ys in zip(paths, (Y, Y_r)):
+            write_dataset(path, ys, Z, layout, order)
+        base, changed = (parse(path, layout, m, lags) for path in paths)
+    # file row t is step t - lags
+    upto, before = max(r - lags + 1, 0), max(r - lags, 0)
+    assert np.array_equal(changed.Xs[:upto], base.Xs[:upto])
+    assert np.array_equal(changed.ys[:before], base.ys[:before])
+    if r >= lags:  # the change itself is read, as step r's response
+        assert not np.array_equal(changed.ys[r - lags], base.ys[r - lags])

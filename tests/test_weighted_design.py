@@ -1,10 +1,13 @@
 """The GEMM kernel ``estfun.weighted_design`` against the einsum formulas it replaced.
 
 Every contraction over steps is now one GEMM over the flattened (n*m, p)
-rows, so sums run in another order; results must match the einsum oracles
-in ``einsum_oracle`` to 1e-12 relative to the largest entry.  The cases
-cover a per-step sequence of inverses, the stride-0 broadcast inverse of
-a fixed pattern, working independence, m = 1 and p = 1.
+rows, so sums run in another order, and with the identity link R_i^{-1} X_i
+comes from one batched solve, not from an inverse; results must match the
+einsum oracles in ``einsum_oracle``, fed R_i^{-1}, to 1e-12 relative to the
+largest entry.  The cases cover a per-step sequence of matrices, the
+stride-0 broadcast inverse of a fixed pattern, working independence, m = 1
+and p = 1, and stacks of 2 to 4 series for the identity link with a
+per-step sequence, a fixed pattern and the two-step provider.
 """
 
 import numpy as np
@@ -15,7 +18,15 @@ import einsum_oracle as oracle
 from ergodicity import score_terms
 from mtgee import corr
 from mtgee.diagnostics import _checkpoints, leverage, optimality_ratios
-from mtgee.estfun import EstimatingContext, eval_g, eval_jacobian, solve_linear
+from mtgee.estfun import (
+    EstimatingContext,
+    _gram,
+    eval_g,
+    eval_jacobian,
+    fit,
+    solve_linear,
+    weighted_design,
+)
 from mtgee.inference import sandwich_from_arrays
 from mtgee.model import ClusterSeries, get_link, moment_arrays
 from mtgee.simgen import substream
@@ -126,7 +137,7 @@ def test_sandwich_matches_einsum(seed, n, m, p, link, corr_kind):
     ctx, beta, _ = make_case(seed, n, m, p, link, corr_kind)
     d = ctx.data
     _, a, eps = moment_arrays(d.Xs, d.ys, beta, ctx.link)
-    est = sandwich_from_arrays(d.Xs, a, eps, ctx.corr_inverses())
+    est = sandwich_from_arrays(*weighted_design(ctx, a), eps)
     h_mat, m_mat, psi = oracle.oracle_sandwich(d.Xs, a, eps, ctx.corr_inverses())
     close(est.h_mat, h_mat)
     close(est.m_mat, m_mat)
@@ -161,3 +172,50 @@ def test_leverage_matches_einsum(seed, n, m, p, link, corr_kind):
     gamma, lam_max = oracle.oracle_leverage(ctx.data.Xs, ctx.data.ys, beta, ctx.link)
     close(lev.gamma_prime, gamma)
     close(lev.a_prime, lam_max * gamma)
+
+
+def make_stack(seed, k, n, m, p, corr_kind):
+    """An identity-link context on a stack of k series with the requested
+    provider; ``n`` is raised as in :func:`make_case`, and to the two-step
+    minimum of 3."""
+    rng = substream(seed, 9)
+    n = max(n, -(-4 * p // m), 3)
+    Xs = rng.normal(scale=0.4, size=(k, n, m, p))
+    beta = rng.normal(scale=0.5, size=p)
+    ys = Xs @ beta + rng.normal(size=(k, n, m))
+    if corr_kind == "sequence":
+        provider = RandomSequenceCorr(
+            np.array([[random_corr(rng, m) for _ in range(n)] for _ in range(k)]))
+    elif corr_kind == "fixed":
+        provider = corr.pseudo_fixed(random_corr(rng, m))
+    else:
+        provider = corr.two_step(m)
+    ctx = EstimatingContext(data=ClusterSeries(ys=ys, Xs=Xs), link=get_link("identity"),
+                            corr=provider)
+    return ctx, np.tile(beta, (k, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(2, 4), st.integers(1, 40), st.integers(1, 5),
+       st.integers(1, 4), st.sampled_from(["sequence", "fixed", "two_step"]))
+@example(6, 3, 30, 1, 1, "two_step")
+@example(7, 4, 9, 5, 4, "fixed")
+def test_stacked_identity_fit_matches_einsum(seed, k, n, m, p, corr_kind):
+    ctx, beta = make_stack(seed, k, n, m, p, corr_kind)
+    d = ctx.data
+    rinv = np.linalg.inv(ctx.corr_matrices())
+    res = fit(ctx, "linear")
+    assert not res.failed.any()
+    # g and D of every series at a beta off the root, from the stack's R^{-1} X
+    _, a, eps = moment_arrays(d.Xs, d.ys, beta, ctx.link)
+    xa, rinv_xa = weighted_design(ctx, a)
+    g, d_mat = _gram(rinv_xa, eps[..., None])[..., 0], _gram(xa, rinv_xa)
+    _, a_hat, eps_hat = moment_arrays(d.Xs, d.ys, res.beta_hat, ctx.link)
+    for j in range(k):
+        Xs, ys = d.Xs[j], d.ys[j]
+        close(res.beta_hat[j], oracle.oracle_solve_linear(Xs, ys, rinv[j]))
+        _, _, psi = oracle.oracle_sandwich(Xs, a_hat[j], eps_hat[j], rinv[j])
+        close(res.psi[j], psi)
+        close(res.se[j], np.sqrt(np.diagonal(psi)))
+        close(g[j], oracle.oracle_g(Xs, ys, beta[j], ctx.link, rinv[j]))
+        close(d_mat[j], oracle.oracle_jacobian(Xs, ys, beta[j], ctx.link, rinv[j]))
