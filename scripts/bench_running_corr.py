@@ -6,7 +6,9 @@ Recorded per tree, as the median and minimum over all timed calls:
 - ``fit_two_step`` at (n, m, p) = (500, 5, 2) and (4800, 8, 4);
 - ``EmpiricalRunningCorr.realize`` with the logistic link at (5948, 6, 4);
 - ``TwoStepCorr.realize`` on one replication of the paper design
-  (n=500, m=5, p=2, cs truth, alpha=0.7);
+  (n=500, m=5, p=2, cs truth, alpha=0.7), on a stack of 4 of them (the
+  stacks the Monte Carlo harness fits) and on one series of the wind
+  fits' shape, (n, m, p) = (4998, 8, 4);
 - ``generate_ar2`` per replication of the paper design, from 20
   replications simulated as the Monte Carlo harness simulates them (one
   chunk where ``simgen.CHUNK_REPS`` exists, one call per replication
@@ -192,6 +194,10 @@ def _worker(repeats, _input):
     two_step = corr.two_step(5)
     identity = get_link("identity")
     out["realize_two_step_500x5x2"] = _time(lambda: two_step.realize(paper, identity), repeats)
+    stack = generate_ar2(design, range(4))
+    out["realize_two_step_4x500x5x2"] = _time(lambda: two_step.realize(stack, identity), repeats)
+    wind, wide = gaussian(4998, 8, 4), corr.two_step(8)
+    out["realize_two_step_4998x8x4"] = _time(lambda: wide.realize(wind, identity), repeats)
     if hasattr(simgen, "CHUNK_REPS"):
         def simulate():
             return generate_ar2(design, range(REPLICATIONS))
@@ -210,7 +216,7 @@ def _worker(repeats, _input):
 
 
 if __name__ == "__main__":
-    main(__file__, _worker, "Identity-link fits: R_i^{-1} from one batched inv, multiplied "
-         "into X by the closed form and again by the sandwich, vs R_i^{-1} X_i from one "
-         "batched solve per context, shared by the closed form and the sandwich",
+    main(__file__, _worker, "Two-step plug-in: five moment arrays per step (x'x, x'y, yy', "
+         "y (x) x, x (x) x) packed in one slab, vs one moment array z_j z_k' over the unit "
+         "pairs j <= k, with z = [y | X]",
          "BENCH_running_corr.json", 7)

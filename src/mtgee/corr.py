@@ -10,9 +10,11 @@ the matrix used at step i is determined by the past alone.
 
 Both running providers build their averages with one kernel,
 :func:`running_corr`.  It walks the series in blocks of ``BLOCK_STEPS``
-steps, takes exclusive prefix sums of per-step moment tensors inside each
+steps, takes exclusive prefix sums of one per-step moment array inside each
 block (carrying the totals into the next block), and regularises a whole
-block of averages with one call of :func:`regularized_empirical`.  Prefix sums are
+block of averages with one call of :func:`regularized_empirical`.  That
+moment is eps eps' for the empirical provider and, with z = [y | X], z_j z_k'
+over the unit pairs j <= k for the two-step provider.  Prefix sums are
 accumulated step by step, so R_i depends on steps before i only and does
 not depend on the block length.  Every provider also takes a stack of
 series with a leading replication axis; a block then covers all of them,
@@ -27,8 +29,6 @@ block with one batched Cholesky factorisation, which can prove that no
 matrix needs its floor, and runs the batched eigendecomposition only on a
 block that fails the screen.  The result is the same either way, bit for bit.
 """
-
-import math
 
 import numpy as np
 
@@ -45,9 +45,9 @@ EIG_FLOOR = 1e-6
 SCREEN_MARGIN = 1e-10
 
 # Steps per block of the running-correlation kernel, for each series of a
-# stack.  The two-step estimator's prefix tensor holds m^2 p^2 floats per
-# step (8 KB at m=8, p=4), so this bounds the kernel's working memory to a
-# few MB per series.
+# stack.  The two-step estimator's prefix tensor holds m(m+1)/2 (p+1)^2
+# floats per step (7.2 KB at m=8, p=4), so this bounds the kernel's working
+# memory to a few MB per series.
 BLOCK_STEPS = 64
 
 
@@ -139,26 +139,15 @@ def regularized_empirical(mats: np.ndarray, counts) -> np.ndarray:
     return out
 
 
-def _split(slab, shapes):
-    """Views of the last axis of ``slab`` as consecutive arrays of the given
-    trailing ``shapes``, each keeping the leading axes."""
-    views, at = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(slab[..., at:at + size].reshape(slab.shape[:-1] + shape))
-        at += size
-    return views
-
-
-def running_corr(k, n, m, shapes, step_moments, average) -> np.ndarray:
+def running_corr(k, n, m, shape, step_moments, average) -> np.ndarray:
     """Regularised running averages R_0..R_{n-1} of k series as a (k, n, m, m) array.
 
-    Each step contributes moment arrays of the trailing ``shapes``;
+    Each step contributes one moment array of the trailing ``shape``;
     ``step_moments(lo, hi, out)`` writes those of steps lo..hi-1 of every
-    series into ``out``, one array per shape with leading axes (k, hi - lo).
-    For the steps i at or past the warm-up, ``average(sums, counts)``
-    receives their exclusive prefix sums (totals over steps 0..i-1, leading
-    axes (k, steps)) and the counts i, and returns the (k, steps, m, m) raw
+    series into ``out``, of shape (k, hi - lo) + ``shape``.  For the steps i
+    at or past the warm-up, ``average(sums, counts)`` receives their
+    exclusive prefix sums (totals over steps 0..i-1, leading axes
+    (k, steps)) and the counts i, and returns the (k, steps, m, m) raw
     averages with a (k, steps) mask of the usable ones.  Usable averages go
     through :func:`regularized_empirical`; warm-up steps (count <
     max(WARMUP_STEPS, m), where the average is necessarily rank-deficient)
@@ -169,23 +158,21 @@ def running_corr(k, n, m, shapes, step_moments, average) -> np.ndarray:
     """
     guard = max(WARMUP_STEPS, m)
     out = np.tile(np.eye(m), (k, n, 1, 1))
-    width = sum(math.prod(shape) for shape in shapes)
     total = 0.0
     for lo in range(0, n, BLOCK_STEPS):
         hi = min(lo + BLOCK_STEPS, n)
-        # a step's moments lie side by side in one slab, so that one cumsum
-        # sums them all: entry j sums the steps before lo + j, and the last
-        # entry carries into the next block
-        slab = np.empty((k, hi - lo + 1, width))
-        slab[:, 0] = total
-        step_moments(lo, hi, _split(slab[:, 1:], shapes))
-        np.cumsum(slab, axis=1, out=slab)
-        total = slab[:, -1]
+        # entry j sums the steps before lo + j, and the last entry carries
+        # into the next block
+        sums = np.empty((k, hi - lo + 1) + shape)
+        sums[:, 0] = total
+        step_moments(lo, hi, sums[:, 1:])
+        np.cumsum(sums, axis=1, out=sums)
+        total = sums[:, -1]
         first = max(lo, guard)
         if first >= hi:  # the whole block is warm-up
             continue
         counts = np.arange(first, hi)
-        raw, usable = average(_split(slab[:, first - lo:-1], shapes), counts)
+        raw, usable = average(sums[:, first - lo:-1], counts)
         rep, step = np.nonzero(usable)
         out[rep, first + step] = regularized_empirical(raw[rep, step], counts[step])
     return out
@@ -280,9 +267,11 @@ class EmpiricalRunningCorr(CorrProvider):
 
     def __init__(self, m, plugin_beta=None):
         super().__init__(m)
-        self.plugin_beta = (
-            None if plugin_beta is None else np.asarray(plugin_beta, dtype=np.float64)
-        )
+        if plugin_beta is not None:
+            plugin_beta = np.asarray(plugin_beta, dtype=np.float64)
+            if not np.all(np.isfinite(plugin_beta)):
+                raise ContractError("plugin_beta must be finite")
+        self.plugin_beta = plugin_beta
 
     def realize(self, data, link):
         self._check_size(data)
@@ -291,16 +280,18 @@ class EmpiricalRunningCorr(CorrProvider):
                 "empirical provider needs plugin_beta (fit() resolves it to the "
                 "working-independence estimate)"
             )
+        if self.plugin_beta.shape[-1:] != (data.p,):
+            raise ContractError(f"plugin_beta has shape {self.plugin_beta.shape}, need ({data.p},)")
         _, _, eps = moment_arrays(data.Xs, data.ys, self.plugin_beta, link)
         eps = _stack(eps, 2)
         seq = running_corr(
             len(eps),
             data.n,
             self.m,
-            [(self.m, self.m)],
+            (self.m, self.m),
             lambda lo, hi, out: np.multiply(eps[:, lo:hi, :, None], eps[:, lo:hi, None, :],
-                                            out=out[0]),
-            lambda sums, counts: (sums[0] / counts[:, None, None], np.ones(sums[0].shape[:2], bool)),
+                                            out=out),
+            lambda sums, counts: (sums / counts[:, None, None], np.ones(sums.shape[:2], bool)),
         )
         return seq.reshape(data.ys.shape + (self.m,))
 
@@ -315,10 +306,13 @@ class TwoStepCorr(CorrProvider):
     identity link, solving g_n = 0 against this sequence is the two-step
     estimator.
 
-    With b = b_i, sum_l (y_l - X_l b)(y_l - X_l b)' expands into prefix sums
-    of per-step moment tensors, so :func:`running_corr` builds the whole
-    sequence block by block, with one batched solve for the b of a block
-    (of every series of a stack).
+    With z_lj = [y_lj | x_lj'] the response and regressors of unit j at step
+    l and w = (1, -b), the residual of that unit is z_lj'w, so every entry
+    of sum_l r_l r_l' is a quadratic form w' S_jk w of the prefix sum
+    S_jk = sum_l z_lj z_lk'.  :func:`running_corr` sums one moment array per
+    step, S_jk for the unit pairs j <= k; its diagonal pairs also give the
+    normal equations of b_i, sum X'X and sum X'y.  One batched solve gives
+    the b of a block (of every series of a stack).
     """
 
     kind = "two_step_empirical"
@@ -330,21 +324,17 @@ class TwoStepCorr(CorrProvider):
         if data.n < 3:
             raise ContractError(f"two-step procedure needs n >= 3, got {data.n}")
         Xs, ys = _stack(data.Xs, 3), _stack(data.ys, 2)
-        m, p = self.m, data.p
-        # x'x, x'y, y y', y (x) x and x (x) x of each step
-        shapes = [(p, p), (p,), (m, m), (m, m, p), (m, p, m, p)]
+        m, q = self.m, data.p + 1
+        left, right = np.triu_indices(m)
+        diagonal = left == right
 
         def step_moments(lo, hi, out):
-            x, y = Xs[:, lo:hi], ys[:, lo:hi]
-            xt = np.swapaxes(x, -1, -2)
-            np.matmul(xt, x, out=out[0])
-            np.matmul(xt, y[..., None], out=out[1][..., None])
-            np.multiply(y[..., :, None], y[..., None, :], out=out[2])
-            np.multiply(y[..., :, None, None], x[..., None, :, :], out=out[3])
-            np.multiply(x[..., :, :, None, None], x[..., None, None, :, :], out=out[4])
+            z = np.concatenate((ys[:, lo:hi, :, None], Xs[:, lo:hi]), axis=-1)
+            np.multiply(z[:, :, left, :, None], z[:, :, right, None, :], out=out)
 
         def average(sums, counts):
-            sxx, sxy, syy, t1, t2 = sums
+            normal = sums[:, :, diagonal].sum(axis=2)
+            sxx, sxy = normal[..., 1:, 1:], normal[..., 1:, 0]
             try:
                 b = np.linalg.solve(sxx, sxy[..., None])[..., 0]
             except np.linalg.LinAlgError:
@@ -357,13 +347,16 @@ class TwoStepCorr(CorrProvider):
                         pass
             usable = np.all(np.isfinite(b), axis=-1)
             b[~usable] = 0.0
-            c1 = (t1.reshape(*b.shape[:-1], -1, p) @ b[..., None]).reshape(t1.shape[:-1])
-            t2_b = (t2.reshape(*b.shape[:-1], -1, p) @ b[..., None]).reshape(t2.shape[:-1])
-            quad = (b[..., None, None, :] @ t2_b)[..., 0, :]
-            raw = (syy - c1 - np.swapaxes(c1, -1, -2) + quad) / counts[:, None, None]
+            # w' S_jk w of every pair, as one product of S_jk with w (x) w
+            w = np.concatenate((np.ones(b.shape[:-1] + (1,)), -b), axis=-1)
+            ww = (w[..., :, None] * w[..., None, :]).reshape(w.shape[:-1] + (q * q, 1))
+            quad = (sums.reshape(sums.shape[:3] + (q * q,)) @ ww)[..., 0] / counts[:, None]
+            raw = np.empty(quad.shape[:2] + (m, m))
+            raw[..., left, right] = quad
+            raw[..., right, left] = quad
             return raw, usable
 
-        seq = running_corr(len(ys), data.n, m, shapes, step_moments, average)
+        seq = running_corr(len(ys), data.n, m, (len(left), q, q), step_moments, average)
         return seq.reshape(data.ys.shape + (self.m,))
 
 

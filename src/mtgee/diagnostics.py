@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ContractError, NumericalError, RankDeficiencyError
-from .estfun import EstimatingContext, _gram, _rank_test, _single_series, fit, weighted_design
+from .estfun import (EstimatingContext, _check_beta, _gram, _rank_test, _single_series, fit,
+                     weighted_design)
 from .model import ClusterSeries, moment_arrays
 from .simgen import substream
 
@@ -103,6 +104,7 @@ def eigen_conditions(
     first-half minimum.
     """
     _single_series(ctx, "eigen_conditions")
+    beta_hat = _check_beta(ctx, beta_hat)
     for d in delta_grid:
         if not (0.0 < d <= 0.5):
             raise ContractError(f"delta values must lie in (0, 0.5], got {d}")
@@ -163,6 +165,7 @@ def optimality_ratios(ctx: EstimatingContext, beta_hat, true_corr) -> Optimality
     three coincide and both ratios are exactly 1.
     """
     _single_series(ctx, "optimality_ratios")
+    beta_hat = _check_beta(ctx, beta_hat)
     true_corr = np.asarray(true_corr, dtype=np.float64)
     _, a, _ = moment_arrays(ctx.data.Xs, ctx.data.ys, beta_hat, ctx.link)
     xa, rinv_xa = weighted_design(ctx, a)
@@ -196,6 +199,7 @@ def leverage(ctx: EstimatingContext, beta_hat) -> LeverageStats:
     regressor rows, and a' = lambda_max(H'_n) * gamma'.
     """
     _single_series(ctx, "leverage")
+    beta_hat = _check_beta(ctx, beta_hat)
     xa = _information_design(ctx, beta_hat)
     h_mat = _gram(xa, xa)
     _rank_test(h_mat, "cumulative information")
@@ -234,6 +238,7 @@ def perturbation_sensitivity(
     if base is None:
         fitted = fit(ctx, beta_method, with_inference=False)
         base, ctx = fitted.beta_hat, fitted.ctx
+    base = _check_beta(ctx, base)
     n, m, p = ctx.data.n, ctx.data.m, ctx.data.p
 
     def measure(k, d):

@@ -320,10 +320,7 @@ class TwoStepResult:
     corr_seq: np.ndarray  # (n, m, m) matrices actually used per step
 
 
-def fit_two_step(
-    data: ClusterSeries,
-    link: Optional[LinkSpec] = None,
-) -> TwoStepResult:
+def fit_two_step(data: ClusterSeries) -> TwoStepResult:
     """Sequential pseudo-likelihood estimator (identity link).
 
     The closed-form root of g_n with the two-step provider,
@@ -333,8 +330,7 @@ def fit_two_step(
     sequence is realized once: the closed form solves against the R_i it
     returns.
     """
-    ctx = EstimatingContext(data=data, link=link or get_link("identity"),
-                            corr=corrmod.two_step(data.m))
+    ctx = EstimatingContext(data=data, link=get_link("identity"), corr=corrmod.two_step(data.m))
     seq = ctx.corr_matrices()
     return TwoStepResult(beta=solve_linear(ctx), corr_seq=seq)
 

@@ -47,7 +47,7 @@ EXPLOSION_GUARD = 1e6
 
 # Replications simulated in one AR(2) recursion and fitted together, whatever
 # s is.  At the paper design (n=500, m=5) a chunk's series take 1.9 MB, and a
-# chunk's traced working set peaks at 3.3 MB: the series and the two-step fit
+# chunk's traced working set peaks at 3.5 MB: the series and the two-step fit
 # of one stack of 4 replications (see _replications).
 CHUNK_REPS = 32
 

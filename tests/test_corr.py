@@ -165,6 +165,18 @@ def test_realize_requires_plugin():
         corr.empirical_running(2).realize(data, get_link("identity"))
 
 
+def test_plugin_must_be_finite():
+    with pytest.raises(ContractError, match="finite"):
+        corr.empirical_running(2, plugin_beta=[1.0, np.nan])
+
+
+@pytest.mark.parametrize("plugin", [[1.0, 2.0, 3.0], [1.0], 1.0])
+def test_realize_requires_plugin_of_length_p(plugin):
+    data = ClusterSeries(ys=np.zeros((5, 2)), Xs=np.ones((5, 2, 2)))
+    with pytest.raises(ContractError, match="plugin_beta has shape"):
+        corr.empirical_running(2, plugin_beta=plugin).realize(data, get_link("identity"))
+
+
 @given(
     st.sampled_from(["independence", "compound_symmetry", "ar1"]),
     st.integers(min_value=2, max_value=6),

@@ -217,3 +217,24 @@ def test_perturbation_small_budget_keeps_ratios():
         ratio_moves.append(abs(report.det_ratio_H[1] - report.det_ratio_H[0]))
         ratio_moves.append(abs(report.det_ratio_M[1] - report.det_ratio_M[0]))
     assert np.median(ratio_moves) < 0.01
+
+
+# ---------------------------------------------------------------------------
+# the beta every monitor reads
+# ---------------------------------------------------------------------------
+
+MONITORS = {
+    "eigen_conditions": eigen_conditions,
+    "leverage": leverage,
+    "optimality_ratios": lambda ctx, beta: optimality_ratios(ctx, beta, np.eye(5)),
+    "perturbation_sensitivity": lambda ctx, beta: perturbation_sensitivity(
+        ctx, "linear", [0.0], seed=0, base=beta),
+}
+
+
+@pytest.mark.parametrize("beta", [[0.5, 0.2, 0.1], [0.5, np.nan]], ids=["wrong_length", "nan"])
+@pytest.mark.parametrize("monitor", sorted(MONITORS))
+def test_monitors_reject_bad_beta(monitor, beta):
+    ctx = ar2_ctx(n=100, provider=corr.compound_symmetry(0.7, 5))
+    with pytest.raises(ContractError, match="beta"):
+        MONITORS[monitor](ctx, np.array(beta))

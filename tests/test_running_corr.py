@@ -25,11 +25,14 @@ from mtgee.simgen import substream
 B = corr.BLOCK_STEPS
 
 
-def series(seed, n, m, p, zero_until=0):
-    """Random series; regressor column 1 is zero for steps < ``zero_until``."""
+def series(seed, n, m, p, zero_until=0, intercept=False):
+    """Random series; regressor column 1 is zero for steps < ``zero_until``,
+    and column 0 is an intercept (all ones) if ``intercept``."""
     rng = substream(seed, 0)
     Xs = rng.normal(scale=0.5, size=(n, m, p))
     Xs[:zero_until, :, 1:2] = 0.0
+    if intercept:
+        Xs[..., 0] = 1.0
     ys = 1.0 + Xs @ np.linspace(0.5, -0.3, p) + rng.normal(size=(n, m))
     return ClusterSeries(ys=ys, Xs=Xs)
 
@@ -41,15 +44,17 @@ def binary_series(seed, n, m, p):
     return ClusterSeries(ys=ys, Xs=Xs)
 
 
-# (n, m, p, zero_until): three-plus blocks, the warm-up edge n = guard + 1,
-# a series that is all warm-up (n = m = 3), m = 1, and an early zero
-# regressor column that makes b_i singular
+# (n, m, p, zero_until, intercept): three-plus blocks, the warm-up edge
+# n = guard + 1, a series that is all warm-up (n = m = 3), m = 1, an early
+# zero regressor column that makes b_i singular, and the shape of the wind
+# fits (m = 8, p = 4, three-plus blocks) with their intercept column
 CASES = {
-    "three_blocks": (3 * B + 17, 4, 3, 0),
-    "warmup_edge": (4, 3, 2, 0),
-    "all_warmup": (3, 3, 2, 0),
-    "m1": (2 * B + 5, 1, 2, 0),
-    "singular_b": (2 * B + 9, 3, 2, B + 3),
+    "three_blocks": (3 * B + 17, 4, 3, 0, False),
+    "warmup_edge": (4, 3, 2, 0, False),
+    "all_warmup": (3, 3, 2, 0, False),
+    "m1": (2 * B + 5, 1, 2, 0, False),
+    "singular_b": (2 * B + 9, 3, 2, B + 3, False),
+    "wind": (3 * B + 11, 8, 4, 0, True),
 }
 
 
@@ -73,8 +78,8 @@ TWO_STEP_RUNS = [pytest.param(case, via_fit_two_step, id=case) for case in sorte
 
 @pytest.mark.parametrize("case, two_step", TWO_STEP_RUNS)
 def test_two_step_matches_loop_oracle(case, two_step):
-    n, m, p, zero_until = CASES[case]
-    data = series(11, n, m, p, zero_until)
+    n, m, p, zero_until, intercept = CASES[case]
+    data = series(11, n, m, p, zero_until, intercept)
     beta, seq = two_step(data)
     beta_ref, seq_ref = loop_two_step(data)
     assert np.max(np.abs(beta - beta_ref)) <= 1e-12 * np.max(np.abs(beta_ref))
@@ -92,9 +97,9 @@ def test_two_step_matches_loop_oracle(case, two_step):
 @pytest.mark.parametrize("link_kind", ["identity", "logistic"])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_realize_matches_loop_oracle(case, link_kind):
-    n, m, p, zero_until = CASES[case]
+    n, m, p, zero_until, intercept = CASES[case]
     if link_kind == "identity":
-        data = series(12, n, m, p, zero_until)
+        data = series(12, n, m, p, zero_until, intercept)
     else:
         data = binary_series(12, n, m, p)
     link = get_link(link_kind)
