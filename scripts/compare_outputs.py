@@ -4,9 +4,11 @@
 The commands:
 
 - ``fit``, ``predict`` and ``diagnose --d-grid 0,0.01,0.1`` for every
-  ``--method`` x ``--corr`` pair on ``data/wind_synthetic.csv`` and on the
-  two CSVs of ``bench_kernels.write_inputs``: the wide wind file and the
-  long binary file (logistic link, so the closed forms exit 1 there);
+  ``--method`` x ``--corr`` pair on ``data/wind_synthetic.csv`` and on two
+  of the benchmark's CSVs, which ``perfbench/inputs.py`` writes for seed 1
+  (through ``bench.write_inputs``): the wide wind file in m/s, 5,000 days x
+  8 stations, and the long binary file, 6,000 days x 6 stations (logistic
+  link, so the closed forms exit 1 there);
 - a few error paths: other links on the wind fixture and a bad flag;
 - ``simulate --s 50`` and ``replicate-tables --s 50`` with seeds 1 and 3,
   and ``replicate-tables --s 500 --seed 3``.
@@ -39,7 +41,9 @@ import subprocess
 import sys
 import tempfile
 
-from bench_kernels import LAGS, LONG_CSV, WIDE_CSV, WIND_STATIONS, write_inputs
+from bench import INPUTS, LAGS, LONG_CSV, WIDE_CSV, import_file, write_inputs
+
+inputs = import_file("inputs", INPUTS)
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "data",
                        "wind_synthetic.csv")
@@ -48,20 +52,21 @@ CORRS = ("independence", "cs", "ar1", "empirical")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def commands(inputs):
-    """(name, argv without --output) of every command, in run order."""
+def commands(directory):
+    """(name, argv without --output) of every command, in run order, on the
+    CSV files of ``write_inputs`` in ``directory``."""
+    wind_cols, temp_cols = inputs.wind_station_names(inputs.WIND_MODEL["stations"])
     wind = ["--data", os.path.abspath(FIXTURE), "--response", "wind_s1,wind_s2,wind_s3",
             "--exog", "airtemp_s1,airtemp_s2,airtemp_s3", "--lags", "2"]
     datasets = {
         "wind_synthetic": wind,
         "wind_wide": [
-            "--data", os.path.join(inputs, WIDE_CSV),
-            "--response", ",".join(f"wind_s{j}" for j in range(WIND_STATIONS)),
-            "--exog", ",".join(f"airtemp_s{j}" for j in range(WIND_STATIONS)),
+            "--data", os.path.join(directory, WIDE_CSV),
+            "--response", ",".join(wind_cols), "--exog", ",".join(temp_cols),
             "--lags", str(LAGS),
         ],
         "binary_long": [
-            "--data", os.path.join(inputs, LONG_CSV), "--layout", "long",
+            "--data", os.path.join(directory, LONG_CSV), "--layout", "long",
             "--time-col", "day", "--unit-col", "station", "--response", "y",
             "--exog", "x1", "--lags", str(LAGS), "--link", "logistic",
         ],
@@ -89,12 +94,12 @@ def commands(inputs):
     return out
 
 
-def worker(inputs, out_dir):
+def worker(directory, out_dir):
     """Run every command, writing its outputs under ``out_dir``; print {name: [exit, stderr]}."""
     from mtgee.cli import run_command
 
     results = {}
-    for name, argv in commands(inputs):
+    for name, argv in commands(directory):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = run_command(argv + ["--output", os.path.join(out_dir, name)])
@@ -102,11 +107,11 @@ def worker(inputs, out_dir):
     json.dump(results, sys.stdout)
 
 
-def run_tree(src, inputs, out_dir):
+def run_tree(src, directory, out_dir):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     env.update({var: "1" for var in THREAD_VARS})
     proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--worker", "--input", inputs,
+        [sys.executable, os.path.abspath(__file__), "--worker", "--input", directory,
          "--out", out_dir],
         env=env, capture_output=True, text=True, check=True,
     )
@@ -200,12 +205,13 @@ def main():
     if not args.baseline_src:
         parser.error("--baseline-src is required")
     with tempfile.TemporaryDirectory() as tmp:
-        inputs = write_inputs(tempfile.mkdtemp(dir=tmp))
+        directory = tempfile.mkdtemp(dir=tmp)
+        write_inputs(inputs, directory)
         dirs = [os.path.join(tmp, "before"), os.path.join(tmp, "after")]
         runs = []
         for src, out_dir in zip((args.baseline_src, args.src), dirs):
             os.mkdir(out_dir)
-            runs.append(run_tree(src, inputs, out_dir))
+            runs.append(run_tree(src, directory, out_dir))
         diffs, n_files = compare(runs[0], runs[1], dirs)
     for line in diffs:
         print(line)

@@ -180,6 +180,8 @@ def running_corr(k, n, m, shape, step_moments, average) -> np.ndarray:
 
 def _check_spd(mat, what):
     mat = np.asarray(mat, dtype=np.float64)
+    if not np.all(np.isfinite(mat)):
+        raise CorrelationDegeneracyError(f"{what} is not finite")
     if np.max(np.abs(mat - mat.T)) > 1e-10 * max(1.0, np.max(np.abs(mat))):
         raise CorrelationDegeneracyError(f"{what} is not symmetric")
     w = np.linalg.eigvalsh(mat)

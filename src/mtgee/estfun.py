@@ -87,6 +87,14 @@ def _single_series(ctx, what):
         raise ContractError(f"{what} takes a single series, not a stack of series")
 
 
+def _check_newton_settings(tol, max_iter):
+    """Raise ContractError unless ``tol`` is finite and > 0 and ``max_iter`` >= 0."""
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ContractError(f"tol must be finite and > 0, got {tol}")
+    if max_iter < 0:
+        raise ContractError(f"max_iter must be >= 0, got {max_iter}")
+
+
 def _check_beta(ctx, beta):
     """``beta`` as float64, one (p,) row per series of ``ctx.data``.  For a
     single series a non-finite beta is a ContractError; a stack's non-finite
@@ -235,6 +243,7 @@ def solve_newton(
     non-converged report rather than raising.
     """
     _single_series(ctx, "solve_newton")
+    _check_newton_settings(tol, max_iter)
     if beta_init is None:
         beta = working_independence_estimate(ctx.data, ctx.link)
     else:
@@ -378,6 +387,7 @@ def fit(
 
     if not (0.0 < level < 1.0):
         raise ContractError(f"level must be in (0, 1), got {level}")
+    _check_newton_settings(tol, max_iter)
     if method not in ("linear", "newton"):
         raise ContractError(f"unknown fit method {method!r}")
     if method == "newton" or isinstance(ctx.corr, corrmod.EmpiricalRunningCorr):

@@ -16,6 +16,8 @@ a dict of (time, unit) positions and a per-gap imputation loop; it keeps the
 rule that a response cell must be finite.  ``masked_sigmoid`` and
 ``masked_logistic_d2`` are the logistic link as it was before it shared one
 ``exp``: two boolean-mask gathers, and mu'' from two ``exp`` calls.
+``extended_two_step`` is no former code path but an accuracy reference: the
+two-step averages formed afresh at every step in ``np.longdouble``.
 """
 
 import csv
@@ -131,6 +133,24 @@ def loop_two_step(data, warmup_steps=2, floor=1e-6):
         t1 += np.einsum("a,ck->ack", y_i, x_i)
         t2 += np.einsum("ak,cj->akcj", x_i, x_i)
     return np.linalg.solve(k_mat, rhs), seq
+
+
+def extended_two_step(data, warmup_steps=2, floor=1e-6):
+    """The two-step correlation sequence with each step's sums, b_i and raw
+    residual average formed in ``np.longdouble``; R_i is that average
+    rounded to float64 and floored by ``scalar_regularize``."""
+    n, m, p = data.n, data.m, data.p
+    Xs, ys = data.Xs.astype(np.longdouble), data.ys.astype(np.longdouble)
+    seq = np.tile(np.eye(m), (n, 1, 1))
+    for i in range(max(warmup_steps, m), n):
+        x, y = Xs[:i].reshape(-1, p), ys[:i].reshape(-1)
+        sxx, sxy = x.T @ x, x.T @ y
+        b = np.zeros(p, dtype=np.longdouble)
+        for _ in range(3):  # a float64 solve refined against extended-precision residuals
+            b += np.linalg.solve(sxx.astype(np.float64), (sxy - sxx @ b).astype(np.float64))
+        r = ys[:i] - Xs[:i] @ b
+        seq[i] = scalar_regularize((r.T @ r / i).astype(np.float64), i, floor)
+    return seq
 
 
 def _design_row(spec, Y, Z, i):

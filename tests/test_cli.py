@@ -460,6 +460,20 @@ def test_cli_overflowing_refit_is_a_numerical_failure_exit_3(capsys):
     assert capsys.readouterr().err == "numerical failure: normal matrix is not finite\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--tol", "nan"], "tol must be finite and > 0, got nan"),
+    (["--tol", "-1"], "tol must be finite and > 0, got -1.0"),
+    (["--tol", "inf"], "tol must be finite and > 0, got inf"),
+    (["--max-iter", "-3"], "max_iter must be >= 0, got -3"),
+])
+def test_cli_bad_newton_settings_exit_1(capsys, flags, message):
+    argv = ["fit", "--data", FIXTURE, "--response", "wind_s1,wind_s2,wind_s3",
+            "--method", "newton", "--corr", "cs"] + flags
+    assert run_command(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"usage error: {message}\n")
+
+
 def test_cli_simulate_non_finite_beta0_exit_1(capsys):
     argv = ["simulate", "--n", "50", "--m", "2", "--s", "4", "--beta0", "inf,0"]
     assert run_command(argv) == 1

@@ -130,6 +130,12 @@ def test_pseudo_fixed_rejects_non_spd():
     assert "np.float64" not in str(err.value)
 
 
+@pytest.mark.parametrize("matrix", [np.full((2, 2), np.nan), [[1.0, np.inf], [np.inf, 1.0]]])
+def test_pseudo_fixed_rejects_non_finite(matrix):
+    with pytest.raises(CorrelationDegeneracyError, match="pseudo_fixed correlation is not finite"):
+        corr.pseudo_fixed(matrix)
+
+
 def test_emitted_matrices_are_unit_diagonal_spd():
     for provider in (
         corr.independence(4),

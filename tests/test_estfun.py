@@ -130,6 +130,16 @@ def test_newton_logistic_simulated():
     assert np.max(np.abs(eval_g(ctx, report.beta_hat))) <= 1e-8
 
 
+@pytest.mark.parametrize("settings", [dict(tol=np.nan), dict(tol=-1.0), dict(tol=np.inf),
+                                      dict(tol=0.0), dict(max_iter=-3)])
+def test_newton_rejects_bad_settings(rng, settings):
+    data = random_series(rng, n=30, m=3, p=2)
+    ctx = EstimatingContext(data=data, link=IDENT, corr=corr.compound_symmetry(0.4, 3))
+    for solve in (solve_newton, lambda ctx, **kw: fit(ctx, "newton", **kw)):
+        with pytest.raises(ContractError):
+            solve(ctx, **settings)
+
+
 def test_newton_zero_information_fails():
     ctx = ctx_of(np.ones((4, 2)), np.zeros((4, 2, 2)))
     with pytest.raises(SolverFailureError):
