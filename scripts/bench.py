@@ -28,9 +28,15 @@ The entries:
   entry point;
 - on the long binary CSV that ``perfbench/inputs.py`` writes for seed 1,
   (n, m, p) = (5998, 6, 4), logistic link, running empirical working
-  correlation: ``eval_g``, ``eval_jacobian``, ``sandwich``,
-  ``optimality_ratios`` against compound symmetry, ``parse_dataset`` and
-  ``fit --corr empirical`` through the CLI entry point (``fit_cli_empirical``);
+  correlation: ``eval_g`` and ``eval_jacobian``, each call at the other of
+  two betas (a context keeps the moments of the last beta it evaluated, so
+  a repeated beta would time that memo), ``sandwich``, ``optimality_ratios``
+  against compound symmetry, ``parse_dataset`` and ``fit --corr empirical``
+  through the CLI entry point (``fit_cli_empirical``);
+- ``solve_newton`` on the same data from the working-independence
+  estimate, with that running empirical correlation
+  (``solve_newton_empirical``) and with compound symmetry, alpha = 0.4
+  (``solve_newton_cs``);
 - ``parse_dataset_wide``: the wide wind CSV of ``perfbench/inputs.py``,
   5,000 days x 8 stations, 1% of its air temperatures missing.
 
@@ -45,6 +51,7 @@ import argparse
 import gc
 import importlib
 import importlib.util
+import itertools
 import json
 import os
 import platform
@@ -125,10 +132,19 @@ def entries(mt, directory, wide_columns):
     wide = mt.cli.DatasetSpec(path=wide_csv, response_cols=wide_columns[0],
                               exog_cols=[wide_columns[1]], lags=LAGS)
     beta = np.array([-0.4, 0.9, 0.4, 0.7])
-    ctx = estfun.EstimatingContext(data=mt.cli.parse_dataset(spec), link=logistic,
+    long = mt.cli.parse_dataset(spec)
+    ctx = estfun.EstimatingContext(data=long, link=logistic,
                                    corr=corr.empirical_running(6, plugin_beta=beta))
-    ctx.corr_inverses()  # realize and invert the sequence once, outside the timings
+    cs_ctx = estfun.EstimatingContext(data=long, link=logistic,
+                                      corr=corr.compound_symmetry(0.4, 6))
+    for context in (ctx, cs_ctx):
+        context.corr_inverses()  # realize and invert the sequence once, outside the timings
+    start = estfun.working_independence_estimate(long, logistic)
     reference = corr.build_fixed_corr("compound_symmetry", 0.4, 6)
+
+    def alternating(evaluate):
+        betas = itertools.cycle((beta, beta + 0.05))
+        return lambda: evaluate(ctx, next(betas))
     return {
         "fit_two_step_500x5x2": (1, lambda: estfun.fit_two_step(small)),
         "fit_two_step_4800x8x4": (1, lambda: estfun.fit_two_step(large)),
@@ -141,8 +157,8 @@ def entries(mt, directory, wide_columns):
         "paper_replication": (2, lambda: simgen.monte_carlo_study(design, s=REPLICATIONS)),
         "replicate_tables_s50": (1, cli("replicate-tables", "--s", "50", "--seed", "3")),
         "replicate_tables_s500": (4, cli("replicate-tables", "--s", "500", "--seed", "3")),
-        "eval_g": (1, lambda: estfun.eval_g(ctx, beta)),
-        "eval_jacobian": (1, lambda: estfun.eval_jacobian(ctx, beta)),
+        "eval_g": (1, alternating(estfun.eval_g)),
+        "eval_jacobian": (1, alternating(estfun.eval_jacobian)),
         "sandwich": (1, lambda: mt.sandwich(ctx, beta)),
         "optimality_ratios":
             (1, lambda: mt.diagnostics.optimality_ratios(ctx, beta, reference)),
@@ -150,6 +166,8 @@ def entries(mt, directory, wide_columns):
         "parse_dataset_wide": (1, lambda: mt.cli.parse_dataset(wide)),
         "fit_cli_empirical": (2, cli("fit", *long_flags, "--method", "newton",
                                      "--corr", "empirical")),
+        "solve_newton_empirical": (1, lambda: estfun.solve_newton(ctx, start)),
+        "solve_newton_cs": (1, lambda: estfun.solve_newton(cs_ctx, start)),
     }
 
 

@@ -253,6 +253,7 @@ def perturbation_sensitivity(
             np.divide(d * 2.0 ** -np.arange(1.0, n + 1), norms, out=scale, where=norms > 0)
             deltas *= scale[:, None, None]
             data_d = ClusterSeries(ys=ctx.data.ys, Xs=ctx.data.Xs + deltas)
+            del deltas  # freed before the refit, which sets the peak memory
             refit = fit(ctx.with_data(data_d), beta_method, with_inference=False)
             beta_d, ctx_d = refit.beta_hat, refit.ctx
         drift = float(np.linalg.norm(beta_d - base))

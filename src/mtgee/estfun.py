@@ -8,7 +8,12 @@ sum_i X_i' (y_i - mu_i(beta)).  For the identity link A_i = I, so the
 equation is affine in beta and admits the closed form implemented by
 `solve_linear`; g_n = sum_i (R_i^{-1} X_i)' (y_i - X_i beta), its derivative
 and the closed form read R_i only through the beta-free array R_i^{-1} X_i,
-which the context solves for once.  The sequential two-step
+which the context solves for once.  For the other links A_i depends on
+beta: g_n = sum_i X_i' A_i^{1/2} R_i^{-1} eps_i, with the standardized
+residuals eps_i = A_i^{-1/2} (y_i - mu_i), and its derivative D_n share the
+moments at beta (A's diagonal, eps_i and R_i^{-1} eps_i), which the context
+keeps for the last beta evaluated, so the moments of a Newton iterate are
+computed once.  The sequential two-step
 pseudo-likelihood estimator is that closed form with the two-step provider,
 `corr.two_step`, which re-estimates the correlation from
 working-independence residuals as data accrue.
@@ -27,12 +32,12 @@ from .errors import (
     RankDeficiencyError,
     SolverFailureError,
 )
-from .model import ClusterSeries, LinkSpec, get_link, moment_arrays
+from .model import ClusterSeries, LinkSpec, get_link, linear_predictor, moment_arrays
 
 
 @dataclass
 class EstimatingContext:
-    """Data + link + working correlation, with one cached per-step array.
+    """Data + link + working correlation, with the per-step arrays the fits share.
 
     ``corr=None`` means working independence.  The fits read the provider's
     sequence R_i through one array, built on first use and cached: for the
@@ -42,6 +47,13 @@ class EstimatingContext:
     (``corr_inverses``).  The matrices R_i are cached only once a caller
     asks for them (before the fits, so that R_i is realized once).  All
     shipped providers are beta-free so the cache is valid for every beta.
+
+    For the links other than the identity, the context also keeps the
+    moments at the last beta that ``eval_g`` or ``eval_jacobian`` evaluated:
+    A's diagonal, eps and R^{-1} eps, (n, m) arrays made read-only, keyed on
+    the bytes of beta.  The derivative at an accepted Newton iterate, and at
+    the root, reuses the moments of the g_n that accepted it.  A beta whose
+    moments raise leaves the memo as it was.
     """
 
     data: ClusterSeries
@@ -50,6 +62,19 @@ class EstimatingContext:
 
     def __post_init__(self):
         self.corr = self.corr or corrmod.independence(self.data.m)
+        self._memo = (None,)  # (beta.tobytes(), a, eps, R^{-1} eps) at the last beta
+
+    def _moments(self, beta):
+        """a, eps and R^{-1} eps at the checked single-series ``beta``, from
+        the memo when ``beta`` is the last beta evaluated."""
+        key, memo = beta.tobytes(), self._memo  # one read: a thread's memo is whole
+        if memo[0] != key:
+            _, a, eps = moment_arrays(self.data.Xs, self.data.ys, beta, self.link)
+            rinv_eps = (self.corr_inverses() @ eps[..., None])[..., 0]
+            for arr in (a, eps, rinv_eps):
+                arr.flags.writeable = False
+            memo = self._memo = (key, a, eps, rinv_eps)
+        return memo[1:]
 
     @cached_property
     def _matrices(self):
@@ -139,12 +164,11 @@ def eval_g(ctx: EstimatingContext, beta) -> np.ndarray:
     """Evaluate the estimating function at beta."""
     _single_series(ctx, "eval_g")
     beta = _check_beta(ctx, beta)
-    Xs, ys = ctx.data.Xs, ctx.data.ys
-    _, a, eps = moment_arrays(Xs, ys, beta, ctx.link)
     if ctx.link.kind == "identity":
+        _, _, eps = moment_arrays(ctx.data.Xs, ctx.data.ys, beta, ctx.link)
         return _rows(ctx.rinv_x()).T @ eps.reshape(-1)  # (R^{-1} X)' eps by symmetry
-    w = ctx.corr_inverses() @ eps[:, :, None]
-    return _rows(Xs * np.sqrt(a)[:, :, None]).T @ w.reshape(-1)
+    a, _, rinv_eps = ctx._moments(beta)
+    return _rows(ctx.data.Xs).T @ (np.sqrt(a) * rinv_eps).reshape(-1)
 
 
 def eval_jacobian(ctx: EstimatingContext, beta) -> np.ndarray:
@@ -152,26 +176,24 @@ def eval_jacobian(ctx: EstimatingContext, beta) -> np.ndarray:
 
     Differentiates through the mean and variance terms while holding the
     (beta-free) correlation matrices fixed; for the identity link it
-    reduces to sum_i X_i' R_i^{-1} X_i exactly.
+    reduces to sum_i X_i' R_i^{-1} X_i exactly, which reads no moments.
     """
     _single_series(ctx, "eval_jacobian")
     beta = _check_beta(ctx, beta)
-    Xs, ys = ctx.data.Xs, ctx.data.ys
-    _, a, eps = moment_arrays(Xs, ys, beta, ctx.link)
-    xa, rinv_xa = weighted_design(ctx, a)
-    d_mat = _gram(xa, rinv_xa)
+    Xs = ctx.data.Xs
     if ctx.link.kind == "identity":
-        return d_mat
-    rinv = ctx.corr_inverses()
+        return _gram(Xs, ctx.rinv_x())
+    a, eps, rinv_eps = ctx._moments(beta)
+    xa, rinv_xa = weighted_design(ctx, a)
 
     # curvature terms: with D_l = diag(d * X[:, l]), d = mu''/(2 mu'), the
     # correction to column l is X' (D_l B - B D_l) r where B = A^{1/2} R^{-1} A^{-1/2};
     # X' B D_l r = (R^{-1} A^{1/2} X)' diag(d eps) X by the symmetry of R^{-1}
-    d = ctx.link.d2(Xs @ beta) / (2.0 * a)
-    w = np.sqrt(a) * (rinv @ eps[:, :, None])[:, :, 0]  # B r
+    d = ctx.link.d2(linear_predictor(Xs, beta)) / (2.0 * a)
+    w = np.sqrt(a) * rinv_eps  # B r
     corr1 = _gram(Xs, (d * w)[:, :, None] * Xs)
     corr2 = _gram(rinv_xa, (d * eps)[:, :, None] * Xs)
-    return d_mat - corr1 + corr2
+    return _gram(xa, rinv_xa) - corr1 + corr2
 
 
 @dataclass

@@ -177,6 +177,15 @@ class ClusterSeries:
         return self.Xs.shape[-1]
 
 
+def linear_predictor(Xs, beta):
+    """theta = X beta, shaped as ``Xs`` without its last axis: one
+    matrix-vector product per series over its (n*m, p) rows.  ``beta`` is
+    (p,), or (k, p) for a stack of series."""
+    beta = np.asarray(beta, dtype=np.float64)
+    rows = Xs.reshape(Xs.shape[:-3] + (-1, Xs.shape[-1]))
+    return (rows @ beta[..., None])[..., 0].reshape(Xs.shape[:-1])
+
+
 def moment_arrays(Xs, ys, beta, link):
     """Vectorized conditional moments over all steps.
 
@@ -192,8 +201,7 @@ def moment_arrays(Xs, ys, beta, link):
     mu, a, eps : ndarrays shaped as ys; a holds the mu' diagonal entries
     and eps the A^{-1/2}-standardized residuals.
     """
-    beta = np.asarray(beta, dtype=np.float64)
-    thetas = (Xs @ beta[..., None, :, None])[..., 0]
+    thetas = linear_predictor(Xs, beta)
     mu = link.eval(thetas)
     a = link.d1(thetas)
     if np.any(a <= 0.0):

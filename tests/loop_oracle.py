@@ -18,6 +18,9 @@ rule that a response cell must be finite.  ``masked_sigmoid`` and
 ``exp``: two boolean-mask gathers, and mu'' from two ``exp`` calls.
 ``extended_two_step`` is no former code path but an accuracy reference: the
 two-step averages formed afresh at every step in ``np.longdouble``.
+``newton_reference`` is the damped Newton loop as it was before the context
+kept the moments of the last beta: every g_n and D_n evaluates the moments
+afresh, and g_n is (A^{1/2} X)' R^{-1} eps.
 """
 
 import csv
@@ -28,8 +31,10 @@ import numpy as np
 
 from mtgee.cli import MISSING_TOKENS, _load_arrays
 from mtgee.corr import EIG_FLOOR, _clip_spectrum
-from mtgee.errors import ContractError, DataError, InstabilityError
-from mtgee.model import ClusterSeries
+from mtgee.errors import (ContractError, DataError, InstabilityError, NumericalError,
+                          SolverFailureError)
+from mtgee.estfun import SolveReport
+from mtgee.model import ClusterSeries, moment_arrays
 from mtgee.simgen import EXPLOSION_GUARD, substream, true_correlation
 
 
@@ -151,6 +156,77 @@ def extended_two_step(data, warmup_steps=2, floor=1e-6):
         r = ys[:i] - Xs[:i] @ b
         seq[i] = scalar_regularize((r.T @ r / i).astype(np.float64), i, floor)
     return seq
+
+
+def _reference_g(ctx, beta):
+    """g_n = (A^{1/2} X)' R^{-1} eps, from fresh moments; not the identity link."""
+    Xs = ctx.data.Xs
+    _, a, eps = moment_arrays(Xs, ctx.data.ys, beta, ctx.link)
+    w = ctx.corr_inverses() @ eps[:, :, None]
+    return (Xs * np.sqrt(a)[:, :, None]).reshape(-1, Xs.shape[-1]).T @ w.reshape(-1)
+
+
+def _reference_jacobian(ctx, beta):
+    """D_n = -d g_n / d beta', from fresh moments; not the identity link."""
+    Xs = ctx.data.Xs
+    _, a, eps = moment_arrays(Xs, ctx.data.ys, beta, ctx.link)
+    rinv = ctx.corr_inverses()
+    xa = Xs * np.sqrt(a)[:, :, None]
+    rinv_xa = rinv @ xa
+    d = ctx.link.d2(Xs @ beta) / (2.0 * a)
+    w = np.sqrt(a) * (rinv @ eps[:, :, None])[:, :, 0]
+
+    def gram(left, right):
+        return left.reshape(-1, left.shape[-1]).T @ right.reshape(-1, right.shape[-1])
+
+    return (gram(xa, rinv_xa) - gram(Xs, (d * w)[:, :, None] * Xs)
+            + gram(rinv_xa, (d * eps)[:, :, None] * Xs))
+
+
+def newton_reference(ctx, beta_init, tol=1e-8, max_iter=50):
+    """Damped Newton for g_n(beta) = 0 from ``beta_init``, with up to 20 step
+    halvings per iteration; returns (SolveReport, evaluations of g_n)."""
+    beta = np.asarray(beta_init, dtype=np.float64).copy()
+    g = _reference_g(ctx, beta)
+    evaluations = 1
+    norm = float(np.max(np.abs(g)))
+    trace = [(beta.copy(), norm)]
+    iterations = 0
+    for _ in range(max_iter):
+        if norm <= tol:
+            break
+        try:
+            step = np.linalg.solve(_reference_jacobian(ctx, beta), g)
+        except np.linalg.LinAlgError:
+            raise SolverFailureError("singular derivative matrix", trace=trace) from None
+        if not np.all(np.isfinite(step)):
+            raise SolverFailureError("non-finite Newton step", trace=trace)
+        t, accepted = 1.0, False
+        for _halving in range(21):
+            cand = beta + t * step
+            try:
+                g_new = _reference_g(ctx, cand)
+            except NumericalError:
+                t *= 0.5
+                continue
+            finally:
+                evaluations += 1
+            norm_new = float(np.max(np.abs(g_new)))
+            if norm_new < norm or norm_new <= tol:
+                beta, g, norm = cand, g_new, norm_new
+                accepted = True
+                break
+            t *= 0.5
+        iterations += 1
+        trace.append((beta.copy(), norm))
+        if not accepted:
+            return SolveReport(beta, iterations, norm, False, trace), evaluations
+    converged = norm <= tol
+    if converged:
+        cond = np.linalg.cond(_reference_jacobian(ctx, beta))
+        if not np.isfinite(cond) or cond > 1e14:
+            raise SolverFailureError("derivative matrix is singular at the solution", trace=trace)
+    return SolveReport(beta, iterations, norm, converged, trace), evaluations
 
 
 def _design_row(spec, Y, Z, i):

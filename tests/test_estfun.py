@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import finite_diff_jacobian, glm_series, random_series
 from ergodicity import ergodicity_check
-from loop_oracle import scalar_regularize
+from loop_oracle import newton_reference, scalar_regularize
 from mtgee import corr, estfun
 from mtgee.diagnostics import leverage, optimality_ratios, perturbation_sensitivity
-from mtgee.errors import ContractError, RankDeficiencyError, SolverFailureError
+from mtgee.errors import (ContractError, ModelViolationError, RankDeficiencyError,
+                          SaturationError, SolverFailureError)
 from mtgee.estfun import (
     EstimatingContext,
     eval_g,
@@ -138,6 +141,115 @@ def test_newton_rejects_bad_settings(rng, settings):
     for solve in (solve_newton, lambda ctx, **kw: fit(ctx, "newton", **kw)):
         with pytest.raises(ContractError):
             solve(ctx, **settings)
+
+
+def intercept_series(rng, link_kind, n=120, m=3):
+    """An intercept and two covariates, responses from ``link_kind``'s model."""
+    Xs = np.concatenate([np.ones((n, m, 1)), rng.normal(scale=0.5, size=(n, m, 2))], axis=2)
+    mu = get_link(link_kind).eval(Xs @ np.array([0.3, 0.5, -0.4]))
+    if link_kind == "logistic":
+        ys = rng.uniform(size=(n, m)) < mu
+    elif link_kind == "exponential":
+        ys = rng.poisson(mu)
+    else:
+        ys = mu + rng.normal(size=(n, m))
+    return ClusterSeries(ys=ys.astype(np.float64), Xs=Xs)
+
+
+def provider_of(kind, m, plugin):
+    return {"independence": None, "cs": corr.compound_symmetry(0.3, m),
+            "empirical": corr.empirical_running(m, plugin_beta=plugin)}[kind]
+
+
+# far starts whose full Newton steps overshoot; the exponential one's first
+# trials saturate the link
+FAR_START = {"logistic": np.array([3.0, 3.0, 3.0]), "exponential": np.array([-12.0, 0.0, 0.0])}
+
+
+@pytest.mark.parametrize("link_kind", ["logistic", "exponential"])
+@pytest.mark.parametrize("kind", ["independence", "cs", "empirical"])
+@pytest.mark.parametrize("far", [False, True])
+@pytest.mark.parametrize("max_iter", [50, 1])
+def test_newton_matches_reference_loop(link_kind, kind, far, max_iter):
+    # the loop that evaluated the moments afresh in every g_n and D_n takes
+    # the same steps; g_n's sums run in another order, so beta agrees to
+    # 1e-12 relative or 1e-15 absolute
+    link = get_link(link_kind)
+    data = intercept_series(substream(20240311, 7), link_kind)
+    plugin = working_independence_estimate(data, link)
+    start = plugin + FAR_START[link_kind] if far else plugin
+    provider = provider_of(kind, 3, plugin)
+    ref, evaluations = newton_reference(EstimatingContext(data=data, link=link, corr=provider),
+                                        start, max_iter=max_iter)
+    report = solve_newton(EstimatingContext(data=data, link=link, corr=provider), start,
+                          max_iter=max_iter)
+    if far:
+        assert evaluations > 1 + ref.iterations  # some steps were halved
+        assert ref.converged == (max_iter > 1)
+    assert (report.iterations, report.converged) == (ref.iterations, ref.converged)
+    assert len(report.trace) == len(ref.trace)
+    gap = np.abs(report.beta_hat - ref.beta_hat)
+    assert np.all(gap <= np.maximum(1e-15, 1e-12 * np.abs(ref.beta_hat)))
+
+
+def _outcome(evaluate, ctx, beta):
+    """The bytes of ``evaluate(ctx, beta)``, or the type and text of the
+    model error it raises."""
+    try:
+        return evaluate(ctx, beta).tobytes()
+    except (SaturationError, ModelViolationError) as exc:
+        return type(exc), str(exc)
+
+
+BETA_ENTRY = st.one_of(st.floats(-2.0, 2.0), st.floats(-3000.0, 3000.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(link_kind=st.sampled_from(["identity", "logistic", "exponential"]),
+       kind=st.sampled_from(["independence", "cs", "empirical"]),
+       betas=st.lists(st.lists(BETA_ENTRY, min_size=3, max_size=3), min_size=1, max_size=3),
+       calls=st.lists(st.tuples(st.sampled_from([eval_g, eval_jacobian]), st.integers(0, 2)),
+                      min_size=1, max_size=10))
+def test_interleaved_evaluations_match_a_fresh_context(link_kind, kind, betas, calls):
+    # g_n and D_n on one context, in any order, at repeated or new betas,
+    # some of which saturate the link or zero its derivative, equal the
+    # values of a context that has evaluated nothing, bit for bit
+    link = get_link(link_kind)
+    data = intercept_series(substream(5, 0), link_kind, n=20)
+    provider = provider_of(kind, 3, np.array([0.3, 0.5, -0.4]))
+    shared = EstimatingContext(data=data, link=link, corr=provider)
+    for evaluate, k in calls:
+        beta = np.array(betas[k % len(betas)])
+        fresh = EstimatingContext(data=data, link=link, corr=provider)
+        assert _outcome(evaluate, shared, beta) == _outcome(evaluate, fresh, beta)
+
+
+@pytest.mark.parametrize("link_kind", ["identity", "logistic", "exponential"])
+def test_newton_evaluates_the_moments_once_per_g(monkeypatch, link_kind):
+    # the first g_n and each trial step's g_n evaluate the moments; every
+    # D_n, at an accepted iterate or at the root, reads those of the last g_n,
+    # and the identity link's reads none
+    link = get_link(link_kind)
+    data = intercept_series(substream(20240311, 7), link_kind)
+    start = working_independence_estimate(data, link) + FAR_START.get(link_kind, 3.0)
+    ctx = EstimatingContext(data=data, link=link, corr=corr.compound_symmetry(0.3, 3))
+    counts = {"moment_arrays": 0, "eval_g": 0, "eval_jacobian": 0}
+
+    def counted(name):
+        original = getattr(estfun, name)
+
+        def call(*args):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(estfun, name, call)
+
+    for name in counts:
+        counted(name)
+    report = solve_newton(ctx, beta_init=start)
+    assert report.converged and report.iterations >= 1
+    assert counts["moment_arrays"] == counts["eval_g"]
+    assert counts["eval_jacobian"] == report.iterations + 1
 
 
 def test_newton_zero_information_fails():

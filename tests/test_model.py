@@ -9,8 +9,8 @@ from loop_oracle import masked_logistic_d2, masked_sigmoid
 from mtgee.errors import ContractError, ModelViolationError, SaturationError
 from mtgee.estfun import EstimatingContext
 from mtgee.inference import sandwich
-from mtgee.model import ClusterSeries, get_link, moment_arrays
-from mtgee.simgen import SimDesign, generate_ar2
+from mtgee.model import ClusterSeries, get_link, linear_predictor, moment_arrays
+from mtgee.simgen import SimDesign, generate_ar2, substream
 
 
 def taylor_exp(x, terms=60):
@@ -93,6 +93,22 @@ def test_identity_mean_is_exact_matrix_product(beta, xflat):
     X = np.asarray(xflat).reshape(1, 3, 2)
     mu, _, _ = moment_arrays(X, np.zeros((1, 3)), np.asarray(beta), get_link("identity"))
     assert np.array_equal(mu, X @ np.asarray(beta))
+
+
+@pytest.mark.parametrize("shape", [(40, 6, 4), (7, 1, 3), (13, 3, 9), (5, 8, 16), (2, 4, 4, 2)])
+def test_linear_predictor_matches_per_step_products(shape):
+    # theta from one product over the (n*m, p) rows of each series sums each
+    # x'beta in the order of one BLAS kernel, where a product per step may
+    # pick another (with m = 1 or a long p); the two agree to p*eps*|x||beta|
+    rng = substream(8, shape[-1])
+    Xs = rng.normal(size=shape) * np.logspace(-3, 3, shape[-1])
+    beta = rng.normal(size=shape[:-3] + shape[-1:])
+    theta = linear_predictor(Xs, beta)
+    column = beta[..., None, :, None]  # a product per step
+    per_step = (Xs @ column)[..., 0]
+    bound = shape[-1] * np.finfo(np.float64).eps * (np.abs(Xs) @ np.abs(column))[..., 0]
+    assert theta.shape == per_step.shape
+    assert np.all(np.abs(theta - per_step) <= bound)
 
 
 def test_conditional_moments_zero_residual_identity():
