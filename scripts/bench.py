@@ -28,11 +28,13 @@ The entries:
   entry point;
 - on the long binary CSV that ``perfbench/inputs.py`` writes for seed 1,
   (n, m, p) = (5998, 6, 4), logistic link, running empirical working
-  correlation: ``eval_g`` and ``eval_jacobian``, each call at the other of
-  two betas (a context keeps the moments of the last beta it evaluated, so
-  a repeated beta would time that memo), ``sandwich``, ``optimality_ratios``
-  against compound symmetry, ``parse_dataset`` and ``fit --corr empirical``
-  through the CLI entry point (``fit_cli_empirical``);
+  correlation: ``eval_g``, ``eval_jacobian``, ``sandwich`` and
+  ``optimality_ratios`` against compound symmetry, each call at the other
+  of two betas (a context keeps the moments of the last beta it evaluated,
+  so a repeated beta would time that memo), ``parse_dataset``, and
+  ``fit --corr empirical`` (``fit_cli_empirical``) and ``diagnose --corr
+  empirical --d-grid 0,0.01,0.1`` (``diagnose_cli_empirical``) through the
+  CLI entry point;
 - ``solve_newton`` on the same data from the working-independence
   estimate, with that running empirical correlation
   (``solve_newton_empirical``) and with compound symmetry, alpha = 0.4
@@ -159,13 +161,15 @@ def entries(mt, directory, wide_columns):
         "replicate_tables_s500": (4, cli("replicate-tables", "--s", "500", "--seed", "3")),
         "eval_g": (1, alternating(estfun.eval_g)),
         "eval_jacobian": (1, alternating(estfun.eval_jacobian)),
-        "sandwich": (1, lambda: mt.sandwich(ctx, beta)),
-        "optimality_ratios":
-            (1, lambda: mt.diagnostics.optimality_ratios(ctx, beta, reference)),
+        "sandwich": (1, alternating(mt.sandwich)),
+        "optimality_ratios": (1, alternating(
+            lambda context, b: mt.diagnostics.optimality_ratios(context, b, reference))),
         "parse_dataset": (1, lambda: mt.cli.parse_dataset(spec)),
         "parse_dataset_wide": (1, lambda: mt.cli.parse_dataset(wide)),
         "fit_cli_empirical": (2, cli("fit", *long_flags, "--method", "newton",
                                      "--corr", "empirical")),
+        "diagnose_cli_empirical": (4, cli("diagnose", *long_flags, "--method", "newton",
+                                          "--corr", "empirical", "--d-grid", "0,0.01,0.1")),
         "solve_newton_empirical": (1, lambda: estfun.solve_newton(ctx, start)),
         "solve_newton_cs": (1, lambda: estfun.solve_newton(cs_ctx, start)),
     }

@@ -32,7 +32,7 @@ from . import diagnostics as diagmod
 from .errors import ContractError, DataError, MtgeeError, NumericalError
 from .estfun import EstimatingContext, fit
 from .inference import predict_next
-from .model import ClusterSeries, get_link, moment_arrays
+from .model import ClusterSeries, get_link
 from .simgen import (
     CORR_KIND_ALIASES,
     SimDesign,
@@ -690,7 +690,7 @@ def _cmd_diagnose(args):
     # the correlation truth is unknown on real data; plug in the full-sample
     # average of standardized residual outer products, regularised as every
     # running average is at its own count
-    _, _, eps = moment_arrays(ctx.data.Xs, ctx.data.ys, beta, ctx.link)
+    eps = ctx.moments(beta)[1]
     avg = (eps[:, :, None] * eps[:, None, :]).mean(axis=0)
     rbar = corrmod.regularized_empirical(avg[None], np.array([ctx.data.n]))[0]
     opt = diagmod.optimality_ratios(ctx, beta, rbar)

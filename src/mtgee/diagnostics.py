@@ -16,10 +16,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .corr import _check_spd
 from .errors import ContractError, NumericalError, RankDeficiencyError
 from .estfun import (EstimatingContext, _check_beta, _gram, _rank_test, _single_series, fit,
                      weighted_design)
-from .model import ClusterSeries, moment_arrays
+from .model import ClusterSeries
 from .simgen import substream
 
 _TINY = 1e-12
@@ -84,10 +85,17 @@ def _running_gram(left, right, pts):
     return out
 
 
+def _check_true_corr(true_corr, m):
+    """``true_corr`` as an m x m SPD float64 matrix (see corr._check_spd)."""
+    if np.shape(true_corr) != (m, m):
+        raise ContractError(f"true_corr has shape {np.shape(true_corr)}, expected {(m, m)}")
+    return _check_spd(true_corr, "true_corr")
+
+
 def _information_design(ctx: EstimatingContext, beta_hat):
-    """A^{1/2} X per step, so that H'_n = sum X' A X is its Gram matrix."""
-    _, a, _ = moment_arrays(ctx.data.Xs, ctx.data.ys, beta_hat, ctx.link)
-    return ctx.data.Xs * np.sqrt(a)[:, :, None]
+    """A^{1/2} X per step (X for the identity link): H'_n = sum X'AX is its Gram."""
+    a = ctx.moments(beta_hat)[0]
+    return ctx.data.Xs if a is None else ctx.data.Xs * np.sqrt(a)[:, :, None]
 
 
 def eigen_conditions(
@@ -166,9 +174,8 @@ def optimality_ratios(ctx: EstimatingContext, beta_hat, true_corr) -> Optimality
     """
     _single_series(ctx, "optimality_ratios")
     beta_hat = _check_beta(ctx, beta_hat)
-    true_corr = np.asarray(true_corr, dtype=np.float64)
-    _, a, _ = moment_arrays(ctx.data.Xs, ctx.data.ys, beta_hat, ctx.link)
-    xa, rinv_xa = weighted_design(ctx, a)
+    true_corr = _check_true_corr(true_corr, ctx.data.m)
+    xa, rinv_xa = weighted_design(ctx, ctx.moments(beta_hat)[0])
 
     pts = _checkpoints(ctx.data.n)
     h_runs = _running_gram(xa, rinv_xa, pts)
@@ -229,6 +236,7 @@ def perturbation_sensitivity(
     refit at budget 0.
     """
     _single_series(ctx, "perturbation_sensitivity")
+    true_corr = None if true_corr is None else _check_true_corr(true_corr, ctx.data.m)
     budgets = np.asarray(list(d_grid), dtype=np.float64)
     if budgets.size == 0 or not np.any(budgets == 0.0):
         raise ContractError("d_grid must include 0")

@@ -11,12 +11,12 @@ and the closed form read R_i only through the beta-free array R_i^{-1} X_i,
 which the context solves for once.  For the other links A_i depends on
 beta: g_n = sum_i X_i' A_i^{1/2} R_i^{-1} eps_i, with the standardized
 residuals eps_i = A_i^{-1/2} (y_i - mu_i), and its derivative D_n share the
-moments at beta (A's diagonal, eps_i and R_i^{-1} eps_i), which the context
-keeps for the last beta evaluated, so the moments of a Newton iterate are
-computed once.  The sequential two-step
-pseudo-likelihood estimator is that closed form with the two-step provider,
-`corr.two_step`, which re-estimates the correlation from
-working-independence residuals as data accrue.
+moments at beta (A's diagonal, eps_i and R_i^{-1} eps_i).  The context
+keeps the moments of the last beta evaluated, and every reader at a beta
+(g_n, D_n, the sandwich, the diagnostics) takes them from it.  The
+sequential two-step pseudo-likelihood estimator is that closed form with
+the two-step provider, `corr.two_step`, which re-estimates the correlation
+from working-independence residuals as data accrue.
 """
 
 from dataclasses import dataclass
@@ -40,20 +40,19 @@ class EstimatingContext:
     """Data + link + working correlation, with the per-step arrays the fits share.
 
     ``corr=None`` means working independence.  The fits read the provider's
-    sequence R_i through one array, built on first use and cached: for the
-    identity link R_i^{-1} X_i (``rinv_x``), from one batched solve, since
-    A_i = I there and every fit, sandwich and diagnostic reads R_i only
-    through it; for the other links, whose A_i depends on beta, R_i^{-1}
-    (``corr_inverses``).  The matrices R_i are cached only once a caller
-    asks for them (before the fits, so that R_i is realized once).  All
-    shipped providers are beta-free so the cache is valid for every beta.
+    sequence R_i through one array, realized and solved on first use and
+    cached: for the identity link R_i^{-1} X_i (``rinv_x``), since A_i = I
+    there and every fit, sandwich and diagnostic reads R_i only through it;
+    for the other links, whose A_i depends on beta, R_i^{-1}
+    (``corr_inverses``).  All shipped providers are beta-free so the cache
+    is valid for every beta.
 
-    For the links other than the identity, the context also keeps the
-    moments at the last beta that ``eval_g`` or ``eval_jacobian`` evaluated:
-    A's diagonal, eps and R^{-1} eps, (n, m) arrays made read-only, keyed on
-    the bytes of beta.  The derivative at an accepted Newton iterate, and at
-    the root, reuses the moments of the g_n that accepted it.  A beta whose
-    moments raise leaves the memo as it was.
+    The context is the one source of the moments at a beta (``moments``).
+    It keeps those of the last beta evaluated, keyed on its bytes, so g_n,
+    D_n, the sandwich and the diagnostics at one beta share one evaluation:
+    A's diagonal, eps and R^{-1} eps, (n, m) arrays made read-only, or eps
+    alone for the identity link.  A beta whose moments raise leaves the
+    memo as it was.
     """
 
     data: ClusterSeries
@@ -64,36 +63,28 @@ class EstimatingContext:
         self.corr = self.corr or corrmod.independence(self.data.m)
         self._memo = (None,)  # (beta.tobytes(), a, eps, R^{-1} eps) at the last beta
 
-    def _moments(self, beta):
-        """a, eps and R^{-1} eps at the checked single-series ``beta``, from
-        the memo when ``beta`` is the last beta evaluated."""
+    def moments(self, beta):
+        """a, eps and R^{-1} eps at the checked ``beta``, from the memo when it is
+        the last beta evaluated; a and R^{-1} eps are None for the identity link."""
         key, memo = beta.tobytes(), self._memo  # one read: a thread's memo is whole
         if memo[0] != key:
             _, a, eps = moment_arrays(self.data.Xs, self.data.ys, beta, self.link)
-            rinv_eps = (self.corr_inverses() @ eps[..., None])[..., 0]
-            for arr in (a, eps, rinv_eps):
+            if self.link.kind == "identity":
+                a = rinv_eps = None  # A = I, and its readers use R^{-1} X
+            else:
+                rinv_eps = (self.corr_inverses() @ eps[..., None])[..., 0]
+            for arr in (eps,) if a is None else (a, eps, rinv_eps):
                 arr.flags.writeable = False
             memo = self._memo = (key, a, eps, rinv_eps)
         return memo[1:]
 
     @cached_property
-    def _matrices(self):
-        return self.corr.realize(self.data, self.link)
-
-    def _realized(self):
-        seq = self.__dict__.get("_matrices")  # cached R, if a caller asked for it
-        return self.corr.realize(self.data, self.link) if seq is None else seq
-
-    @cached_property
     def _inverses(self):
-        return self.corr.solve(self._realized())
+        return self.corr.solve(self.corr.realize(self.data, self.link))
 
     @cached_property
     def _rinv_x(self):
-        return self.corr.solve(self._realized(), self.data.Xs)
-
-    def corr_matrices(self) -> np.ndarray:
-        return self._matrices
+        return self.corr.solve(self.corr.realize(self.data, self.link), self.data.Xs)
 
     def corr_inverses(self) -> np.ndarray:
         return self._inverses
@@ -164,10 +155,9 @@ def eval_g(ctx: EstimatingContext, beta) -> np.ndarray:
     """Evaluate the estimating function at beta."""
     _single_series(ctx, "eval_g")
     beta = _check_beta(ctx, beta)
-    if ctx.link.kind == "identity":
-        _, _, eps = moment_arrays(ctx.data.Xs, ctx.data.ys, beta, ctx.link)
+    a, eps, rinv_eps = ctx.moments(beta)
+    if a is None:  # the identity link
         return _rows(ctx.rinv_x()).T @ eps.reshape(-1)  # (R^{-1} X)' eps by symmetry
-    a, _, rinv_eps = ctx._moments(beta)
     return _rows(ctx.data.Xs).T @ (np.sqrt(a) * rinv_eps).reshape(-1)
 
 
@@ -183,7 +173,7 @@ def eval_jacobian(ctx: EstimatingContext, beta) -> np.ndarray:
     Xs = ctx.data.Xs
     if ctx.link.kind == "identity":
         return _gram(Xs, ctx.rinv_x())
-    a, eps, rinv_eps = ctx._moments(beta)
+    a, eps, rinv_eps = ctx.moments(beta)
     xa, rinv_xa = weighted_design(ctx, a)
 
     # curvature terms: with D_l = diag(d * X[:, l]), d = mu''/(2 mu'), the
@@ -241,8 +231,11 @@ def solve_linear(ctx: EstimatingContext) -> np.ndarray:
         raise ContractError(
             f"solve_linear requires the identity link, got {ctx.link.kind!r}"
         )
-    data = ctx.data
-    rinv_x = ctx.rinv_x()
+    return _closed_form(ctx.data, ctx.rinv_x())
+
+
+def _closed_form(data, rinv_x):
+    """solve_linear's roots of ``data`` from its R^{-1} X."""
     k_mat = _gram(data.Xs, rinv_x)
     ok = _rank_test(k_mat, "normal matrix")
     rhs = _gram(rinv_x, data.ys[..., None])
@@ -361,9 +354,9 @@ def fit_two_step(data: ClusterSeries) -> TwoStepResult:
     sequence is realized once: the closed form solves against the R_i it
     returns.
     """
-    ctx = EstimatingContext(data=data, link=get_link("identity"), corr=corrmod.two_step(data.m))
-    seq = ctx.corr_matrices()
-    return TwoStepResult(beta=solve_linear(ctx), corr_seq=seq)
+    provider = corrmod.two_step(data.m)
+    seq = provider.realize(data, get_link("identity"))
+    return TwoStepResult(beta=_closed_form(data, provider.solve(seq, data.Xs)), corr_seq=seq)
 
 
 @dataclass

@@ -8,10 +8,10 @@ The estimator covariance is approximated by Psi = H^{-1} M H^{-1} with
 where eps_i are the standardized residuals at the fitted beta.  Both read
 R_i only through the weighted design R_i^{-1} A_i^{1/2} X_i
 (``estfun.weighted_design``); with the identity link that is the context's
-cached R_i^{-1} X_i, the array the closed form solved with.  Interval
-half-widths scale with the standard errors sqrt(Psi_kk); that is the
-scaling consistent with the normal approximation
-Psi^{-1/2} (beta_hat - beta_0) ~ N(0, I).
+cached R_i^{-1} X_i, the array the closed form solved with.  A and eps_i
+are the context's moments at beta, which a Newton fit holds at its root.
+Interval half-widths scale with the standard errors sqrt(Psi_kk), as the
+normal approximation Psi^{-1/2} (beta_hat - beta_0) ~ N(0, I) implies.
 """
 
 from dataclasses import dataclass
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ContractError
 from .estfun import EstimatingContext, _check_beta, _gram, _rank_test, weighted_design
-from .model import LinkSpec, moment_arrays
+from .model import LinkSpec
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,7 @@ def sandwich_from_arrays(xa, rinv_xa, eps) -> SandwichEstimate:
 
 def sandwich(ctx: EstimatingContext, beta_hat) -> SandwichEstimate:
     """Sandwich covariance of beta_hat under the context's working correlation."""
-    beta_hat = _check_beta(ctx, beta_hat)
-    _, a, eps = moment_arrays(ctx.data.Xs, ctx.data.ys, beta_hat, ctx.link)
+    a, eps, _ = ctx.moments(_check_beta(ctx, beta_hat))
     return sandwich_from_arrays(*weighted_design(ctx, a), eps)
 
 

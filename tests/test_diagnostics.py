@@ -3,14 +3,14 @@ import pytest
 
 from conftest import random_series
 from ergodicity import ergodicity_check
-from mtgee import corr
+from mtgee import corr, diagnostics
 from mtgee.diagnostics import (
     eigen_conditions,
     leverage,
     optimality_ratios,
     perturbation_sensitivity,
 )
-from mtgee.errors import ContractError
+from mtgee.errors import ContractError, CorrelationDegeneracyError
 from mtgee.estfun import EstimatingContext, fit
 from mtgee.model import ClusterSeries, get_link
 from mtgee.simgen import SimDesign, generate_ar2, substream
@@ -103,6 +103,31 @@ def test_det_ratios_exactly_one_with_oracle_provider():
     report = optimality_ratios(ctx, BETA0, truth)
     assert np.max(np.abs(report.det_ratio_H - 1.0)) < 1e-10
     assert np.max(np.abs(report.det_ratio_M - 1.0)) < 1e-10
+
+
+BAD_TRUTHS = {
+    "wrong_shape": (np.eye(2), ContractError, "shape"),
+    "nan": (np.full((3, 3), np.nan), CorrelationDegeneracyError, "not finite"),
+    "zero": (np.zeros((3, 3)), CorrelationDegeneracyError, "not positive definite"),
+    "non_symmetric": (np.eye(3) + np.triu(np.full((3, 3), 0.2), 1), CorrelationDegeneracyError,
+                      "not symmetric"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TRUTHS))
+def test_optimality_monitors_reject_a_bad_true_corr(monkeypatch, rng, name):
+    # checked on entry: perturbation_sensitivity refits nothing, whatever the
+    # order of its budgets
+    true_corr, error, text = BAD_TRUTHS[name]
+    res = fit(EstimatingContext(data=random_series(rng, n=40, m=3, p=2), link=IDENT), "linear")
+    with pytest.raises(error, match=text):
+        optimality_ratios(res.ctx, res.beta_hat, true_corr)
+    refits = []
+    monkeypatch.setattr(diagnostics, "fit", lambda *args, **kw: refits.append(args))
+    with pytest.raises(error, match=text):
+        perturbation_sensitivity(res.ctx, "linear", (0.1, 0.0), seed=1, true_corr=true_corr,
+                                 base=res.beta_hat)
+    assert refits == []
 
 
 def test_det_ratio_penalises_independence_under_cs_truth():

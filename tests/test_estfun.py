@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from conftest import finite_diff_jacobian, glm_series, random_series
 from ergodicity import ergodicity_check
 from loop_oracle import newton_reference, scalar_regularize
-from mtgee import corr, estfun
-from mtgee.diagnostics import leverage, optimality_ratios, perturbation_sensitivity
+from mtgee import cli, corr, diagnostics, estfun, inference, model
+from mtgee.diagnostics import (eigen_conditions, leverage, optimality_ratios,
+                               perturbation_sensitivity)
 from mtgee.errors import (ContractError, ModelViolationError, RankDeficiencyError,
                           SaturationError, SolverFailureError)
 from mtgee.estfun import (
@@ -252,6 +253,49 @@ def test_newton_evaluates_the_moments_once_per_g(monkeypatch, link_kind):
     assert counts["eval_jacobian"] == report.iterations + 1
 
 
+def counted_moments(monkeypatch):
+    """The list that every call of ``model.moment_arrays``, through any
+    module's binding, appends its beta to."""
+    calls, original = [], model.moment_arrays
+
+    def counted(Xs, ys, beta, link):
+        calls.append(np.array(beta))
+        return original(Xs, ys, beta, link)
+
+    for module in (model, corr, estfun, inference, diagnostics, cli):
+        if getattr(module, "moment_arrays", None) is original:
+            monkeypatch.setattr(module, "moment_arrays", counted)
+    return calls
+
+
+def test_identity_fit_and_diagnostics_evaluate_the_moments_once(rng, monkeypatch):
+    # the sandwich evaluates eps at beta_hat; the monitors read the same memo
+    calls = counted_moments(monkeypatch)
+    ctx = EstimatingContext(data=random_series(rng, n=60, m=3, p=2), link=IDENT,
+                            corr=corr.two_step(3))
+    res = fit(ctx, "linear")
+    eigen_conditions(res.ctx, res.beta_hat)
+    leverage(res.ctx, res.beta_hat)
+    optimality_ratios(res.ctx, res.beta_hat, corr.build_fixed_corr("ar1", 0.3, 3))
+    assert len(calls) == 1 and np.array_equal(calls[0], res.beta_hat)
+
+
+def test_newton_fit_with_inference_evaluates_the_moments_once_per_g(rng, monkeypatch):
+    # the sandwich at the root reads the moments of the g_n that accepted it
+    calls, g_calls, original = counted_moments(monkeypatch), [], estfun.eval_g
+
+    def counted_g(*args):
+        g_calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(estfun, "eval_g", counted_g)
+    data = glm_series(rng, "logistic", beta0=(0.3, -0.4), n=80, m=3)
+    res = fit(EstimatingContext(data=data, link=get_link("logistic"),
+                                corr=corr.compound_symmetry(0.3, 3)), "newton")
+    assert res.solver.converged and np.all(np.isfinite(res.se))
+    assert len(calls) == len(g_calls) > 1
+
+
 def test_newton_zero_information_fails():
     ctx = ctx_of(np.ones((4, 2)), np.zeros((4, 2, 2)))
     with pytest.raises(SolverFailureError):
@@ -420,7 +464,7 @@ def test_fit_has_no_two_step_method(rng):
 def test_fit_two_step_trace_length(rng):
     data = random_series(rng, n=10, m=2, p=2)
     res = fit(EstimatingContext(data=data, link=IDENT, corr=corr.two_step(2)), method="linear")
-    assert len(res.ctx.corr_matrices()) == data.n
+    assert len(res.ctx.corr.realize(res.ctx.data, res.ctx.link)) == data.n
 
 
 def test_two_step_is_the_closed_form_with_the_two_step_provider(rng):
@@ -430,18 +474,19 @@ def test_two_step_is_the_closed_form_with_the_two_step_provider(rng):
     via_fit = fit(EstimatingContext(data=data, link=IDENT, corr=corr.two_step(3)), method="linear")
     wrapper = fit_two_step(data)
     assert via_fit.ctx.corr.kind == "two_step_empirical"
-    for b, seq in ((via_fit.beta_hat, via_fit.ctx.corr_matrices()),
+    for b, seq in ((via_fit.beta_hat, via_fit.ctx.corr.realize(via_fit.ctx.data, IDENT)),
                    (wrapper.beta, wrapper.corr_seq)):
         assert np.array_equal(b, beta)
-        assert np.array_equal(seq, ctx.corr_matrices())
-    assert np.array_equal(via_fit.ctx.corr_inverses(), np.linalg.inv(ctx.corr_matrices()))
+        assert np.array_equal(seq, ctx.corr.realize(ctx.data, ctx.link))
+    assert np.array_equal(via_fit.ctx.corr_inverses(),
+                          np.linalg.inv(ctx.corr.realize(ctx.data, ctx.link)))
 
 
 def test_two_step_provider_rejects_other_links(rng):
     data = glm_series(rng, "logistic", beta0=(0.1, 0.1), n=12, m=2)
     ctx = EstimatingContext(data=data, link=get_link("logistic"), corr=corr.two_step(2))
     with pytest.raises(ContractError, match="identity link"):
-        ctx.corr_matrices()
+        ctx.corr.realize(ctx.data, ctx.link)
 
 
 @pytest.mark.parametrize("link_kind, method", [("identity", "linear"), ("logistic", "newton")])
@@ -523,6 +568,8 @@ def test_identity_link_fit_and_diagnostics_realize_once(rng, realizations, kind)
     assert np.all(np.isfinite(res.se))
     assert realizations[kind] == 1
     true_corr = corr.build_fixed_corr("compound_symmetry", 0.3, 3)
+    eigen_conditions(res.ctx, res.beta_hat)
+    leverage(res.ctx, res.beta_hat)
     optimality_ratios(res.ctx, res.beta_hat, true_corr)
     perturbation_sensitivity(res.ctx, "linear", (0.0,), seed=1, true_corr=true_corr,
                              base=res.beta_hat)

@@ -203,7 +203,7 @@ def make_stack(seed, k, n, m, p, corr_kind):
 def test_stacked_identity_fit_matches_einsum(seed, k, n, m, p, corr_kind):
     ctx, beta = make_stack(seed, k, n, m, p, corr_kind)
     d = ctx.data
-    rinv = np.linalg.inv(ctx.corr_matrices())
+    rinv = np.linalg.inv(ctx.corr.realize(ctx.data, ctx.link))
     res = fit(ctx, "linear")
     assert not res.failed.any()
     # g and D of every series at a beta off the root, from the stack's R^{-1} X
