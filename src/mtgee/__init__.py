@@ -40,12 +40,10 @@ from .model import (
     get_link,
 )
 from .simgen import (
-    EstimatorSpec,
     MonteCarloReport,
     SimDesign,
     generate_ar2,
     monte_carlo_study,
-    default_estimators,
     substream,
     true_correlation,
 )
@@ -58,7 +56,6 @@ __all__ = [
     "CorrelationDegeneracyError",
     "DataError",
     "EstimatingContext",
-    "EstimatorSpec",
     "FitResult",
     "InstabilityError",
     "LinkSpec",
@@ -86,7 +83,6 @@ __all__ = [
     "inference",
     "monte_carlo_study",
     "normal_quantile",
-    "default_estimators",
     "predict_next",
     "sandwich",
     "simgen",

@@ -36,7 +36,6 @@ from .model import ClusterSeries, get_link
 from .simgen import (
     CORR_KIND_ALIASES,
     SimDesign,
-    default_estimators,
     monte_carlo_study,
 )
 
@@ -107,10 +106,7 @@ def _mc_table_csv(reports, metric: str) -> str:
     for report in reports:
         truth = _truth_label(report.design.corr_kind)
         for summ in report.estimators:
-            values = getattr(summ, metric)
-            if values is None:
-                values = [float("nan")] * len(summ.bias)
-            for k, v in enumerate(values):
+            for k, v in enumerate(getattr(summ, metric)):
                 writer.writerow([summ.label, truth, k + 1, format(float(v), ".17g")])
     return buf.getvalue()
 
@@ -280,13 +276,14 @@ def _read_block(body, col_index, names, required, out, at=slice(None)):
     return min(rejected, default=None)
 
 
-def _impute_nearest(series):
-    """Fill NaNs from the nearest time index (earlier index wins ties)."""
+def _impute_nearest(series, column):
+    """Fill NaNs from the nearest time index (earlier index wins ties); ``column``
+    names the series in the error for one that is entirely missing."""
     out = series.copy()
     known = np.isfinite(out)
     finite = np.flatnonzero(known)
     if finite.size == 0:
-        raise DataError("a column is entirely missing; nothing to impute from")
+        raise DataError(f"{column} is entirely missing; nothing to impute from")
     gaps = np.flatnonzero(~known)
     after = np.searchsorted(finite, gaps)
     before = finite[np.maximum(after - 1, 0)]
@@ -295,11 +292,20 @@ def _impute_nearest(series):
     return out
 
 
+def _column_index(path, header, names):
+    """The header position of each of ``names``; DataError for a name that the
+    header lacks or holds more than once.  Other repeated names are allowed."""
+    for name in names:
+        count = header.count(name)
+        if count != 1:
+            where = "not found in header" if count == 0 else f"appears {count} times in header"
+            raise DataError(f"{path}: column {name!r} {where}")
+    return {name: header.index(name) for name in names}
+
+
 def _load_wide(spec, header, body, rows):
-    col_index = {name: k for k, name in enumerate(header)}
-    for name in list(spec.response_cols) + [c for grp in spec.exog_cols for c in grp]:
-        if name not in col_index:
-            raise DataError(f"{spec.path}: column {name!r} not found in header")
+    col_index = _column_index(
+        spec.path, header, list(spec.response_cols) + [c for grp in spec.exog_cols for c in grp])
     m = len(spec.response_cols)
     Y = np.empty((len(body), m))
     Z = np.empty((len(body), m, len(spec.exog_cols)))
@@ -342,13 +348,8 @@ def _ranks(body, index, key=None):
 def _load_long(spec, header, body, rows):
     if spec.time_col is None or spec.unit_col is None:
         raise ContractError("long layout requires time_col and unit_col")
-    col_index = {name: k for k, name in enumerate(header)}
-    needed = [spec.time_col, spec.unit_col, spec.response_cols[0]] + [
-        g for g in spec.exog_cols
-    ]
-    for name in needed:
-        if name not in col_index:
-            raise DataError(f"{spec.path}: column {name!r} not found in header")
+    col_index = _column_index(spec.path, header, [spec.time_col, spec.unit_col,
+                                                  spec.response_cols[0]] + list(spec.exog_cols))
     y_col = spec.response_cols[0]
     try:
         times, code = _ranks(body, col_index[spec.time_col], _time_key)
@@ -397,20 +398,24 @@ def _load_long(spec, header, body, rows):
         raise DataError(
             f"{spec.path}: no response observation for time {times[t]!r}, unit {units[u]!r}"
         )
-    return Y.reshape(T, m), Z.reshape(T, m, -1) if spec.exog_cols else None
+    return Y.reshape(T, m), Z.reshape(T, m, -1) if spec.exog_cols else None, units
 
 
 def _load_arrays(spec: DatasetSpec):
     header, body, rows = _read_rows(spec.path)
     if spec.layout == "wide":
         Y, Z = _load_wide(spec, header, body, rows)
+        # series (j, v) of Z, for messages: unit j's column of exogenous variable v
+        columns = [[f"column {name!r}" for name in unit] for unit in zip(*spec.exog_cols)]
     else:
-        Y, Z = _load_long(spec, header, body, rows)
+        Y, Z, units = _load_long(spec, header, body, rows)
+        columns = [[f"column {name!r} of unit {unit!r}" for name in spec.exog_cols]
+                   for unit in units]
     if Z is not None:
         if spec.impute == "nearest_neighbor":
             for j in range(Z.shape[1]):
                 for v in range(Z.shape[2]):
-                    Z[:, j, v] = _impute_nearest(Z[:, j, v])
+                    Z[:, j, v] = _impute_nearest(Z[:, j, v], f"{spec.path}: {columns[j][v]}")
         elif np.any(~np.isfinite(Z)):
             raise DataError(
                 f"{spec.path}: missing exogenous values present and imputation is 'none'"
@@ -555,22 +560,13 @@ def _spec_from_args(args) -> DatasetSpec:
     )
 
 
-# the provider of --method two_step (a closed form), else of --corr, from (alpha, m)
-_PROVIDERS = {
-    "two_step": lambda alpha, m: corrmod.two_step(m),
-    "independence": lambda alpha, m: corrmod.independence(m),
-    "cs": corrmod.compound_symmetry,
-    "ar1": corrmod.ar1,
-    "empirical": lambda alpha, m: corrmod.empirical_running(m),
-}
-
-
 def _fit_from_args(args, with_inference=True):
     """Read the dataset and fit it as the model flags say; returns (spec, result)."""
     spec = _spec_from_args(args)
     series = parse_dataset(spec)
     two_step = args.method == "two_step"
-    provider = _PROVIDERS["two_step" if two_step else args.corr]
+    # --method two_step is the closed form with the two-step plug-in
+    provider = corrmod.PROVIDERS["two_step" if two_step else args.corr]
     ctx = EstimatingContext(data=series, link=get_link(args.link),
                             corr=provider(args.alpha, series.m))
     result = fit(ctx, method="linear" if two_step else args.method, level=args.level,
@@ -651,7 +647,6 @@ def _cmd_monte_carlo(args):
         monte_carlo_study(
             SimDesign(n=args.n, m=args.m, beta0=tuple(beta0), corr_kind=truth,
                       alpha0=args.alpha, seed=args.seed),
-            default_estimators(args.alpha),
             s=args.s,
             level=args.level,
             parallel=args.parallel,
@@ -753,14 +748,10 @@ def run_command(argv) -> int:
     """Parse argv, run the subcommand, write artifacts; returns the exit code."""
     try:
         args = build_parser().parse_args(list(argv))
-    except ContractError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # argparse --help and friends
-        return 0 if not exc.code else 1
-    try:
         payload, tables = _COMMANDS[args.command](args)
         _write_outputs(args, payload, tables)
+    except SystemExit as exc:  # argparse --help and friends
+        return 0 if not exc.code else 1
     except ContractError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -6,7 +6,9 @@ patterns (independence, compound symmetry, AR(1)) are constant over time;
 the running empirical provider averages outer products of standardized
 residuals from steps strictly before i, and the two-step provider does the
 same with working-independence residuals re-estimated on those steps, so
-the matrix used at step i is determined by the past alone.
+the matrix used at step i is determined by the past alone.  ``PROVIDERS`` is
+the one table from a name (``independence``, ``cs``, ``ar1``, ``empirical``,
+``two_step``) to its provider; the CLI and the Monte Carlo study read it.
 
 Both running providers build their averages with one kernel,
 :func:`running_corr`.  It walks the series in blocks of ``BLOCK_STEPS``
@@ -385,3 +387,14 @@ def empirical_running(m, plugin_beta=None) -> EmpiricalRunningCorr:
 
 def two_step(m) -> TwoStepCorr:
     return TwoStepCorr(m)
+
+
+# The provider of each working-correlation name, built from (alpha, m); alpha
+# matters to "cs" and "ar1" only
+PROVIDERS = {
+    "independence": lambda alpha, m: independence(m),
+    "cs": compound_symmetry,
+    "ar1": ar1,
+    "empirical": lambda alpha, m: empirical_running(m),
+    "two_step": lambda alpha, m: two_step(m),
+}

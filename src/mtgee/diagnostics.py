@@ -242,6 +242,8 @@ def perturbation_sensitivity(
         raise ContractError("d_grid must include 0")
     if np.any(budgets < 0):
         raise ContractError("budgets must be nonnegative")
+    if not np.all(np.isfinite(budgets)):
+        raise ContractError(f"budgets must be finite, got {budgets.tolist()}")
 
     if base is None:
         fitted = fit(ctx, beta_method, with_inference=False)

@@ -266,7 +266,6 @@ def solve_newton(
     g = eval_g(ctx, beta)
     norm = float(np.max(np.abs(g)))
     trace = [(beta.copy(), norm)]
-    iterations = 0
     for _ in range(max_iter):
         if norm <= tol:
             break
@@ -296,16 +295,9 @@ def solve_newton(
                 accepted = True
                 break
             t *= 0.5
-        iterations += 1
         trace.append((beta.copy(), norm))
         if not accepted:
-            return SolveReport(
-                beta_hat=beta,
-                iterations=iterations,
-                final_residual_norm=norm,
-                converged=False,
-                trace=trace,
-            )
+            break
     converged = norm <= tol
     if converged:
         # a root with a singular derivative is an identifiability failure
@@ -317,7 +309,7 @@ def solve_newton(
             )
     return SolveReport(
         beta_hat=beta,
-        iterations=iterations,
+        iterations=len(trace) - 1,
         final_residual_norm=norm,
         converged=converged,
         trace=trace,

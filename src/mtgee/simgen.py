@@ -3,10 +3,13 @@
 Data are generated from a multivariate second-order autoregression
 y_i = beta_{0,1} y_{i-1} + beta_{0,2} y_{i-2} + eps_i with Gaussian
 innovations whose covariance is one of three patterns (identity, compound
-symmetry, AR(1)).  The study fits, per replication, the fixed-pattern
-estimators, the two-step pseudo-likelihood estimator, and the reference
-estimator that plugs in the true innovation correlation, then aggregates
-Bias / RB / MSE / RE and confidence-interval coverage.
+symmetry, AR(1)).  The study fits, per replication, the five columns of
+``ESTIMATORS``: the working independence, compound symmetry and AR(1)
+estimators and the two-step pseudo-likelihood estimator, each the provider
+that ``corr.PROVIDERS`` gives its name at the design's alpha0, and the
+reference "quasi_true", which plugs in the true innovation correlation.  It
+aggregates Bias / RB / MSE / RE (against the reference) and
+confidence-interval coverage.
 
 Randomness uses the counter-based Philox generator with one substream per
 replication (keyed by (seed, replication index)), so serial and parallel
@@ -34,7 +37,6 @@ replication's, at its first step past the guard.
 import functools
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -142,62 +144,38 @@ def generate_ar2(design: SimDesign, rep=0):
     return ClusterSeries(ys=ys[..., 2:, :], Xs=lags[..., ::-1])
 
 
-@dataclass(frozen=True)
-class EstimatorSpec:
-    """One estimator column of the study.
-
-    kind: "fixed" (constant working pattern), "two_step", or "true"
-    (quasi-score with the design's innovation correlation plugged in).
-    """
-
-    label: str
-    kind: str
-    corr_kind: Optional[str] = None
-    alpha: Optional[float] = None
-
-
-def default_estimators(alpha: float = 0.7) -> list:
-    """The simulation study's estimator grid (plus the quasi-score reference)."""
-    return [
-        EstimatorSpec("independence", "fixed", "independence"),
-        EstimatorSpec("cs", "fixed", "compound_symmetry", alpha),
-        EstimatorSpec("ar1", "fixed", "ar1", alpha),
-        EstimatorSpec("two_step", "two_step"),
-        EstimatorSpec("quasi_true", "true"),
-    ]
-
+# The study's columns: names of corr.PROVIDERS, each at alpha = design.alpha0,
+# then the reference "quasi_true", the quasi-score with the design's innovation
+# correlation plugged in, against whose MSE every column's RE is taken
+ESTIMATORS = ("independence", "cs", "ar1", "two_step", "quasi_true")
 
 _IDENTITY_LINK = get_link("identity")
 
 
-# EstimatorSpec.kind -> working correlation provider, from (spec, truth, m)
-_PROVIDERS = {
-    "fixed": lambda spec, truth, m: corrmod.FixedCorr(
-        spec.corr_kind, corrmod.build_fixed_corr(spec.corr_kind, spec.alpha or 0.0, m)),
-    "two_step": lambda spec, truth, m: corrmod.two_step(m),
-    "true": lambda spec, truth, m: corrmod.pseudo_fixed(truth),
-}
+def _provider(design: SimDesign, name: str):
+    """The working correlation of the study column ``name`` on ``design``."""
+    if name == "quasi_true":
+        return corrmod.pseudo_fixed(true_correlation(design))
+    return corrmod.PROVIDERS[name](design.alpha0, design.m)
 
 
-def _replications(design: SimDesign, specs, level: float, reps: range):
-    """Estimates, CI bounds and failure flags of every estimator on a chunk of
-    replications, as arrays with leading axis len(reps).
+def _replications(design: SimDesign, names, level: float, reps: range):
+    """Estimates, CI bounds and failure flags of the named estimators (of
+    ``ESTIMATORS``) on a chunk of replications, as arrays with leading axis
+    len(reps).
 
     The chunk is fitted in stacks of replications, each estimator with one
     realization of its provider per stack.  A replication whose fit fails
     numerically is flagged; its neighbours in the stack are unaffected.
     """
     chunk = generate_ar2(design, reps)
-    truth = true_correlation(design)
     providers = []
-    for spec in specs:
-        if spec.kind not in _PROVIDERS:
-            raise ContractError(f"unknown estimator kind {spec.kind!r}")
+    for name in names:
         try:
-            providers.append(_PROVIDERS[spec.kind](spec, truth, design.m))
+            providers.append(_provider(design, name))
         except NumericalError:  # a pattern that is not positive definite fails every fit
             providers.append(None)
-    shape = (len(reps), len(specs), chunk.p)
+    shape = (len(reps), len(names), chunk.p)
     betas, los, his = np.full(shape, np.nan), np.full(shape, np.nan), np.full(shape, np.nan)
     failed = np.zeros(shape[:2], dtype=bool)
     failed[:, [provider is None for provider in providers]] = True
@@ -239,7 +217,7 @@ class EstimatorSummary:
     bias: np.ndarray
     rb: np.ndarray
     mse: np.ndarray
-    re: Optional[np.ndarray]
+    re: np.ndarray
     coverage: np.ndarray
     failures: int
 
@@ -254,17 +232,16 @@ class MonteCarloReport:
 
 def monte_carlo_study(
     design: SimDesign,
-    estimators: Optional[Sequence[EstimatorSpec]] = None,
     s: int = 500,
     level: float = 0.95,
     parallel: bool = False,
 ) -> MonteCarloReport:
-    """Run s replications of the design and aggregate the metric tables.
+    """Run s replications of the design and aggregate the metric tables of
+    the ``ESTIMATORS`` columns.
 
     Per component k: Bias = mean(beta_hat_k - beta0_k), RB = Bias/beta0_k
     (absolute bias is reported when |beta0_k| < 1e-8), MSE is the mean
-    squared error, RE = MSE / MSE of the "true"-correlation reference
-    estimator (present when the grid contains a spec of kind "true"), and
+    squared error, RE = MSE / MSE of the reference column "quasi_true", and
     coverage is the fraction of replications whose CI contains beta0_k.
 
     Replications failing with a numerical error are excluded per estimator;
@@ -273,13 +250,10 @@ def monte_carlo_study(
     """
     if s < 2:
         raise ContractError(f"Monte Carlo study needs s >= 2, got {s}")
-    specs = list(estimators) if estimators is not None else default_estimators(design.alpha0)
-    if not specs:
-        raise ContractError("estimator grid is empty")
     workers = _pool_size() if parallel else 1
     size = min(CHUNK_REPS, -(-s // workers))  # at least one chunk per worker
     chunks = [range(lo, min(lo + size, s)) for lo in range(0, s, size)]
-    work = functools.partial(_replications, design, specs, level)
+    work = functools.partial(_replications, design, ESTIMATORS, level)
     if parallel:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -290,14 +264,13 @@ def monte_carlo_study(
     betas, los, his, failed = (np.concatenate(arrays) for arrays in zip(*parts))
 
     beta0 = np.asarray(design.beta0, dtype=np.float64)
-    mse_by_label = {}
-    summaries = []
-    for j, spec in enumerate(specs):
+    columns = []
+    for j, name in enumerate(ESTIMATORS):
         ok = ~failed[:, j]
         n_fail = int(failed[:, j].sum())
         if n_fail > 0.05 * s:
             raise StudyError(
-                f"estimator {spec.label!r} failed on {n_fail}/{s} replications"
+                f"estimator {name!r} failed on {n_fail}/{s} replications"
             )
         b = betas[ok, j, :]
         err = b - beta0
@@ -307,16 +280,8 @@ def monte_carlo_study(
         denom = np.where(near_zero, 1.0, beta0)
         rb = np.where(near_zero, bias, bias / denom)
         cover = ((los[ok, j, :] <= beta0) & (beta0 <= his[ok, j, :])).mean(axis=0)
-        mse_by_label[spec.label] = mse
-        summaries.append(
-            EstimatorSummary(
-                label=spec.label, bias=bias, rb=rb, mse=mse, re=None,
-                coverage=cover, failures=n_fail,
-            )
-        )
-    ref = next((sp.label for sp in specs if sp.kind == "true"), None)
-    if ref is not None:
-        ref_mse = mse_by_label[ref]
-        for summ in summaries:
-            summ.re = summ.mse / ref_mse
+        columns.append(dict(label=name, bias=bias, rb=rb, mse=mse, coverage=cover,
+                            failures=n_fail))
+    ref_mse = columns[ESTIMATORS.index("quasi_true")]["mse"]
+    summaries = [EstimatorSummary(re=col["mse"] / ref_mse, **col) for col in columns]
     return MonteCarloReport(design=design, level=level, s=s, estimators=summaries)

@@ -314,11 +314,11 @@ def _cell_value(cell, path, lineno, col, required):
     return value
 
 
-def _impute_nearest(series):
+def _impute_nearest(series, path, label):
     out = series.copy()
     finite = np.flatnonzero(np.isfinite(out))
     if finite.size == 0:
-        raise DataError("a column is entirely missing; nothing to impute from")
+        raise DataError(f"{path}: {label} is entirely missing; nothing to impute from")
     for t in np.flatnonzero(~np.isfinite(out)):
         dist = np.abs(finite - t)
         out[t] = out[finite[np.argmin(dist)]]  # argmin takes the earliest on ties
@@ -338,11 +338,20 @@ def time_key(text):
     return (0, value, text)
 
 
+def _check_columns(path, header, names):
+    """Every column the spec reads is in the header exactly once."""
+    for name in names:
+        if name not in header:
+            raise DataError(f"{path}: column {name!r} not found in header")
+        if header.count(name) > 1:
+            raise DataError(f"{path}: column {name!r} appears {header.count(name)} times "
+                            "in header")
+
+
 def _load_wide(spec, header, body, lines):
+    _check_columns(spec.path, header,
+                   list(spec.response_cols) + [c for grp in spec.exog_cols for c in grp])
     col_index = {name: k for k, name in enumerate(header)}
-    for name in list(spec.response_cols) + [c for grp in spec.exog_cols for c in grp]:
-        if name not in col_index:
-            raise DataError(f"{spec.path}: column {name!r} not found in header")
     m = len(spec.response_cols)
     T = len(body)
     Y = np.empty((T, m))
@@ -363,17 +372,16 @@ def _load_wide(spec, header, body, lines):
                     Z[t, j, v] = _cell_value(
                         row[col_index[col]], spec.path, lines[t], col, required=False
                     )
-    return Y, Z
+    labels = [[f"column {group[j]!r}" for group in spec.exog_cols] for j in range(m)]
+    return Y, Z, labels
 
 
 def _load_long(spec, header, body, lines):
     if spec.time_col is None or spec.unit_col is None:
         raise ContractError("long layout requires time_col and unit_col")
+    _check_columns(spec.path, header,
+                   [spec.time_col, spec.unit_col, spec.response_cols[0]] + list(spec.exog_cols))
     col_index = {name: k for k, name in enumerate(header)}
-    needed = [spec.time_col, spec.unit_col, spec.response_cols[0]] + list(spec.exog_cols)
-    for name in needed:
-        if name not in col_index:
-            raise DataError(f"{spec.path}: column {name!r} not found in header")
     t_idx, u_idx = col_index[spec.time_col], col_index[spec.unit_col]
     y_col = spec.response_cols[0]
     for lineno, row in zip(lines, body):
@@ -405,21 +413,20 @@ def _load_long(spec, header, body, lines):
         raise DataError(
             f"{spec.path}: no response observation for time {times[t]!r}, unit {units[u]!r}"
         )
-    return Y, Z
+    labels = [[f"column {col!r} of unit {unit!r}" for col in spec.exog_cols] for unit in units]
+    return Y, Z, labels
 
 
 def cell_load_arrays(spec):
     """(Y, Z) of ``spec``'s CSV, read one row and one cell at a time."""
     header, body, lines = _read_rows(spec.path)
-    if spec.layout == "wide":
-        Y, Z = _load_wide(spec, header, body, lines)
-    else:
-        Y, Z = _load_long(spec, header, body, lines)
+    load = _load_wide if spec.layout == "wide" else _load_long
+    Y, Z, labels = load(spec, header, body, lines)
     if Z is not None:
         if spec.impute == "nearest_neighbor":
             for j in range(Z.shape[1]):
                 for v in range(Z.shape[2]):
-                    Z[:, j, v] = _impute_nearest(Z[:, j, v])
+                    Z[:, j, v] = _impute_nearest(Z[:, j, v], spec.path, labels[j][v])
         elif np.any(~np.isfinite(Z)):
             raise DataError(
                 f"{spec.path}: missing exogenous values present and imputation is 'none'"

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from loop_oracle import loop_design
-from mtgee import corr
+from mtgee import corr, simgen
 from mtgee.cli import (
     DatasetSpec,
+    build_parser,
     json_dumps,
     next_design,
     parse_dataset,
@@ -255,6 +256,59 @@ def test_cli_long_layout_duplicate_pair_exit_2(tmp_path, capsys):
     assert "duplicate row" in capsys.readouterr().err
 
 
+WIDE_REPEATED = "t,y1,y1,z,z\n1,1.0,2.0,5.0,6.0\n2,1.1,2.1,5.5,6.5\n3,1.2,2.2,9.0,9.5\n"
+LONG_REPEATED = "time,unit,y,x,x\n1,a,1.0,5.0,6.0\n1,b,2.0,5.5,6.5\n2,a,1.1,5.2,6.2\n2,b,2.1,5.7,6.7\n"
+
+
+@pytest.mark.parametrize("text, flags, name", [
+    (WIDE_REPEATED, ["--response", "y1"], "y1"),
+    (WIDE_REPEATED, ["--response", "t", "--exog", "z"], "z"),
+    (LONG_REPEATED, ["--layout", "long", "--response", "y", "--exog", "x"], "x"),
+    (LONG_REPEATED, ["--layout", "long", "--response", "y", "--unit-col", "x"], "x"),
+], ids=["wide_response", "wide_exog", "long_exog", "long_unit"])
+def test_a_repeated_column_that_the_spec_reads_is_a_data_error(tmp_path, capsys, text, flags,
+                                                              name):
+    # neither copy is read (the last --unit-col flag wins)
+    path = tmp_path / "repeated.csv"
+    path.write_text(text)
+    argv = ["fit", "--data", str(path), "--lags", "0", "--method", "linear",
+            "--time-col", "time", "--unit-col", "unit"] + flags
+    assert run_command(argv) == 2
+    want = f"data error: {path}: column {name!r} appears 2 times in header\n"
+    assert capsys.readouterr().err == want
+
+
+@pytest.mark.parametrize("text, spec, ys", [
+    (WIDE_REPEATED, dict(response_cols=["t"]), [[2.0], [3.0]]),
+    (LONG_REPEATED, dict(layout="long", response_cols=["y"], time_col="time", unit_col="unit"),
+     [[1.1, 2.1]]),
+], ids=["wide", "long"])
+def test_a_repeated_column_that_the_spec_does_not_read_is_allowed(tmp_path, text, spec, ys):
+    path = tmp_path / "repeated.csv"
+    path.write_text(text)
+    series = parse_dataset(DatasetSpec(path=str(path), lags=1, **spec))
+    assert np.array_equal(series.ys, ys)
+
+
+@pytest.mark.parametrize("text, layout, column", [
+    ("t,y1,y2,z1,z2\n1,1.0,2.0,5.0,NA\n2,1.1,2.1,,\n3,1.2,2.2,6.0,nan\n", "wide", "column 'z2'"),
+    ("time,unit,y,x\n1,a,1.0,5.0\n1,b,2.0,NA\n2,a,1.1,\n2,b,2.1,\n", "long",
+     "column 'x' of unit 'b'"),
+], ids=["wide", "long"])
+def test_an_exogenous_series_with_nothing_to_impute_from_is_named(tmp_path, text, layout, column):
+    path = tmp_path / "empty_exog.csv"
+    path.write_text(text)
+    if layout == "wide":
+        spec = DatasetSpec(path=str(path), response_cols=["y1", "y2"],
+                           exog_cols=[["z1", "z2"]], lags=0)
+    else:
+        spec = DatasetSpec(path=str(path), layout="long", response_cols=["y"],
+                           exog_cols=["x"], time_col="time", unit_col="unit", lags=0)
+    with pytest.raises(DataError) as err:
+        parse_dataset(spec)
+    assert str(err.value) == f"{path}: {column} is entirely missing; nothing to impute from"
+
+
 def test_dataset_spec_validation():
     with pytest.raises(ContractError):
         DatasetSpec(path="x.csv", layout="diagonal", response_cols=["y"])
@@ -448,6 +502,27 @@ def test_cli_non_finite_output_exit_3(capsys):
         assert run_command(argv) == 3
     assert capsys.readouterr().err.endswith(
         "numerical failure: cannot serialize non-finite float to JSON\n")
+
+
+@pytest.mark.parametrize("budget", ["nan", "inf"])
+def test_cli_non_finite_budget_exit_1(capsys, budget):
+    argv = ["diagnose", "--data", FIXTURE, "--response", "wind_s1,wind_s2,wind_s3",
+            "--d-grid", f"0,{budget}"]
+    assert run_command(argv) == 1
+    captured = capsys.readouterr()
+    want = f"usage error: budgets must be finite, got [0.0, {budget}]\n"
+    assert (captured.out, captured.err) == ("", want)
+
+
+def test_every_provider_name_is_a_key_of_the_one_table():
+    # the --corr choices, --method two_step and every study column but the
+    # reference name a provider of corr.PROVIDERS
+    fit_command = next(action for action in build_parser()._actions
+                       if action.dest == "command").choices["fit"]
+    choices = next(action.choices for action in fit_command._actions if action.dest == "corr")
+    names = set(choices) | {"two_step"} | set(simgen.ESTIMATORS) - {"quasi_true"}
+    assert names <= set(corr.PROVIDERS)
+    assert "quasi_true" in simgen.ESTIMATORS
 
 
 def test_cli_overflowing_refit_is_a_numerical_failure_exit_3(capsys):

@@ -220,6 +220,17 @@ def test_perturbation_requires_zero_in_grid():
         perturbation_sensitivity(ctx, "linear", [0.1, 1.0], seed=0)
 
 
+@pytest.mark.parametrize("budget", [np.nan, np.inf])
+def test_perturbation_rejects_a_non_finite_budget_before_any_refit(monkeypatch, budget):
+    res = fit(ar2_ctx(n=100, provider=corr.compound_symmetry(0.7, 5)), "linear")
+    refits = []
+    monkeypatch.setattr(diagnostics, "fit", lambda *args, **kw: refits.append(args))
+    with pytest.raises(ContractError) as err:
+        perturbation_sensitivity(res.ctx, "linear", [0.0, budget], seed=0, base=res.beta_hat)
+    assert str(err.value) == f"budgets must be finite, got [0.0, {budget}]"
+    assert refits == []
+
+
 def test_perturbation_drift_monotone_in_budget():
     budgets = [0.0, 0.1, 1.0, 10.0]
     drifts = []

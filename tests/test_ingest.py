@@ -6,7 +6,8 @@ raise the same exception with the same text.  The files mix padded, quoted
 and multi-line cells, missing tokens in mixed case, unparsable and
 non-finite cells, blank and whitespace-only rows, ragged rows, shuffled long
 rows with numeric and non-numeric time keys, keys that differ only in a
-trailing NUL, duplicated (time, unit) rows and absent ones.
+trailing NUL, duplicated (time, unit) rows and absent ones, and headers
+that repeat a column name, read or not.
 """
 
 import csv
@@ -66,6 +67,13 @@ def csv_text(draw, header, rows):
     return "".join(out)
 
 
+def repeat_header_name(draw, header):
+    """Now and then, one header cell takes the name of another."""
+    if len(header) > 1 and draw(st.integers(0, 9)) == 0:
+        source, target = draw(st.permutations(range(len(header))))[:2]
+        header[target] = header[source]
+
+
 @st.composite
 def wide_files(draw):
     """(CSV text, DatasetSpec keywords) of a wide file."""
@@ -82,6 +90,7 @@ def wide_files(draw):
         row += [draw(cells(missing_z, bad and t % 3 == 0)) for _ in range(m * q)]
         rows.append([row[k] for k in order])
     header = [draw(PADS) + names[k] + draw(PADS) for k in order]
+    repeat_header_name(draw, header)
     if q and draw(st.integers(0, 9)) == 0:
         exog[0] = exog[0][:-1] or ["y0", "y0"]  # a group that does not list m columns
     impute = draw(st.sampled_from(["nearest_neighbor", "none"]))
@@ -120,6 +129,7 @@ def long_files(draw):
     rows = draw(st.permutations(rows))
     exog = [f"x{v}" for v in range(q)]
     header = ["day", "unit", "y"] + exog
+    repeat_header_name(draw, header)
     impute = draw(st.sampled_from(["nearest_neighbor", "none"]))
     text = draw(csv_text(header, rows))
     return text, dict(layout="long", response_cols=["y"], exog_cols=exog, time_col="day",

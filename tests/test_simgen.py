@@ -8,14 +8,7 @@ from loop_oracle import loop_generate_ar2
 from mtgee import simgen
 from mtgee.corr import build_fixed_corr
 from mtgee.errors import ContractError, InstabilityError
-from mtgee.simgen import (
-    EstimatorSpec,
-    SimDesign,
-    generate_ar2,
-    monte_carlo_study,
-    default_estimators,
-    true_correlation,
-)
+from mtgee.simgen import SimDesign, generate_ar2, monte_carlo_study, true_correlation
 
 
 def test_generate_ar2_innovation_covariance():
@@ -192,22 +185,22 @@ def test_study_does_not_depend_on_chunk_length(monkeypatch, chunk, parallel):
 @pytest.mark.parametrize("parallel", [False, True])
 @pytest.mark.parametrize("chunk", [1, 2, 4])
 def test_study_explosion_matches_one_replication_path(monkeypatch, chunk, parallel):
-    # replications 0-2 are fitted first; the error is replication 3's, not 5's
+    # replications 0-2 are fitted first; the error is replication 3's, not 5's.
+    # The full grid: the error is raised while a chunk is simulated
     design = SimDesign(**EXPLOSIVE, seed=3)
     want = _first_instability(design, range(6))
     monkeypatch.setattr(simgen, "CHUNK_REPS", chunk)
     monkeypatch.setenv("MTGEE_THREADS", "2")
     with pytest.raises(InstabilityError) as err:
-        monte_carlo_study(design, [EstimatorSpec("independence", "fixed", "independence")],
-                          s=6, parallel=parallel)
+        monte_carlo_study(design, s=6, parallel=parallel)
     assert err.value.step == want.step and str(err.value) == str(want)
 
 
-def test_study_reproducible_across_runs():
+def test_study_reproducible_across_runs(monkeypatch):
     design = SimDesign(n=100, m=3, corr_kind="ar1", alpha0=0.7, seed=33)
-    specs = [EstimatorSpec("independence", "fixed", "independence")]
-    a = monte_carlo_study(design, specs, s=6, level=0.95)
-    b = monte_carlo_study(design, specs, s=6, level=0.95)
+    monkeypatch.setattr(simgen, "ESTIMATORS", ("independence", "quasi_true"))
+    a = monte_carlo_study(design, s=6, level=0.95)
+    b = monte_carlo_study(design, s=6, level=0.95)
     assert np.array_equal(a.estimators[0].bias, b.estimators[0].bias)
 
 
@@ -228,42 +221,39 @@ def test_study_requires_replications():
         monte_carlo_study(design, s=1)
 
 
-def test_mse_shrinks_roughly_like_one_over_n():
-    spec = [
-        EstimatorSpec("independence", "fixed", "independence"),
-        EstimatorSpec("two_step", "two_step"),
-    ]
+def test_mse_shrinks_roughly_like_one_over_n(monkeypatch):
+    labels = ("independence", "two_step")
+    monkeypatch.setattr(simgen, "ESTIMATORS", labels + ("quasi_true",))
     mses = {}
     for n in (250, 1000):
         design = SimDesign(n=n, m=5, corr_kind="cs", alpha0=0.7, seed=6)
-        report = monte_carlo_study(design, spec, s=100, level=0.95)
-        mses[n] = np.concatenate([e.mse for e in report.estimators])
+        report = monte_carlo_study(design, s=100, level=0.95)
+        mses[n] = np.concatenate([estimator_summary(report, label).mse for label in labels])
     ratios = mses[1000] / mses[250]
     assert 0.15 <= np.median(ratios) <= 0.4
 
 
-def test_coverage_study_level_half():
+def test_coverage_study_level_half(monkeypatch):
     design = SimDesign(n=300, m=3, corr_kind="cs", alpha0=0.7, seed=14)
-    spec = EstimatorSpec("cs", "fixed", "compound_symmetry", 0.7)
-    coverage = monte_carlo_study(design, [spec], s=400, level=0.5).estimators[0].coverage
+    monkeypatch.setattr(simgen, "ESTIMATORS", ("cs", "quasi_true"))
+    coverage = monte_carlo_study(design, s=400, level=0.5).estimators[0].coverage
     assert np.all((0.45 <= coverage) & (coverage <= 0.55))
 
 
-def test_rb_guard_uses_absolute_bias_at_zero_truth():
+def test_rb_guard_uses_absolute_bias_at_zero_truth(monkeypatch):
     design = SimDesign(n=100, m=3, beta0=(0.0, 0.0), corr_kind="independence", seed=8)
-    spec = [EstimatorSpec("independence", "fixed", "independence")]
-    report = monte_carlo_study(design, spec, s=10, level=0.95)
+    monkeypatch.setattr(simgen, "ESTIMATORS", ("independence", "quasi_true"))
+    report = monte_carlo_study(design, s=10, level=0.95)
     summ = report.estimators[0]
     assert np.array_equal(summ.rb, summ.bias)
 
 
 def test_coverage_study_rejects_empty():
     design = SimDesign(n=50, m=2, corr_kind="cs", alpha0=0.5, seed=0)
-    spec = EstimatorSpec("cs", "fixed", "compound_symmetry", 0.5)
     with pytest.raises(ContractError):
-        monte_carlo_study(design, [spec], s=0)
+        monte_carlo_study(design, s=0)
 
 
 def test_default_estimator_grid_shape():
-    labels = [s.label for s in default_estimators()]
+    labels = list(simgen.ESTIMATORS)
     assert labels == ["independence", "cs", "ar1", "two_step", "quasi_true"]

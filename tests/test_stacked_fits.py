@@ -25,7 +25,7 @@ from mtgee.estfun import (
     solve_newton,
 )
 from mtgee.model import ClusterSeries, get_link
-from mtgee.simgen import EstimatorSpec, SimDesign, default_estimators, generate_ar2, substream
+from mtgee.simgen import SimDesign, generate_ar2, substream
 
 IDENTITY = get_link("identity")
 
@@ -36,16 +36,19 @@ DESIGNS = {
 }
 
 
-def per_replication(design, specs, level, reps, series=None):
-    """The harness's four arrays from one fit per replication and estimator."""
+def per_replication(design, names, level, reps, series=None):
+    """The harness's four arrays from one fit per replication and estimator,
+    each estimator's provider taken from ``corr.PROVIDERS`` at the design's
+    alpha0, or the true correlation for the reference."""
     truth = simgen.true_correlation(design)
-    shape = (len(reps), len(specs), 2)
+    shape = (len(reps), len(names), 2)
     betas, los, his = np.full(shape, np.nan), np.full(shape, np.nan), np.full(shape, np.nan)
     failed = np.zeros(shape[:2], dtype=bool)
     for r, rep in enumerate(reps):
         data = generate_ar2(design, rep) if series is None else series(rep)
-        for j, spec in enumerate(specs):
-            provider = simgen._PROVIDERS[spec.kind](spec, truth, design.m)
+        for j, name in enumerate(names):
+            provider = (corr.pseudo_fixed(truth) if name == "quasi_true"
+                        else corr.PROVIDERS[name](design.alpha0, design.m))
             try:
                 result = fit(EstimatingContext(data, IDENTITY, provider), "linear", level=level)
             except NumericalError:
@@ -65,10 +68,10 @@ def assert_same(got, want, rows=slice(None)):
 @pytest.mark.parametrize("length", [1, 3, 20])
 def test_stacked_harness_matches_per_replication_fits_bitwise(design, length):
     design = DESIGNS[design]
-    specs = default_estimators(design.alpha0)
+    names = simgen.ESTIMATORS
     reps = range(5, 5 + length)
-    got = simgen._replications(design, specs, 0.9, reps)
-    assert_same(got, per_replication(design, specs, 0.9, reps))
+    got = simgen._replications(design, names, 0.9, reps)
+    assert_same(got, per_replication(design, names, 0.9, reps))
     assert not got[3].any()
 
 
@@ -77,7 +80,7 @@ def test_failing_replication_is_flagged_alone(monkeypatch, scale):
     # replication 6 of the chunk has all-zero regressors (every normal matrix
     # is 0) or regressors of 1e200 (every normal matrix overflows to inf)
     design = DESIGNS["ar1_m3"]
-    specs = default_estimators(design.alpha0)
+    names = simgen.ESTIMATORS
     reps, bad = range(4, 14), 6
 
     def series(rep):
@@ -89,9 +92,9 @@ def test_failing_replication_is_flagged_alone(monkeypatch, scale):
         return ClusterSeries(ys=np.stack([d.ys for d in data]), Xs=np.stack([d.Xs for d in data]))
 
     with np.errstate(all="ignore"):
-        want = per_replication(design, specs, 0.95, reps, series)
+        want = per_replication(design, names, 0.95, reps, series)
         monkeypatch.setattr(simgen, "generate_ar2", chunk)
-        got = simgen._replications(design, specs, 0.95, reps)
+        got = simgen._replications(design, names, 0.95, reps)
     r = reps.index(bad)
     assert got[3][r].all() and not np.delete(got[3], r, axis=0).any()
     assert want[3][r].all()
@@ -114,10 +117,15 @@ def test_stack_flags_what_a_single_series_raises():
 
 
 def test_chunk_is_simulated_before_its_estimators_are_built():
-    # an exploding replication's InstabilityError precedes an estimator's ContractError
-    design = SimDesign(n=500, m=3, beta0=(1.2, 0.5), corr_kind="independence", seed=0)
+    # an exploding replication's InstabilityError precedes an estimator's
+    # ContractError: alpha0 = 5 suits the independence truth, not the cs column
+    design = SimDesign(n=500, m=3, beta0=(1.2, 0.5), corr_kind="independence", alpha0=5.0,
+                       seed=0)
     with pytest.raises(InstabilityError):
-        simgen._replications(design, [EstimatorSpec("bad", "no such kind")], 0.95, range(2))
+        simgen._replications(design, ("cs",), 0.95, range(2))
+    stable = SimDesign(n=50, m=3, corr_kind="independence", alpha0=5.0, seed=0)
+    with pytest.raises(ContractError, match="compound symmetry needs alpha"):
+        simgen._replications(stable, ("cs",), 0.95, range(2))
 
 
 def test_stacks_share_the_chunk_and_fits_cache_only_the_inverses():
