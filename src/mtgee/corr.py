@@ -16,11 +16,15 @@ steps, takes exclusive prefix sums of one per-step moment array inside each
 block (carrying the totals into the next block), and regularises a whole
 block of averages with one call of :func:`regularized_empirical`.  That
 moment is eps eps' for the empirical provider and, with z = [y | X], z_j z_k'
-over the unit pairs j <= k for the two-step provider.  Prefix sums are
-accumulated step by step, so R_i depends on steps before i only and does
-not depend on the block length.  Every provider also takes a stack of
-series with a leading replication axis; a block then covers all of them,
-and each series' matrices are the ones it gets alone.
+over the unit pairs j <= k for the two-step provider, laid out (q, q, pairs)
+so that products and contractions run along the pairs.  The block's moments
+sit in one reused slab, step by step, with the series of a step side by
+side; prefix sums are accumulated one step after another, by one add of the
+previous row per step (or one cumsum down a slab of short rows, the same
+adds), so R_i depends on steps before i only and does not depend on the
+block length.  Every provider also takes a stack of series with a leading
+replication axis; a block then covers all of them, and each series'
+matrices are the ones it gets alone.
 
 Degenerate empirical averages (fewer residuals folded in than the cluster
 size, hence rank-deficient) fall back to the identity; near-singular
@@ -47,10 +51,19 @@ EIG_FLOOR = 1e-6
 SCREEN_MARGIN = 1e-10
 
 # Steps per block of the running-correlation kernel, for each series of a
-# stack.  The two-step estimator's prefix tensor holds m(m+1)/2 (p+1)^2
-# floats per step (7.2 KB at m=8, p=4), so this bounds the kernel's working
-# memory to a few MB per series.
+# stack.  The kernel's slab holds BLOCK_STEPS + 1 rows, one per step, of
+# k (p+1)^2 m(m+1)/2 floats for the two-step estimator (7.2 KB per series
+# at m=8, p=4, so 468 KB), and each block gathers z = [y | X] for its own
+# steps only, so this bounds the kernel's working memory to a few MB per
+# series.
 BLOCK_STEPS = 64
+# Slab rows of at least this many floats take their prefix sums as one
+# np.add per row, which is vectorised along the row; shorter rows take one
+# np.cumsum down the slab, whose adds wait one on another but which makes a
+# single call.  On a 2-core x86_64 host with numpy 2 the two cost the same
+# per 64-step block at about 300 floats a row.  Both add the same rows in
+# the same order, so the sums are the same bits either way.
+ROW_ADD_MIN = 320
 
 
 def build_fixed_corr(kind: str, alpha: float, m: int) -> np.ndarray:
@@ -144,39 +157,50 @@ def regularized_empirical(mats: np.ndarray, counts) -> np.ndarray:
 def running_corr(k, n, m, shape, step_moments, average) -> np.ndarray:
     """Regularised running averages R_0..R_{n-1} of k series as a (k, n, m, m) array.
 
-    Each step contributes one moment array of the trailing ``shape``;
-    ``step_moments(lo, hi, out)`` writes those of steps lo..hi-1 of every
-    series into ``out``, of shape (k, hi - lo) + ``shape``.  For the steps i
-    at or past the warm-up, ``average(sums, counts)`` receives their
-    exclusive prefix sums (totals over steps 0..i-1, leading axes
-    (k, steps)) and the counts i, and returns the (k, steps, m, m) raw
-    averages with a (k, steps) mask of the usable ones.  Usable averages go
-    through :func:`regularized_empirical`; warm-up steps (count <
-    max(WARMUP_STEPS, m), where the average is necessarily rank-deficient)
-    and unusable steps get the identity.  A block holds ``BLOCK_STEPS`` steps
-    of all k series, so one round of ``step_moments``, prefix sums,
-    ``average`` and regularisation serves every series; a single series is
-    the case k = 1.
+    Each step contributes one moment array of the trailing ``shape`` for
+    each series; ``step_moments(lo, hi, out)`` writes those of steps
+    lo..hi-1 into ``out``, of shape (hi - lo, k) + ``shape``: step first,
+    then series.  For the steps i at or past the warm-up,
+    ``average(sums, counts)`` receives their exclusive prefix sums (totals
+    over steps 0..i-1, leading axes (steps, k)) and the counts i, and
+    returns the (steps, k, m, m) raw averages with a (steps, k) mask of the
+    usable ones.  Usable averages go through :func:`regularized_empirical`;
+    warm-up steps (count < max(WARMUP_STEPS, m), where the average is
+    necessarily rank-deficient) and unusable steps get the identity.  A
+    block holds ``BLOCK_STEPS`` steps of all k series, so one round of
+    ``step_moments``, prefix sums, ``average`` and regularisation serves
+    every series; a single series is the case k = 1.
+
+    One slab of BLOCK_STEPS + 1 rows, each the k moment arrays of a step,
+    serves every block: row 0 carries the totals of the blocks before, and
+    each later row becomes a prefix sum by one in-place add of the row above
+    it over the contiguous row.  Rows shorter than ``ROW_ADD_MIN`` floats
+    take one cumsum down the slab instead, which makes the same adds in the
+    same order.
     """
     guard = max(WARMUP_STEPS, m)
     out = np.tile(np.eye(m), (k, n, 1, 1))
-    total = 0.0
+    slab = np.zeros((min(BLOCK_STEPS, n) + 1, k) + shape)
     for lo in range(0, n, BLOCK_STEPS):
         hi = min(lo + BLOCK_STEPS, n)
-        # entry j sums the steps before lo + j, and the last entry carries
-        # into the next block
-        sums = np.empty((k, hi - lo + 1) + shape)
-        sums[:, 0] = total
-        step_moments(lo, hi, sums[:, 1:])
-        np.cumsum(sums, axis=1, out=sums)
-        total = sums[:, -1]
+        # row j sums the steps before lo + j, and the last row carries into
+        # the next block
+        rows = slab[: hi - lo + 1]
+        step_moments(lo, hi, rows[1:])
+        if rows[0].size < ROW_ADD_MIN:
+            np.cumsum(rows, axis=0, out=rows)
+        else:
+            prev = rows[0]
+            for row in rows[1:]:
+                np.add(prev, row, out=row)
+                prev = row
         first = max(lo, guard)
-        if first >= hi:  # the whole block is warm-up
-            continue
-        counts = np.arange(first, hi)
-        raw, usable = average(sums[:, first - lo:-1], counts)
-        rep, step = np.nonzero(usable)
-        out[rep, first + step] = regularized_empirical(raw[rep, step], counts[step])
+        if first < hi:  # else the whole block is warm-up
+            counts = np.arange(first, hi)
+            raw, usable = average(rows[first - lo:-1], counts)
+            step, rep = np.nonzero(usable)
+            out[rep, first + step] = regularized_empirical(raw[step, rep], counts[step])
+        slab[0] = rows[-1]
     return out
 
 
@@ -287,15 +311,16 @@ class EmpiricalRunningCorr(CorrProvider):
         if self.plugin_beta.shape[-1:] != (data.p,):
             raise ContractError(f"plugin_beta has shape {self.plugin_beta.shape}, need ({data.p},)")
         _, _, eps = moment_arrays(data.Xs, data.ys, self.plugin_beta, link)
-        eps = _stack(eps, 2)
+        eps = np.swapaxes(_stack(eps, 2), 0, 1)  # (n, k, m): step first
         seq = running_corr(
-            len(eps),
+            eps.shape[1],
             data.n,
             self.m,
             (self.m, self.m),
-            lambda lo, hi, out: np.multiply(eps[:, lo:hi, :, None], eps[:, lo:hi, None, :],
+            lambda lo, hi, out: np.multiply(eps[lo:hi, :, :, None], eps[lo:hi, :, None, :],
                                             out=out),
-            lambda sums, counts: (sums / counts[:, None, None], np.ones(sums.shape[:2], bool)),
+            lambda sums, counts: (sums / counts[:, None, None, None],
+                                  np.ones(sums.shape[:2], bool)),
         )
         return seq.reshape(data.ys.shape + (self.m,))
 
@@ -314,9 +339,11 @@ class TwoStepCorr(CorrProvider):
     l and w = (1, -b), the residual of that unit is z_lj'w, so every entry
     of sum_l r_l r_l' is a quadratic form w' S_jk w of the prefix sum
     S_jk = sum_l z_lj z_lk'.  :func:`running_corr` sums one moment array per
-    step, S_jk for the unit pairs j <= k; its diagonal pairs also give the
-    normal equations of b_i, sum X'X and sum X'y.  One batched solve gives
-    the b of a block (of every series of a stack).
+    step, S_jk for the unit pairs j <= k, laid out (q, q, pairs) with
+    q = p + 1, so that the pair products, the prefix adds and the
+    contraction with w (x) w all run along the m(m+1)/2 pairs; its diagonal
+    pairs also give the normal equations of b_i, sum X'X and sum X'y.  One
+    batched solve gives the b of a block (of every series of a stack).
     """
 
     kind = "two_step_empirical"
@@ -328,16 +355,22 @@ class TwoStepCorr(CorrProvider):
         if data.n < 3:
             raise ContractError(f"two-step procedure needs n >= 3, got {data.n}")
         Xs, ys = _stack(data.Xs, 3), _stack(data.ys, 2)
-        m, q = self.m, data.p + 1
+        k, m, q = len(ys), self.m, data.p + 1
         left, right = np.triu_indices(m)
-        diagonal = left == right
+        units = np.flatnonzero(left == right)  # the pairs (j, j), in unit order
 
         def step_moments(lo, hi, out):
-            z = np.concatenate((ys[:, lo:hi, :, None], Xs[:, lo:hi]), axis=-1)
-            np.multiply(z[:, :, left, :, None], z[:, :, right, None, :], out=out)
+            # z of the block as (steps, k, q, m), so that the pair products
+            # run along the unit pairs
+            z = np.empty((hi - lo, k, q, m))
+            z[:, :, 0] = np.swapaxes(ys[:, lo:hi], 0, 1)
+            z[:, :, 1:] = np.transpose(Xs[:, lo:hi], (1, 0, 3, 2))
+            zl, zr = z[..., left], z[..., right]
+            np.multiply(zl[:, :, :, None], zr[:, :, None], out=out)
 
         def average(sums, counts):
-            normal = sums[:, :, diagonal].sum(axis=2)
+            # sum X'X and sum X'y, the diagonal pairs added one unit at a time
+            normal = np.moveaxis(sums, -1, 0)[units].sum(axis=0)
             sxx, sxy = normal[..., 1:, 1:], normal[..., 1:, 0]
             try:
                 b = np.linalg.solve(sxx, sxy[..., None])[..., 0]
@@ -351,16 +384,17 @@ class TwoStepCorr(CorrProvider):
                         pass
             usable = np.all(np.isfinite(b), axis=-1)
             b[~usable] = 0.0
-            # w' S_jk w of every pair, as one product of S_jk with w (x) w
+            # w' S_jk w of every pair, as one product of w (x) w with S_jk
             w = np.concatenate((np.ones(b.shape[:-1] + (1,)), -b), axis=-1)
-            ww = (w[..., :, None] * w[..., None, :]).reshape(w.shape[:-1] + (q * q, 1))
-            quad = (sums.reshape(sums.shape[:3] + (q * q,)) @ ww)[..., 0] / counts[:, None]
+            ww = (w[..., :, None] * w[..., None, :]).reshape(w.shape[:-1] + (1, q * q))
+            quad = (ww @ sums.reshape(sums.shape[:2] + (q * q, -1)))[..., 0, :]
+            quad /= counts[:, None, None]
             raw = np.empty(quad.shape[:2] + (m, m))
             raw[..., left, right] = quad
             raw[..., right, left] = quad
             return raw, usable
 
-        seq = running_corr(len(ys), data.n, m, (len(left), q, q), step_moments, average)
+        seq = running_corr(k, data.n, m, (q, q, len(left)), step_moments, average)
         return seq.reshape(data.ys.shape + (self.m,))
 
 

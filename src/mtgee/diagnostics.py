@@ -215,6 +215,22 @@ def leverage(ctx: EstimatingContext, beta_hat) -> LeverageStats:
     return LeverageStats(gamma_prime=gamma, a_prime=float(np.linalg.eigvalsh(h_mat)[-1]) * gamma)
 
 
+def _scale_to_budget(deltas, d):
+    """Scale each delta_i of ``deltas`` (n, m, p) in place to spectral norm
+    d * 2^{-i} (i is 1-based) and return it; a zero delta_i stays zero.
+
+    The spectral norm is the square root of the largest eigenvalue of the
+    p x p Gram delta_i' delta_i, a well-conditioned eigenvalue, so it agrees
+    with the largest singular value to a few ulps.
+    """
+    gram = np.swapaxes(deltas, 1, 2) @ deltas
+    norms = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+    scale = np.zeros(len(deltas))
+    np.divide(d * 2.0 ** -np.arange(1.0, len(deltas) + 1), norms, out=scale, where=norms > 0)
+    deltas *= scale[:, None, None]
+    return deltas
+
+
 def perturbation_sensitivity(
     ctx: EstimatingContext,
     beta_method: str,
@@ -256,12 +272,7 @@ def perturbation_sensitivity(
         beta_d, ctx_d = base, ctx
         if d > 0.0:
             rng = substream(seed, k)
-            deltas = rng.standard_normal((n, m, p))
-            # scale each delta_i to spectral norm d * 2^{-i} (i is 1-based)
-            norms = np.linalg.norm(deltas, 2, axis=(1, 2))
-            scale = np.zeros(n)
-            np.divide(d * 2.0 ** -np.arange(1.0, n + 1), norms, out=scale, where=norms > 0)
-            deltas *= scale[:, None, None]
+            deltas = _scale_to_budget(rng.standard_normal((n, m, p)), d)
             data_d = ClusterSeries(ys=ctx.data.ys, Xs=ctx.data.Xs + deltas)
             del deltas  # freed before the refit, which sets the peak memory
             refit = fit(ctx.with_data(data_d), beta_method, with_inference=False)

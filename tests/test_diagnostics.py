@@ -214,6 +214,21 @@ def test_perturbation_base_from_fit_matches_refit(method, provider):
         assert np.array_equal(getattr(reused, name), getattr(refit, name))
 
 
+@pytest.mark.parametrize("m, p", [(6, 4), (8, 4), (3, 5)])
+def test_perturbation_draws_scale_to_their_budget(m, p):
+    # the norms come from each delta_i's p x p Gram; the check is the SVD's
+    d, n = 0.3, 40
+    draws = substream(17, m).standard_normal((n, m, p))
+    draws[[0, 7, 31]] = 0.0
+    draws[12] = np.outer(np.arange(1.0, m + 1), np.linspace(-1.0, 2.0, p))  # rank one
+    scaled = diagnostics._scale_to_budget(draws.copy(), d)
+    norms = np.array([np.linalg.norm(delta, 2) for delta in scaled])
+    want = d * 2.0 ** -np.arange(1.0, n + 1)
+    drawn = np.any(draws != 0.0, axis=(1, 2))
+    assert np.all(np.abs(norms[drawn] - want[drawn]) <= 1e-14 * want[drawn])
+    assert np.array_equal(scaled[~drawn], np.zeros((3, m, p)))
+
+
 def test_perturbation_requires_zero_in_grid():
     ctx = ar2_ctx(n=100)
     with pytest.raises(ContractError):

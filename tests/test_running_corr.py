@@ -9,6 +9,8 @@ sums are no closer to the exact averages than the kernel's, so that case is
 checked against ``extended_two_step``, which forms them in extended precision.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,6 +166,50 @@ def test_sequence_does_not_depend_on_block_length(monkeypatch, block, m):
     monkeypatch.setattr(corr, "BLOCK_STEPS", block)
     assert np.array_equal(fit_two_step(data).corr_seq, seq)
     assert np.array_equal(provider.realize(data, link), emp)
+
+
+# the wind fits' shape, alone and in a stack of three, whose slab rows take
+# the per-row adds where the cases above take the cumsum; either route gives
+# the same bits
+@pytest.mark.parametrize("block", [1, 7, B + 3])
+@pytest.mark.parametrize("k", [1, 3])
+def test_wind_shape_does_not_depend_on_block_length(monkeypatch, k, block):
+    n, m, p = CASES["wind"][:3]
+    runs = [series(14 + r, n, m, p, zero_until=9, intercept=True) for r in range(k)]
+    data = runs[0] if k == 1 else ClusterSeries(ys=np.stack([run.ys for run in runs]),
+                                                 Xs=np.stack([run.Xs for run in runs]))
+    link = get_link("identity")
+    providers = [corr.two_step(m), corr.empirical_running(m, plugin_beta=[0.3, -0.2, 0.1, 0.4])]
+    want = [provider.realize(data, link) for provider in providers]
+    assert k * m * (m + 1) // 2 * (p + 1) ** 2 >= corr.ROW_ADD_MIN
+    monkeypatch.setattr(corr, "BLOCK_STEPS", block)
+    for row_add_min in (corr.ROW_ADD_MIN, 0, np.inf):
+        monkeypatch.setattr(corr, "ROW_ADD_MIN", row_add_min)
+        for provider, seq in zip(providers, want):
+            assert np.array_equal(provider.realize(data, link), seq)
+
+
+# tracemalloc peak of one realize at the wind fits' shape.  The kernel that
+# allocated a (k, steps + 1, pairs, q, q) prefix array per block peaked at
+# 3.87 MB, 2.56 MB of it the (n, m, m) result; the bound is 1.2 times that.
+# Gathering z = [y | X] and its pair columns for the whole series at once,
+# not block by block, peaks at 19.3 MB.
+TWO_STEP_PEAK_BOUND = 1.2 * 3.87e6
+
+
+def test_two_step_realize_peak_memory():
+    rng = substream(18, 0)
+    Xs = rng.normal(scale=0.5, size=(4998, 8, 4))
+    data = ClusterSeries(ys=Xs @ np.linspace(0.5, -0.3, 4) + rng.normal(size=(4998, 8)), Xs=Xs)
+    provider, link = corr.two_step(8), get_link("identity")
+    provider.realize(ClusterSeries(ys=data.ys[:B], Xs=Xs[:B]), link)  # first-call set-up
+    tracemalloc.start()
+    try:
+        seq = provider.realize(data, link)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seq.nbytes < peak <= TWO_STEP_PEAK_BOUND
 
 
 def test_regularized_empirical_batch_matches_scalar():
