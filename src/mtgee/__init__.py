@@ -18,11 +18,9 @@ from .estfun import (
     EstimatingContext,
     FitResult,
     SolveReport,
-    TwoStepResult,
     eval_g,
     eval_jacobian,
     fit,
-    fit_two_step,
     solve_linear,
     solve_newton,
     working_independence_estimate,
@@ -70,14 +68,12 @@ __all__ = [
     "SolveReport",
     "SolverFailureError",
     "StudyError",
-    "TwoStepResult",
     "component_intervals",
     "corr",
     "diagnostics",
     "eval_g",
     "eval_jacobian",
     "fit",
-    "fit_two_step",
     "generate_ar2",
     "get_link",
     "inference",

@@ -32,7 +32,7 @@ from . import diagnostics as diagmod
 from .errors import ContractError, DataError, MtgeeError, NumericalError
 from .estfun import EstimatingContext, fit
 from .inference import predict_next
-from .model import ClusterSeries, get_link
+from .model import LINKS, ClusterSeries, get_link
 from .simgen import (
     CORR_KIND_ALIASES,
     SimDesign,
@@ -94,8 +94,8 @@ def json_dumps(obj) -> str:
     return render(obj, 0) + "\n"
 
 
-def _truth_label(kind: str) -> str:
-    return {"independence": "R1", "compound_symmetry": "R2", "ar1": "R3"}[kind]
+# replicate-tables' truths, in table order, with their labels in the tables
+_TRUTH_LABELS = {"independence": "R1", "compound_symmetry": "R2", "ar1": "R3"}
 
 
 def _mc_table_csv(reports, metric: str) -> str:
@@ -104,7 +104,7 @@ def _mc_table_csv(reports, metric: str) -> str:
     writer = _csv.writer(buf, lineterminator="\n")
     writer.writerow(["estimator", "truth", "component", "value"])
     for report in reports:
-        truth = _truth_label(report.design.corr_kind)
+        truth = _TRUTH_LABELS[report.design.corr_kind]
         for summ in report.estimators:
             for k, v in enumerate(getattr(summ, metric)):
                 writer.writerow([summ.label, truth, k + 1, format(float(v), ".17g")])
@@ -339,10 +339,10 @@ def _time_key(text):
 def _ranks(body, index, key=None):
     """The distinct stripped cells of column ``index``, sorted by ``key``, and
     the position of each row's among them."""
-    distinct = sorted(set(map(str.strip, map(itemgetter(index), body))), key=key)
+    cells = list(map(str.strip, map(itemgetter(index), body)))
+    distinct = sorted(set(cells), key=key)
     rank = {cell: k for k, cell in enumerate(distinct)}
-    cells = map(rank.__getitem__, map(str.strip, map(itemgetter(index), body)))
-    return distinct, np.fromiter(cells, dtype=np.intp, count=len(body))
+    return distinct, np.fromiter(map(rank.__getitem__, cells), dtype=np.intp, count=len(body))
 
 
 def _load_long(spec, header, body, rows):
@@ -485,11 +485,10 @@ def _add_dataset_command(commands, name, summary):
     sub.add_argument("--intercept", action=argparse.BooleanOptionalAction, default=True,
                      help="include an intercept column")
     sub.add_argument("--impute", choices=["none", "nearest"], default="nearest")
-    sub.add_argument("--link", choices=["identity", "logistic", "exponential"],
-                     default="identity")
+    sub.add_argument("--link", choices=list(LINKS), default="identity")
     sub.add_argument("--method", choices=["two_step", "linear", "newton"],
                      default="two_step")
-    sub.add_argument("--corr", choices=["independence", "cs", "ar1", "empirical"],
+    sub.add_argument("--corr", choices=[name for name in corrmod.PROVIDERS if name != "two_step"],
                      default="independence",
                      help="working correlation for linear/newton methods")
     sub.add_argument("--alpha", type=float, default=0.7)
@@ -596,7 +595,7 @@ def _dataset_payload(args, result, out, diagnostics=None):
             "impute": args.impute,
             "link": args.link,
             "method": args.method,
-            "corr": args.corr if args.method != "two_step" else "two_step_empirical",
+            "corr": args.corr if args.method != "two_step" else corrmod.TwoStepCorr.kind,
             "level": args.level,
             "seed": args.seed,
         },
@@ -641,7 +640,7 @@ def _cmd_monte_carlo(args):
     if args.command == "simulate":
         truths = [CORR_KIND_ALIASES[args.truth]]
     else:
-        truths = ["independence", "compound_symmetry", "ar1"]
+        truths = list(_TRUTH_LABELS)
     beta0 = _float_list(args.beta0)
     reports = [
         monte_carlo_study(

@@ -125,8 +125,10 @@ def regularized_empirical(mats: np.ndarray, counts) -> np.ndarray:
     weights that dominate the whole estimating equation.  The relative
     floor caps any step's condition number at 2*count/m and decays to
     nothing as data accrue, so the sequence converges to the plain
-    empirical average.  A matrix whose eigenvalues all meet the floor is
-    returned symmetrised but otherwise unchanged.
+    empirical average.  Every matrix of ``mats`` must be exactly symmetric,
+    as every caller's averages are by construction.  ``mats`` is never
+    written: it is returned as it came unless some matrix needs its floor,
+    and then as a copy with those matrices rebuilt.
 
     A stack whose every matrix passes the Cholesky screen skips the
     eigendecomposition: with B the Frobenius norm, an upper bound on the
@@ -135,23 +137,23 @@ def regularized_empirical(mats: np.ndarray, counts) -> np.ndarray:
     floor.  The margin dwarfs the ~m^2 eps B rounding of both factorisations,
     so a matrix that passes is one the eigendecomposition would not clip.
     """
-    out = 0.5 * (mats + np.swapaxes(mats, -1, -2))
-    m = out.shape[-1]
+    m = mats.shape[-1]
     rel = np.minimum(0.5, m / (2.0 * np.maximum(counts, 1)))
-    bound = np.sqrt(np.sum(out * out, axis=(1, 2)))
+    bound = np.sqrt(np.sum(mats * mats, axis=(1, 2)))
     if np.all(np.isfinite(bound)):
         shift = np.maximum(EIG_FLOOR, rel * bound) + SCREEN_MARGIN * bound
         try:
-            np.linalg.cholesky(out - shift[:, None, None] * np.eye(m))
-            return out
+            np.linalg.cholesky(mats - shift[:, None, None] * np.eye(m))
+            return mats
         except np.linalg.LinAlgError:
             pass  # some matrix may need its floor; the whole stack takes the exact path
-    w, v = np.linalg.eigh(out)
+    w, v = np.linalg.eigh(mats)
     floors = np.maximum(EIG_FLOOR, rel * w[:, -1])
     clip = w[:, 0] < floors
     if np.any(clip):
-        out[clip] = _clip_spectrum(w[clip], v[clip], floors[clip])
-    return out
+        mats = mats.copy()  # the caller's array is never written
+        mats[clip] = _clip_spectrum(w[clip], v[clip], floors[clip])
+    return mats
 
 
 def running_corr(k, n, m, shape, step_moments, average) -> np.ndarray:

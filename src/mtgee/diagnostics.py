@@ -11,7 +11,7 @@ after disturbing the regressors under a geometrically decaying budget
 ||delta_i|| <= d * 2^{-i}.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -275,7 +275,7 @@ def perturbation_sensitivity(
             deltas = _scale_to_budget(rng.standard_normal((n, m, p)), d)
             data_d = ClusterSeries(ys=ctx.data.ys, Xs=ctx.data.Xs + deltas)
             del deltas  # freed before the refit, which sets the peak memory
-            refit = fit(ctx.with_data(data_d), beta_method, with_inference=False)
+            refit = fit(replace(ctx, data=data_d), beta_method, with_inference=False)
             beta_d, ctx_d = refit.beta_hat, refit.ctx
         drift = float(np.linalg.norm(beta_d - base))
         if true_corr is None:

@@ -16,7 +16,8 @@ keeps the moments of the last beta evaluated, and every reader at a beta
 (g_n, D_n, the sandwich, the diagnostics) takes them from it.  The
 sequential two-step pseudo-likelihood estimator is that closed form with
 the two-step provider, `corr.two_step`, which re-estimates the correlation
-from working-independence residuals as data accrue.
+from working-independence residuals as data accrue: its one public route
+is ``fit(ctx, "linear")`` with ``ctx.corr = corr.two_step(m)``.
 """
 
 from dataclasses import dataclass
@@ -40,12 +41,14 @@ class EstimatingContext:
     """Data + link + working correlation, with the per-step arrays the fits share.
 
     ``corr=None`` means working independence.  The fits read the provider's
-    sequence R_i through one array, realized and solved on first use and
-    cached: for the identity link R_i^{-1} X_i (``rinv_x``), since A_i = I
-    there and every fit, sandwich and diagnostic reads R_i only through it;
-    for the other links, whose A_i depends on beta, R_i^{-1}
-    (``corr_inverses``).  All shipped providers are beta-free so the cache
-    is valid for every beta.
+    sequence R_i through one of two cached attributes, each realized and
+    solved on first read: for the identity link ``rinv_x``, R_i^{-1} X_i,
+    since A_i = I there and every fit, sandwich and diagnostic reads R_i
+    only through it; for the other links, whose A_i depends on beta,
+    ``corr_inverses``, R_i^{-1}.  All shipped providers are beta-free so the
+    cache is valid for every beta.  A context on other data with the same
+    link and provider is ``dataclasses.replace(ctx, data=...)``, which
+    starts with empty caches.
 
     The context is the one source of the moments at a beta (``moments``).
     It keeps those of the last beta evaluated, keyed on its bytes, so g_n,
@@ -72,28 +75,19 @@ class EstimatingContext:
             if self.link.kind == "identity":
                 a = rinv_eps = None  # A = I, and its readers use R^{-1} X
             else:
-                rinv_eps = (self.corr_inverses() @ eps[..., None])[..., 0]
+                rinv_eps = (self.corr_inverses @ eps[..., None])[..., 0]
             for arr in (eps,) if a is None else (a, eps, rinv_eps):
                 arr.flags.writeable = False
             memo = self._memo = (key, a, eps, rinv_eps)
         return memo[1:]
 
     @cached_property
-    def _inverses(self):
+    def corr_inverses(self) -> np.ndarray:
         return self.corr.solve(self.corr.realize(self.data, self.link))
 
     @cached_property
-    def _rinv_x(self):
-        return self.corr.solve(self.corr.realize(self.data, self.link), self.data.Xs)
-
-    def corr_inverses(self) -> np.ndarray:
-        return self._inverses
-
     def rinv_x(self) -> np.ndarray:
-        return self._rinv_x
-
-    def with_data(self, data: ClusterSeries) -> "EstimatingContext":
-        return EstimatingContext(data=data, link=self.link, corr=self.corr)
+        return self.corr.solve(self.corr.realize(self.data, self.link), self.data.Xs)
 
 
 def _single_series(ctx, what):
@@ -135,9 +129,9 @@ def weighted_design(ctx, a):
     (:func:`_gram`).
     """
     if ctx.link.kind == "identity":
-        return ctx.data.Xs, ctx.rinv_x()
+        return ctx.data.Xs, ctx.rinv_x
     xa = ctx.data.Xs * np.sqrt(a)[..., None]
-    return xa, ctx.corr_inverses() @ xa
+    return xa, ctx.corr_inverses @ xa
 
 
 def _rows(arr):
@@ -157,7 +151,7 @@ def eval_g(ctx: EstimatingContext, beta) -> np.ndarray:
     beta = _check_beta(ctx, beta)
     a, eps, rinv_eps = ctx.moments(beta)
     if a is None:  # the identity link
-        return _rows(ctx.rinv_x()).T @ eps.reshape(-1)  # (R^{-1} X)' eps by symmetry
+        return _rows(ctx.rinv_x).T @ eps.reshape(-1)  # (R^{-1} X)' eps by symmetry
     return _rows(ctx.data.Xs).T @ (np.sqrt(a) * rinv_eps).reshape(-1)
 
 
@@ -172,7 +166,7 @@ def eval_jacobian(ctx: EstimatingContext, beta) -> np.ndarray:
     beta = _check_beta(ctx, beta)
     Xs = ctx.data.Xs
     if ctx.link.kind == "identity":
-        return _gram(Xs, ctx.rinv_x())
+        return _gram(Xs, ctx.rinv_x)
     a, eps, rinv_eps = ctx.moments(beta)
     xa, rinv_xa = weighted_design(ctx, a)
 
@@ -231,7 +225,7 @@ def solve_linear(ctx: EstimatingContext) -> np.ndarray:
         raise ContractError(
             f"solve_linear requires the identity link, got {ctx.link.kind!r}"
         )
-    return _closed_form(ctx.data, ctx.rinv_x())
+    return _closed_form(ctx.data, ctx.rinv_x)
 
 
 def _closed_form(data, rinv_x):
@@ -337,14 +331,14 @@ class TwoStepResult:
 
 
 def fit_two_step(data: ClusterSeries) -> TwoStepResult:
-    """Sequential pseudo-likelihood estimator (identity link).
+    """Sequential pseudo-likelihood estimator (identity link), with its R_i.
 
-    The closed-form root of g_n with the two-step provider,
-    :func:`corr.two_step`, as the working correlation: R_i averages the
-    outer products of residuals from steps 1..i-1, taken at the
-    working-independence estimate computed on those same steps.  The
-    sequence is realized once: the closed form solves against the R_i it
-    returns.
+    Not part of the package's surface: the estimator is
+    ``fit(EstimatingContext(data, identity, corr.two_step(m)), "linear")``
+    and its R_i are ``corr.two_step(m).realize(data, identity)``.  Its one
+    caller is the benchmark's two-step property check
+    (``perfbench/workloads.py``), which takes both from one call; a test
+    pins them to those two routes bit for bit.
     """
     provider = corrmod.two_step(data.m)
     seq = provider.realize(data, get_link("identity"))

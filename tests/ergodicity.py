@@ -6,7 +6,7 @@ realized information V_n, the running sum of score outer products at
 beta0, with the across-replication mean M_n at each checkpoint.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,7 +49,7 @@ def ergodicity_check(mc_data, beta0, ctx_template: EstimatingContext) -> Ergodic
     for r, data in enumerate(reps):
         if data.n != n or data.p != p:
             raise ContractError("replications must share dimensions")
-        ctx = ctx_template.with_data(data)
+        ctx = replace(ctx_template, data=data)
         scores = score_terms(ctx, beta0)[:, None, :]
         v_mats[r] = _running_gram(scores, scores, pts)
 

@@ -162,7 +162,7 @@ def _reference_g(ctx, beta):
     """g_n = (A^{1/2} X)' R^{-1} eps, from fresh moments; not the identity link."""
     Xs = ctx.data.Xs
     _, a, eps = moment_arrays(Xs, ctx.data.ys, beta, ctx.link)
-    w = ctx.corr_inverses() @ eps[:, :, None]
+    w = ctx.corr_inverses @ eps[:, :, None]
     return (Xs * np.sqrt(a)[:, :, None]).reshape(-1, Xs.shape[-1]).T @ w.reshape(-1)
 
 
@@ -170,7 +170,7 @@ def _reference_jacobian(ctx, beta):
     """D_n = -d g_n / d beta', from fresh moments; not the identity link."""
     Xs = ctx.data.Xs
     _, a, eps = moment_arrays(Xs, ctx.data.ys, beta, ctx.link)
-    rinv = ctx.corr_inverses()
+    rinv = ctx.corr_inverses
     xa = Xs * np.sqrt(a)[:, :, None]
     rinv_xa = rinv @ xa
     d = ctx.link.d2(Xs @ beta) / (2.0 * a)

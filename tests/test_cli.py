@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from loop_oracle import loop_design
-from mtgee import corr, simgen
+from mtgee import corr, model, simgen
 from mtgee.cli import (
     DatasetSpec,
     build_parser,
@@ -15,7 +15,7 @@ from mtgee.cli import (
     run_command,
 )
 from mtgee.errors import ContractError, DataError
-from mtgee.estfun import fit_two_step
+from mtgee.estfun import EstimatingContext, fit
 from mtgee.model import get_link, moment_arrays
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "..", "data", "wind_synthetic.csv")
@@ -436,16 +436,17 @@ def test_cli_fit_on_fixture(tmp_path, capsys):
     assert payload["diagnostics"] is None
 
 
-def test_cli_two_step_is_fit_two_step(capsys):
+def test_cli_two_step_is_the_linear_fit_with_the_two_step_provider(capsys):
     # --method two_step is the closed form with the two-step provider; the
-    # 17-digit JSON floats round-trip to fit_two_step's beta bit for bit
+    # 17-digit JSON floats round-trip to that fit's beta bit for bit
     assert run_command(FIT_ARGV) == 0
     beta = json.loads(capsys.readouterr().out)["result"]["beta_hat"]
     series = parse_dataset(DatasetSpec(
         path=FIXTURE, response_cols=["wind_s1", "wind_s2", "wind_s3"],
         exog_cols=[["airtemp_s1", "airtemp_s2", "airtemp_s3"]], lags=2,
     ))
-    assert np.array_equal(np.array(beta), fit_two_step(series).beta)
+    ctx = EstimatingContext(data=series, link=get_link("identity"), corr=corr.two_step(3))
+    assert np.array_equal(np.array(beta), fit(ctx, "linear").beta_hat)
 
 
 def test_cli_fit_deterministic_bytes(tmp_path):
@@ -523,6 +524,18 @@ def test_every_provider_name_is_a_key_of_the_one_table():
     names = set(choices) | {"two_step"} | set(simgen.ESTIMATORS) - {"quasi_true"}
     assert names <= set(corr.PROVIDERS)
     assert "quasi_true" in simgen.ESTIMATORS
+
+
+def test_fit_help_lists_the_choices_of_the_tables(capsys):
+    # --corr lists corr.PROVIDERS but the --method two_step plug-in, and --link
+    # lists model.LINKS, in table order
+    assert run_command(["fit", "--help"]) == 0
+    usage = " ".join(capsys.readouterr().out.split())
+    corr_names = ",".join(name for name in corr.PROVIDERS if name != "two_step")
+    assert f"[--corr {{{corr_names}}}]" in usage
+    assert f"[--link {{{','.join(model.LINKS)}}}]" in usage
+    assert corr_names == "independence,cs,ar1,empirical"
+    assert list(model.LINKS) == ["identity", "logistic", "exponential"]
 
 
 def test_cli_overflowing_refit_is_a_numerical_failure_exit_3(capsys):

@@ -1,7 +1,7 @@
 """The block kernel ``corr.running_corr`` against the per-step loops it replaced.
 
 Both users of the kernel, the two-step provider (reached directly and
-through ``fit_two_step``) and the running empirical provider, must agree
+through ``fit``) and the running empirical provider, must agree
 with the loop oracles in ``loop_oracle`` to within a few ulps of float64
 accumulation: beta to 1e-12 relative, every R_i to 1e-13.  Those bounds
 hold for centred designs; with an uncentred covariate the loop's float64
@@ -9,6 +9,7 @@ sums are no closer to the exact averages than the kernel's, so that case is
 checked against ``extended_two_step``, which forms them in extended precision.
 """
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,8 @@ from loop_oracle import (
     unscreened_regularized_empirical,
 )
 from mtgee import corr
-from mtgee.estfun import EstimatingContext, fit_two_step, solve_linear
+from mtgee.cli import run_command
+from mtgee.estfun import EstimatingContext, fit, solve_linear
 from mtgee.model import ClusterSeries, get_link, moment_arrays
 from mtgee.simgen import substream
 
@@ -64,9 +66,9 @@ CASES = {
 }
 
 
-def via_fit_two_step(data):
-    result = fit_two_step(data)
-    return result.beta, result.corr_seq
+def via_fit(data):
+    ctx = EstimatingContext(data=data, link=get_link("identity"), corr=corr.two_step(data.m))
+    return fit(ctx, "linear", with_inference=False).beta_hat, ctx.corr.realize(data, ctx.link)
 
 
 def via_provider(data):
@@ -76,8 +78,9 @@ def via_provider(data):
     return beta, provider.realize(data, link)
 
 
-# each case through fit_two_step (id: the case) and through the provider
-TWO_STEP_RUNS = [pytest.param(case, via_fit_two_step, id=case) for case in sorted(CASES)] + [
+# each case through fit, as the CLI runs it (id: the case), and through the
+# provider and solve_linear
+TWO_STEP_RUNS = [pytest.param(case, via_fit, id=case) for case in sorted(CASES)] + [
     pytest.param(case, via_provider, id=f"{case}-provider") for case in sorted(CASES)
 ]
 
@@ -142,11 +145,10 @@ def test_change_at_block_boundary_leaves_past_bitwise(k):
     ys_k = np.array(data.ys)
     ys_k[k] += 1.0
     changed = ClusterSeries(ys=ys_k, Xs=data.Xs)
-    seq = fit_two_step(data).corr_seq
-    seq_k = fit_two_step(changed).corr_seq
+    link, two_step = get_link("identity"), corr.two_step(3)
+    seq, seq_k = two_step.realize(data, link), two_step.realize(changed, link)
     assert np.array_equal(seq_k[: k + 1], seq[: k + 1])
     assert not np.array_equal(seq_k[k + 1], seq[k + 1])
-    link = get_link("identity")
     provider = corr.empirical_running(3, plugin_beta=[0.3, -0.2])
     emp, emp_k = provider.realize(data, link), provider.realize(changed, link)
     assert np.array_equal(emp_k[: k + 1], emp[: k + 1])
@@ -159,12 +161,13 @@ def test_sequence_does_not_depend_on_block_length(monkeypatch, block, m):
     data = series(14, 2 * B + 7, m, 2, zero_until=9)
     provider = corr.empirical_running(m, plugin_beta=[0.3, -0.2])
     link = get_link("identity")
-    seq, emp = fit_two_step(data).corr_seq, provider.realize(data, link)
+    two_step = corr.two_step(m)
+    seq, emp = two_step.realize(data, link), provider.realize(data, link)
     _, _, eps = moment_arrays(data.Xs, data.ys, np.array([0.3, -0.2]), link)
     assert np.max(np.abs(seq - loop_two_step(data)[1])) <= 1e-13
     assert np.max(np.abs(emp - loop_realize(eps))) <= 1e-13
     monkeypatch.setattr(corr, "BLOCK_STEPS", block)
-    assert np.array_equal(fit_two_step(data).corr_seq, seq)
+    assert np.array_equal(two_step.realize(data, link), seq)
     assert np.array_equal(provider.realize(data, link), emp)
 
 
@@ -227,10 +230,55 @@ def test_regularized_empirical_batch_matches_scalar():
     assert np.array_equal(out[kept], 0.5 * (mats[kept] + np.swapaxes(mats[kept], 1, 2)))
 
 
+FIXTURE = os.path.join(os.path.dirname(__file__), "..", "data", "wind_synthetic.csv")
+
+
+def test_regularizer_takes_exactly_symmetric_averages_and_never_writes_them(monkeypatch, capsys):
+    # regularized_empirical does not symmetrise: every caller (the two-step
+    # stacks, the running empirical average under the identity and logistic
+    # links, and diagnose's full-sample average) must hand it exact mirrors
+    calls = []
+    regularize = corr.regularized_empirical
+
+    def spy(mats, counts):
+        before = mats.copy()
+        out = regularize(mats, counts)
+        calls.append((before, mats, out))
+        return out
+
+    monkeypatch.setattr(corr, "regularized_empirical", spy)
+    identity, logistic = get_link("identity"), get_link("logistic")
+    runs = [series(19 + r, 2 * B + 9, 4, 3, zero_until=B + 3) for r in range(3)]
+    stack = ClusterSeries(ys=np.stack([run.ys for run in runs]),
+                          Xs=np.stack([run.Xs for run in runs]))
+    empirical = corr.empirical_running(4, plugin_beta=[0.3, -0.2, 0.1])
+    paths = [
+        lambda: corr.two_step(4).realize(runs[0], identity),
+        lambda: corr.two_step(4).realize(stack, identity),
+        lambda: empirical.realize(runs[0], identity),
+        lambda: empirical.realize(binary_series(19, 2 * B + 9, 4, 3), logistic),
+        lambda: run_command(["diagnose", "--data", FIXTURE,
+                             "--response", "wind_s1,wind_s2,wind_s3", "--d-grid", "0,0.01"]),
+    ]
+    for path in paths:
+        seen = len(calls)
+        path()
+        assert len(calls) > seen
+    assert capsys.readouterr().err == ""
+    assert all(np.array_equal(before, np.swapaxes(before, 1, 2)) for before, _, _ in calls)
+    # diagnose's reference correlation: a stack of one average of n outer products
+    assert any(len(before) == 1 for before, _, _ in calls)
+    clipped = [(before, mats) for before, mats, out in calls if not np.array_equal(out, before)]
+    assert clipped
+    assert all(np.array_equal(mats, before) for before, mats in clipped)
+
+
 def _with_spectrum(rng, eigenvalues):
-    """A symmetric matrix with the given eigenvalues, in a random orthonormal basis."""
+    """An exactly symmetric matrix with the given eigenvalues (to rounding), in a
+    random orthonormal basis."""
     q, _ = np.linalg.qr(rng.standard_normal((len(eigenvalues), len(eigenvalues))))
-    return (q * eigenvalues) @ q.T
+    mat = (q * eigenvalues) @ q.T
+    return 0.5 * (mat + mat.T)
 
 
 def _average(rng, kind, m, count, side=0.0):
@@ -269,8 +317,10 @@ def test_screened_regularizer_matches_unscreened_bitwise(m, kinds, sides, counts
     counts = np.array(counts[: len(kinds)])
     mats = np.stack([_average(rng, kind, m, c, side)
                      for kind, c, side in zip(kinds, counts, sides)])
-    # a slight asymmetry, as accumulated sums carry, is symmetrised on both paths
-    mats = mats + 1e-17 * np.max(np.abs(mats)) * rng.standard_normal(mats.shape)
+    # a disturbance of the size of accumulated rounding, exactly symmetric as
+    # every average handed to the regulariser is
+    noise = rng.standard_normal(mats.shape)
+    mats = mats + 1e-17 * np.max(np.abs(mats)) * (noise + np.swapaxes(noise, 1, 2))
     want = unscreened_regularized_empirical(mats.copy(), counts)
     assert np.array_equal(corr.regularized_empirical(mats.copy(), counts), want)
 

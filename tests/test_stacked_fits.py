@@ -141,7 +141,7 @@ def test_stacks_share_the_chunk_and_fits_cache_only_the_inverses():
     held = [v for value in vars(ctx).values()
             for v in (value if isinstance(value, tuple) else (value,))]
     assert not any(isinstance(v, np.ndarray) and v.shape == data.ys.shape + (3,) for v in held)
-    assert np.array_equal(ctx.corr_inverses(),
+    assert np.array_equal(ctx.corr_inverses,
                           np.linalg.inv(ctx.corr.realize(ctx.data, ctx.link)))
 
 

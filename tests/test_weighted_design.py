@@ -108,14 +108,14 @@ def cases(fn):
 
 def test_fixed_pattern_inverse_is_a_stride_0_broadcast():
     ctx, _, _ = make_case(1, 10, 3, 2, "identity", "fixed")
-    assert ctx.corr_inverses().strides[0] == 0
+    assert ctx.corr_inverses.strides[0] == 0
 
 
 @cases
 def test_eval_g_matches_einsum(seed, n, m, p, link, corr_kind):
     ctx, beta, _ = make_case(seed, n, m, p, link, corr_kind)
     d = ctx.data
-    close(eval_g(ctx, beta), oracle.oracle_g(d.Xs, d.ys, beta, ctx.link, ctx.corr_inverses()))
+    close(eval_g(ctx, beta), oracle.oracle_g(d.Xs, d.ys, beta, ctx.link, ctx.corr_inverses))
 
 
 @cases
@@ -123,14 +123,14 @@ def test_eval_jacobian_matches_einsum(seed, n, m, p, link, corr_kind):
     ctx, beta, _ = make_case(seed, n, m, p, link, corr_kind)
     d = ctx.data
     close(eval_jacobian(ctx, beta),
-          oracle.oracle_jacobian(d.Xs, d.ys, beta, ctx.link, ctx.corr_inverses()))
+          oracle.oracle_jacobian(d.Xs, d.ys, beta, ctx.link, ctx.corr_inverses))
 
 
 @cases
 def test_solve_linear_matches_einsum(seed, n, m, p, link, corr_kind):
     ctx, _, _ = make_case(seed, n, m, p, "identity", corr_kind)
     d = ctx.data
-    close(solve_linear(ctx), oracle.oracle_solve_linear(d.Xs, d.ys, ctx.corr_inverses()))
+    close(solve_linear(ctx), oracle.oracle_solve_linear(d.Xs, d.ys, ctx.corr_inverses))
 
 
 @cases
@@ -139,7 +139,7 @@ def test_sandwich_matches_einsum(seed, n, m, p, link, corr_kind):
     d = ctx.data
     _, a, eps = moment_arrays(d.Xs, d.ys, beta, ctx.link)
     est = sandwich_from_arrays(*weighted_design(ctx, a), eps)
-    h_mat, m_mat, psi = oracle.oracle_sandwich(d.Xs, a, eps, ctx.corr_inverses())
+    h_mat, m_mat, psi = oracle.oracle_sandwich(d.Xs, a, eps, ctx.corr_inverses)
     close(est.h_mat, h_mat)
     close(est.m_mat, m_mat)
     close(est.psi, psi)
@@ -150,7 +150,7 @@ def test_score_terms_match_einsum(seed, n, m, p, link, corr_kind):
     ctx, beta, _ = make_case(seed, n, m, p, link, corr_kind)
     d = ctx.data
     close(score_terms(ctx, beta),
-          oracle.oracle_score_terms(d.Xs, d.ys, beta, ctx.link, ctx.corr_inverses()))
+          oracle.oracle_score_terms(d.Xs, d.ys, beta, ctx.link, ctx.corr_inverses))
 
 
 @cases
@@ -160,7 +160,7 @@ def test_optimality_ratios_match_einsum(seed, n, m, p, link, corr_kind):
     d = ctx.data
     rep = optimality_ratios(ctx, beta, true_corr)
     ratio_h, ratio_m = oracle.oracle_optimality(
-        d.Xs, d.ys, beta, ctx.link, ctx.corr_inverses(), true_corr, _checkpoints(d.n)
+        d.Xs, d.ys, beta, ctx.link, ctx.corr_inverses, true_corr, _checkpoints(d.n)
     )
     close(rep.det_ratio_H, ratio_h)
     close(rep.det_ratio_M, ratio_m)
