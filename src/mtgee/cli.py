@@ -177,6 +177,8 @@ class DatasetSpec:
             raise ContractError(f"unknown imputation mode {self.impute!r}")
         if not self.response_cols:
             raise ContractError("at least one response column is required")
+        if self.layout == "long" and len(self.response_cols) != 1:
+            raise ContractError(f"long layout takes one response column, got {self.response_cols}")
 
 
 def _read_rows(path):
@@ -545,7 +547,6 @@ def _spec_from_args(args) -> DatasetSpec:
         exog = [[c.strip() for c in grp.split(",") if c.strip()] for grp in args.exog]
     else:
         exog = [grp.strip() for grp in args.exog]
-        response = response[:1]
     return DatasetSpec(
         path=args.data,
         layout=args.layout,
@@ -730,17 +731,18 @@ _COMMANDS = {
 
 def _write_outputs(args, payload, tables):
     text = json_dumps(payload)
-    if args.output:
-        base = args.output
-        json_path = base if base.endswith(".json") else base + ".json"
-        with open(json_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        stem = json_path[: -len(".json")]
-        for name, content in tables.items():
-            with open(f"{stem}_{name}.csv", "w", encoding="utf-8", newline="") as fh:
-                fh.write(content)
-    else:
+    if not args.output:
         sys.stdout.write(text)
+        return
+    json_path = args.output if args.output.endswith(".json") else args.output + ".json"
+    stem = json_path[: -len(".json")]
+    files = [(json_path, text)] + [(f"{stem}_{name}.csv", table) for name, table in tables.items()]
+    for path, content in files:
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(content)
+        except OSError as exc:
+            raise ContractError(f"cannot write output {path!r}: {exc}") from exc
 
 
 def run_command(argv) -> int:

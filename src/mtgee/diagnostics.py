@@ -18,8 +18,7 @@ import numpy as np
 
 from .corr import _check_spd
 from .errors import ContractError, NumericalError, RankDeficiencyError
-from .estfun import (EstimatingContext, _check_beta, _gram, _rank_test, _single_series, fit,
-                     weighted_design)
+from .estfun import EstimatingContext, _check_beta, _gram, _rank_test, _single_series, fit
 from .model import ClusterSeries
 from .simgen import substream
 
@@ -92,12 +91,6 @@ def _check_true_corr(true_corr, m):
     return _check_spd(true_corr, "true_corr")
 
 
-def _information_design(ctx: EstimatingContext, beta_hat):
-    """A^{1/2} X per step (X for the identity link): H'_n = sum X'AX is its Gram."""
-    a = ctx.moments(beta_hat)[0]
-    return ctx.data.Xs if a is None else ctx.data.Xs * np.sqrt(a)[:, :, None]
-
-
 def eigen_conditions(
     ctx: EstimatingContext, beta_hat, delta_grid: Sequence[float] = (0.1, 0.25, 0.5)
 ) -> ConditionReport:
@@ -119,7 +112,7 @@ def eigen_conditions(
     n, p = ctx.data.n, ctx.data.p
     if n < p:
         raise ContractError(f"need n >= p, got n={n}, p={p}")
-    xa = _information_design(ctx, beta_hat)
+    xa = ctx.moments(beta_hat)[2]  # A^{1/2} X: H'_n is its running Gram
     pts = _checkpoints(n)
     lam_min = np.empty(len(pts))
     lam_max = np.empty(len(pts))
@@ -175,7 +168,7 @@ def optimality_ratios(ctx: EstimatingContext, beta_hat, true_corr) -> Optimality
     _single_series(ctx, "optimality_ratios")
     beta_hat = _check_beta(ctx, beta_hat)
     true_corr = _check_true_corr(true_corr, ctx.data.m)
-    xa, rinv_xa = weighted_design(ctx, ctx.moments(beta_hat)[0])
+    _, _, xa, rinv_xa = ctx.moments(beta_hat)
 
     pts = _checkpoints(ctx.data.n)
     h_runs = _running_gram(xa, rinv_xa, pts)
@@ -207,7 +200,7 @@ def leverage(ctx: EstimatingContext, beta_hat) -> LeverageStats:
     """
     _single_series(ctx, "leverage")
     beta_hat = _check_beta(ctx, beta_hat)
-    xa = _information_design(ctx, beta_hat)
+    xa = ctx.moments(beta_hat)[2]
     h_mat = _gram(xa, xa)
     _rank_test(h_mat, "cumulative information")
     hinv = np.linalg.inv(h_mat)

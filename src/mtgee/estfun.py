@@ -8,12 +8,11 @@ sum_i X_i' (y_i - mu_i(beta)).  For the identity link A_i = I, so the
 equation is affine in beta and admits the closed form implemented by
 `solve_linear`; g_n = sum_i (R_i^{-1} X_i)' (y_i - X_i beta), its derivative
 and the closed form read R_i only through the beta-free array R_i^{-1} X_i,
-which the context solves for once.  For the other links A_i depends on
-beta: g_n = sum_i X_i' A_i^{1/2} R_i^{-1} eps_i, with the standardized
-residuals eps_i = A_i^{-1/2} (y_i - mu_i), and its derivative D_n share the
-moments at beta (A's diagonal, eps_i and R_i^{-1} eps_i).  The context
-keeps the moments of the last beta evaluated, and every reader at a beta
-(g_n, D_n, the sandwich, the diagnostics) takes them from it.  The
+which the context solves for once.  For every link g_n = sum_i W_i' eps_i,
+with eps_i = A_i^{-1/2} (y_i - mu_i) and the weight W_i = R_i^{-1} A_i^{1/2} X_i;
+A's diagonal, eps_i, A_i^{1/2} X_i and W_i are the moments at beta, and
+the context keeps those of the last beta evaluated, so that every reader at
+a beta (g_n, D_n, the sandwich, the diagnostics) shares them.  The
 sequential two-step pseudo-likelihood estimator is that closed form with
 the two-step provider, `corr.two_step`, which re-estimates the correlation
 from working-independence residuals as data accrue: its one public route
@@ -53,9 +52,10 @@ class EstimatingContext:
     The context is the one source of the moments at a beta (``moments``).
     It keeps those of the last beta evaluated, keyed on its bytes, so g_n,
     D_n, the sandwich and the diagnostics at one beta share one evaluation:
-    A's diagonal, eps and R^{-1} eps, (n, m) arrays made read-only, or eps
-    alone for the identity link.  A beta whose moments raise leaves the
-    memo as it was.
+    A's diagonal and eps, (n, m), and the weighted designs A^{1/2} X and
+    R^{-1} A^{1/2} X, (n, m, p), each made read-only.  For the identity link
+    only eps is formed: the designs are X and the cached R^{-1} X.  A beta
+    whose moments raise leaves the memo as it was.
     """
 
     data: ClusterSeries
@@ -64,21 +64,24 @@ class EstimatingContext:
 
     def __post_init__(self):
         self.corr = self.corr or corrmod.independence(self.data.m)
-        self._memo = (None,)  # (beta.tobytes(), a, eps, R^{-1} eps) at the last beta
+        self._memo = (None,)  # (beta.tobytes(), a, eps, xa, rinv_xa) at the last beta
 
     def moments(self, beta):
-        """a, eps and R^{-1} eps at the checked ``beta``, from the memo when it is
-        the last beta evaluated; a and R^{-1} eps are None for the identity link."""
+        """a, eps, A^{1/2} X and R^{-1} A^{1/2} X at the checked ``beta``, from
+        the memo when it is the last beta evaluated; for the identity link a
+        is None and the designs are X and R^{-1} X."""
         key, memo = beta.tobytes(), self._memo  # one read: a thread's memo is whole
         if memo[0] != key:
             _, a, eps = moment_arrays(self.data.Xs, self.data.ys, beta, self.link)
             if self.link.kind == "identity":
-                a = rinv_eps = None  # A = I, and its readers use R^{-1} X
+                a, xa, rinv_xa, fresh = None, self.data.Xs, self.rinv_x, (eps,)
             else:
-                rinv_eps = (self.corr_inverses @ eps[..., None])[..., 0]
-            for arr in (eps,) if a is None else (a, eps, rinv_eps):
+                xa = self.data.Xs * np.sqrt(a)[..., None]
+                rinv_xa = self.corr_inverses @ xa
+                fresh = (a, eps, xa, rinv_xa)
+            for arr in fresh:
                 arr.flags.writeable = False
-            memo = self._memo = (key, a, eps, rinv_eps)
+            memo = self._memo = (key, a, eps, xa, rinv_xa)
         return memo[1:]
 
     @cached_property
@@ -118,22 +121,6 @@ def _check_beta(ctx, beta):
     return beta
 
 
-def weighted_design(ctx, a):
-    """Per-step designs A_i^{1/2} X_i and R_i^{-1} A_i^{1/2} X_i of a context,
-    both (n, m, p), or (k, n, m, p) for a stack of series, with ``a`` the
-    variance function at the current beta.
-
-    With the identity link A_i = I and ``a`` is not read: the pair is X_i and
-    the context's cached R_i^{-1} X_i.  Every sum over steps of these
-    products is one GEMM per series over the flattened (n*m, p) rows
-    (:func:`_gram`).
-    """
-    if ctx.link.kind == "identity":
-        return ctx.data.Xs, ctx.rinv_x
-    xa = ctx.data.Xs * np.sqrt(a)[..., None]
-    return xa, ctx.corr_inverses @ xa
-
-
 def _rows(arr):
     """(..., n, m, k) -> (..., n*m, k), so a sum over steps and units is one GEMM."""
     return arr.reshape(arr.shape[:-3] + (-1, arr.shape[-1]))
@@ -149,10 +136,8 @@ def eval_g(ctx: EstimatingContext, beta) -> np.ndarray:
     """Evaluate the estimating function at beta."""
     _single_series(ctx, "eval_g")
     beta = _check_beta(ctx, beta)
-    a, eps, rinv_eps = ctx.moments(beta)
-    if a is None:  # the identity link
-        return _rows(ctx.rinv_x).T @ eps.reshape(-1)  # (R^{-1} X)' eps by symmetry
-    return _rows(ctx.data.Xs).T @ (np.sqrt(a) * rinv_eps).reshape(-1)
+    _, eps, _, rinv_xa = ctx.moments(beta)
+    return _rows(rinv_xa).T @ eps.reshape(-1)  # X' A^{1/2} R^{-1} eps by symmetry
 
 
 def eval_jacobian(ctx: EstimatingContext, beta) -> np.ndarray:
@@ -167,14 +152,13 @@ def eval_jacobian(ctx: EstimatingContext, beta) -> np.ndarray:
     Xs = ctx.data.Xs
     if ctx.link.kind == "identity":
         return _gram(Xs, ctx.rinv_x)
-    a, eps, rinv_eps = ctx.moments(beta)
-    xa, rinv_xa = weighted_design(ctx, a)
+    a, eps, xa, rinv_xa = ctx.moments(beta)
 
     # curvature terms: with D_l = diag(d * X[:, l]), d = mu''/(2 mu'), the
     # correction to column l is X' (D_l B - B D_l) r where B = A^{1/2} R^{-1} A^{-1/2};
     # X' B D_l r = (R^{-1} A^{1/2} X)' diag(d eps) X by the symmetry of R^{-1}
     d = ctx.link.d2(linear_predictor(Xs, beta)) / (2.0 * a)
-    w = np.sqrt(a) * rinv_eps  # B r
+    w = np.sqrt(a) * (ctx.corr_inverses @ eps[..., None])[..., 0]  # B r
     corr1 = _gram(Xs, (d * w)[:, :, None] * Xs)
     corr2 = _gram(rinv_xa, (d * eps)[:, :, None] * Xs)
     return _gram(xa, rinv_xa) - corr1 + corr2

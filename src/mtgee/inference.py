@@ -6,10 +6,11 @@ The estimator covariance is approximated by Psi = H^{-1} M H^{-1} with
     M = sum_i s_i s_i',   s_i = (R_i^{-1} A_i^{1/2} X_i)' eps_i,
 
 where eps_i are the standardized residuals at the fitted beta.  Both read
-R_i only through the weighted design R_i^{-1} A_i^{1/2} X_i
-(``estfun.weighted_design``); with the identity link that is the context's
-cached R_i^{-1} X_i, the array the closed form solved with.  A and eps_i
-are the context's moments at beta, which a Newton fit holds at its root.
+R_i only through the weighted design R_i^{-1} A_i^{1/2} X_i, the weight of
+the estimating function; with the identity link that is the context's
+cached R_i^{-1} X_i, the array the closed form solved with.  eps_i and both
+designs are the context's moments at beta (``EstimatingContext.moments``),
+which a Newton fit holds at its root.
 Interval half-widths scale with the standard errors sqrt(Psi_kk), as the
 normal approximation Psi^{-1/2} (beta_hat - beta_0) ~ N(0, I) implies.
 """
@@ -20,7 +21,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import ContractError
-from .estfun import EstimatingContext, _check_beta, _gram, _rank_test, weighted_design
+from .estfun import EstimatingContext, _check_beta, _gram, _rank_test
 from .model import LinkSpec
 
 
@@ -57,8 +58,8 @@ def sandwich_from_arrays(xa, rinv_xa, eps) -> SandwichEstimate:
 
 def sandwich(ctx: EstimatingContext, beta_hat) -> SandwichEstimate:
     """Sandwich covariance of beta_hat under the context's working correlation."""
-    a, eps, _ = ctx.moments(_check_beta(ctx, beta_hat))
-    return sandwich_from_arrays(*weighted_design(ctx, a), eps)
+    _, eps, xa, rinv_xa = ctx.moments(_check_beta(ctx, beta_hat))
+    return sandwich_from_arrays(xa, rinv_xa, eps)
 
 
 def normal_quantile(q: float) -> float:

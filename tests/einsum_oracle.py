@@ -1,10 +1,12 @@
 """Batched-einsum reference formulas for the weighted-design contractions.
 
-These are the step-indexed ``np.einsum`` forms that the GEMM kernel
-``estfun.weighted_design`` replaced in the estimating function, its
-Jacobian, the closed-form solve, the sandwich and the diagnostics, kept as
-oracles.  Each takes the per-step arrays directly, so it shares no code
-with the package beyond the conditional moments.
+These are the step-indexed ``np.einsum`` forms that the GEMM kernels
+replaced in the estimating function, its Jacobian, the closed-form solve,
+the sandwich and the diagnostics, kept as oracles.  The package reads the
+weighted designs A^{1/2} X and R^{-1} A^{1/2} X from
+``EstimatingContext.moments``; each oracle forms its own from R^{-1} and
+the conditional moments, so it shares no code with the package beyond
+``model.moment_arrays``.
 """
 
 import numpy as np

@@ -12,8 +12,7 @@ import numpy as np
 
 from mtgee.diagnostics import _checkpoints, _running_gram
 from mtgee.errors import ContractError
-from mtgee.estfun import EstimatingContext, _rank_test, weighted_design
-from mtgee.model import moment_arrays
+from mtgee.estfun import EstimatingContext, _check_beta, _rank_test
 
 
 @dataclass
@@ -27,8 +26,7 @@ class ErgodicityReport:
 
 def score_terms(ctx: EstimatingContext, beta):
     """Per-step score contributions s_i = X' A^{1/2} R^{-1} eps, shape (n, p)."""
-    _, a, eps = moment_arrays(ctx.data.Xs, ctx.data.ys, beta, ctx.link)
-    _, rinv_xa = weighted_design(ctx, a)
+    _, eps, _, rinv_xa = ctx.moments(_check_beta(ctx, beta))
     return (eps[:, None, :] @ rinv_xa)[:, 0, :]
 
 

@@ -256,6 +256,21 @@ def test_cli_long_layout_duplicate_pair_exit_2(tmp_path, capsys):
     assert "duplicate row" in capsys.readouterr().err
 
 
+def test_long_layout_takes_exactly_one_response_column(tmp_path, capsys):
+    path = tmp_path / "long.csv"
+    path.write_text("time,unit,y\n1,a,1.0\n1,b,2.0\n2,a,1.5\n2,b,2.5\n3,a,1.6\n3,b,2.6\n")
+    with pytest.raises(ContractError, match="one response column, got"):
+        DatasetSpec(path=str(path), layout="long", response_cols=["y", "y"],
+                    time_col="time", unit_col="unit")
+    argv = ["fit", "--data", str(path), "--layout", "long", "--time-col", "time",
+            "--unit-col", "unit", "--lags", "0", "--method", "linear"]
+    assert run_command(argv + ["--response", "y"]) == 0
+    capsys.readouterr()
+    assert run_command(argv + ["--response", "y,no_such_column"]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: long layout takes one response column, got ['y', 'no_such_column']\n")
+
+
 WIDE_REPEATED = "t,y1,y1,z,z\n1,1.0,2.0,5.0,6.0\n2,1.1,2.1,5.5,6.5\n3,1.2,2.2,9.0,9.5\n"
 LONG_REPEATED = "time,unit,y,x,x\n1,a,1.0,5.0,6.0\n1,b,2.0,5.5,6.5\n2,a,1.1,5.2,6.2\n2,b,2.1,5.7,6.7\n"
 
@@ -458,6 +473,15 @@ def test_cli_fit_deterministic_bytes(tmp_path):
 
 def test_cli_missing_file_exit_2(capsys):
     assert run_command(["fit", "--data", "/no/such/file.csv", "--response", "y"]) == 2
+
+
+@pytest.mark.parametrize("command", ["fit", "replicate-tables"])
+def test_cli_unwritable_output_is_a_usage_error(tmp_path, capsys, command):
+    argv = FIT_ARGV if command == "fit" else [command, "--n", "30", "--m", "2", "--s", "2"]
+    out = tmp_path / "no_such_dir" / "out"
+    assert run_command(argv + ["--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"usage error: cannot write output {str(out) + '.json'!r}: ")
 
 
 def test_cli_method_mismatch_exit_1(capsys):

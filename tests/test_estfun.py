@@ -171,9 +171,9 @@ FAR_START = {"logistic": np.array([3.0, 3.0, 3.0]), "exponential": np.array([-12
 @pytest.mark.parametrize("far", [False, True])
 @pytest.mark.parametrize("max_iter", [50, 1])
 def test_newton_matches_reference_loop(link_kind, kind, far, max_iter):
-    # the loop that evaluated the moments afresh in every g_n and D_n takes
-    # the same steps; g_n's sums run in another order, so beta agrees to
-    # 1e-12 relative or 1e-15 absolute
+    # the loop that evaluated the moments afresh in every g_n and D_n, with
+    # g_n = (A^{1/2} X)' R^{-1} eps, takes the same steps; g_n's sums run in
+    # another order, so beta agrees to 1e-13 relative or 1e-15 absolute
     link = get_link(link_kind)
     data = intercept_series(substream(20240311, 7), link_kind)
     plugin = working_independence_estimate(data, link)
@@ -189,7 +189,7 @@ def test_newton_matches_reference_loop(link_kind, kind, far, max_iter):
     assert (report.iterations, report.converged) == (ref.iterations, ref.converged)
     assert len(report.trace) == len(ref.trace)
     gap = np.abs(report.beta_hat - ref.beta_hat)
-    assert np.all(gap <= np.maximum(1e-15, 1e-12 * np.abs(ref.beta_hat)))
+    assert np.all(gap <= np.maximum(1e-15, 1e-13 * np.abs(ref.beta_hat)))
 
 
 def _outcome(evaluate, ctx, beta):
@@ -293,6 +293,38 @@ def test_newton_fit_with_inference_evaluates_the_moments_once_per_g(rng, monkeyp
                                 corr=corr.compound_symmetry(0.3, 3)), "newton")
     assert res.solver.converged and np.all(np.isfinite(res.se))
     assert len(calls) == len(g_calls) > 1
+
+
+def test_glm_fit_and_diagnostics_form_the_weighted_design_once_per_beta(rng, monkeypatch):
+    # R^{-1} A^{1/2} X is part of the moments at beta: the memo forms it once
+    # per evaluation of the moments, and the Jacobians, the sandwich and the
+    # monitors at the memo's beta read it from there
+    calls, formed, g_betas = counted_moments(monkeypatch), [], []
+    data = glm_series(rng, "logistic", beta0=(0.3, -0.4), n=80, m=3)
+    ctx = EstimatingContext(data=data, link=get_link("logistic"),
+                            corr=corr.compound_symmetry(0.3, 3))
+
+    class CountedInverses(np.ndarray):
+        def __matmul__(self, other):
+            if other.shape[-1] == data.p:  # R^{-1} times a design, not R^{-1} eps
+                formed.append(len(calls))
+            return np.asarray(self) @ other
+
+    def counted_g(c, beta):
+        if c is ctx:  # not the working-independence start's context
+            g_betas.append(beta.tobytes())
+        return original_g(c, beta)
+
+    original_g = estfun.eval_g
+    monkeypatch.setattr(estfun, "eval_g", counted_g)
+    ctx.corr_inverses = ctx.corr_inverses.view(CountedInverses)
+    res = fit(ctx, "newton")
+    eigen_conditions(res.ctx, res.beta_hat)
+    leverage(res.ctx, res.beta_hat)
+    optimality_ratios(res.ctx, res.beta_hat, corr.build_fixed_corr("ar1", 0.3, 3))
+    assert res.ctx is ctx and res.solver.iterations >= 1 and np.all(np.isfinite(res.se))
+    assert len(formed) == len(set(g_betas)) == len(g_betas)
+    assert formed == sorted(set(formed))  # never twice for one evaluation
 
 
 def test_newton_zero_information_fails():

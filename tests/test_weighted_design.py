@@ -1,14 +1,19 @@
-"""The GEMM kernel ``estfun.weighted_design`` against the einsum formulas it replaced.
+"""The weighted designs of ``EstimatingContext.moments`` and the GEMM kernels
+that read them, against the einsum formulas they replaced.
 
-Every contraction over steps is now one GEMM over the flattened (n*m, p)
-rows, so sums run in another order, and with the identity link R_i^{-1} X_i
+The context's memo holds A^{1/2} X and R^{-1} A^{1/2} X at a beta, and
+every contraction over steps is one GEMM over the flattened (n*m, p) rows,
+so sums run in another order, and with the identity link R_i^{-1} X_i
 comes from one batched solve, not from an inverse; results must match the
 einsum oracles in ``einsum_oracle``, fed R_i^{-1}, to 1e-12 relative to the
-largest entry; g of a stack at its generating beta, a cancelling sum, to
-1e-12 relative to the sum of its terms' magnitudes.  The cases cover a per-step sequence of matrices, the
-stride-0 broadcast inverse of a fixed pattern, working independence, m = 1
-and p = 1, and stacks of 2 to 4 series for the identity link with a
-per-step sequence, a fixed pattern and the two-step provider.
+largest entry.  g at a generating beta is a cancelling sum: g of a stack
+(identity link), and g = sum (R^{-1} A^{1/2} X)' eps of the logistic and
+exponential links against X' (sqrt(a) * R^{-1} eps), must match to 1e-12
+relative to the sum of its terms' magnitudes.  The cases cover a per-step
+sequence of matrices, the stride-0 broadcast inverse of a fixed pattern,
+working independence, m = 1 and p = 1, and stacks of 2 to 4 series for the
+identity link with a per-step sequence, a fixed pattern and the two-step
+provider.
 """
 
 import numpy as np
@@ -26,7 +31,6 @@ from mtgee.estfun import (
     eval_jacobian,
     fit,
     solve_linear,
-    weighted_design,
 )
 from mtgee.inference import sandwich_from_arrays
 from mtgee.model import ClusterSeries, get_link, moment_arrays
@@ -138,11 +142,34 @@ def test_sandwich_matches_einsum(seed, n, m, p, link, corr_kind):
     ctx, beta, _ = make_case(seed, n, m, p, link, corr_kind)
     d = ctx.data
     _, a, eps = moment_arrays(d.Xs, d.ys, beta, ctx.link)
-    est = sandwich_from_arrays(*weighted_design(ctx, a), eps)
+    _, memo_eps, xa, rinv_xa = ctx.moments(beta)
+    est = sandwich_from_arrays(xa, rinv_xa, memo_eps)
     h_mat, m_mat, psi = oracle.oracle_sandwich(d.Xs, a, eps, ctx.corr_inverses)
     close(est.h_mat, h_mat)
     close(est.m_mat, m_mat)
     close(est.psi, psi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 40), st.integers(1, 5), st.integers(1, 4),
+       st.sampled_from(["logistic", "exponential"]), CORR_KINDS)
+@example(3, 9, 1, 3, "logistic", "sequence")
+@example(4, 9, 4, 1, "exponential", "fixed")
+def test_glm_g_is_the_weighted_design_transform(seed, n, m, p, link, corr_kind):
+    ctx, beta, _ = make_case(seed, n, m, p, link, corr_kind)
+    d, rinv = ctx.data, ctx.corr_inverses
+    a, eps, xa, rinv_xa = ctx.moments(beta)
+    close(xa, d.Xs * np.sqrt(a)[..., None])
+    close(rinv_xa, np.einsum("nab,nbk->nak", rinv, xa))
+    # at the generating beta, g sums n*m terms (R^{-1} A^{1/2} X)_r eps_r that
+    # cancel, so its gap from X' (sqrt(a) * R^{-1} eps) is bounded by the
+    # rounding that a sum of those terms can carry, not relative to |g|; a
+    # gap of 1e-9 of that sum still fails
+    g = eval_g(ctx, beta)
+    want_g = np.einsum("nmp,nm->p", d.Xs, np.sqrt(a) * np.einsum("nab,nb->na", rinv, eps))
+    terms = ((np.abs(rinv) @ np.abs(xa)) * np.abs(eps)[..., None]).sum(axis=(0, 1))
+    assert np.all(np.abs(g - want_g) <= RTOL * terms)
+    assert not np.all(np.abs(g + 1e-9 * terms - want_g) <= RTOL * terms)
 
 
 @cases
@@ -210,8 +237,7 @@ def test_stacked_identity_fit_matches_einsum(seed, k, n, m, p, corr_kind):
     res = fit(ctx, "linear")
     assert not res.failed.any()
     # g and D of every series at a beta off the root, from the stack's R^{-1} X
-    _, a, eps = moment_arrays(d.Xs, d.ys, beta, ctx.link)
-    xa, rinv_xa = weighted_design(ctx, a)
+    _, eps, xa, rinv_xa = ctx.moments(beta)
     g, d_mat = _gram(rinv_xa, eps[..., None])[..., 0], _gram(xa, rinv_xa)
     _, a_hat, eps_hat = moment_arrays(d.Xs, d.ys, res.beta_hat, ctx.link)
     for j in range(k):
