@@ -10,14 +10,23 @@ The commands:
   8 stations, and the long binary file, 6,000 days x 6 stations (logistic
   link, so the closed forms exit 1 there);
 - a few error paths: other links on the wind fixture and a bad flag;
+- the numerical failures of overflowed input, on two small files written
+  next to the benchmark's: a 20-step wide file of 3 responses, one of them
+  1e200 (``fit`` and ``diagnose`` with the two-step and running empirical
+  plug-ins, and ``diagnose --corr cs``, whose reference correlation
+  overflows), and a two-row file whose closed-form root overflows;
+- ``diagnose --method newton --max-iter 0 --d-grid 0,1e-9`` on the wind
+  fixture, whose refits must keep the fit's Newton settings;
 - ``simulate --s 50`` and ``replicate-tables --s 50`` with seeds 1 and 3,
   and ``replicate-tables --s 500 --seed 3``.
 
 Each tree (``--baseline-src`` and ``--src``, both ``src`` directories of
 an mtgee checkout) runs the whole list in one child process, with BLAS on
-one thread, through ``mtgee.cli.run_command``.  Every JSON and CSV file
-written, every exit code and every stderr text (the output directory
-replaced by ``<out>``) is compared; any difference is printed and the
+one thread and floating-point warnings off, through
+``mtgee.cli.run_command``; an exception that escapes it is recorded as the
+exit code "raised" with the exception as the stderr text.  Every JSON and
+CSV file written, every exit code and every stderr text (the output
+directory replaced by ``<out>``) is compared; any difference is printed and the
 script exits 1.  A JSON file that differs is reported by JSON path, each
 with its largest absolute and relative difference, and a CSV file with the
 largest of each over its cells.  A relative difference is |a - b| /
@@ -41,6 +50,8 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
+
 from bench import INPUTS, LAGS, LONG_CSV, WIDE_CSV, import_file, write_inputs
 
 inputs = import_file("inputs", INPUTS)
@@ -50,6 +61,19 @@ FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "data",
 METHODS = ("two_step", "linear", "newton")
 CORRS = ("independence", "cs", "ar1", "empirical")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+OVERFLOW_CSV, TWO_ROWS_CSV = "overflow.csv", "two_rows.csv"
+
+
+def write_overflow_inputs(directory, rows=20, units=3):
+    """Write the two overflowing files of the command list into ``directory``."""
+    ys = np.round(np.random.default_rng(0).normal(size=(rows, units)), 3)
+    ys[rows // 2, 1] = 1e200
+    lines = [",".join(["t"] + [f"y{j + 1}" for j in range(units)])]
+    lines += [",".join([str(t)] + [repr(float(v)) for v in row]) for t, row in enumerate(ys)]
+    with open(os.path.join(directory, OVERFLOW_CSV), "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with open(os.path.join(directory, TWO_ROWS_CSV), "w", encoding="utf-8") as fh:
+        fh.write("t,y1,y2\n0,1e308,1\n1,2,1e308\n")
 
 
 def commands(directory):
@@ -86,6 +110,22 @@ def commands(directory):
         out.append((f"fit_wind_synthetic_two_step_{link}",
                     ["fit"] + wind + ["--method", "two_step", "--link", link]))
     out.append(("fit_bad_method", ["fit"] + wind + ["--method", "bogus"]))
+    overflow = ["--data", os.path.join(directory, OVERFLOW_CSV), "--response", "y1,y2,y3",
+                "--lags", "0"]
+    for command, method, corr in [("fit", "two_step", "independence"),
+                                  ("fit", "newton", "empirical"),
+                                  ("diagnose", "two_step", "independence"),
+                                  ("diagnose", "linear", "cs"),
+                                  ("diagnose", "newton", "empirical")]:
+        out.append((f"{command}_overflow_{method}_{corr}",
+                    [command] + overflow + ["--method", method, "--corr", corr]))
+    for command in ("fit", "diagnose"):
+        out.append((f"{command}_two_rows_linear", [
+            command, "--data", os.path.join(directory, TWO_ROWS_CSV), "--response", "y1,y2",
+            "--method", "linear", "--corr", "independence", "--lags", "0"]))
+    out.append(("diagnose_wind_synthetic_newton_cs_max_iter0",
+                ["diagnose"] + wind + ["--method", "newton", "--corr", "cs", "--max-iter", "0",
+                                       "--d-grid", "0,1e-9"]))
     for seed in (1, 3):
         out.append((f"simulate_s50_seed{seed}", ["simulate", "--s", "50", "--seed", str(seed)]))
         out.append((f"replicate_s50_seed{seed}",
@@ -101,8 +141,12 @@ def worker(directory, out_dir):
     results = {}
     for name, argv in commands(directory):
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = run_command(argv + ["--output", os.path.join(out_dir, name)])
+        with contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+            try:
+                code = run_command(argv + ["--output", os.path.join(out_dir, name)])
+            except Exception as exc:  # a traceback out of the CLI is an output too
+                code = "raised"
+                err.write(f"{type(exc).__name__}: {exc}")
         results[name] = [code, err.getvalue().replace(out_dir, "<out>")]
     json.dump(results, sys.stdout)
 
@@ -207,6 +251,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         directory = tempfile.mkdtemp(dir=tmp)
         write_inputs(inputs, directory)
+        write_overflow_inputs(directory)
         dirs = [os.path.join(tmp, "before"), os.path.join(tmp, "after")]
         runs = []
         for src, out_dir in zip((args.baseline_src, args.src), dirs):
@@ -215,7 +260,7 @@ def main():
         diffs, n_files = compare(runs[0], runs[1], dirs)
     for line in diffs:
         print(line)
-    codes = sorted({code for code, _ in runs[1].values()})
+    codes = sorted({str(code) for code, _ in runs[1].values()})
     print(f"{len(runs[1])} commands (exit codes {codes}), {n_files} files: "
           f"{len(diffs)} difference(s)")
     return 1 if diffs else 0

@@ -677,7 +677,7 @@ def _cmd_monte_carlo(args):
 
 def _cmd_diagnose(args):
     _, result = _fit_from_args(args, with_inference=False)
-    # the fit's own context serves the monitors and the perturbation base
+    # the fit's own context serves the monitors; the fit is the perturbation's budget 0
     ctx, beta = result.ctx, result.beta_hat
 
     cond = diagmod.eigen_conditions(ctx, beta, _float_list(args.delta_grid))
@@ -707,10 +707,7 @@ def _cmd_diagnose(args):
         },
     }
     if args.d_grid is not None:
-        pert = diagmod.perturbation_sensitivity(
-            ctx, "linear" if result.solver is None else "newton", _float_list(args.d_grid),
-            seed=args.seed, true_corr=rbar, base=beta,
-        )
+        pert = diagmod.perturbation_sensitivity(result, _float_list(args.d_grid), args.seed, rbar)
         diagnostics["perturbation"] = {
             "budgets": pert.budgets,
             "perturb_drift": pert.perturb_drift,

@@ -136,6 +136,8 @@ def regularized_empirical(mats: np.ndarray, counts) -> np.ndarray:
     c = max(EIG_FLOOR, rel * B) + SCREEN_MARGIN * B proves that S meets its
     floor.  The margin dwarfs the ~m^2 eps B rounding of both factorisations,
     so a matrix that passes is one the eigendecomposition would not clip.
+    An average that is not finite (overflowed residuals) is returned as it
+    came, for the solve or rank test downstream to fail on.
     """
     m = mats.shape[-1]
     rel = np.minimum(0.5, m / (2.0 * np.maximum(counts, 1)))
@@ -147,12 +149,13 @@ def regularized_empirical(mats: np.ndarray, counts) -> np.ndarray:
             return mats
         except np.linalg.LinAlgError:
             pass  # some matrix may need its floor; the whole stack takes the exact path
-    w, v = np.linalg.eigh(mats)
-    floors = np.maximum(EIG_FLOOR, rel * w[:, -1])
+    finite = np.flatnonzero(np.isfinite(mats).all(axis=(1, 2)))
+    w, v = np.linalg.eigh(mats[finite])
+    floors = np.maximum(EIG_FLOOR, rel[finite] * w[:, -1])
     clip = w[:, 0] < floors
     if np.any(clip):
         mats = mats.copy()  # the caller's array is never written
-        mats[clip] = _clip_spectrum(w[clip], v[clip], floors[clip])
+        mats[finite[clip]] = _clip_spectrum(w[clip], v[clip], floors[clip])
     return mats
 
 

@@ -6,19 +6,20 @@ the verdicts here are heuristic growth tests and are labelled
 supported / violated / inconclusive accordingly.  The optimality monitor
 tracks the determinant ratios det(H*_n)/det(Mbar_n) and
 det(M*_n)/det(Mbar_n), which approach 1 when the working correlation
-sequence converges to the true one, and a perturbation study that refits
-after disturbing the regressors under a geometrically decaying budget
-||delta_i|| <= d * 2^{-i}.
+sequence converges to the true one, and a perturbation study that takes a
+fit and refits it, with the same estimator, after disturbing the regressors
+under a geometrically decaying budget ||delta_i|| <= d * 2^{-i}.
 """
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .corr import _check_spd
 from .errors import ContractError, NumericalError, RankDeficiencyError
-from .estfun import EstimatingContext, _check_beta, _gram, _rank_test, _single_series, fit
+from .estfun import (EstimatingContext, FitResult, _check_beta, _gram, _rank_test,
+                     _single_series, fit)
 from .model import ClusterSeries
 from .simgen import substream
 
@@ -62,8 +63,8 @@ class OptimalityReport:
 class PerturbationReport:
     budgets: np.ndarray
     perturb_drift: np.ndarray  # ||beta(delta) - beta(0)|| per budget
-    det_ratio_H: Optional[np.ndarray] = None  # full-sample ratios per budget
-    det_ratio_M: Optional[np.ndarray] = None
+    det_ratio_H: np.ndarray  # full-sample ratios per budget
+    det_ratio_M: np.ndarray
 
 
 @dataclass
@@ -224,28 +225,23 @@ def _scale_to_budget(deltas, d):
     return deltas
 
 
-def perturbation_sensitivity(
-    ctx: EstimatingContext,
-    beta_method: str,
-    d_grid: Sequence[float],
-    seed: int,
-    true_corr=None,
-    base=None,
-) -> PerturbationReport:
-    """Refit after perturbing regressors within geometrically decaying budgets.
+def perturbation_sensitivity(fitted: FitResult, d_grid: Sequence[float], seed: int,
+                             true_corr) -> PerturbationReport:
+    """Refit ``fitted`` after perturbing its regressors within geometrically
+    decaying budgets.
 
     For each budget d the step-i regressor matrix is shifted by a random
     matrix of spectral norm exactly d * 2^{-i} (direction uniform); the
-    report records the estimate drift ||beta(delta) - beta(0)|| and, when
-    the true correlation is supplied, the full-sample determinant ratios
-    under the perturbed fit, each on its refit's own context.  The grid
-    must include 0, whose drift is exactly zero by construction.  ``base``,
-    the beta of a fit already made with ``beta_method`` on ``ctx`` (the
-    fit's own context, which carries its correlation sequence), spares the
-    refit at budget 0.
+    report records the estimate drift ||beta(delta) - beta(0)|| and the
+    full-sample determinant ratios against ``true_corr``, each on its
+    refit's own context.  The grid must include 0, whose fit is ``fitted``
+    itself.  A refit is the same estimator on the perturbed data: the fit's
+    context, and Newton with the fit's ``tol`` and ``max_iter`` if
+    ``fitted`` has a Newton report, else the closed form.
     """
+    ctx, base = fitted.ctx, fitted.beta_hat
     _single_series(ctx, "perturbation_sensitivity")
-    true_corr = None if true_corr is None else _check_true_corr(true_corr, ctx.data.m)
+    true_corr = _check_true_corr(true_corr, ctx.data.m)
     budgets = np.asarray(list(d_grid), dtype=np.float64)
     if budgets.size == 0 or not np.any(budgets == 0.0):
         raise ContractError("d_grid must include 0")
@@ -253,11 +249,7 @@ def perturbation_sensitivity(
         raise ContractError("budgets must be nonnegative")
     if not np.all(np.isfinite(budgets)):
         raise ContractError(f"budgets must be finite, got {budgets.tolist()}")
-
-    if base is None:
-        fitted = fit(ctx, beta_method, with_inference=False)
-        base, ctx = fitted.beta_hat, fitted.ctx
-    base = _check_beta(ctx, base)
+    method = "linear" if fitted.solver is None else "newton"
     n, m, p = ctx.data.n, ctx.data.m, ctx.data.p
 
     def measure(k, d):
@@ -268,20 +260,14 @@ def perturbation_sensitivity(
             deltas = _scale_to_budget(rng.standard_normal((n, m, p)), d)
             data_d = ClusterSeries(ys=ctx.data.ys, Xs=ctx.data.Xs + deltas)
             del deltas  # freed before the refit, which sets the peak memory
-            refit = fit(replace(ctx, data=data_d), beta_method, with_inference=False)
+            refit = fit(replace(ctx, data=data_d), method, tol=fitted.tol,
+                        max_iter=fitted.max_iter, with_inference=False)
             beta_d, ctx_d = refit.beta_hat, refit.ctx
-        drift = float(np.linalg.norm(beta_d - base))
-        if true_corr is None:
-            return drift, None, None
         rep = optimality_ratios(ctx_d, beta_d, true_corr)
-        return drift, rep.det_ratio_H[-1], rep.det_ratio_M[-1]
+        return float(np.linalg.norm(beta_d - base)), rep.det_ratio_H[-1], rep.det_ratio_M[-1]
 
     # one call per budget, so a refit's context and correlation sequences are
     # freed before the next refit starts
     drifts, ratio_h, ratio_m = zip(*(measure(k, d) for k, d in enumerate(budgets)))
-    return PerturbationReport(
-        budgets=budgets,
-        perturb_drift=np.array(drifts),
-        det_ratio_H=None if true_corr is None else np.array(ratio_h),
-        det_ratio_M=None if true_corr is None else np.array(ratio_m),
-    )
+    return PerturbationReport(budgets=budgets, perturb_drift=np.array(drifts),
+                              det_ratio_H=np.array(ratio_h), det_ratio_M=np.array(ratio_m))

@@ -203,7 +203,8 @@ def solve_linear(ctx: EstimatingContext) -> np.ndarray:
     for the normal matrices and the right-hand sides, one batched rank test
     and one batched solve.  A normal matrix that is not finite or fails the
     rank test raises for a single series (:func:`_rank_test`); in a stack it
-    gives its replication a NaN root.
+    gives its replication a NaN root.  A single series' root that is not
+    finite raises NumericalError.
     """
     if ctx.link.kind != "identity":
         raise ContractError(
@@ -219,6 +220,8 @@ def _closed_form(data, rinv_x):
     rhs = _gram(rinv_x, data.ys[..., None])
     beta = np.full(k_mat.shape[:-1], np.nan)
     beta[ok] = np.linalg.solve(k_mat[ok], rhs[ok])[..., 0]
+    if beta.ndim == 1 and not np.all(np.isfinite(beta)):  # an overflowed right-hand side
+        raise NumericalError("closed-form root is not finite")
     return beta
 
 
@@ -336,6 +339,8 @@ class FitResult:
     beta_hat: np.ndarray
     ctx: EstimatingContext  # the context fitted and used for inference
     level: float
+    tol: float  # the Newton settings of the fit, which its refits reuse
+    max_iter: int
     solver: Optional[SolveReport] = None  # the Newton report; None for closed forms
     se: Optional[np.ndarray] = None
     psi: Optional[np.ndarray] = None
@@ -389,8 +394,8 @@ def fit(
         solver = solve_newton(ctx, beta_init=start, tol=tol, max_iter=max_iter)
         beta = solver.beta_hat
 
-    result = FitResult(beta_hat=beta, ctx=ctx, level=level, solver=solver,
-                       failed=~np.isfinite(beta).all(axis=-1))
+    result = FitResult(beta_hat=beta, ctx=ctx, level=level, tol=tol, max_iter=max_iter,
+                       solver=solver, failed=~np.isfinite(beta).all(axis=-1))
     if with_inference:
         est = inference.sandwich(ctx, beta)
         result.se, result.psi = est.se, est.psi

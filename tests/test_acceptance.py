@@ -14,7 +14,7 @@ import pytest
 from mtgee import corr
 from mtgee.cli import run_command
 from mtgee.diagnostics import optimality_ratios, perturbation_sensitivity
-from mtgee.estfun import EstimatingContext, eval_g, eval_jacobian, solve_linear, solve_newton
+from mtgee.estfun import EstimatingContext, eval_g, eval_jacobian, fit, solve_linear, solve_newton
 from mtgee.inference import sandwich
 from mtgee.model import ClusterSeries, get_link
 from mtgee.simgen import SimDesign, generate_ar2, monte_carlo_study, substream
@@ -240,8 +240,9 @@ def test_criterion_7_perturbation_robustness():
             SimDesign(n=N, m=M, beta0=tuple(BETA0), corr_kind="compound_symmetry",
                       alpha0=ALPHA0, seed=1000 + seed)
         )
-        ctx = EstimatingContext(data=data, link=IDENT, corr=corr.two_step(M))
-        rep = perturbation_sensitivity(ctx, "linear", [0.0, 0.01], seed=seed, true_corr=truth)
+        fitted = fit(EstimatingContext(data=data, link=IDENT, corr=corr.two_step(M)), "linear",
+                     with_inference=False)
+        rep = perturbation_sensitivity(fitted, [0.0, 0.01], seed=seed, true_corr=truth)
         drifts.append(rep.perturb_drift[1])
         ratio_moves.append(abs(rep.det_ratio_H[1] - rep.det_ratio_H[0]))
         ratio_moves.append(abs(rep.det_ratio_M[1] - rep.det_ratio_M[0]))

@@ -572,6 +572,55 @@ def test_cli_overflowing_refit_is_a_numerical_failure_exit_3(capsys):
     assert capsys.readouterr().err == "numerical failure: normal matrix is not finite\n"
 
 
+def write_overflowed_wide(path, rows=20, units=3, seed=0):
+    """Wide CSV of ``units`` responses y1.. over ``rows`` steps, one of them
+    1e200: with --lags 0 its residual outer products overflow to inf."""
+    ys = np.round(np.random.default_rng(seed).normal(size=(rows, units)), 3)
+    ys[rows // 2, 1] = 1e200
+    header = ",".join(["t"] + [f"y{j + 1}" for j in range(units)])
+    lines = [",".join([str(t)] + [repr(float(v)) for v in row]) for t, row in enumerate(ys)]
+    path.write_text("\n".join([header] + lines) + "\n")
+
+
+@pytest.mark.parametrize("command, message", [
+    (["fit", "--method", "two_step"], "normal matrix is not finite"),
+    (["fit", "--method", "newton", "--corr", "empirical"],
+     "non-finite Newton step (ill-conditioned derivative)"),
+    (["diagnose", "--method", "two_step"], "normal matrix is not finite"),
+    (["diagnose", "--method", "linear", "--corr", "cs"], "true_corr is not finite"),
+    (["diagnose", "--method", "newton", "--corr", "empirical"],
+     "non-finite Newton step (ill-conditioned derivative)"),
+], ids=["fit-two_step", "fit-newton-empirical", "diagnose-two_step", "diagnose-linear-cs",
+        "diagnose-newton-empirical"])
+def test_cli_overflowed_running_average_is_a_numerical_failure_exit_3(tmp_path, capsys,
+                                                                      command, message):
+    # the non-finite averages (the running plug-ins, diagnose's reference
+    # correlation) skip the regulariser's eigendecomposition and fail downstream
+    path = tmp_path / "overflow.csv"
+    write_overflowed_wide(path)
+    argv = command[:1] + ["--data", str(path), "--response", "y1,y2,y3",
+                          "--lags", "0"] + command[1:]
+    with np.errstate(all="ignore"):
+        assert run_command(argv) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"numerical failure: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["fit", "diagnose"])
+def test_cli_non_finite_closed_form_root_is_a_numerical_failure_exit_3(tmp_path, capsys,
+                                                                       command):
+    # finite normal matrix, overflowed right-hand side
+    path = tmp_path / "two_rows.csv"
+    path.write_text("t,y1,y2\n0,1e308,1\n1,2,1e308\n")
+    argv = [command, "--data", str(path), "--response", "y1,y2", "--method", "linear",
+            "--corr", "independence", "--lags", "0"]
+    with np.errstate(all="ignore"):
+        assert run_command(argv) == 3
+    captured = capsys.readouterr()
+    want = "numerical failure: closed-form root is not finite\n"
+    assert (captured.out, captured.err) == ("", want)
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--tol", "nan"], "tol must be finite and > 0, got nan"),
     (["--tol", "-1"], "tol must be finite and > 0, got -1.0"),
@@ -741,3 +790,14 @@ def test_cli_diagnose_passes_tol_and_max_iter(tmp_path, capsys):
         early = beta_of(["fit"] + base + flags)
         assert early != converged
         assert beta_of(["diagnose"] + base + flags) == early
+
+
+def test_cli_diagnose_refits_with_the_fit_newton_settings(capsys):
+    # the fit made no Newton iteration, so neither does any refit: a budget of
+    # 1e-9 moves the working-independence start by about as much
+    argv = ["diagnose", "--data", FIXTURE, "--response", "wind_s1,wind_s2,wind_s3",
+            "--exog", "airtemp_s1,airtemp_s2,airtemp_s3", "--lags", "2", "--method", "newton",
+            "--corr", "cs", "--max-iter", "0", "--d-grid", "0,1e-9"]
+    assert run_command(argv) == 0
+    drift = json.loads(capsys.readouterr().out)["diagnostics"]["perturbation"]["perturb_drift"]
+    assert drift[0] == 0 and 0 < drift[1] <= 1e-7

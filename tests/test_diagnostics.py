@@ -17,6 +17,7 @@ from mtgee.simgen import SimDesign, generate_ar2, substream
 
 IDENT = get_link("identity")
 BETA0 = np.array([0.5, 0.2])
+CS_TRUTH = corr.build_fixed_corr("compound_symmetry", 0.7, 5)
 
 
 def ar2_ctx(n=2000, seed=0, truth="cs", provider=None):
@@ -125,8 +126,7 @@ def test_optimality_monitors_reject_a_bad_true_corr(monkeypatch, rng, name):
     refits = []
     monkeypatch.setattr(diagnostics, "fit", lambda *args, **kw: refits.append(args))
     with pytest.raises(error, match=text):
-        perturbation_sensitivity(res.ctx, "linear", (0.1, 0.0), seed=1, true_corr=true_corr,
-                                 base=res.beta_hat)
+        perturbation_sensitivity(res, (0.1, 0.0), seed=1, true_corr=true_corr)
     assert refits == []
 
 
@@ -191,27 +191,45 @@ def test_leverage_decreases_with_n():
 # perturbation sensitivity
 # ---------------------------------------------------------------------------
 
+def linear_fit(ctx):
+    return fit(ctx, "linear", with_inference=False)
+
+
 def test_perturbation_zero_budget_is_identity():
-    ctx = ar2_ctx(n=200, provider=corr.compound_symmetry(0.7, 5))
-    report = perturbation_sensitivity(ctx, "linear", [0.0, 0.5], seed=4)
+    fitted = linear_fit(ar2_ctx(n=200, provider=corr.compound_symmetry(0.7, 5)))
+    report = perturbation_sensitivity(fitted, [0.0, 0.5], seed=4, true_corr=CS_TRUTH)
     assert report.perturb_drift[0] == 0.0
     assert report.perturb_drift[1] > 0.0
 
 
 @pytest.mark.parametrize("method, provider", [
     ("linear", corr.two_step(5)),
-    ("linear", corr.compound_symmetry(0.7, 5)),
+    ("newton", corr.compound_symmetry(0.7, 5)),
     ("newton", corr.empirical_running(5)),
 ])
-def test_perturbation_base_from_fit_matches_refit(method, provider):
-    # diagnose hands its own fit over as the budget-0 base instead of refitting
-    result = fit(ar2_ctx(n=300, seed=2, provider=provider), method=method, with_inference=False)
-    truth = corr.build_fixed_corr("compound_symmetry", 0.7, 5)
-    args = (result.ctx, method, [0.0, 0.01, 0.1])
-    refit = perturbation_sensitivity(*args, seed=3, true_corr=truth)
-    reused = perturbation_sensitivity(*args, seed=3, true_corr=truth, base=result.beta_hat)
-    for name in ("perturb_drift", "det_ratio_H", "det_ratio_M"):
-        assert np.array_equal(getattr(reused, name), getattr(refit, name))
+def test_perturbation_refits_the_fitted_estimator(monkeypatch, method, provider):
+    # every refit is the fit's estimator: its context on the perturbed data,
+    # its method, and its Newton settings
+    fitted = fit(ar2_ctx(n=300, seed=2, provider=provider), method=method, tol=1e-6,
+                 max_iter=7, with_inference=False)
+    refits = []
+
+    def spy(ctx, method, **kw):
+        refits.append((ctx, method, kw))
+        return fit(ctx, method, **kw)
+
+    monkeypatch.setattr(diagnostics, "fit", spy)
+    report = perturbation_sensitivity(fitted, [0.0, 0.01, 0.1], seed=3, true_corr=CS_TRUTH)
+    assert report.perturb_drift[0] == 0.0 and np.all(report.perturb_drift[1:] > 0.0)
+    at_fit = optimality_ratios(fitted.ctx, fitted.beta_hat, CS_TRUTH)  # budget 0 is the fit
+    assert (report.det_ratio_H[0], report.det_ratio_M[0]) == (at_fit.det_ratio_H[-1],
+                                                              at_fit.det_ratio_M[-1])
+    assert len(refits) == 2
+    for ctx, refit_method, kw in refits:
+        assert refit_method == method
+        assert kw == {"tol": 1e-6, "max_iter": 7, "with_inference": False}
+        assert ctx.corr is fitted.ctx.corr and ctx.link is fitted.ctx.link
+        assert np.array_equal(ctx.data.ys, fitted.ctx.data.ys)
 
 
 @pytest.mark.parametrize("m, p", [(6, 4), (8, 4), (3, 5)])
@@ -230,9 +248,9 @@ def test_perturbation_draws_scale_to_their_budget(m, p):
 
 
 def test_perturbation_requires_zero_in_grid():
-    ctx = ar2_ctx(n=100)
+    fitted = linear_fit(ar2_ctx(n=100))
     with pytest.raises(ContractError):
-        perturbation_sensitivity(ctx, "linear", [0.1, 1.0], seed=0)
+        perturbation_sensitivity(fitted, [0.1, 1.0], seed=0, true_corr=CS_TRUTH)
 
 
 @pytest.mark.parametrize("budget", [np.nan, np.inf])
@@ -241,7 +259,7 @@ def test_perturbation_rejects_a_non_finite_budget_before_any_refit(monkeypatch, 
     refits = []
     monkeypatch.setattr(diagnostics, "fit", lambda *args, **kw: refits.append(args))
     with pytest.raises(ContractError) as err:
-        perturbation_sensitivity(res.ctx, "linear", [0.0, budget], seed=0, base=res.beta_hat)
+        perturbation_sensitivity(res, [0.0, budget], seed=0, true_corr=CS_TRUTH)
     assert str(err.value) == f"budgets must be finite, got [0.0, {budget}]"
     assert refits == []
 
@@ -250,21 +268,18 @@ def test_perturbation_drift_monotone_in_budget():
     budgets = [0.0, 0.1, 1.0, 10.0]
     drifts = []
     for seed in range(20):
-        ctx = ar2_ctx(n=500, seed=seed, provider=corr.compound_symmetry(0.7, 5))
-        report = perturbation_sensitivity(ctx, "linear", budgets, seed=seed)
+        fitted = linear_fit(ar2_ctx(n=500, seed=seed, provider=corr.compound_symmetry(0.7, 5)))
+        report = perturbation_sensitivity(fitted, budgets, seed=seed, true_corr=CS_TRUTH)
         drifts.append(report.perturb_drift)
     med = np.median(np.array(drifts), axis=0)
     assert np.all(np.diff(med) >= 0)
 
 
 def test_perturbation_small_budget_keeps_ratios():
-    truth = corr.build_fixed_corr("compound_symmetry", 0.7, 5)
     ratio_moves = []
     for seed in range(5):
-        ctx = ar2_ctx(n=500, seed=seed, provider=corr.pseudo_fixed(truth))
-        report = perturbation_sensitivity(
-            ctx, "linear", [0.0, 0.01], seed=seed, true_corr=truth
-        )
+        fitted = linear_fit(ar2_ctx(n=500, seed=seed, provider=corr.pseudo_fixed(CS_TRUTH)))
+        report = perturbation_sensitivity(fitted, [0.0, 0.01], seed=seed, true_corr=CS_TRUTH)
         ratio_moves.append(abs(report.det_ratio_H[1] - report.det_ratio_H[0]))
         ratio_moves.append(abs(report.det_ratio_M[1] - report.det_ratio_M[0]))
     assert np.median(ratio_moves) < 0.01
@@ -278,8 +293,6 @@ MONITORS = {
     "eigen_conditions": eigen_conditions,
     "leverage": leverage,
     "optimality_ratios": lambda ctx, beta: optimality_ratios(ctx, beta, np.eye(5)),
-    "perturbation_sensitivity": lambda ctx, beta: perturbation_sensitivity(
-        ctx, "linear", [0.0], seed=0, base=beta),
 }
 
 

@@ -628,12 +628,10 @@ def test_identity_link_fit_and_diagnostics_realize_once(rng, realizations, kind)
     eigen_conditions(res.ctx, res.beta_hat)
     leverage(res.ctx, res.beta_hat)
     optimality_ratios(res.ctx, res.beta_hat, true_corr)
-    perturbation_sensitivity(res.ctx, "linear", (0.0,), seed=1, true_corr=true_corr,
-                             base=res.beta_hat)
+    perturbation_sensitivity(res, (0.0,), seed=1, true_corr=true_corr)
     assert realizations[kind] == 1
     # each refit at a positive budget realizes its own context once
-    perturbation_sensitivity(res.ctx, "linear", (0.0, 0.01, 0.1), seed=1,
-                             true_corr=true_corr, base=res.beta_hat)
+    perturbation_sensitivity(res, (0.0, 0.01, 0.1), seed=1, true_corr=true_corr)
     assert realizations[kind] == 3
 
 

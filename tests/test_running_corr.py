@@ -347,3 +347,24 @@ def test_screen_skips_the_eigendecomposition_only_when_nothing_is_clipped(monkey
     assert eigh_calls == [3, 3]  # the edge and the failing stack, each whole
     assert np.array_equal(want["edge"], 0.5 * (edge + np.swapaxes(edge, 1, 2)))
     assert not np.array_equal(want["failing"][1], 0.5 * (failing[1] + failing[1].T))
+
+
+def test_regularizer_returns_a_non_finite_average_as_it_came():
+    # an overflowed average is left for the solve downstream to fail on; one
+    # whose Frobenius bound overflows (entries above ~1e154) while its entries
+    # stay finite takes the eigendecomposition, as every finite average does
+    rng = substream(16, 1)
+    counts = np.array([400, 900, 5000])
+    rel = 4 / (2.0 * counts[2])
+    mats = np.stack([_average(rng, "wishart", 4, c) for c in counts])
+    mats[0, 1, 2] = mats[0, 2, 1] = np.inf
+    mats[1, 0, 0] = np.nan
+    mats[2] = 1e160 * _with_spectrum(rng, np.array([0.5 * rel, 0.4, 0.7, 1.0]))
+    before = mats.copy()
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.sqrt(np.sum(mats[2] * mats[2])))
+        out = corr.regularized_empirical(mats, counts)
+    assert np.array_equal(mats, before, equal_nan=True)
+    assert np.array_equal(out[:2], before[:2], equal_nan=True)
+    assert np.array_equal(out[2:], unscreened_regularized_empirical(before[2:], counts[2:]))
+    assert not np.array_equal(out[2], before[2])

@@ -116,6 +116,30 @@ def test_stack_flags_what_a_single_series_raises():
                                        corr.ar1(0.3, design.m)))
 
 
+def test_overflowed_response_flags_its_two_step_replication_alone():
+    # one response of 1e200 overflows replication 1's running averages: they
+    # stay non-finite through the regulariser, so its normal matrix is not
+    # finite, and the other replications are their lone fits bit for bit
+    design = DESIGNS["ar1_m3"]
+    stack = generate_ar2(design, range(3))
+    ys = np.array(stack.ys)
+    ys[1, 50, 0] = 1e200
+    provider = corr.two_step(design.m)
+    with np.errstate(all="ignore"):
+        result = fit(EstimatingContext(ClusterSeries(ys=ys, Xs=stack.Xs), IDENTITY, provider),
+                     "linear")
+        with pytest.raises(NumericalError, match="normal matrix is not finite"):
+            fit(EstimatingContext(ClusterSeries(ys=ys[1], Xs=stack.Xs[1]), IDENTITY, provider),
+                "linear")
+    assert result.failed.tolist() == [False, True, False]
+    assert np.isnan(result.beta_hat[1]).all() and np.isnan(result.cis[1]).all()
+    for r in (0, 2):
+        lone = fit(EstimatingContext(ClusterSeries(ys=ys[r], Xs=stack.Xs[r]), IDENTITY,
+                                     provider), "linear")
+        for name in ("beta_hat", "se", "psi", "cis"):
+            assert np.array_equal(getattr(result, name)[r], getattr(lone, name))
+
+
 def test_chunk_is_simulated_before_its_estimators_are_built():
     # an exploding replication's InstabilityError precedes an estimator's
     # ContractError: alpha0 = 5 suits the independence truth, not the cs column
@@ -205,7 +229,8 @@ def test_stacked_two_step_kernel_keeps_replications_and_the_past_apart(
     lambda ctx, beta: diagnostics.eigen_conditions(ctx, beta),
     lambda ctx, beta: diagnostics.optimality_ratios(ctx, beta, np.eye(3)),
     lambda ctx, beta: diagnostics.leverage(ctx, beta),
-    lambda ctx, beta: diagnostics.perturbation_sensitivity(ctx, "linear", [0.0, 0.1], seed=0),
+    lambda ctx, beta: diagnostics.perturbation_sensitivity(
+        fit(ctx, "linear", with_inference=False), [0.0, 0.1], seed=0, true_corr=np.eye(3)),
     lambda ctx, beta: fit(ctx, "newton"),
     lambda ctx, beta: fit(EstimatingContext(ctx.data, IDENTITY, corr.empirical_running(3)),
                           "linear"),
