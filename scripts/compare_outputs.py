@@ -18,7 +18,11 @@ The commands:
 - ``diagnose --method newton --max-iter 0 --d-grid 0,1e-9`` on the wind
   fixture, whose refits must keep the fit's Newton settings;
 - ``simulate --s 50`` and ``replicate-tables --s 50`` with seeds 1 and 3,
-  and ``replicate-tables --s 500 --seed 3``.
+  and ``replicate-tables --s 500 --seed 3``;
+- ``replicate-tables --s 50 --seed 1 --parallel`` and ``simulate --s 50
+  --seed 3 --parallel``, which run the study's worker pool on a host with
+  two or more usable CPUs; their files must also equal those of their
+  serial twins, the same command without ``--parallel``.
 
 Each tree (``--baseline-src`` and ``--src``, both ``src`` directories of
 an mtgee checkout) runs the whole list in one child process, with BLAS on
@@ -62,6 +66,7 @@ METHODS = ("two_step", "linear", "newton")
 CORRS = ("independence", "cs", "ar1", "empirical")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 OVERFLOW_CSV, TWO_ROWS_CSV = "overflow.csv", "two_rows.csv"
+PARALLEL = "_parallel"  # suffix of a command whose serial twin lacks --parallel
 
 
 def write_overflow_inputs(directory, rows=20, units=3):
@@ -131,6 +136,9 @@ def commands(directory):
         out.append((f"replicate_s50_seed{seed}",
                     ["replicate-tables", "--s", "50", "--seed", str(seed)]))
     out.append(("replicate_s500_seed3", ["replicate-tables", "--s", "500", "--seed", "3"]))
+    for name, argv in [("replicate_s50_seed1", ["replicate-tables", "--s", "50", "--seed", "1"]),
+                       ("simulate_s50_seed3", ["simulate", "--s", "50", "--seed", "3"])]:
+        out.append((name + PARALLEL, argv + ["--parallel"]))
     return out
 
 
@@ -174,10 +182,7 @@ def compare(before, after, dirs):
     if files[0] != files[1]:
         diffs.append(f"files differ: {sorted(set(files[0]) ^ set(files[1]))}")
     for fname in sorted(set(files[0]) & set(files[1])):
-        blobs = []
-        for d in dirs:
-            with open(os.path.join(d, fname), "rb") as fh:
-                blobs.append(fh.read())
+        blobs = [_read(d, fname) for d in dirs]
         if blobs[0] != blobs[1]:
             paths = {}
             if fname.endswith(".json"):
@@ -188,7 +193,19 @@ def compare(before, after, dirs):
                          for path, (gap, rel) in paths.items())
             if not paths:
                 diffs.append(f"{fname}: bytes differ")
+    for fname in files[1]:
+        twin = fname.replace(PARALLEL, "")
+        if twin != fname and _read(dirs[1], fname) != _read(dirs[1], twin):
+            diffs.append(f"{fname}: differs from its serial twin {twin}")
     return diffs, len(files[1])
+
+
+def _read(directory, fname):
+    path = os.path.join(directory, fname)
+    if not os.path.exists(path):
+        return None
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def gap(a, b):

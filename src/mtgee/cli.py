@@ -688,6 +688,8 @@ def _cmd_diagnose(args):
     eps = ctx.moments(beta)[1]
     avg = (eps[:, :, None] * eps[:, None, :]).mean(axis=0)
     rbar = corrmod.regularized_empirical(avg[None], np.array([ctx.data.n]))[0]
+    if not np.all(np.isfinite(rbar)):
+        raise NumericalError("reference correlation is not finite")
     opt = diagmod.optimality_ratios(ctx, beta, rbar)
 
     diagnostics = {

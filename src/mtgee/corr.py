@@ -251,7 +251,10 @@ class CorrProvider:
     def solve(self, seq: np.ndarray, rhs=None) -> np.ndarray:
         """R_i^{-1} rhs_i for the per-step matrices ``seq`` this provider
         realized, from one batched solve; R_i^{-1} itself when ``rhs`` is None."""
-        return np.linalg.inv(seq) if rhs is None else np.linalg.solve(seq, rhs)
+        try:
+            return np.linalg.inv(seq) if rhs is None else np.linalg.solve(seq, rhs)
+        except np.linalg.LinAlgError:  # a non-finite R_i can pivot on an exact zero
+            raise CorrelationDegeneracyError("working correlation is singular or not finite") from None
 
     def _check_size(self, data):
         if data.m != self.m:

@@ -234,9 +234,9 @@ def solve_newton(
     """Damped Newton iteration for g_n(beta) = 0.
 
     Steps are halved (up to 20 times) whenever the residual norm fails to
-    decrease; a singular derivative matrix raises SolverFailureError with
-    the trace collected so far.  Exceeding ``max_iter`` returns a
-    non-converged report rather than raising.
+    decrease; a non-finite starting g_n or a singular derivative matrix
+    raises SolverFailureError with the trace collected so far.  Exceeding
+    ``max_iter`` returns a non-converged report rather than raising.
     """
     _single_series(ctx, "solve_newton")
     _check_newton_settings(tol, max_iter)
@@ -247,6 +247,8 @@ def solve_newton(
     g = eval_g(ctx, beta)
     norm = float(np.max(np.abs(g)))
     trace = [(beta.copy(), norm)]
+    if not np.isfinite(norm):
+        raise SolverFailureError("g_n at the Newton starting point is not finite", trace=trace)
     for _ in range(max_iter):
         if norm <= tol:
             break

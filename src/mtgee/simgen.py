@@ -28,9 +28,9 @@ per normal matrix and sandwich sum, one batched rank test and one batched
 solve.  Every per-replication operation is the one a single series runs,
 so the estimates are bit-identical to one fit per replication, and a
 replication that fails numerically is flagged alone.  A serial study walks
-the chunks in order, and ``parallel=True`` maps them over a process pool,
-at least one chunk per worker; both give the same estimates, whatever the
-chunk length, and raise the same InstabilityError: the first exploding
+the chunks in order, and ``parallel=True`` maps them over one worker per
+usable CPU, at most one per chunk; both give the same estimates, whatever
+the chunk length, and raise the same InstabilityError: the first exploding
 replication's, at its first step past the guard.
 """
 
@@ -197,18 +197,11 @@ def _replications(design: SimDesign, names, level: float, reps: range):
     return betas, los, his, failed
 
 
-def _pool_size() -> int:
-    """Worker processes for a parallel study: MTGEE_THREADS, else the core count."""
-    text = os.environ.get("MTGEE_THREADS")
-    if text is None:
-        return os.cpu_count() or 1
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ContractError(f"MTGEE_THREADS must be a positive integer, got {text!r}")
-    return workers
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass
@@ -246,15 +239,17 @@ def monte_carlo_study(
 
     Replications failing with a numerical error are excluded per estimator;
     more than 5% exclusions aborts the study.  Results are identical
-    whether ``parallel`` is on or off.
+    whether ``parallel`` is on or off; on, the study runs one worker per
+    CPU the process may run on, and never more workers than chunks.
     """
     if s < 2:
         raise ContractError(f"Monte Carlo study needs s >= 2, got {s}")
-    workers = _pool_size() if parallel else 1
+    workers = _usable_cpus() if parallel else 1
     size = min(CHUNK_REPS, -(-s // workers))  # at least one chunk per worker
     chunks = [range(lo, min(lo + size, s)) for lo in range(0, s, size)]
     work = functools.partial(_replications, design, ESTIMATORS, level)
-    if parallel:
+    workers = min(workers, len(chunks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -495,21 +495,6 @@ def test_cli_bad_flag_exit_1(capsys):
     assert run_command(["simulate", "--design", "ar2"]) == 1
 
 
-@pytest.mark.parametrize("threads", ["0", "-1", "abc"])
-def test_cli_bad_thread_count_is_a_usage_error(monkeypatch, capsys, threads):
-    import concurrent.futures
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setenv("MTGEE_THREADS", threads)
-    argv = ["simulate", "--n", "30", "--m", "2", "--s", "4", "--parallel"]
-    assert run_command(argv) == 1
-    err = capsys.readouterr().err
-    assert err == f"usage error: MTGEE_THREADS must be a positive integer, got {threads!r}\n"
-
-
 def test_cli_numerical_failure_exit_3(capsys):
     # explosive design trips the generation guard -> numerical failure
     argv = [
@@ -585,11 +570,11 @@ def write_overflowed_wide(path, rows=20, units=3, seed=0):
 @pytest.mark.parametrize("command, message", [
     (["fit", "--method", "two_step"], "normal matrix is not finite"),
     (["fit", "--method", "newton", "--corr", "empirical"],
-     "non-finite Newton step (ill-conditioned derivative)"),
+     "g_n at the Newton starting point is not finite"),
     (["diagnose", "--method", "two_step"], "normal matrix is not finite"),
-    (["diagnose", "--method", "linear", "--corr", "cs"], "true_corr is not finite"),
+    (["diagnose", "--method", "linear", "--corr", "cs"], "reference correlation is not finite"),
     (["diagnose", "--method", "newton", "--corr", "empirical"],
-     "non-finite Newton step (ill-conditioned derivative)"),
+     "g_n at the Newton starting point is not finite"),
 ], ids=["fit-two_step", "fit-newton-empirical", "diagnose-two_step", "diagnose-linear-cs",
         "diagnose-newton-empirical"])
 def test_cli_overflowed_running_average_is_a_numerical_failure_exit_3(tmp_path, capsys,
@@ -604,6 +589,22 @@ def test_cli_overflowed_running_average_is_a_numerical_failure_exit_3(tmp_path, 
         assert run_command(argv) == 3
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"numerical failure: {message}\n")
+
+
+def test_cli_plug_in_that_lapack_finds_singular_is_a_numerical_failure_exit_3(tmp_path, capsys):
+    # two squares of 1e154 overflow in an otherwise zero file: the two-step
+    # R_i has NaN on its diagonal and zeros elsewhere, so the solve meets an
+    # exact zero pivot before any NaN
+    path = tmp_path / "zeros.csv"
+    rows = [f"{t},0.0,0.0,{1e154 if t in (8, 9) else 0.0!r}" for t in range(11)]
+    path.write_text("\n".join(["t,y1,y2,y3"] + rows) + "\n")
+    argv = ["fit", "--data", str(path), "--response", "y1,y2,y3", "--method", "two_step",
+            "--lags", "0"]
+    with np.errstate(all="ignore"):
+        assert run_command(argv) == 3
+    captured = capsys.readouterr()
+    want = "numerical failure: working correlation is singular or not finite\n"
+    assert (captured.out, captured.err) == ("", want)
 
 
 @pytest.mark.parametrize("command", ["fit", "diagnose"])

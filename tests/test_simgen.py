@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from conftest import estimator_summary
 from loop_oracle import loop_generate_ar2
 from mtgee import simgen
+from mtgee.cli import run_command
 from mtgee.corr import build_fixed_corr
-from mtgee.errors import ContractError, InstabilityError
+from mtgee.errors import ContractError, CorrelationDegeneracyError, InstabilityError, StudyError
 from mtgee.simgen import SimDesign, generate_ar2, monte_carlo_study, true_correlation
 
 
@@ -102,13 +104,78 @@ def test_true_correlation_patterns():
 def test_study_parallel_matches_serial(monkeypatch):
     design = SimDesign(n=120, m=3, corr_kind="cs", alpha0=0.7, seed=21)
     serial = monte_carlo_study(design, s=8, level=0.9, parallel=False)
-    monkeypatch.setenv("MTGEE_THREADS", "2")
+    monkeypatch.setattr(simgen, "_usable_cpus", lambda: 2)
     parallel = monte_carlo_study(design, s=8, level=0.9, parallel=True)
     for a, b in zip(serial.estimators, parallel.estimators):
         assert a.label == b.label
         assert np.array_equal(a.bias, b.bias)
         assert np.array_equal(a.mse, b.mse)
         assert np.array_equal(a.coverage, b.coverage)
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool was started")
+
+
+def test_study_on_one_usable_cpu_starts_no_pool(monkeypatch):
+    # the host has two CPUs, but the affinity mask lets the process run on one
+    import concurrent.futures
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(simgen, "ESTIMATORS", ("independence", "quasi_true"))
+    design = SimDesign(n=60, m=2, corr_kind="cs", alpha0=0.5, seed=4)
+    serial = monte_carlo_study(design, s=4, parallel=False)
+    parallel = monte_carlo_study(design, s=4, parallel=True)
+    for a, b in zip(serial.estimators, parallel.estimators):
+        assert np.array_equal(a.mse, b.mse) and np.array_equal(a.coverage, b.coverage)
+
+
+def test_study_pool_holds_no_more_workers_than_chunks(monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simgen, "ESTIMATORS", ("independence", "quasi_true"))
+    design = SimDesign(n=60, m=2, corr_kind="cs", alpha0=0.5, seed=4)
+    monte_carlo_study(design, s=3, parallel=True)
+    assert started == [3]
+
+
+def test_study_aborts_when_a_column_fails_too_often(monkeypatch, capsys):
+    # a provider that cannot be built fails the column on every replication
+    provider = simgen._provider
+
+    def failing(design, name):
+        if name == "ar1":
+            raise CorrelationDegeneracyError("ar1 pattern is not positive definite")
+        return provider(design, name)
+
+    monkeypatch.setattr(simgen, "_provider", failing)
+    design = SimDesign(n=60, m=2, corr_kind="cs", alpha0=0.5, seed=4)
+    with pytest.raises(StudyError, match=r"^estimator 'ar1' failed on 5/5 replications$"):
+        monte_carlo_study(design, s=5)
+    assert run_command(["simulate", "--n", "60", "--m", "2", "--s", "5", "--seed", "4"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "numerical failure: estimator 'ar1' failed on 5/5 replications\n")
 
 
 # beta0 = (1.025, 0) explodes late and at steps that differ between replications:
@@ -174,7 +241,7 @@ def test_study_does_not_depend_on_chunk_length(monkeypatch, chunk, parallel):
     monkeypatch.setattr(simgen, "CHUNK_REPS", 1)
     want = monte_carlo_study(design, s=8, level=0.9)
     monkeypatch.setattr(simgen, "CHUNK_REPS", chunk)
-    monkeypatch.setenv("MTGEE_THREADS", "2")
+    monkeypatch.setattr(simgen, "_usable_cpus", lambda: 2)
     got = monte_carlo_study(design, s=8, level=0.9, parallel=parallel)
     for a, b in zip(want.estimators, got.estimators):
         assert a.label == b.label and a.failures == b.failures
@@ -190,7 +257,7 @@ def test_study_explosion_matches_one_replication_path(monkeypatch, chunk, parall
     design = SimDesign(**EXPLOSIVE, seed=3)
     want = _first_instability(design, range(6))
     monkeypatch.setattr(simgen, "CHUNK_REPS", chunk)
-    monkeypatch.setenv("MTGEE_THREADS", "2")
+    monkeypatch.setattr(simgen, "_usable_cpus", lambda: 2)
     with pytest.raises(InstabilityError) as err:
         monte_carlo_study(design, s=6, parallel=parallel)
     assert err.value.step == want.step and str(err.value) == str(want)
