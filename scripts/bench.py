@@ -31,13 +31,16 @@ The entries:
   entry point;
 - on the long binary CSV that ``perfbench/inputs.py`` writes for seed 1,
   (n, m, p) = (5998, 6, 4), logistic link, running empirical working
-  correlation: ``eval_g``, ``eval_jacobian``, ``sandwich`` and
-  ``optimality_ratios`` against compound symmetry, each call at the other
-  of two betas (a context keeps the moments of the last beta it evaluated,
-  so a repeated beta would time that memo), ``parse_dataset``, and
-  ``fit --corr empirical`` (``fit_cli_empirical``) and ``diagnose --corr
-  empirical --d-grid 0,0.01,0.1`` (``diagnose_cli_empirical``) through the
-  CLI entry point;
+  correlation: ``eval_g``, ``eval_jacobian``, ``sandwich``,
+  ``eigen_conditions``, ``leverage`` and ``optimality_ratios`` against
+  compound symmetry, each call at the other of two betas (a context keeps
+  the moments of the last beta it evaluated, so a repeated beta would time
+  that memo), ``perturbation_sensitivity`` with budgets 0, 0.01 and 0.1 on
+  the Newton fit with a running empirical correlation whose plug-in is the
+  working-independence estimate, ``parse_dataset``, and ``fit --corr
+  empirical`` (``fit_cli_empirical``) and ``diagnose --corr empirical
+  --d-grid 0,0.01,0.1`` (``diagnose_cli_empirical``) through the CLI entry
+  point;
 - ``solve_newton`` on the same data from the working-independence
   estimate, with that running empirical correlation
   (``solve_newton_empirical``) and with compound symmetry, alpha = 0.4
@@ -148,6 +151,9 @@ def entries(mt, directory, wide_columns):
         estfun.eval_g(context, beta - 0.05)
     start = estfun.working_independence_estimate(long, logistic)
     reference = corr.build_fixed_corr("compound_symmetry", 0.4, 6)
+    fitted = estfun.fit(estfun.EstimatingContext(data=long, link=logistic,
+                                                 corr=corr.empirical_running(6)),
+                        "newton", with_inference=False)
 
     def alternating(evaluate):
         betas = itertools.cycle((beta, beta + 0.05))
@@ -173,8 +179,12 @@ def entries(mt, directory, wide_columns):
         "eval_g": (1, alternating(estfun.eval_g)),
         "eval_jacobian": (1, alternating(estfun.eval_jacobian)),
         "sandwich": (1, alternating(mt.sandwich)),
+        "eigen_conditions": (1, alternating(mt.diagnostics.eigen_conditions)),
+        "leverage": (1, alternating(mt.diagnostics.leverage)),
         "optimality_ratios": (1, alternating(
             lambda context, b: mt.diagnostics.optimality_ratios(context, b, reference))),
+        "perturbation_sensitivity": (2, lambda: mt.diagnostics.perturbation_sensitivity(
+            fitted, (0.0, 0.01, 0.1), seed=4, true_corr=reference)),
         "parse_dataset": (1, lambda: mt.cli.parse_dataset(spec)),
         "parse_dataset_wide": (1, lambda: mt.cli.parse_dataset(wide)),
         "fit_cli_empirical": (2, cli("fit", *long_flags, "--method", "newton",

@@ -16,7 +16,9 @@ The commands:
   plug-ins, and ``diagnose --corr cs``, whose reference correlation
   overflows), and a two-row file whose closed-form root overflows;
 - ``diagnose --method newton --max-iter 0 --d-grid 0,1e-9`` on the wind
-  fixture, whose refits must keep the fit's Newton settings;
+  fixture, whose refits start at the fit's root and take no step, and
+  ``diagnose --method newton --corr cs --max-iter 1 --d-grid 0,0.01`` on
+  the long binary file, whose refits each take one step from that root;
 - ``simulate --s 50`` and ``replicate-tables --s 50`` with seeds 1 and 3,
   and ``replicate-tables --s 500 --seed 3``;
 - ``replicate-tables --s 50 --seed 1 --parallel`` and ``simulate --s 50
@@ -131,6 +133,9 @@ def commands(directory):
     out.append(("diagnose_wind_synthetic_newton_cs_max_iter0",
                 ["diagnose"] + wind + ["--method", "newton", "--corr", "cs", "--max-iter", "0",
                                        "--d-grid", "0,1e-9"]))
+    out.append(("diagnose_binary_long_newton_cs_max_iter1",
+                ["diagnose"] + datasets["binary_long"] + ["--method", "newton", "--corr", "cs",
+                                                          "--max-iter", "1", "--d-grid", "0,0.01"]))
     for seed in (1, 3):
         out.append((f"simulate_s50_seed{seed}", ["simulate", "--s", "50", "--seed", str(seed)]))
         out.append((f"replicate_s50_seed{seed}",

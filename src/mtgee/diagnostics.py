@@ -6,9 +6,10 @@ the verdicts here are heuristic growth tests and are labelled
 supported / violated / inconclusive accordingly.  The optimality monitor
 tracks the determinant ratios det(H*_n)/det(Mbar_n) and
 det(M*_n)/det(Mbar_n), which approach 1 when the working correlation
-sequence converges to the true one, and a perturbation study that takes a
-fit and refits it, with the same estimator, after disturbing the regressors
-under a geometrically decaying budget ||delta_i|| <= d * 2^{-i}.
+sequence converges to the true one, and a perturbation study that refits a
+fit on regressors disturbed within ||delta_i|| <= d * 2^{-i}: the fit's own
+equation (provider, plug-in beta), a Newton fit continued from its root with
+its tol and max_iter, so at max_iter 0 every drift is 0.
 """
 
 from dataclasses import dataclass, replace
@@ -19,7 +20,7 @@ import numpy as np
 from .corr import _check_spd
 from .errors import ContractError, NumericalError, RankDeficiencyError
 from .estfun import (EstimatingContext, FitResult, _check_beta, _gram, _rank_test,
-                     _single_series, fit)
+                     _single_series, solve_linear, solve_newton)
 from .model import ClusterSeries
 from .simgen import substream
 
@@ -235,9 +236,11 @@ def perturbation_sensitivity(fitted: FitResult, d_grid: Sequence[float], seed: i
     report records the estimate drift ||beta(delta) - beta(0)|| and the
     full-sample determinant ratios against ``true_corr``, each on its
     refit's own context.  The grid must include 0, whose fit is ``fitted``
-    itself.  A refit is the same estimator on the perturbed data: the fit's
-    context, and Newton with the fit's ``tol`` and ``max_iter`` if
-    ``fitted`` has a Newton report, else the closed form.
+    itself.  A refit is the fit's context (provider, plug-in beta, link) on
+    the perturbed data, solved by the closed form if ``fitted`` has no
+    Newton report, else by Newton from ``fitted.beta_hat`` with the fit's
+    ``tol`` and ``max_iter``: a fit that did not converge is continued from
+    its own root, so at ``max_iter`` 0 every drift is 0.
     """
     ctx, base = fitted.ctx, fitted.beta_hat
     _single_series(ctx, "perturbation_sensitivity")
@@ -249,20 +252,17 @@ def perturbation_sensitivity(fitted: FitResult, d_grid: Sequence[float], seed: i
         raise ContractError("budgets must be nonnegative")
     if not np.all(np.isfinite(budgets)):
         raise ContractError(f"budgets must be finite, got {budgets.tolist()}")
-    method = "linear" if fitted.solver is None else "newton"
     n, m, p = ctx.data.n, ctx.data.m, ctx.data.p
 
     def measure(k, d):
         """Drift and full-sample determinant ratios of the fit at budget d."""
         beta_d, ctx_d = base, ctx
         if d > 0.0:
-            rng = substream(seed, k)
-            deltas = _scale_to_budget(rng.standard_normal((n, m, p)), d)
-            data_d = ClusterSeries(ys=ctx.data.ys, Xs=ctx.data.Xs + deltas)
+            deltas = _scale_to_budget(substream(seed, k).standard_normal((n, m, p)), d)
+            ctx_d = replace(ctx, data=ClusterSeries(ys=ctx.data.ys, Xs=ctx.data.Xs + deltas))
             del deltas  # freed before the refit, which sets the peak memory
-            refit = fit(replace(ctx, data=data_d), method, tol=fitted.tol,
-                        max_iter=fitted.max_iter, with_inference=False)
-            beta_d, ctx_d = refit.beta_hat, refit.ctx
+            beta_d = solve_linear(ctx_d) if fitted.solver is None else solve_newton(
+                ctx_d, beta_init=base, tol=fitted.tol, max_iter=fitted.max_iter).beta_hat
         rep = optimality_ratios(ctx_d, beta_d, true_corr)
         return float(np.linalg.norm(beta_d - base)), rep.det_ratio_H[-1], rep.det_ratio_M[-1]
 

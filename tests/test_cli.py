@@ -794,11 +794,15 @@ def test_cli_diagnose_passes_tol_and_max_iter(tmp_path, capsys):
 
 
 def test_cli_diagnose_refits_with_the_fit_newton_settings(capsys):
-    # the fit made no Newton iteration, so neither does any refit: a budget of
-    # 1e-9 moves the working-independence start by about as much
+    # a refit starts at the fit's root with the fit's --max-iter: at 0 no
+    # refit moves, and at 1 each takes one step from it
     argv = ["diagnose", "--data", FIXTURE, "--response", "wind_s1,wind_s2,wind_s3",
             "--exog", "airtemp_s1,airtemp_s2,airtemp_s3", "--lags", "2", "--method", "newton",
-            "--corr", "cs", "--max-iter", "0", "--d-grid", "0,1e-9"]
-    assert run_command(argv) == 0
-    drift = json.loads(capsys.readouterr().out)["diagnostics"]["perturbation"]["perturb_drift"]
-    assert drift[0] == 0 and 0 < drift[1] <= 1e-7
+            "--corr", "cs", "--d-grid", "0,0.01"]
+    drifts = []
+    for max_iter in ("0", "1"):
+        assert run_command(argv + ["--max-iter", max_iter]) == 0
+        report = json.loads(capsys.readouterr().out)["diagnostics"]["perturbation"]
+        drifts.append(report["perturb_drift"])
+    assert drifts[0] == [0, 0]
+    assert drifts[1][0] == 0 and drifts[1][1] > 0

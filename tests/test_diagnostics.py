@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_series
+from conftest import glm_series, random_series
 from ergodicity import ergodicity_check
 from mtgee import corr, diagnostics
 from mtgee.diagnostics import (
@@ -11,7 +11,7 @@ from mtgee.diagnostics import (
     perturbation_sensitivity,
 )
 from mtgee.errors import ContractError, CorrelationDegeneracyError
-from mtgee.estfun import EstimatingContext, fit
+from mtgee.estfun import EstimatingContext, eval_jacobian, fit
 from mtgee.model import ClusterSeries, get_link
 from mtgee.simgen import SimDesign, generate_ar2, substream
 
@@ -23,6 +23,19 @@ CS_TRUTH = corr.build_fixed_corr("compound_symmetry", 0.7, 5)
 def ar2_ctx(n=2000, seed=0, truth="cs", provider=None):
     data = generate_ar2(SimDesign(n=n, m=5, corr_kind=truth, alpha0=0.7, seed=seed))
     return EstimatingContext(data=data, link=IDENT, corr=provider)
+
+
+def spy_refits(monkeypatch):
+    """Record each refit of perturbation_sensitivity as (solver name, context,
+    keyword arguments, result); the solvers still run."""
+    refits = []
+    for name in ("solve_linear", "solve_newton"):
+        def spy(ctx, _name=name, _solver=getattr(diagnostics, name), **kw):
+            out = _solver(ctx, **kw)
+            refits.append((_name, ctx, kw, out))
+            return out
+        monkeypatch.setattr(diagnostics, name, spy)
+    return refits
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +136,7 @@ def test_optimality_monitors_reject_a_bad_true_corr(monkeypatch, rng, name):
     res = fit(EstimatingContext(data=random_series(rng, n=40, m=3, p=2), link=IDENT), "linear")
     with pytest.raises(error, match=text):
         optimality_ratios(res.ctx, res.beta_hat, true_corr)
-    refits = []
-    monkeypatch.setattr(diagnostics, "fit", lambda *args, **kw: refits.append(args))
+    refits = spy_refits(monkeypatch)
     with pytest.raises(error, match=text):
         perturbation_sensitivity(res, (0.1, 0.0), seed=1, true_corr=true_corr)
     assert refits == []
@@ -209,27 +221,56 @@ def test_perturbation_zero_budget_is_identity():
 ])
 def test_perturbation_refits_the_fitted_estimator(monkeypatch, method, provider):
     # every refit is the fit's estimator: its context on the perturbed data,
-    # its method, and its Newton settings
+    # its solver, and its Newton settings, starting at the fit's root
     fitted = fit(ar2_ctx(n=300, seed=2, provider=provider), method=method, tol=1e-6,
                  max_iter=7, with_inference=False)
-    refits = []
-
-    def spy(ctx, method, **kw):
-        refits.append((ctx, method, kw))
-        return fit(ctx, method, **kw)
-
-    monkeypatch.setattr(diagnostics, "fit", spy)
+    refits = spy_refits(monkeypatch)
     report = perturbation_sensitivity(fitted, [0.0, 0.01, 0.1], seed=3, true_corr=CS_TRUTH)
     assert report.perturb_drift[0] == 0.0 and np.all(report.perturb_drift[1:] > 0.0)
     at_fit = optimality_ratios(fitted.ctx, fitted.beta_hat, CS_TRUTH)  # budget 0 is the fit
     assert (report.det_ratio_H[0], report.det_ratio_M[0]) == (at_fit.det_ratio_H[-1],
                                                               at_fit.det_ratio_M[-1])
     assert len(refits) == 2
-    for ctx, refit_method, kw in refits:
-        assert refit_method == method
-        assert kw == {"tol": 1e-6, "max_iter": 7, "with_inference": False}
+    for solver, ctx, kw, _ in refits:
+        if method == "linear":
+            assert (solver, kw) == ("solve_linear", {})
+        else:
+            assert solver == "solve_newton"
+            assert kw["beta_init"] is fitted.beta_hat
+            assert (kw["tol"], kw["max_iter"]) == (1e-6, 7) and len(kw) == 3
         assert ctx.corr is fitted.ctx.corr and ctx.link is fitted.ctx.link
         assert np.array_equal(ctx.data.ys, fitted.ctx.data.ys)
+
+
+@pytest.mark.parametrize("link_kind, provider", [
+    ("logistic", corr.compound_symmetry(0.3, 4)),
+    ("logistic", corr.empirical_running(4)),
+    ("identity", corr.compound_symmetry(0.3, 4)),
+])
+def test_perturbation_newton_refit_from_the_root_matches_a_fresh_solve(
+        monkeypatch, link_kind, provider):
+    # a refit starts at the fit's root, where a fresh refit starts at the
+    # working-independence estimate of the perturbed data; both stop at
+    # ||g_n||_inf <= tol, so each lies within sqrt(p) tol ||D_n^{-1}||_2 of the
+    # root to first order, and the two within twice that.  ``safety`` covers the
+    # second-order term of g_n, which at these gaps is far below tol.
+    safety, tol = 4.0, 1e-8
+    data = glm_series(substream(2311, 0), link_kind, beta0=(0.3, -0.4, 0.2), n=300, m=4)
+    fitted = fit(EstimatingContext(data=data, link=get_link(link_kind), corr=provider),
+                 "newton", tol=tol, with_inference=False)
+    refits = spy_refits(monkeypatch)
+    report = perturbation_sensitivity(fitted, [0.0, 0.01, 0.1], seed=5, true_corr=np.eye(4))
+    assert [solver for solver, *_ in refits] == ["solve_newton"] * 2
+    for drift, (_, ctx_d, _, warm) in zip(report.perturb_drift[1:], refits):
+        assert warm.converged
+        fresh = fit(ctx_d, "newton", tol=tol, max_iter=fitted.max_iter, with_inference=False)
+        d_inv = np.linalg.norm(np.linalg.inv(eval_jacobian(ctx_d, fresh.beta_hat)), 2)
+        bound = safety * 2.0 * np.sqrt(data.p) * tol * d_inv
+        assert np.linalg.norm(warm.beta_hat - fresh.beta_hat) <= bound
+        # the reported drift is the fresh one's within the bound, so a refit
+        # that returned its start unchanged (drift 0) would miss it
+        fresh_drift = np.linalg.norm(fresh.beta_hat - fitted.beta_hat)
+        assert abs(drift - fresh_drift) <= bound < fresh_drift
 
 
 @pytest.mark.parametrize("m, p", [(6, 4), (8, 4), (3, 5)])
@@ -256,8 +297,7 @@ def test_perturbation_requires_zero_in_grid():
 @pytest.mark.parametrize("budget", [np.nan, np.inf])
 def test_perturbation_rejects_a_non_finite_budget_before_any_refit(monkeypatch, budget):
     res = fit(ar2_ctx(n=100, provider=corr.compound_symmetry(0.7, 5)), "linear")
-    refits = []
-    monkeypatch.setattr(diagnostics, "fit", lambda *args, **kw: refits.append(args))
+    refits = spy_refits(monkeypatch)
     with pytest.raises(ContractError) as err:
         perturbation_sensitivity(res, [0.0, budget], seed=0, true_corr=CS_TRUTH)
     assert str(err.value) == f"budgets must be finite, got [0.0, {budget}]"
