@@ -19,8 +19,15 @@ The commands:
   fixture, whose refits start at the fit's root and take no step, and
   ``diagnose --method newton --corr cs --max-iter 1 --d-grid 0,0.01`` on
   the long binary file, whose refits each take one step from that root;
+- the designs that hold their own response, which exit 1: the wind
+  fixture with its responses as exogenous, the long binary file with
+  ``--exog y``, and the wind fixture with a response column listed twice;
+- ``diagnose --method linear`` on a 5-row wide file of 5 units with 2 lags
+  and one exogenous variable: fewer steps (3) than regressors (4), but 15
+  rows in H'_n;
 - ``simulate --s 50`` and ``replicate-tables --s 50`` with seeds 1 and 3,
-  and ``replicate-tables --s 500 --seed 3``;
+  ``simulate --s 50 --truth independence`` and ``--truth ar1``, and
+  ``replicate-tables --s 500 --seed 3``;
 - ``replicate-tables --s 50 --seed 1 --parallel`` and ``simulate --s 50
   --seed 3 --parallel``, which run the study's worker pool on a host with
   two or more usable CPUs; their files must also equal those of their
@@ -67,12 +74,13 @@ FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "data",
 METHODS = ("two_step", "linear", "newton")
 CORRS = ("independence", "cs", "ar1", "empirical")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-OVERFLOW_CSV, TWO_ROWS_CSV = "overflow.csv", "two_rows.csv"
+OVERFLOW_CSV, TWO_ROWS_CSV, FIVE_ROWS_CSV = "overflow.csv", "two_rows.csv", "five_rows.csv"
 PARALLEL = "_parallel"  # suffix of a command whose serial twin lacks --parallel
 
 
-def write_overflow_inputs(directory, rows=20, units=3):
-    """Write the two overflowing files of the command list into ``directory``."""
+def write_small_inputs(directory, rows=20, units=3):
+    """Write the two overflowing files and the 5-row file of the command list
+    into ``directory``."""
     ys = np.round(np.random.default_rng(0).normal(size=(rows, units)), 3)
     ys[rows // 2, 1] = 1e200
     lines = [",".join(["t"] + [f"y{j + 1}" for j in range(units)])]
@@ -81,6 +89,11 @@ def write_overflow_inputs(directory, rows=20, units=3):
         fh.write("\n".join(lines) + "\n")
     with open(os.path.join(directory, TWO_ROWS_CSV), "w", encoding="utf-8") as fh:
         fh.write("t,y1,y2\n0,1e308,1\n1,2,1e308\n")
+    cells = np.round(np.random.default_rng(1).normal(size=(5, 10)), 3)
+    lines = [",".join(["t"] + [f"y{j}" for j in range(5)] + [f"z{j}" for j in range(5)])]
+    lines += [",".join([str(t)] + [repr(float(v)) for v in row]) for t, row in enumerate(cells)]
+    with open(os.path.join(directory, FIVE_ROWS_CSV), "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def commands(directory):
@@ -136,10 +149,26 @@ def commands(directory):
     out.append(("diagnose_binary_long_newton_cs_max_iter1",
                 ["diagnose"] + datasets["binary_long"] + ["--method", "newton", "--corr", "cs",
                                                           "--max-iter", "1", "--d-grid", "0,0.01"]))
+    own_response = {
+        "wind_synthetic_exog": wind[:4] + ["--exog", "wind_s1,wind_s2,wind_s3"],
+        "binary_long_exog": ["--data", os.path.join(directory, LONG_CSV), "--layout", "long",
+                             "--time-col", "day", "--unit-col", "station", "--response", "y",
+                             "--exog", "y"],
+        "wind_synthetic_response_twice": wind[:2] + ["--response", "wind_s1,wind_s1,wind_s2"],
+    }
+    for name, flags in own_response.items():
+        out.append((f"fit_own_response_{name}", ["fit"] + flags + ["--method", "linear",
+                                                                   "--corr", "cs"]))
+    out.append(("diagnose_five_rows_linear", [
+        "diagnose", "--data", os.path.join(directory, FIVE_ROWS_CSV),
+        "--response", "y0,y1,y2,y3,y4", "--exog", "z0,z1,z2,z3,z4", "--lags", "2",
+        "--method", "linear"]))
     for seed in (1, 3):
         out.append((f"simulate_s50_seed{seed}", ["simulate", "--s", "50", "--seed", str(seed)]))
         out.append((f"replicate_s50_seed{seed}",
                     ["replicate-tables", "--s", "50", "--seed", str(seed)]))
+    for truth in ("independence", "ar1"):
+        out.append((f"simulate_s50_{truth}", ["simulate", "--s", "50", "--truth", truth]))
     out.append(("replicate_s500_seed3", ["replicate-tables", "--s", "500", "--seed", "3"]))
     for name, argv in [("replicate_s50_seed1", ["replicate-tables", "--s", "50", "--seed", "1"]),
                        ("simulate_s50_seed3", ["simulate", "--s", "50", "--seed", "3"])]:
@@ -273,7 +302,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         directory = tempfile.mkdtemp(dir=tmp)
         write_inputs(inputs, directory)
-        write_overflow_inputs(directory)
+        write_small_inputs(directory)
         dirs = [os.path.join(tmp, "before"), os.path.join(tmp, "after")]
         runs = []
         for src, out_dir in zip((args.baseline_src, args.src), dirs):

@@ -33,11 +33,7 @@ from .errors import ContractError, DataError, MtgeeError, NumericalError
 from .estfun import EstimatingContext, fit
 from .inference import predict_next
 from .model import LINKS, ClusterSeries, get_link
-from .simgen import (
-    CORR_KIND_ALIASES,
-    SimDesign,
-    monte_carlo_study,
-)
+from .simgen import TRUTHS, SimDesign, monte_carlo_study
 
 SCHEMA = "mtgee/1"
 
@@ -94,17 +90,13 @@ def json_dumps(obj) -> str:
     return render(obj, 0) + "\n"
 
 
-# replicate-tables' truths, in table order, with their labels in the tables
-_TRUTH_LABELS = {"independence": "R1", "compound_symmetry": "R2", "ar1": "R3"}
-
-
 def _mc_table_csv(reports, metric: str) -> str:
     """Long-format metric table: one row per estimator x truth x component."""
     buf = io.StringIO()
     writer = _csv.writer(buf, lineterminator="\n")
     writer.writerow(["estimator", "truth", "component", "value"])
     for report in reports:
-        truth = _TRUTH_LABELS[report.design.corr_kind]
+        truth = TRUTHS[report.design.corr_kind]
         for summ in report.estimators:
             for k, v in enumerate(getattr(summ, metric)):
                 writer.writerow([summ.label, truth, k + 1, format(float(v), ".17g")])
@@ -155,7 +147,8 @@ class DatasetSpec:
     The design matrix row for unit j at step i is
     [1 (optional) | y_{i-1,j} ... y_{i-lags,j} | z_{ij}...]: intercept
     first, then lags newest-first, then the exogenous block.  The first
-    ``lags`` rows seed the lag window and produce no steps.
+    ``lags`` rows seed the lag window and produce no steps.  No response
+    column is listed twice or as an exogenous column.
     """
 
     path: str
@@ -179,6 +172,14 @@ class DatasetSpec:
             raise ContractError("at least one response column is required")
         if self.layout == "long" and len(self.response_cols) != 1:
             raise ContractError(f"long layout takes one response column, got {self.response_cols}")
+        # a repeated unit, or a regressor z_ij that is y_ij itself
+        groups = [self.exog_cols] if self.layout == "long" else self.exog_cols
+        for k, col in enumerate(self.response_cols):
+            if col in self.response_cols[:k]:
+                raise ContractError(f"response column {col!r} is listed twice")
+        for col in (col for group in groups for col in group):
+            if col in self.response_cols:
+                raise ContractError(f"exogenous column {col!r} is a response column")
 
 
 def _read_rows(path):
@@ -638,10 +639,7 @@ def _cmd_predict(args):
 
 def _cmd_monte_carlo(args):
     """simulate (the --truth design) and replicate-tables (all three truths)."""
-    if args.command == "simulate":
-        truths = [CORR_KIND_ALIASES[args.truth]]
-    else:
-        truths = list(_TRUTH_LABELS)
+    truths = [args.truth] if args.command == "simulate" else TRUTHS
     beta0 = _float_list(args.beta0)
     reports = [
         monte_carlo_study(

@@ -111,11 +111,8 @@ def eigen_conditions(
     for d in delta_grid:
         if not (0.0 < d <= 0.5):
             raise ContractError(f"delta values must lie in (0, 0.5], got {d}")
-    n, p = ctx.data.n, ctx.data.p
-    if n < p:
-        raise ContractError(f"need n >= p, got n={n}, p={p}")
     xa = ctx.moments(beta_hat)[2]  # A^{1/2} X: H'_n is its running Gram
-    pts = _checkpoints(n)
+    pts = _checkpoints(ctx.data.n)
     lam_min = np.empty(len(pts))
     lam_max = np.empty(len(pts))
     for k, (pt, running) in enumerate(zip(pts, _running_gram(xa, xa, pts))):

@@ -2,8 +2,8 @@
 
 Data are generated from a multivariate second-order autoregression
 y_i = beta_{0,1} y_{i-1} + beta_{0,2} y_{i-2} + eps_i with Gaussian
-innovations whose covariance is one of three patterns (identity, compound
-symmetry, AR(1)).  The study fits, per replication, the five columns of
+innovations whose covariance is one of the three ``TRUTHS`` (independence,
+compound symmetry, AR(1)); per replication, the study fits the five columns of
 ``ESTIMATORS``: the working independence, compound symmetry and AR(1)
 estimators and the two-step pseudo-likelihood estimator, each the provider
 that ``corr.PROVIDERS`` gives its name at the design's alpha0, and the
@@ -53,12 +53,9 @@ EXPLOSION_GUARD = 1e6
 # of one stack of 4 replications (see _replications).
 CHUNK_REPS = 32
 
-CORR_KIND_ALIASES = {
-    "independence": "independence",
-    "cs": "compound_symmetry",
-    "compound_symmetry": "compound_symmetry",
-    "ar1": "ar1",
-}
+# The study's true innovation correlations, in table order, with the labels
+# of the paper's tables; SimDesign also takes "cs", the corr.PROVIDERS name
+TRUTHS = {"independence": "R1", "compound_symmetry": "R2", "ar1": "R3"}
 
 
 def substream(seed: int, stream: int) -> np.random.Generator:
@@ -85,8 +82,9 @@ class SimDesign:
             raise ContractError(f"beta0 must be finite, got {tuple(self.beta0)}")
         if self.n < 1 or self.m < 1:
             raise ContractError("n and m must be positive")
-        kind = CORR_KIND_ALIASES.get(str(self.corr_kind).lower())
-        if kind is None:
+        kind = str(self.corr_kind).lower()
+        kind = "compound_symmetry" if kind == "cs" else kind
+        if kind not in TRUTHS:
             raise ContractError(f"unknown correlation kind {self.corr_kind!r}")
         object.__setattr__(self, "corr_kind", kind)
         # validates the alpha range for this kind/m

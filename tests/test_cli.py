@@ -271,6 +271,49 @@ def test_long_layout_takes_exactly_one_response_column(tmp_path, capsys):
         "usage error: long layout takes one response column, got ['y', 'no_such_column']\n")
 
 
+LONG_3UNITS = "time,unit,y,x\n" + "".join(
+    f"{t},{u},{1.0 + t + 0.3 * k},{0.5 * t - k}\n" for t in range(5) for k, u in enumerate("abc"))
+
+
+@pytest.mark.parametrize("text, flags, message", [
+    (None, ["--response", "wind_s1,wind_s2,wind_s3", "--exog", "wind_s1,wind_s2,wind_s3"],
+     "exogenous column 'wind_s1' is a response column"),
+    (LONG_3UNITS, ["--layout", "long", "--time-col", "time", "--unit-col", "unit",
+                   "--response", "y", "--exog", "y"],
+     "exogenous column 'y' is a response column"),
+    (None, ["--response", "wind_s1,wind_s1,wind_s2"],
+     "response column 'wind_s1' is listed twice"),
+], ids=["wide_exog", "long_exog", "wide_response_twice"])
+def test_a_design_that_holds_its_own_response_exit_1(tmp_path, capsys, text, flags, message):
+    # as a regressor, y_ij fits itself with beta = (0, ..., 0, 1); listed twice,
+    # a response column is two units of one cluster
+    path = FIXTURE
+    if text is not None:
+        path = tmp_path / "long.csv"
+        path.write_text(text)
+    argv = ["fit", "--data", str(path), "--method", "linear", "--corr", "cs"] + flags
+    assert run_command(argv) == 1
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
+
+
+def test_diagnose_accepts_fewer_steps_than_regressors(tmp_path, capsys):
+    # 5 rows of 5 units, 2 lags and one exogenous variable: n = 3 steps, p = 4,
+    # but H'_n sums n * m = 15 rows, as fit's normal matrix does
+    rng = np.random.default_rng(5)
+    lines = [",".join(["t"] + [f"y{j}" for j in range(5)] + [f"z{j}" for j in range(5)])]
+    lines += [",".join([str(t)] + [f"{v:.3f}" for v in rng.normal(size=10)]) for t in range(5)]
+    path = tmp_path / "five.csv"
+    path.write_text("\n".join(lines) + "\n")
+    argv = ["--data", str(path), "--response", "y0,y1,y2,y3,y4", "--exog", "z0,z1,z2,z3,z4",
+            "--lags", "2", "--method", "linear"]
+    assert run_command(["fit"] + argv) == 0
+    capsys.readouterr()
+    assert run_command(["diagnose"] + argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["config"]["n"], payload["config"]["p"]) == (3, 4)
+    assert min(payload["diagnostics"]["conditions"]["lambda_min"]) > 0
+
+
 WIDE_REPEATED = "t,y1,y1,z,z\n1,1.0,2.0,5.0,6.0\n2,1.1,2.1,5.5,6.5\n3,1.2,2.2,9.0,9.5\n"
 LONG_REPEATED = "time,unit,y,x,x\n1,a,1.0,5.0,6.0\n1,b,2.0,5.5,6.5\n2,a,1.1,5.2,6.2\n2,b,2.1,5.7,6.7\n"
 
@@ -514,14 +557,17 @@ def test_cli_non_finite_output_exit_3(capsys):
         "numerical failure: cannot serialize non-finite float to JSON\n")
 
 
-@pytest.mark.parametrize("budget", ["nan", "inf"])
-def test_cli_non_finite_budget_exit_1(capsys, budget):
+@pytest.mark.parametrize("budget, message", [
+    ("nan", "budgets must be finite, got [0.0, nan]"),
+    ("inf", "budgets must be finite, got [0.0, inf]"),
+    ("-0.1", "budgets must be nonnegative"),
+], ids=["nan", "inf", "negative"])
+def test_cli_non_finite_budget_exit_1(capsys, budget, message):
     argv = ["diagnose", "--data", FIXTURE, "--response", "wind_s1,wind_s2,wind_s3",
             "--d-grid", f"0,{budget}"]
     assert run_command(argv) == 1
     captured = capsys.readouterr()
-    want = f"usage error: budgets must be finite, got [0.0, {budget}]\n"
-    assert (captured.out, captured.err) == ("", want)
+    assert (captured.out, captured.err) == ("", f"usage error: {message}\n")
 
 
 def test_every_provider_name_is_a_key_of_the_one_table():
@@ -627,6 +673,7 @@ def test_cli_non_finite_closed_form_root_is_a_numerical_failure_exit_3(tmp_path,
     (["--tol", "-1"], "tol must be finite and > 0, got -1.0"),
     (["--tol", "inf"], "tol must be finite and > 0, got inf"),
     (["--max-iter", "-3"], "max_iter must be >= 0, got -3"),
+    (["--level", "1"], "level must be in (0, 1), got 1.0"),
 ])
 def test_cli_bad_newton_settings_exit_1(capsys, flags, message):
     argv = ["fit", "--data", FIXTURE, "--response", "wind_s1,wind_s2,wind_s3",
@@ -698,6 +745,10 @@ def test_replicate_tables_is_the_three_simulate_runs(tmp_path):
     assert json.loads((tmp_path / "grid.json").read_text())["reports"] == reports
     for name, rows in tables.items():
         assert (tmp_path / f"grid_{name}.csv").read_text().splitlines()[1:] == rows
+    # simgen.TRUTHS holds the truths' order and their labels in the tables
+    assert [report["design"]["truth"] for report in reports] == list(simgen.TRUTHS)
+    labels = dict.fromkeys(row.split(",")[1] for row in tables["table1"])
+    assert list(labels) == list(simgen.TRUTHS.values()) == ["R1", "R2", "R3"]
 
 
 def test_cli_diagnose_payload(capsys):

@@ -92,7 +92,7 @@ def wide_files(draw):
     header = [draw(PADS) + names[k] + draw(PADS) for k in order]
     repeat_header_name(draw, header)
     if q and draw(st.integers(0, 9)) == 0:
-        exog[0] = exog[0][:-1] or ["y0", "y0"]  # a group that does not list m columns
+        exog[0] = exog[0][:-1] or exog[0] * 2  # a group that does not list m columns
     impute = draw(st.sampled_from(["nearest_neighbor", "none"]))
     text = draw(csv_text(header, rows))
     return text, dict(layout="wide", response_cols=response, exog_cols=exog, impute=impute)

@@ -85,6 +85,21 @@ def test_design_validation():
         SimDesign(corr_kind="cs", alpha0=1.5)
 
 
+@pytest.mark.parametrize("name, kind", [
+    ("independence", "independence"), ("AR1", "ar1"), ("compound_symmetry", "compound_symmetry"),
+    ("cs", "compound_symmetry"), ("CS", "compound_symmetry"),
+])
+def test_design_takes_the_truths_and_the_cs_alias_in_any_case(name, kind):
+    assert SimDesign(corr_kind=name).corr_kind == kind
+    assert kind in simgen.TRUTHS
+
+
+@pytest.mark.parametrize("name", ["empirical", "two_step", "quasi_true", "R2", "exchangeable"])
+def test_design_rejects_a_name_outside_the_truths(name):
+    with pytest.raises(ContractError, match=f"unknown correlation kind '{name}'"):
+        SimDesign(corr_kind=name)
+
+
 @pytest.mark.parametrize("beta0", [(math.inf, 0.0), (0.5, -math.inf), (math.nan, 0.2)])
 def test_design_rejects_non_finite_beta0(beta0):
     with pytest.raises(ContractError, match="beta0 must be finite"):
