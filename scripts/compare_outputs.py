@@ -25,13 +25,23 @@ The commands:
 - ``diagnose --method linear`` on a 5-row wide file of 5 units with 2 lags
   and one exogenous variable: fewer steps (3) than regressors (4), but 15
   rows in H'_n;
+- ``fit --layout long`` on an 8-day, 3-station long file whose time, unit
+  and response columns are not three distinct columns (time = response,
+  unit = response, time = unit), and without ``--time-col``; each exits 1;
+- ``diagnose --delta-grid 0.1,abc``, which exits 1;
 - ``simulate --s 50`` and ``replicate-tables --s 50`` with seeds 1 and 3,
   ``simulate --s 50 --truth independence`` and ``--truth ar1``, and
   ``replicate-tables --s 500 --seed 3``;
+- ``simulate --s 50 --seed 1 --truth compound_symmetry``, the default
+  ``cs`` truth under its ``simgen.TRUTHS`` name, and ``simulate --s 50
+  --truth bogus``, which exits 1;
 - ``replicate-tables --s 50 --seed 1 --parallel`` and ``simulate --s 50
   --seed 3 --parallel``, which run the study's worker pool on a host with
-  two or more usable CPUs; their files must also equal those of their
-  serial twins, the same command without ``--parallel``.
+  two or more usable CPUs.
+
+The files of a command named with a suffix of ``TWIN_SUFFIXES`` (the
+``--parallel`` runs and the ``compound_symmetry`` run) must also equal
+those of its twin, the same command without the flag the suffix names.
 
 Each tree (``--baseline-src`` and ``--src``, both ``src`` directories of
 an mtgee checkout) runs the whole list in one child process, with BLAS on
@@ -75,12 +85,15 @@ METHODS = ("two_step", "linear", "newton")
 CORRS = ("independence", "cs", "ar1", "empirical")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 OVERFLOW_CSV, TWO_ROWS_CSV, FIVE_ROWS_CSV = "overflow.csv", "two_rows.csv", "five_rows.csv"
-PARALLEL = "_parallel"  # suffix of a command whose serial twin lacks --parallel
+LONG_8DAYS_CSV = "long_8days.csv"
+# suffixes of commands whose twin lacks --parallel, or takes the default --truth cs
+PARALLEL, COMPOUND_SYMMETRY = "_parallel", "_compound_symmetry"
+TWIN_SUFFIXES = (PARALLEL, COMPOUND_SYMMETRY)
 
 
 def write_small_inputs(directory, rows=20, units=3):
-    """Write the two overflowing files and the 5-row file of the command list
-    into ``directory``."""
+    """Write the two overflowing files, the 5-row file and the 8-day long file
+    of the command list into ``directory``."""
     ys = np.round(np.random.default_rng(0).normal(size=(rows, units)), 3)
     ys[rows // 2, 1] = 1e200
     lines = [",".join(["t"] + [f"y{j + 1}" for j in range(units)])]
@@ -93,6 +106,11 @@ def write_small_inputs(directory, rows=20, units=3):
     lines = [",".join(["t"] + [f"y{j}" for j in range(5)] + [f"z{j}" for j in range(5)])]
     lines += [",".join([str(t)] + [repr(float(v)) for v in row]) for t, row in enumerate(cells)]
     with open(os.path.join(directory, FIVE_ROWS_CSV), "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    cells = np.round(np.random.default_rng(2).normal(size=(8, 3, 2)), 4)
+    lines = ["day,station,y,x"] + [f"{t},{u},{y!r},{x!r}" for t in range(8)
+                                   for u, (y, x) in zip("abc", cells[t].tolist())]
+    with open(os.path.join(directory, LONG_8DAYS_CSV), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -163,12 +181,24 @@ def commands(directory):
         "diagnose", "--data", os.path.join(directory, FIVE_ROWS_CSV),
         "--response", "y0,y1,y2,y3,y4", "--exog", "z0,z1,z2,z3,z4", "--lags", "2",
         "--method", "linear"]))
+    long_8days = ["fit", "--data", os.path.join(directory, LONG_8DAYS_CSV), "--layout", "long",
+                  "--response", "y", "--exog", "x", "--lags", "1", "--method", "linear"]
+    for name, keys in [("time_is_response", ["--time-col", "y", "--unit-col", "station"]),
+                       ("unit_is_response", ["--time-col", "day", "--unit-col", "y"]),
+                       ("time_is_unit", ["--time-col", "day", "--unit-col", "day"]),
+                       ("no_time_col", ["--unit-col", "station"])]:
+        out.append((f"fit_long_8days_{name}", long_8days + keys))
+    out.append(("diagnose_wind_synthetic_delta_grid_abc",
+                ["diagnose"] + wind + ["--delta-grid", "0.1,abc"]))
     for seed in (1, 3):
         out.append((f"simulate_s50_seed{seed}", ["simulate", "--s", "50", "--seed", str(seed)]))
         out.append((f"replicate_s50_seed{seed}",
                     ["replicate-tables", "--s", "50", "--seed", str(seed)]))
     for truth in ("independence", "ar1"):
         out.append((f"simulate_s50_{truth}", ["simulate", "--s", "50", "--truth", truth]))
+    out.append(("simulate_s50_seed1" + COMPOUND_SYMMETRY,
+                ["simulate", "--s", "50", "--seed", "1", "--truth", "compound_symmetry"]))
+    out.append(("simulate_s50_bogus", ["simulate", "--s", "50", "--truth", "bogus"]))
     out.append(("replicate_s500_seed3", ["replicate-tables", "--s", "500", "--seed", "3"]))
     for name, argv in [("replicate_s50_seed1", ["replicate-tables", "--s", "50", "--seed", "1"]),
                        ("simulate_s50_seed3", ["simulate", "--s", "50", "--seed", "3"])]:
@@ -228,9 +258,10 @@ def compare(before, after, dirs):
             if not paths:
                 diffs.append(f"{fname}: bytes differ")
     for fname in files[1]:
-        twin = fname.replace(PARALLEL, "")
-        if twin != fname and _read(dirs[1], fname) != _read(dirs[1], twin):
-            diffs.append(f"{fname}: differs from its serial twin {twin}")
+        for suffix in TWIN_SUFFIXES:
+            twin = fname.replace(suffix, "")
+            if twin != fname and _read(dirs[1], fname) != _read(dirs[1], twin):
+                diffs.append(f"{fname}: differs from its twin {twin}")
     return diffs, len(files[1])
 
 

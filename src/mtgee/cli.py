@@ -148,7 +148,9 @@ class DatasetSpec:
     [1 (optional) | y_{i-1,j} ... y_{i-lags,j} | z_{ij}...]: intercept
     first, then lags newest-first, then the exogenous block.  The first
     ``lags`` rows seed the lag window and produce no steps.  No response
-    column is listed twice or as an exogenous column.
+    column is listed twice or as an exogenous column.  The long layout's
+    time, unit and response columns are three distinct columns; an
+    exogenous column may be the time column, a trend regressor.
     """
 
     path: str
@@ -159,14 +161,14 @@ class DatasetSpec:
     unit_col: Optional[str] = None
     lags: int = 2
     intercept: bool = True
-    impute: str = "nearest_neighbor"
+    impute: str = "nearest"
 
     def __post_init__(self):
         if self.layout not in ("wide", "long"):
             raise ContractError(f"layout must be 'wide' or 'long', got {self.layout!r}")
         if self.lags < 0:
             raise ContractError("lags must be >= 0")
-        if self.impute not in ("none", "nearest_neighbor"):
+        if self.impute not in ("none", "nearest"):
             raise ContractError(f"unknown imputation mode {self.impute!r}")
         if not self.response_cols:
             raise ContractError("at least one response column is required")
@@ -180,6 +182,13 @@ class DatasetSpec:
         for col in (col for group in groups for col in group):
             if col in self.response_cols:
                 raise ContractError(f"exogenous column {col!r} is a response column")
+        if self.layout == "long":
+            if self.time_col is None or self.unit_col is None:
+                raise ContractError("long layout requires time_col and unit_col")
+            keys = [self.time_col, self.unit_col, self.response_cols[0]]
+            if len(set(keys)) != 3:
+                raise ContractError(
+                    f"long layout needs distinct time, unit and response columns, got {keys}")
 
 
 def _read_rows(path):
@@ -349,8 +358,6 @@ def _ranks(body, index, key=None):
 
 
 def _load_long(spec, header, body, rows):
-    if spec.time_col is None or spec.unit_col is None:
-        raise ContractError("long layout requires time_col and unit_col")
     col_index = _column_index(spec.path, header, [spec.time_col, spec.unit_col,
                                                   spec.response_cols[0]] + list(spec.exog_cols))
     y_col = spec.response_cols[0]
@@ -415,7 +422,7 @@ def _load_arrays(spec: DatasetSpec):
         columns = [[f"column {name!r} of unit {unit!r}" for name in spec.exog_cols]
                    for unit in units]
     if Z is not None:
-        if spec.impute == "nearest_neighbor":
+        if spec.impute == "nearest":
             for j in range(Z.shape[1]):
                 for v in range(Z.shape[2]):
                     Z[:, j, v] = _impute_nearest(Z[:, j, v], f"{spec.path}: {columns[j][v]}")
@@ -525,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_command(commands, "fit", "fit the model on a dataset")
     _add_dataset_command(commands, "predict", "one-step-ahead prediction")
     p_sim = _add_monte_carlo_command(commands, "simulate", "Monte Carlo study of one design")
-    p_sim.add_argument("--truth", choices=["independence", "cs", "ar1"], default="cs")
+    p_sim.add_argument("--truth", default="cs", help=f"one of {', '.join(TRUTHS)}, or cs")
     _add_monte_carlo_command(commands, "replicate-tables",
                              "full simulation grid over all three truths")
     p_diag = _add_dataset_command(commands, "diagnose", "condition and optimality monitors")
@@ -557,7 +564,7 @@ def _spec_from_args(args) -> DatasetSpec:
         unit_col=args.unit_col,
         lags=args.lags,
         intercept=args.intercept,
-        impute="nearest_neighbor" if args.impute == "nearest" else "none",
+        impute=args.impute,
     )
 
 
@@ -597,7 +604,7 @@ def _dataset_payload(args, result, out, diagnostics=None):
             "impute": args.impute,
             "link": args.link,
             "method": args.method,
-            "corr": args.corr if args.method != "two_step" else corrmod.TwoStepCorr.kind,
+            "corr": args.corr if args.method != "two_step" else "two_step_empirical",
             "level": args.level,
             "seed": args.seed,
         },

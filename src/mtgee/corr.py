@@ -237,8 +237,6 @@ class CorrProvider:
     axis; the matrices then carry that axis too.
     """
 
-    kind = "abstract"
-
     def __init__(self, m: int):
         if m < 1:
             raise ContractError("cluster size must be >= 1")
@@ -266,9 +264,8 @@ class CorrProvider:
 class FixedCorr(CorrProvider):
     """Constant matrix at every step (fixed pattern or user-supplied)."""
 
-    def __init__(self, kind, matrix):
-        self.kind = kind
-        self.matrix = np.array(_check_spd(matrix, f"{kind} correlation"), dtype=np.float64)
+    def __init__(self, matrix):
+        self.matrix = np.array(_check_spd(matrix, "working correlation"), dtype=np.float64)
         self.matrix.flags.writeable = False
         super().__init__(self.matrix.shape[0])
 
@@ -298,8 +295,6 @@ class EmpiricalRunningCorr(CorrProvider):
     parameter (``plugin_beta``); ``fit`` resolves it to the
     working-independence estimate when left unset.
     """
-
-    kind = "empirical_running"
 
     def __init__(self, m, plugin_beta=None):
         super().__init__(m)
@@ -354,8 +349,6 @@ class TwoStepCorr(CorrProvider):
     batched solve gives the b of a block (of every series of a stack).
     """
 
-    kind = "two_step_empirical"
-
     def realize(self, data, link):
         self._check_size(data)
         if link.kind != "identity":
@@ -407,20 +400,20 @@ class TwoStepCorr(CorrProvider):
 
 
 def independence(m: int) -> FixedCorr:
-    return FixedCorr("independence", build_fixed_corr("independence", 0.0, m))
+    return FixedCorr(build_fixed_corr("independence", 0.0, m))
 
 
 def compound_symmetry(alpha: float, m: int) -> FixedCorr:
-    return FixedCorr("compound_symmetry", build_fixed_corr("compound_symmetry", alpha, m))
+    return FixedCorr(build_fixed_corr("compound_symmetry", alpha, m))
 
 
 def ar1(alpha: float, m: int) -> FixedCorr:
-    return FixedCorr("ar1", build_fixed_corr("ar1", alpha, m))
+    return FixedCorr(build_fixed_corr("ar1", alpha, m))
 
 
 def pseudo_fixed(matrix) -> FixedCorr:
     """Wrap a user-supplied constant matrix (validated SPD)."""
-    return FixedCorr("pseudo_fixed", matrix)
+    return FixedCorr(matrix)
 
 
 def empirical_running(m, plugin_beta=None) -> EmpiricalRunningCorr:

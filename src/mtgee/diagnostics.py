@@ -29,11 +29,14 @@ CHECKPOINT_PIECES = 10  # the monitors report at the ends of this many equal str
 
 
 def _check_sym_psd(mat, what, checkpoint):
+    """The ascending eigenvalues of ``mat``, once it is checked symmetric and PSD."""
     scale = max(1.0, float(np.max(np.abs(mat))))
     if np.max(np.abs(mat - mat.T)) > 1e-8 * scale:
         raise NumericalError(f"{what} lost symmetry at checkpoint {checkpoint}")
-    if np.linalg.eigvalsh(mat)[0] < -1e-8 * scale:
+    w = np.linalg.eigvalsh(mat)
+    if w[0] < -1e-8 * scale:
         raise NumericalError(f"{what} lost positive semidefiniteness at checkpoint {checkpoint}")
+    return w
 
 
 def _checkpoints(n: int):
@@ -116,8 +119,7 @@ def eigen_conditions(
     lam_min = np.empty(len(pts))
     lam_max = np.empty(len(pts))
     for k, (pt, running) in enumerate(zip(pts, _running_gram(xa, xa, pts))):
-        _check_sym_psd(running, "cumulative information", pt)
-        w = np.linalg.eigvalsh(running)
+        w = _check_sym_psd(running, "cumulative information", pt)
         lam_min[k], lam_max[k] = w[0], w[-1]
 
     ratios = {}
@@ -178,13 +180,13 @@ def optimality_ratios(ctx: EstimatingContext, beta_hat, true_corr) -> Optimality
     for k, pt in enumerate(pts):
         h_run, mbar_run, mstar_run = h_runs[k], mbar_runs[k], mstar_runs[k]
         _check_sym_psd(h_run, "provider information", pt)
-        _check_sym_psd(mbar_run, "reference information", pt)
+        w_bar = _check_sym_psd(mbar_run, "reference information", pt)
         _check_sym_psd(mstar_run, "sandwiched information", pt)
         det_bar = np.linalg.det(mbar_run)
         if det_bar <= 0.0:
             raise RankDeficiencyError(
                 f"reference information singular at checkpoint {pt}",
-                lambda_min=float(np.linalg.eigvalsh(mbar_run)[0]),
+                lambda_min=float(w_bar[0]),
             )
         ratio_h[k] = np.linalg.det(h_run) / det_bar
         ratio_m[k] = np.linalg.det(mstar_run) / det_bar

@@ -97,11 +97,7 @@ _EXPONENTIAL = LinkSpec(
     d2=_guarded_exp,
 )
 
-LINKS = {
-    "identity": _IDENTITY,
-    "logistic": _LOGISTIC,
-    "exponential": _EXPONENTIAL,
-}
+LINKS = {link.kind: link for link in (_IDENTITY, _LOGISTIC, _EXPONENTIAL)}
 
 
 def get_link(kind):

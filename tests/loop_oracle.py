@@ -31,8 +31,7 @@ import numpy as np
 
 from mtgee.cli import MISSING_TOKENS, _load_arrays
 from mtgee.corr import EIG_FLOOR, _clip_spectrum
-from mtgee.errors import (ContractError, DataError, InstabilityError, NumericalError,
-                          SolverFailureError)
+from mtgee.errors import DataError, InstabilityError, NumericalError, SolverFailureError
 from mtgee.estfun import SolveReport
 from mtgee.model import ClusterSeries, moment_arrays
 from mtgee.simgen import EXPLOSION_GUARD, substream, true_correlation
@@ -377,8 +376,6 @@ def _load_wide(spec, header, body, lines):
 
 
 def _load_long(spec, header, body, lines):
-    if spec.time_col is None or spec.unit_col is None:
-        raise ContractError("long layout requires time_col and unit_col")
     _check_columns(spec.path, header,
                    [spec.time_col, spec.unit_col, spec.response_cols[0]] + list(spec.exog_cols))
     col_index = {name: k for k, name in enumerate(header)}
@@ -423,7 +420,7 @@ def cell_load_arrays(spec):
     load = _load_wide if spec.layout == "wide" else _load_long
     Y, Z, labels = load(spec, header, body, lines)
     if Z is not None:
-        if spec.impute == "nearest_neighbor":
+        if spec.impute == "nearest":
             for j in range(Z.shape[1]):
                 for v in range(Z.shape[2]):
                     Z[:, j, v] = _impute_nearest(Z[:, j, v], spec.path, labels[j][v])

@@ -296,6 +296,43 @@ def test_a_design_that_holds_its_own_response_exit_1(tmp_path, capsys, text, fla
     assert capsys.readouterr() == ("", f"usage error: {message}\n")
 
 
+LONG_8DAYS = "day,station,y,x\n" + "".join(
+    f"{t},{u},{np.sin(3.1 * t + k):.4f},{np.cos(1.7 * t - k):.4f}\n"
+    for t in range(8) for k, u in enumerate("abc"))
+
+
+@pytest.mark.parametrize("time_col, unit_col", [
+    ("y", "station"), ("day", "y"), ("day", "day"),
+], ids=["time_is_response", "unit_is_response", "time_is_unit"])
+def test_long_layout_time_unit_and_response_are_three_columns_exit_1(tmp_path, capsys, time_col,
+                                                                      unit_col):
+    # a column that is two of them is a contradictory spec, not a faulty file
+    path = tmp_path / "long.csv"
+    path.write_text(LONG_8DAYS)
+    argv = ["fit", "--data", str(path), "--layout", "long", "--response", "y", "--exog", "x",
+            "--lags", "1", "--method", "linear", "--time-col", time_col, "--unit-col", unit_col]
+    assert run_command(argv) == 1
+    assert capsys.readouterr() == ("", "usage error: long layout needs distinct time, unit and "
+                                       f"response columns, got {[time_col, unit_col, 'y']}\n")
+
+
+def test_long_layout_takes_its_time_column_as_a_trend(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text(LONG_8DAYS)
+    spec = DatasetSpec(path=str(path), layout="long", response_cols=["y"], exog_cols=["day"],
+                       time_col="day", unit_col="station", lags=1)
+    series = parse_dataset(spec)
+    assert np.array_equal(series.Xs[..., -1], np.repeat(np.arange(1.0, 8.0)[:, None], 3, axis=1))
+
+
+@pytest.mark.parametrize("missing", ["time_col", "unit_col"])
+def test_long_layout_spec_requires_time_and_unit_columns(missing):
+    keys = dict(time_col="day", unit_col="station")
+    del keys[missing]
+    with pytest.raises(ContractError, match="^long layout requires time_col and unit_col$"):
+        DatasetSpec(path="no_such_file.csv", layout="long", response_cols=["y"], **keys)
+
+
 def test_diagnose_accepts_fewer_steps_than_regressors(tmp_path, capsys):
     # 5 rows of 5 units, 2 lags and one exogenous variable: n = 3 steps, p = 4,
     # but H'_n sums n * m = 15 rows, as fit's normal matrix does
@@ -570,6 +607,13 @@ def test_cli_non_finite_budget_exit_1(capsys, budget, message):
     assert (captured.out, captured.err) == ("", f"usage error: {message}\n")
 
 
+def test_cli_unparsable_grid_exit_1(capsys):
+    argv = ["diagnose", "--data", FIXTURE, "--response", "wind_s1,wind_s2,wind_s3",
+            "--delta-grid", "0.1,abc"]
+    assert run_command(argv) == 1
+    assert capsys.readouterr() == ("", "usage error: cannot parse float list '0.1,abc'\n")
+
+
 def test_every_provider_name_is_a_key_of_the_one_table():
     # the --corr choices, --method two_step and every study column but the
     # reference name a provider of corr.PROVIDERS
@@ -749,6 +793,22 @@ def test_replicate_tables_is_the_three_simulate_runs(tmp_path):
     assert [report["design"]["truth"] for report in reports] == list(simgen.TRUTHS)
     labels = dict.fromkeys(row.split(",")[1] for row in tables["table1"])
     assert list(labels) == list(simgen.TRUTHS.values()) == ["R1", "R2", "R3"]
+
+
+def test_cli_truth_is_a_name_of_the_truths_or_cs(tmp_path, capsys):
+    # SimDesign alone resolves the name: the alias and the case give the same files
+    argv = ["simulate", "--n", "30", "--m", "2", "--s", "4", "--seed", "2"]
+    files = []
+    for truth in ("cs", "compound_symmetry", "CS"):
+        assert run_command(argv + ["--truth", truth, "--output", str(tmp_path / truth)]) == 0
+        files.append([(tmp_path / f"{truth}{suffix}").read_bytes()
+                      for suffix in (".json", "_table1.csv", "_table2.csv")])
+    assert files[0] == files[1] == files[2]
+    assert run_command(argv + ["--truth", "bogus"]) == 1
+    assert capsys.readouterr() == ("", "usage error: unknown correlation kind 'bogus'\n")
+    assert run_command(["simulate", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"one of {', '.join(simgen.TRUTHS)}, or cs" in help_text
 
 
 def test_cli_diagnose_payload(capsys):

@@ -132,7 +132,7 @@ def test_pseudo_fixed_rejects_non_spd():
 
 @pytest.mark.parametrize("matrix", [np.full((2, 2), np.nan), [[1.0, np.inf], [np.inf, 1.0]]])
 def test_pseudo_fixed_rejects_non_finite(matrix):
-    with pytest.raises(CorrelationDegeneracyError, match="pseudo_fixed correlation is not finite"):
+    with pytest.raises(CorrelationDegeneracyError, match="working correlation is not finite"):
         corr.pseudo_fixed(matrix)
 
 
@@ -163,6 +163,13 @@ def test_realize_predictability_under_future_shuffle():
         shuffled = ClusterSeries(ys=ys[perm], Xs=Xs[perm])
         seq_shuffled = corr.empirical_running(3, plugin_beta=plugin).realize(shuffled, link)
         assert np.array_equal(seq_shuffled[: cut + 1], seq[: cut + 1])
+
+
+@pytest.mark.parametrize("name", sorted(corr.PROVIDERS))
+def test_realize_rejects_data_of_another_cluster_size(name):
+    data = ClusterSeries(ys=np.zeros((5, 2)), Xs=np.ones((5, 2, 1)))
+    with pytest.raises(ContractError, match="^provider cluster size 3 != data cluster size 2$"):
+        corr.PROVIDERS[name](0.3, 3).realize(data, get_link("identity"))
 
 
 def test_realize_requires_plugin():

@@ -59,6 +59,19 @@ def test_eigen_conditions_violated_on_zero_design():
     assert all(v == "violated" for v in report.verdicts["S_delta"].values())
 
 
+@pytest.mark.parametrize("scales", [[1.0, 1.0], [10.0, 10.0] + [0.1] * 18],
+                         ids=["two_checkpoints", "growth_under_2x"])
+def test_eigen_conditions_inconclusive_divergence(scales):
+    # X_i = scale_i I, so H'_n is a multiple of I: lambda_min doubles over two
+    # checkpoints, too few to call; over ten it grows from 200 to 200.18
+    Xs = np.array(scales)[:, None, None] * np.eye(2)
+    data = ClusterSeries(ys=np.ones((len(scales), 2)), Xs=Xs)
+    report = eigen_conditions(EstimatingContext(data=data, link=IDENT), np.zeros(2))
+    ends = [1.0, 2.0] if len(scales) == 2 else [200.0, 200.18]
+    assert np.allclose(report.lambda_min[[0, -1]], ends)
+    assert report.verdicts["D"] == "inconclusive"
+
+
 def test_eigen_ratio_converges_for_iid_scalar_design():
     # m = p = 1 with unit-variance covariates: lambda_min = lambda_max ~ n,
     # so the ratio at delta = 0.5 tends to a positive constant

@@ -510,7 +510,7 @@ def test_two_step_is_the_closed_form_with_the_two_step_provider(rng):
     ctx = EstimatingContext(data=data, link=IDENT, corr=corr.two_step(3))
     beta = solve_linear(ctx)
     via_fit = fit(EstimatingContext(data=data, link=IDENT, corr=corr.two_step(3)), method="linear")
-    assert via_fit.ctx.corr.kind == "two_step_empirical"
+    assert type(via_fit.ctx.corr) is corr.TwoStepCorr
     assert np.array_equal(via_fit.beta_hat, beta)
     assert np.array_equal(via_fit.ctx.corr.realize(via_fit.ctx.data, IDENT),
                           ctx.corr.realize(ctx.data, ctx.link))
@@ -553,7 +553,8 @@ def test_default_corr_is_the_independence_provider(rng, link_kind, method):
     implicit = fit(EstimatingContext(data=data, link=link), method=method)
     explicit = fit(EstimatingContext(data=data, link=link, corr=corr.independence(3)),
                    method=method)
-    assert implicit.ctx.corr.kind == "independence"
+    assert type(implicit.ctx.corr) is corr.FixedCorr
+    assert np.array_equal(implicit.ctx.corr.matrix, np.eye(3))
     assert np.array_equal(implicit.beta_hat, explicit.beta_hat)
     assert np.array_equal(implicit.psi, explicit.psi)
 

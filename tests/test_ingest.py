@@ -93,7 +93,7 @@ def wide_files(draw):
     repeat_header_name(draw, header)
     if q and draw(st.integers(0, 9)) == 0:
         exog[0] = exog[0][:-1] or exog[0] * 2  # a group that does not list m columns
-    impute = draw(st.sampled_from(["nearest_neighbor", "none"]))
+    impute = draw(st.sampled_from(["nearest", "none"]))
     text = draw(csv_text(header, rows))
     return text, dict(layout="wide", response_cols=response, exog_cols=exog, impute=impute)
 
@@ -130,7 +130,7 @@ def long_files(draw):
     exog = [f"x{v}" for v in range(q)]
     header = ["day", "unit", "y"] + exog
     repeat_header_name(draw, header)
-    impute = draw(st.sampled_from(["nearest_neighbor", "none"]))
+    impute = draw(st.sampled_from(["nearest", "none"]))
     text = draw(csv_text(header, rows))
     return text, dict(layout="long", response_cols=["y"], exog_cols=exog, time_col="day",
                       unit_col="unit", impute=impute)

@@ -146,6 +146,13 @@ def test_eps_std_mean_near_zero_on_true_model():
     assert np.all(np.abs(eps.mean(axis=0)) < 4.0 / math.sqrt(n))
 
 
+def test_get_link_rejects_an_unknown_name():
+    with pytest.raises(ContractError) as err:
+        get_link("probit")
+    assert str(err.value) == ("unknown link 'probit'; "
+                              "expected one of ['exponential', 'identity', 'logistic']")
+
+
 def test_cluster_series_validation():
     with pytest.raises(ContractError):
         ClusterSeries(ys=np.zeros((4, 2)), Xs=np.zeros((4, 3, 2)))
