@@ -25,9 +25,12 @@ The commands:
 - ``diagnose --method linear`` on a 5-row wide file of 5 units with 2 lags
   and one exogenous variable: fewer steps (3) than regressors (4), but 15
   rows in H'_n;
-- ``fit --layout long`` on an 8-day, 3-station long file whose time, unit
-  and response columns are not three distinct columns (time = response,
-  unit = response, time = unit), and without ``--time-col``; each exits 1;
+- ``fit --layout long`` on an 8-day long file of stations numbered 1-3
+  whose time, unit and response columns are not three distinct columns
+  (time = response, unit = response, time = unit), without ``--time-col``,
+  and with the unit column as ``--exog``; each exits 1;
+- ``fit --method two_step`` and ``fit --method linear --corr empirical`` on
+  a copy of the wind fixture with its responses x10;
 - ``diagnose --delta-grid 0.1,abc``, which exits 1;
 - ``simulate --s 50`` and ``replicate-tables --s 50`` with seeds 1 and 3,
   ``simulate --s 50 --truth independence`` and ``--truth ar1``, and
@@ -42,6 +45,10 @@ The commands:
 The files of a command named with a suffix of ``TWIN_SUFFIXES`` (the
 ``--parallel`` runs and the ``compound_symmetry`` run) must also equal
 those of its twin, the same command without the flag the suffix names.
+A command on the wind fixture x10 (suffix ``SCALED``) is checked against
+its twin on the fixture itself: an identity-link estimator is
+scale-equivariant, so the lag coefficients must be equal and the intercept
+and air-temperature slopes x10, to ``SCALE_RTOL`` relative.
 
 Each tree (``--baseline-src`` and ``--src``, both ``src`` directories of
 an mtgee checkout) runs the whole list in one child process, with BLAS on
@@ -85,15 +92,19 @@ METHODS = ("two_step", "linear", "newton")
 CORRS = ("independence", "cs", "ar1", "empirical")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 OVERFLOW_CSV, TWO_ROWS_CSV, FIVE_ROWS_CSV = "overflow.csv", "two_rows.csv", "five_rows.csv"
-LONG_8DAYS_CSV = "long_8days.csv"
+LONG_8DAYS_CSV, WIND_X10_CSV = "long_8days.csv", "wind_x10.csv"
 # suffixes of commands whose twin lacks --parallel, or takes the default --truth cs
 PARALLEL, COMPOUND_SYMMETRY = "_parallel", "_compound_symmetry"
 TWIN_SUFFIXES = (PARALLEL, COMPOUND_SYMMETRY)
+# suffix of the commands on the wind fixture x10; what its beta_hat
+# (intercept, two lags, air temperature) is against its twin's, and to what
+# relative tolerance
+SCALED, SCALE_BETA, SCALE_RTOL = "_x10", np.array([10.0, 1.0, 1.0, 10.0]), 1e-9
 
 
 def write_small_inputs(directory, rows=20, units=3):
-    """Write the two overflowing files, the 5-row file and the 8-day long file
-    of the command list into ``directory``."""
+    """Write the two overflowing files, the 5-row file, the 8-day long file
+    and the wind fixture x10 of the command list into ``directory``."""
     ys = np.round(np.random.default_rng(0).normal(size=(rows, units)), 3)
     ys[rows // 2, 1] = 1e200
     lines = [",".join(["t"] + [f"y{j + 1}" for j in range(units)])]
@@ -109,9 +120,17 @@ def write_small_inputs(directory, rows=20, units=3):
         fh.write("\n".join(lines) + "\n")
     cells = np.round(np.random.default_rng(2).normal(size=(8, 3, 2)), 4)
     lines = ["day,station,y,x"] + [f"{t},{u},{y!r},{x!r}" for t in range(8)
-                                   for u, (y, x) in zip("abc", cells[t].tolist())]
+                                   for u, (y, x) in zip("123", cells[t].tolist())]
     with open(os.path.join(directory, LONG_8DAYS_CSV), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+    with open(FIXTURE, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    wind = [k for k, name in enumerate(rows[0]) if name.startswith("wind_")]
+    for row in rows[1:]:
+        for k in wind:
+            row[k] = repr(10.0 * float(row[k]))
+    with open(os.path.join(directory, WIND_X10_CSV), "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def commands(directory):
@@ -186,8 +205,14 @@ def commands(directory):
     for name, keys in [("time_is_response", ["--time-col", "y", "--unit-col", "station"]),
                        ("unit_is_response", ["--time-col", "day", "--unit-col", "y"]),
                        ("time_is_unit", ["--time-col", "day", "--unit-col", "day"]),
-                       ("no_time_col", ["--unit-col", "station"])]:
+                       ("no_time_col", ["--unit-col", "station"]),
+                       ("unit_is_exog", ["--time-col", "day", "--unit-col", "station",
+                                         "--exog", "station"])]:
         out.append((f"fit_long_8days_{name}", long_8days + keys))
+    wind_x10 = ["--data", os.path.join(directory, WIND_X10_CSV)] + wind[2:]
+    for method, corr in (("two_step", "independence"), ("linear", "empirical")):
+        out.append((f"fit_wind_synthetic_{method}_{corr}{SCALED}",
+                    ["fit"] + wind_x10 + ["--method", method, "--corr", corr]))
     out.append(("diagnose_wind_synthetic_delta_grid_abc",
                 ["diagnose"] + wind + ["--delta-grid", "0.1,abc"]))
     for seed in (1, 3):
@@ -262,6 +287,14 @@ def compare(before, after, dirs):
             twin = fname.replace(suffix, "")
             if twin != fname and _read(dirs[1], fname) != _read(dirs[1], twin):
                 diffs.append(f"{fname}: differs from its twin {twin}")
+        twin = fname.replace(SCALED, "")
+        if twin != fname:
+            beta, base = (np.array(json.loads(_read(dirs[1], f))["result"]["beta_hat"])
+                          for f in (fname, twin))
+            rel = np.max(np.abs(beta - SCALE_BETA * base) / np.abs(SCALE_BETA * base))
+            if not rel <= SCALE_RTOL:
+                diffs.append(f"{fname}: beta_hat is not its twin {twin}'s rescaled "
+                             f"(relative {rel:.3g})")
     return diffs, len(files[1])
 
 

@@ -150,7 +150,8 @@ class DatasetSpec:
     ``lags`` rows seed the lag window and produce no steps.  No response
     column is listed twice or as an exogenous column.  The long layout's
     time, unit and response columns are three distinct columns; an
-    exogenous column may be the time column, a trend regressor.
+    exogenous column may be the time column, a trend regressor, but not the
+    unit column, whose labels are names, not values.
     """
 
     path: str
@@ -189,6 +190,8 @@ class DatasetSpec:
             if len(set(keys)) != 3:
                 raise ContractError(
                     f"long layout needs distinct time, unit and response columns, got {keys}")
+            if self.unit_col in self.exog_cols:
+                raise ContractError(f"exogenous column {self.unit_col!r} is the unit column")
 
 
 def _read_rows(path):

@@ -1,7 +1,7 @@
 """Working correlation structures for the estimating function.
 
 A provider supplies, for every step i, the m x m surrogate matrix R_i used
-to weight that step's standardized residuals, and applies R_i^{-1}.  Fixed
+to scale that step's standardized residuals, and applies R_i^{-1}.  Fixed
 patterns (independence, compound symmetry, AR(1)) are constant over time;
 the running empirical provider averages outer products of standardized
 residuals from steps strictly before i, and the two-step provider does the
@@ -26,14 +26,13 @@ block length.  Every provider also takes a stack of series with a leading
 replication axis; a block then covers all of them, and each series'
 matrices are the ones it gets alone.
 
-Degenerate empirical averages (fewer residuals folded in than the cluster
-size, hence rank-deficient) fall back to the identity; near-singular
-averages are eigenvalue-floored by :func:`regularized_empirical` instead of
-being rejected, keeping sequential procedures total.  Past the first block
-few averages need a floor, so :func:`regularized_empirical` first screens a
-block with one batched Cholesky factorisation, which can prove that no
-matrix needs its floor, and runs the batched eigendecomposition only on a
-block that fails the screen.  The result is the same either way, bit for bit.
+Warm-up averages (fewer residuals folded in than the cluster size, hence
+rank-deficient) fall back to the identity.  Every other average S is put on
+the trace-m scale of a dispersion-scaled working correlation and shrunk
+toward the identity by :func:`regularized_empirical`, which is positive
+definite by construction, so near-singular averages are conditioned, not
+rejected, and sequential procedures stay total.  The rule needs no
+eigendecomposition, and rescaling the responses leaves it unchanged.
 """
 
 import numpy as np
@@ -42,13 +41,8 @@ from .errors import ContractError, CorrelationDegeneracyError
 from .model import ClusterSeries, LinkSpec, moment_arrays
 
 # Running averages are the identity at steps i < max(WARMUP_STEPS, m), where
-# an average of i outer products is rank-deficient; EIG_FLOOR is the absolute
-# eigenvalue floor of every regularised average.
+# an average of i outer products is rank-deficient.
 WARMUP_STEPS = 2
-EIG_FLOOR = 1e-6
-# Margin of the Cholesky screen in regularized_empirical, relative to the
-# Frobenius norm of the matrix screened.
-SCREEN_MARGIN = 1e-10
 
 # Steps per block of the running-correlation kernel, for each series of a
 # stack.  The kernel's slab holds BLOCK_STEPS + 1 rows, one per step, of
@@ -101,62 +95,37 @@ def build_fixed_corr(kind: str, alpha: float, m: int) -> np.ndarray:
     raise ContractError(f"unknown fixed correlation kind {kind!r}")
 
 
-def _clip_spectrum(w, v, floors):
-    """Reassemble a stack of eigenpairs, ``w`` (k, m) and ``v`` (k, m, m),
-    with eigenvalues clipped below at ``floors`` (k,), rescaled to unit
-    diagonal and exactly symmetric."""
-    w = np.maximum(w, floors[:, None])
-    out = (v * w[:, None, :]) @ np.swapaxes(v, 1, 2)
-    d = np.sqrt(np.diagonal(out, axis1=1, axis2=2))
-    out = out / (d[:, :, None] * d[:, None, :])
-    diag = np.arange(out.shape[-1])
-    out[:, diag, diag] = 1.0
-    return 0.5 * (out + np.swapaxes(out, 1, 2))
-
-
 def regularized_empirical(mats: np.ndarray, counts) -> np.ndarray:
-    """Floor a stack of empirical averages, ``mats`` (k, m, m), of ``counts``
-    (k,) residual outer products each.
+    """Shrink a stack of empirical averages, ``mats`` (k, m, m), of ``counts``
+    (k,) residual outer products each, toward the identity.
 
-    Beyond the absolute floor ``EIG_FLOOR``, eigenvalues are floored at
-    min(1/2, m/(2*count)) of the largest one: an average of count outer
-    products sits at the hard edge of near-singularity while count is
-    comparable to m, and inverting it would hand a handful of early steps
-    weights that dominate the whole estimating equation.  The relative
-    floor caps any step's condition number at 2*count/m and decays to
-    nothing as data accrue, so the sequence converges to the plain
-    empirical average.  Every matrix of ``mats`` must be exactly symmetric,
-    as every caller's averages are by construction.  ``mats`` is never
-    written: it is returned as it came unless some matrix needs its floor,
-    and then as a copy with those matrices rebuilt.
-
-    A stack whose every matrix passes the Cholesky screen skips the
-    eigendecomposition: with B the Frobenius norm, an upper bound on the
-    largest eigenvalue, a factorisation of S - c I with
-    c = max(EIG_FLOOR, rel * B) + SCREEN_MARGIN * B proves that S meets its
-    floor.  The margin dwarfs the ~m^2 eps B rounding of both factorisations,
-    so a matrix that passes is one the eigendecomposition would not clip.
-    An average that is not finite (overflowed residuals) is returned as it
-    came, for the solve or rank test downstream to fail on.
+    A finite average S with tr(S) > 0 becomes
+    R = (1 - lam) m S / tr(S) + lam I, with lam = min(1/2, m/(2*count)):
+    Liang & Zeger's (1986) dispersion-scaled working correlation, shrunk
+    linearly toward the identity (Ledoit & Wolf 2004).  R has trace m and
+    eigenvalues of at least lam, so no step whose count is near m, where S
+    is near-singular, can dominate the estimating equation.  The shrinkage
+    decays as data accrue, so R converges to the trace-normalised average;
+    rescaled responses leave R unchanged.  An average of trace 0 (constant
+    responses), or below it by rounding, becomes the identity; one that is
+    not finite (overflowed residuals) is returned as it came, for the solve
+    downstream to fail on.  The averages must be exactly symmetric, as every
+    caller's are; ``mats`` is never written.
     """
     m = mats.shape[-1]
-    rel = np.minimum(0.5, m / (2.0 * np.maximum(counts, 1)))
-    bound = np.sqrt(np.sum(mats * mats, axis=(1, 2)))
-    if np.all(np.isfinite(bound)):
-        shift = np.maximum(EIG_FLOOR, rel * bound) + SCREEN_MARGIN * bound
-        try:
-            np.linalg.cholesky(mats - shift[:, None, None] * np.eye(m))
-            return mats
-        except np.linalg.LinAlgError:
-            pass  # some matrix may need its floor; the whole stack takes the exact path
-    finite = np.flatnonzero(np.isfinite(mats).all(axis=(1, 2)))
-    w, v = np.linalg.eigh(mats[finite])
-    floors = np.maximum(EIG_FLOOR, rel[finite] * w[:, -1])
-    clip = w[:, 0] < floors
-    if np.any(clip):
-        mats = mats.copy()  # the caller's array is never written
-        mats[finite[clip]] = _clip_spectrum(w[clip], v[clip], floors[clip])
-    return mats
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    avg = mats[finite]
+    diag = np.arange(m)
+    # the dispersion tr(S)/m, summed as S_jj/m so that it overflows no sooner
+    # than S, and in unit order so that its bits do not depend on the stack size
+    phi = sum(avg[:, j, j] / m for j in range(m))
+    # an average of trace 0 or less takes lam = 1: the identity
+    lam = np.where(phi > 0, np.minimum(0.5, m / (2.0 * np.maximum(counts, 1)))[finite], 1.0)
+    shrunk = avg / np.where(phi > 0, phi, 1.0)[:, None, None] * (1.0 - lam)[:, None, None]
+    shrunk[:, diag, diag] += lam[:, None]
+    out = mats.copy()
+    out[finite] = shrunk
+    return out
 
 
 def running_corr(k, n, m, shape, step_moments, average) -> np.ndarray:
@@ -334,9 +303,10 @@ class TwoStepCorr(CorrProvider):
     R_i averages the outer products of the residuals y_l - X_l b_i over
     steps l < i, where b_i is the working-independence estimate computed on
     those same steps.  Warm-up steps, steps where b_i is singular or
-    non-finite, and the flooring follow :func:`running_corr`.  With the
-    identity link, solving g_n = 0 against this sequence is the two-step
-    estimator.
+    non-finite, and steps whose residuals have fewer than m degrees of
+    freedom (count * m < p + m) get the identity; the shrinkage follows
+    :func:`running_corr`.  With the identity link, solving g_n = 0 against
+    this sequence is the two-step estimator.
 
     With z_lj = [y_lj | x_lj'] the response and regressors of unit j at step
     l and w = (1, -b), the residual of that unit is z_lj'w, so every entry
@@ -383,7 +353,7 @@ class TwoStepCorr(CorrProvider):
                         b[j] = np.linalg.solve(sxx[j], sxy[j])
                     except np.linalg.LinAlgError:
                         pass
-            usable = np.all(np.isfinite(b), axis=-1)
+            usable = np.all(np.isfinite(b), axis=-1) & (counts[:, None] * m >= q - 1 + m)
             b[~usable] = 0.0
             # w' S_jk w of every pair, as one product of w (x) w with S_jk
             w = np.concatenate((np.ones(b.shape[:-1] + (1,)), -b), axis=-1)

@@ -48,6 +48,19 @@ def finite_diff_jacobian(ctx, beta):
     return out
 
 
+def asymptotic_re(working, sigma):
+    """The limit of MSE_R / MSE_quasi_true in the paper's AR(2) design, whose
+    innovations have covariance ``sigma``, for the fixed working correlation
+    ``working``: m tr((R^-1 Sigma)^2) / tr(R^-1 Sigma)^2, for every component.
+
+    With Gamma(h) = gamma(h) Sigma, a fixed weight W = R^-1 gives H/n -> G tr(W Sigma)
+    and M/n -> G tr(W Sigma W Sigma), so the sandwich is G^-1 times
+    tr((W Sigma)^2)/tr(W Sigma)^2, which is 1/m at W = Sigma^-1.
+    """
+    a = np.linalg.solve(working, sigma)
+    return len(a) * np.trace(a @ a) / np.trace(a) ** 2
+
+
 def estimator_summary(report, label):
     """The EstimatorSummary labelled ``label`` in a MonteCarloReport."""
     return {e.label: e for e in report.estimators}[label]

@@ -4,8 +4,6 @@ the simulated series and the CSV design matrices.
 These are the per-step loops that the block kernel ``corr.running_corr``
 replaced, kept as oracles: one running sum updated per step, and a scalar
 regulariser that shares no code with the batched ``corr.regularized_empirical``.
-``unscreened_regularized_empirical`` is the batched regulariser as it was
-before the Cholesky screen: one eigendecomposition of every matrix.
 ``loop_generate_ar2`` is the one-replication AR(2) recursion that the chunked
 ``simgen.generate_ar2`` replaced, with its explosion check on every step.
 ``loop_design`` is the row-by-row design construction that ``cli.parse_dataset``
@@ -30,39 +28,22 @@ from array import array
 import numpy as np
 
 from mtgee.cli import MISSING_TOKENS, _load_arrays
-from mtgee.corr import EIG_FLOOR, _clip_spectrum
 from mtgee.errors import DataError, InstabilityError, NumericalError, SolverFailureError
 from mtgee.estfun import SolveReport
 from mtgee.model import ClusterSeries, moment_arrays
 from mtgee.simgen import EXPLOSION_GUARD, substream, true_correlation
 
 
-def scalar_regularize(mat, count, floor=1e-6):
-    """One step's relative eigenvalue floor, clip and unit-diagonal rescale."""
+def scalar_regularize(mat, count):
+    """One step's average over its dispersion tr/m, shrunk toward the identity
+    by min(1/2, m/(2 count)); an average of trace 0 or less is the identity."""
+    m = mat.shape[0]
     mat = 0.5 * (mat + mat.T)
-    lam_max = float(np.linalg.eigvalsh(mat)[-1])
-    rel = min(0.5, mat.shape[0] / (2.0 * max(count, 1)))
-    fl = max(floor, rel * lam_max)
-    w, v = np.linalg.eigh(mat)
-    if w[0] >= fl:
-        return mat
-    out = (v * np.maximum(w, fl)) @ v.T
-    d = np.sqrt(np.diag(out))
-    out = out / np.outer(d, d)
-    np.fill_diagonal(out, 1.0)
-    return 0.5 * (out + out.T)
-
-
-def unscreened_regularized_empirical(mats, counts):
-    """The batched floor of a (k, m, m) stack, through one eigh of every matrix."""
-    out = 0.5 * (mats + np.swapaxes(mats, -1, -2))
-    w, v = np.linalg.eigh(out)
-    rel = np.minimum(0.5, out.shape[-1] / (2.0 * np.maximum(counts, 1)))
-    floors = np.maximum(EIG_FLOOR, rel * w[:, -1])
-    clip = w[:, 0] < floors
-    if np.any(clip):
-        out[clip] = _clip_spectrum(w[clip], v[clip], floors[clip])
-    return out
+    trace = float(np.trace(mat))
+    if trace <= 0.0:
+        return np.eye(m)
+    lam = min(0.5, m / (2.0 * max(count, 1)))
+    return (1.0 - lam) * (m / trace) * mat + lam * np.eye(m)
 
 
 def loop_generate_ar2(design, rep):
@@ -88,7 +69,7 @@ def loop_generate_ar2(design, rep):
     return ClusterSeries(ys=ys, Xs=Xs)
 
 
-def loop_realize(eps, warmup_steps=2, floor=1e-6):
+def loop_realize(eps, warmup_steps=2):
     """Running empirical correlations from standardized residuals ``eps`` (n, m)."""
     n, m = eps.shape
     out = np.empty((n, m, m))
@@ -97,13 +78,14 @@ def loop_realize(eps, warmup_steps=2, floor=1e-6):
         if i < max(warmup_steps, m):
             out[i] = np.eye(m)
         else:
-            out[i] = scalar_regularize(total / i, i, floor)
+            out[i] = scalar_regularize(total / i, i)
         total = total + np.outer(eps[i], eps[i])
     return out
 
 
-def loop_two_step(data, warmup_steps=2, floor=1e-6):
-    """Two-step estimate and its correlation sequence, one step at a time."""
+def loop_two_step(data, warmup_steps=2):
+    """Two-step estimate and its correlation sequence, one step at a time; a
+    step whose residuals leave fewer than m degrees of freedom gets I."""
     n, m, p = data.n, data.m, data.p
     Xs, ys = data.Xs, data.ys
     sxx = np.zeros((p, p))
@@ -117,7 +99,7 @@ def loop_two_step(data, warmup_steps=2, floor=1e-6):
     guard = max(warmup_steps, m)
     for i in range(n):
         r_mat = np.eye(m)
-        if i >= guard:
+        if i >= guard and i * m >= p + m:
             try:
                 b = np.linalg.solve(sxx, sxy)
             except np.linalg.LinAlgError:
@@ -125,7 +107,7 @@ def loop_two_step(data, warmup_steps=2, floor=1e-6):
             if b is not None and np.all(np.isfinite(b)):
                 c1 = np.einsum("ack,k->ac", t1, b)
                 raw = (syy - c1 - c1.T + np.einsum("akcj,k,j->ac", t2, b, b)) / i
-                r_mat = scalar_regularize(raw, i, floor)
+                r_mat = scalar_regularize(raw, i)
         seq[i] = r_mat
         x_i, y_i = Xs[i], ys[i]
         rinv_x = np.linalg.solve(r_mat, x_i)
@@ -139,21 +121,24 @@ def loop_two_step(data, warmup_steps=2, floor=1e-6):
     return np.linalg.solve(k_mat, rhs), seq
 
 
-def extended_two_step(data, warmup_steps=2, floor=1e-6):
+def extended_two_step(data, warmup_steps=2):
     """The two-step correlation sequence with each step's sums, b_i and raw
     residual average formed in ``np.longdouble``; R_i is that average
-    rounded to float64 and floored by ``scalar_regularize``."""
+    rounded to float64 and shrunk by ``scalar_regularize``, or I at a step
+    whose residuals leave fewer than m degrees of freedom."""
     n, m, p = data.n, data.m, data.p
     Xs, ys = data.Xs.astype(np.longdouble), data.ys.astype(np.longdouble)
     seq = np.tile(np.eye(m), (n, 1, 1))
     for i in range(max(warmup_steps, m), n):
+        if i * m < p + m:
+            continue
         x, y = Xs[:i].reshape(-1, p), ys[:i].reshape(-1)
         sxx, sxy = x.T @ x, x.T @ y
         b = np.zeros(p, dtype=np.longdouble)
         for _ in range(3):  # a float64 solve refined against extended-precision residuals
             b += np.linalg.solve(sxx.astype(np.float64), (sxy - sxx @ b).astype(np.float64))
         r = ys[:i] - Xs[:i] @ b
-        seq[i] = scalar_regularize((r.T @ r / i).astype(np.float64), i, floor)
+        seq[i] = scalar_regularize((r.T @ r / i).astype(np.float64), i)
     return seq
 
 

@@ -7,6 +7,7 @@ n=500, m=5, s=500, seed=1.
 
 import json
 import os
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -17,9 +18,10 @@ from mtgee.diagnostics import optimality_ratios, perturbation_sensitivity
 from mtgee.estfun import EstimatingContext, eval_g, eval_jacobian, fit, solve_linear, solve_newton
 from mtgee.inference import sandwich
 from mtgee.model import ClusterSeries, get_link
-from mtgee.simgen import SimDesign, generate_ar2, monte_carlo_study, substream
+from mtgee.simgen import (CHUNK_REPS, ESTIMATORS, SimDesign, _replications, generate_ar2,
+                          monte_carlo_study, substream, true_correlation)
 
-from conftest import estimator_summary, finite_diff_jacobian, glm_series
+from conftest import asymptotic_re, estimator_summary, finite_diff_jacobian, glm_series
 
 SEED = 1
 S = 500
@@ -108,6 +110,47 @@ def test_criterion_3_ci_coverage(grid):
             if low < worst[0]:
                 worst = (low, f"{summ.label}|{truth}")
     _ok(3, f"95% CI coverage within [0.92, 0.975] for every cell (min {worst[0]:.3f} at {worst[1]})")
+
+
+# Every fixed-pattern RE of the grid whose working pattern is not the truth
+# (3 truths x 2 patterns x 2 components = 12 entries) lies within Z_BAND
+# bootstrap SE of the closed form: a Bonferroni band at simultaneous level 1%,
+# set before the first run.  The SE comes from BOOTSTRAP resamples of the
+# replications, paired across estimators, drawn from a fixed generator.
+Z_BAND = NormalDist().inv_cdf(1.0 - 0.01 / (2 * 12))
+BOOTSTRAP = 2000
+PATTERN_OF_TRUTH = {"independence": "independence", "compound_symmetry": "cs", "ar1": "ar1"}
+
+
+def test_fixed_pattern_re_matches_the_closed_form(grid):
+    rng = np.random.default_rng(2026)
+    ref, two = ESTIMATORS.index("quasi_true"), ESTIMATORS.index("two_step")
+    worst, excess = 0.0, []
+    for truth in TRUTHS:
+        design = grid[truth].design
+        # the grid's replications again, chunk by chunk, for their squared errors
+        parts = [_replications(design, ESTIMATORS, 0.95, range(lo, min(lo + CHUNK_REPS, S)))
+                 for lo in range(0, S, CHUNK_REPS)]
+        assert not np.concatenate([part[3] for part in parts]).any()
+        sq = (np.concatenate([part[0] for part in parts]) - BETA0) ** 2  # (S, estimators, 2)
+        re = sq.mean(axis=0) / sq.mean(axis=0)[ref]
+        for j, name in enumerate(ESTIMATORS):
+            np.testing.assert_allclose(re[j], estimator_summary(grid[truth], name).re, rtol=1e-12)
+        weights = rng.multinomial(S, np.full(S, 1.0 / S), size=BOOTSTRAP)
+        boot = np.einsum("bs,sjk->bjk", weights, sq)
+        se = (boot / boot[:, ref:ref + 1]).std(axis=0, ddof=1)
+        for name in ("independence", "cs", "ar1"):
+            if name == PATTERN_OF_TRUTH[truth]:
+                continue  # the working pattern is the truth: RE is 1 exactly
+            j = ESTIMATORS.index(name)
+            limit = asymptotic_re(corr.PROVIDERS[name](ALPHA0, M).matrix, true_correlation(design))
+            z = (re[j] - limit) / se[j]
+            assert np.all(np.abs(z) <= Z_BAND), (truth, name, re[j], limit, se[j])
+            worst = max(worst, float(np.max(np.abs(z))))
+        excess += [f"{gap:.3f} ({err:.3f})" for gap, err in zip(re[two] - 1.0, se[two])]
+    _ok("closed-form RE", f"12 fixed-pattern REs within {Z_BAND:.2f} bootstrap SE of "
+        f"m tr((R^-1 S)^2)/tr(R^-1 S)^2 (max |z| {worst:.2f}); two-step RE - 1 (SE) by "
+        f"truth and component: {', '.join(excess)}")
 
 
 def test_criterion_4a_newton_equals_closed_form():

@@ -325,6 +325,19 @@ def test_long_layout_takes_its_time_column_as_a_trend(tmp_path):
     assert np.array_equal(series.Xs[..., -1], np.repeat(np.arange(1.0, 8.0)[:, None], 3, axis=1))
 
 
+def test_long_layout_unit_column_as_exogenous_exit_1(tmp_path, capsys):
+    # numbered stations parse as numbers, so the unit's label would be fitted
+    # as a regressor
+    path = tmp_path / "long.csv"
+    path.write_text(LONG_8DAYS.replace(",a,", ",1,").replace(",b,", ",2,").replace(",c,", ",3,"))
+    argv = ["fit", "--data", str(path), "--layout", "long", "--time-col", "day",
+            "--unit-col", "station", "--response", "y", "--exog", "station", "--lags", "1",
+            "--method", "linear"]
+    assert run_command(argv) == 1
+    assert capsys.readouterr() == ("", "usage error: exogenous column 'station' is the unit "
+                                       "column\n")
+
+
 @pytest.mark.parametrize("missing", ["time_col", "unit_col"])
 def test_long_layout_spec_requires_time_and_unit_columns(missing):
     keys = dict(time_col="day", unit_col="station")

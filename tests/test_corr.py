@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loop_oracle import scalar_regularize
 from mtgee import corr
 from mtgee.errors import ContractError, CorrelationDegeneracyError
 from mtgee.model import ClusterSeries, get_link
@@ -82,13 +83,16 @@ def test_empirical_running_convergence_monotone_in_n():
 
 # The SPD projection of one matrix is regularized_empirical on a stack of
 # one, as diagnose builds its reference correlation.  At COUNT averaged
-# outer products of m = 2 the relative floor is 1/COUNT of the largest
-# eigenvalue, so it binds in the eigen oracle below.
+# outer products of m units the shrinkage toward I is m/(2 COUNT).
 COUNT = 1000
 
 
 def regularize_one(mat):
     return corr.regularized_empirical(np.asarray(mat)[None], np.array([COUNT]))[0]
+
+
+def shrinkage(m, count=COUNT):
+    return min(0.5, m / (2.0 * count))
 
 
 def test_spd_project_identity_unchanged():
@@ -97,30 +101,38 @@ def test_spd_project_identity_unchanged():
 
 
 def test_spd_project_matches_eigen_oracle():
+    # the rule maps S's spectrum w to (1 - lam) m w / tr(S) + lam and keeps
+    # its eigenvectors
     mat = np.array([[1.0, 1.0], [1.0, 1.0]])
     out = regularize_one(mat)
     w, v = np.linalg.eigh(mat)
-    floor = max(corr.EIG_FLOOR, min(0.5, 2 / (2.0 * COUNT)) * w[-1])
-    rebuilt = (v * np.maximum(w, floor)) @ v.T
-    d = np.sqrt(np.diag(rebuilt))
-    expected = rebuilt / np.outer(d, d)
+    lam = shrinkage(2)
+    expected = (v * ((1.0 - lam) * 2 * w / np.sum(w) + lam)) @ v.T
     assert np.max(np.abs(out - expected)) < 1e-12
-    assert np.linalg.eigvalsh(out)[0] > 0
-    assert np.allclose(np.diag(out), 1.0)
+    assert np.max(np.abs(out - scalar_regularize(mat, COUNT))) < 1e-15
+    assert np.linalg.eigvalsh(out)[0] >= lam - 1e-15
+    assert abs(np.trace(out) - 2.0) < 1e-15
 
 
 def test_spd_project_keeps_valid_correlation():
+    # a correlation matrix has trace m, so it is only shrunk: (1 - lam) C + lam I
+    # is a correlation matrix again
     mat = corr.build_fixed_corr("compound_symmetry", 0.7, 5)
-    assert np.array_equal(regularize_one(mat), mat)
+    out = regularize_one(mat)
+    lam = shrinkage(5)
+    assert np.max(np.abs(out - ((1.0 - lam) * mat + lam * np.eye(5)))) < 1e-15
+    assert np.max(np.abs(np.diag(out) - 1.0)) < 1e-15
+    assert np.linalg.eigvalsh(out)[0] >= lam - 1e-15
 
 
-def test_spd_project_idempotent_on_admissible_input():
-    # contract: inputs whose smallest eigenvalue already meets the floor
-    # pass through unchanged, so repeated application is a no-op
-    mat = np.array([[1.0, 0.9], [0.9, 1.0]])  # eigenvalues 0.1, 1.9
+def test_spd_project_is_scale_free():
+    # contract: S is divided by its dispersion tr(S)/m first, so a rescaled
+    # average gives the same matrix
+    mat = np.array([[1.0, 0.9], [0.9, 1.0]])
     once = regularize_one(mat)
-    assert np.array_equal(once, mat)
-    assert np.array_equal(regularize_one(once), mat)
+    for scale in (1e-8, 0.1, 3.0, 1e8):
+        assert np.max(np.abs(regularize_one(scale * mat) - once)) < 1e-15
+    assert np.max(np.abs(once - scalar_regularize(mat, COUNT))) < 1e-15
 
 
 def test_pseudo_fixed_rejects_non_spd():
@@ -205,17 +217,20 @@ def test_fixed_patterns_always_spd_unit_diagonal(kind, m, alpha):
     assert np.linalg.eigvalsh(mat)[0] > 0
 
 
-@given(st.floats(min_value=-0.95, max_value=0.95), st.integers(min_value=2, max_value=5))
+@given(st.floats(min_value=-0.95, max_value=0.95), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=1, max_value=10**6))
 @settings(max_examples=40, deadline=None)
-def test_spd_project_clipped_output_is_unit_diagonal_pd(rho, m):
-    # rank-one-dominated symmetric input always needs clipping for m >= 2
+def test_spd_project_output_has_trace_m_and_eigenvalues_at_least_lam(rho, m, count):
+    # a rank-one-dominated input, as near-singular as an average can be
     v = np.full(m, 1.0)
     v[0] = rho
     mat = np.outer(v, v) + 1e-12 * np.eye(m)
-    out = regularize_one(mat)
-    assert np.allclose(np.diag(out), 1.0)
-    assert np.linalg.eigvalsh(out)[0] > 0
+    out = corr.regularized_empirical(mat[None], np.array([count]))[0]
+    lam = shrinkage(m, count)
+    assert abs(np.trace(out) - m) <= 4 * m * np.finfo(float).eps
+    assert np.linalg.eigvalsh(out)[0] >= lam - 1e-14
     assert np.max(np.abs(out - out.T)) == 0.0
+    assert np.max(np.abs(out - scalar_regularize(mat, count))) <= 1e-14
 
 
 def test_regularized_empirical_caps_condition_number():
@@ -224,9 +239,9 @@ def test_regularized_empirical_caps_condition_number():
     raw = np.einsum("na,nb->ab", eps, eps) / 5  # square-case average: near-singular
     out = corr.regularized_empirical(raw[None], counts=np.array([5]))[0]
     w = np.linalg.eigvalsh(out)
-    assert w[0] > 0
-    # eigenvalue clip bounds the condition number at 2*count/m; the unit-diagonal
-    # rescale can at most square that bound
-    assert w[-1] / w[0] <= (2 * 5 / 5) ** 2 + 1e-9
+    # shrinkage by lam = min(1/2, m/(2*count)) = 1/2 puts every eigenvalue at
+    # lam or above and bounds the condition number at ((1 - lam) m + lam)/lam
+    assert w[0] >= 0.5 - 1e-15
+    assert w[-1] / w[0] <= (0.5 * 5 + 0.5) / 0.5 + 1e-9
     w_raw = np.linalg.eigvalsh(0.5 * (raw + raw.T))
     assert w[-1] / w[0] < w_raw[-1] / max(w_raw[0], 1e-300)

@@ -163,7 +163,7 @@ def provider_of(kind, m, plugin):
 
 # far starts whose full Newton steps overshoot; the exponential one's first
 # trials saturate the link
-FAR_START = {"logistic": np.array([3.0, 3.0, 3.0]), "exponential": np.array([-12.0, 0.0, 0.0])}
+FAR_START = {"logistic": np.array([3.0, -3.0, 3.0]), "exponential": np.array([-12.0, 0.0, 0.0])}
 
 
 @pytest.mark.parametrize("link_kind", ["logistic", "exponential"])
@@ -389,13 +389,14 @@ def test_solve_linear_rejects_logistic():
 # two-step procedure
 # ---------------------------------------------------------------------------
 
-def naive_two_step(data, warmup=2, floor=1e-6):
-    """Reference implementation: recompute everything from scratch at each i."""
+def naive_two_step(data, warmup=2):
+    """Reference implementation: recompute everything from scratch at each i;
+    a step whose residuals leave fewer than m degrees of freedom gets I."""
     n, m, p = data.n, data.m, data.p
     seq = np.empty((n, m, m))
     guard = max(warmup, m)
     for i in range(n):
-        if i < guard:
+        if i < guard or i * m < p + m:
             seq[i] = np.eye(m)
             continue
         sxx = sum(data.Xs[t].T @ data.Xs[t] for t in range(i))
@@ -403,7 +404,7 @@ def naive_two_step(data, warmup=2, floor=1e-6):
         b = np.linalg.solve(sxx, sxy)
         resid = [data.ys[t] - data.Xs[t] @ b for t in range(i)]
         raw = sum(np.outer(r, r) for r in resid) / i
-        seq[i] = scalar_regularize(raw, i, floor)
+        seq[i] = scalar_regularize(raw, i)
     k = sum(data.Xs[i].T @ np.linalg.solve(seq[i], data.Xs[i]) for i in range(n))
     c = sum(data.Xs[i].T @ np.linalg.solve(seq[i], data.ys[i]) for i in range(n))
     return np.linalg.solve(k, c), seq
@@ -437,9 +438,11 @@ def test_two_step_close_to_independence_under_identity_truth():
 def test_two_step_minimal_n3_uses_warmup_identities(rng):
     data = random_series(rng, n=3, m=2, p=2)
     beta, seq = two_step_fit(data)
-    # warmup forces I at steps 1 and 2; step 3 uses the regularized average
+    # warmup forces I at steps 1 and 2; step 3, whose 4 residuals leave
+    # m = 2 degrees of freedom, uses the regularized average of trace m
     assert np.array_equal(seq[0], np.eye(2))
     assert np.array_equal(seq[1], np.eye(2))
+    assert abs(np.trace(seq[2]) - 2.0) < 1e-15 and not np.array_equal(seq[2], np.eye(2))
     beta_ref, seq_ref = naive_two_step(data)
     assert np.max(np.abs(beta - beta_ref)) < 1e-12
     assert np.max(np.abs(seq[2] - seq_ref[2])) < 1e-12

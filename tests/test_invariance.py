@@ -4,6 +4,9 @@
   and every R_i becomes P R_i P'.
 - Measurability: R_i depends on steps before i only, so changing y_k
   leaves R_0..R_k bit-identical, whatever the block length of the kernel.
+- Scale: with the identity link, y -> c y and X -> c X leave beta
+  unchanged; y -> c y with only the lag columns of X scaled (a change of
+  units, as from m/s to knots) scales the other coefficients by c.
 - No look-ahead in ingestion: the design of step i holds the responses of
   rows before i only, so changing the responses of file row r leaves the
   design of every step i <= r and the responses of every step before r
@@ -72,9 +75,39 @@ def test_change_at_any_step_leaves_past_bitwise(seed, n, m, block, data):
         for provider in providers:
             seq, seq_k = provider.realize(base, IDENT), provider.realize(changed, IDENT)
             assert np.array_equal(seq_k[: k + 1], seq[: k + 1])
+            if m == 1:
+                # a 1 x 1 average over its dispersion is 1, so R_i is 1 to a few ulps
+                assert np.max(np.abs(seq_k - 1.0)) <= 2 * np.finfo(float).eps
             # a later step past the warm-up, whose b_i leaves a residual, sees the change
-            if k + 1 < n and k + 1 >= max(corr.WARMUP_STEPS, m, base.p + 1):
+            elif k + 1 < n and k + 1 >= max(corr.WARMUP_STEPS, m, base.p + 1):
                 assert not np.array_equal(seq_k[k + 1:], seq[k + 1:])
+
+
+def lagged_series(seed, n, m):
+    """y_i = 1 + 0.4 y_{i-1} - 0.3 z_i + e_i, with regressors [1 | y_{i-1} | z_i]."""
+    rng = substream(seed, 3)
+    z = rng.normal(size=(n, m))
+    y = np.zeros((n + 1, m))
+    for i in range(n):
+        y[i + 1] = 1.0 + 0.4 * y[i] - 0.3 * z[i] + rng.normal(size=m)
+    Xs = np.stack([np.ones((n, m)), y[:-1], z], axis=-1)
+    return ClusterSeries(ys=y[1:], Xs=Xs)
+
+
+@pytest.mark.parametrize("kind", sorted(PROVIDERS))
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 150), m=st.integers(1, 5),
+       scale=st.sampled_from([1e-3, 0.1, 3.0, 10.0, 1e4]), lags_only=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_rescaling_the_data_rescales_the_fit(kind, seed, n, m, scale, lags_only):
+    base = lagged_series(seed, n, m)
+    # X -> X D and y -> c y give beta -> c D^{-1} beta
+    cols = np.array([1.0, scale, 1.0]) if lags_only else np.full(3, scale)
+    scaled = ClusterSeries(ys=scale * base.ys, Xs=base.Xs * cols)
+    beta, seq = fitted(base, PROVIDERS[kind](m))
+    beta_c, seq_c = fitted(scaled, PROVIDERS[kind](m))
+    want = scale * beta / cols
+    assert np.max(np.abs(beta_c - want)) <= 1e-10 * np.max(np.abs(want))
+    np.testing.assert_allclose(seq_c, seq, rtol=0, atol=1e-10)
 
 
 def write_dataset(path, Y, Z, layout, order):

@@ -14,15 +14,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from loop_oracle import (
     extended_two_step,
     loop_realize,
     loop_two_step,
     scalar_regularize,
-    unscreened_regularized_empirical,
 )
 from mtgee import corr
 from mtgee.cli import run_command
@@ -223,11 +220,7 @@ def test_regularized_empirical_batch_matches_scalar():
     out = corr.regularized_empirical(mats, counts)
     ref = np.stack([scalar_regularize(mat, c) for mat, c in zip(mats, counts)])
     assert np.max(np.abs(out - ref)) <= 1e-13
-    # matrices that need no flooring come back as the symmetrised input
-    w = np.linalg.eigvalsh(mats)
-    kept = w[:, 0] >= np.minimum(0.5, 4 / (2.0 * counts)) * w[:, -1]
-    assert kept.any() and (~kept).any()
-    assert np.array_equal(out[kept], 0.5 * (mats[kept] + np.swapaxes(mats[kept], 1, 2)))
+    assert np.array_equal(out, np.swapaxes(out, 1, 2))
 
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "..", "data", "wind_synthetic.csv")
@@ -268,9 +261,9 @@ def test_regularizer_takes_exactly_symmetric_averages_and_never_writes_them(monk
     assert all(np.array_equal(before, np.swapaxes(before, 1, 2)) for before, _, _ in calls)
     # diagnose's reference correlation: a stack of one average of n outer products
     assert any(len(before) == 1 for before, _, _ in calls)
-    clipped = [(before, mats) for before, mats, out in calls if not np.array_equal(out, before)]
-    assert clipped
-    assert all(np.array_equal(mats, before) for before, mats in clipped)
+    changed = [(before, mats) for before, mats, out in calls if not np.array_equal(out, before)]
+    assert changed
+    assert all(np.array_equal(mats, before) for before, mats in changed)
 
 
 def _with_spectrum(rng, eigenvalues):
@@ -281,82 +274,21 @@ def _with_spectrum(rng, eigenvalues):
     return 0.5 * (mat + mat.T)
 
 
-def _average(rng, kind, m, count, side=0.0):
-    """One (m, m) average of ``kind``.  Except for "wishart", its smallest eigenvalue
-    is the floor the regulariser applies times (1 + side)."""
-    rel = min(0.5, m / (2.0 * count))
+def _wishart(rng, m, count):
+    """An average of min(count, 200) outer products of m normals at a random scale."""
     scale = 10.0 ** rng.uniform(-3.0, 3.0)
-    if kind == "wishart":
-        eps = rng.standard_normal((min(count, 200), m)) * scale
-        return eps.T @ eps / len(eps)
-    lam_max = scale
-    if kind == "floor":  # EIG_FLOOR <= lam_max and rel * lam_max < EIG_FLOOR
-        lam_max = 0.5 * (1.0 + 1.0 / rel) * corr.EIG_FLOOR
-    lam_min = max(corr.EIG_FLOOR, rel * lam_max) * (1.0 + side)
-    if m == 1:
-        return np.array([[lam_max]])
-    if kind == "rank1":  # one dominant direction: the Frobenius norm is about lambda_max
-        middle = np.full(m - 2, lam_min)
-    else:
-        middle = rng.uniform(lam_min, lam_max, size=m - 2)
-    return _with_spectrum(rng, np.concatenate([[lam_min], middle, [lam_max]]))
-
-
-@given(
-    m=st.integers(1, 6),
-    kinds=st.lists(st.sampled_from(["wishart", "edge", "floor", "rank1"]), min_size=1, max_size=6),
-    sides=st.lists(st.sampled_from([-1e-12, -1e-14, 0.0, 1e-14, 1e-12]), min_size=6, max_size=6),
-    counts=st.lists(st.integers(1, 10**7), min_size=6, max_size=6),
-    seed=st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=300, deadline=None)
-def test_screened_regularizer_matches_unscreened_bitwise(m, kinds, sides, counts, seed):
-    # sides within ~1e-14 of the floor are where a screen without its margin
-    # passes matrices that the eigendecomposition clips
-    rng = np.random.default_rng(seed)
-    counts = np.array(counts[: len(kinds)])
-    mats = np.stack([_average(rng, kind, m, c, side)
-                     for kind, c, side in zip(kinds, counts, sides)])
-    # a disturbance of the size of accumulated rounding, exactly symmetric as
-    # every average handed to the regulariser is
-    noise = rng.standard_normal(mats.shape)
-    mats = mats + 1e-17 * np.max(np.abs(mats)) * (noise + np.swapaxes(noise, 1, 2))
-    want = unscreened_regularized_empirical(mats.copy(), counts)
-    assert np.array_equal(corr.regularized_empirical(mats.copy(), counts), want)
-
-
-def test_screen_skips_the_eigendecomposition_only_when_nothing_is_clipped(monkeypatch):
-    rng = substream(16, 0)
-    counts = np.array([400, 900, 5000])
-    rel = 4 / (2.0 * counts[1])
-    passing = np.stack([_average(rng, "wishart", 4, c) for c in counts])
-    # meets its floor rel * lambda_max by 3e-11, which the screen cannot prove
-    edge = passing.copy()
-    edge[1] = _with_spectrum(rng, np.array([rel + 3e-11, 0.4, 0.7, 1.0]))
-    # half its floor: clipped
-    failing = passing.copy()
-    failing[1] = _with_spectrum(rng, np.array([0.5 * rel, 0.4, 0.7, 1.0]))
-    stacks = {"passing": passing, "edge": edge, "failing": failing}
-    want = {name: unscreened_regularized_empirical(stack.copy(), counts)
-            for name, stack in stacks.items()}
-    eigh_calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_calls.append(len(a)) or eigh(a))
-    for name, stack in stacks.items():
-        assert np.array_equal(corr.regularized_empirical(stack, counts), want[name])
-    assert eigh_calls == [3, 3]  # the edge and the failing stack, each whole
-    assert np.array_equal(want["edge"], 0.5 * (edge + np.swapaxes(edge, 1, 2)))
-    assert not np.array_equal(want["failing"][1], 0.5 * (failing[1] + failing[1].T))
+    eps = rng.standard_normal((min(count, 200), m)) * scale
+    return eps.T @ eps / len(eps)
 
 
 def test_regularizer_returns_a_non_finite_average_as_it_came():
     # an overflowed average is left for the solve downstream to fail on; one
-    # whose Frobenius bound overflows (entries above ~1e154) while its entries
-    # stay finite takes the eigendecomposition, as every finite average does
+    # whose Frobenius norm overflows (entries above ~1e154) while its entries
+    # stay finite is shrunk, as every finite average is
     rng = substream(16, 1)
     counts = np.array([400, 900, 5000])
     rel = 4 / (2.0 * counts[2])
-    mats = np.stack([_average(rng, "wishart", 4, c) for c in counts])
+    mats = np.stack([_wishart(rng, 4, c) for c in counts])
     mats[0, 1, 2] = mats[0, 2, 1] = np.inf
     mats[1, 0, 0] = np.nan
     mats[2] = 1e160 * _with_spectrum(rng, np.array([0.5 * rel, 0.4, 0.7, 1.0]))
@@ -366,5 +298,16 @@ def test_regularizer_returns_a_non_finite_average_as_it_came():
         out = corr.regularized_empirical(mats, counts)
     assert np.array_equal(mats, before, equal_nan=True)
     assert np.array_equal(out[:2], before[:2], equal_nan=True)
-    assert np.array_equal(out[2:], unscreened_regularized_empirical(before[2:], counts[2:]))
+    assert np.max(np.abs(out[2] - scalar_regularize(before[2], counts[2]))) <= 1e-13
     assert not np.array_equal(out[2], before[2])
+
+
+def test_zero_trace_average_becomes_the_identity():
+    # residuals that are all zero (responses the plug-in fits exactly) leave
+    # averages of trace 0, or below it by rounding; each is I, not 0/0
+    mats = np.stack([np.zeros((3, 3)), -1e-300 * np.eye(3)])
+    out = corr.regularized_empirical(mats, np.array([5, 50]))
+    assert np.array_equal(out, np.broadcast_to(np.eye(3), (2, 3, 3)))
+    data = ClusterSeries(ys=np.zeros((B + 9, 3)), Xs=np.zeros((B + 9, 3, 1)))
+    seq = corr.empirical_running(3, plugin_beta=[0.0]).realize(data, get_link("identity"))
+    assert np.array_equal(seq, np.broadcast_to(np.eye(3), seq.shape))
