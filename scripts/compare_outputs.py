@@ -31,6 +31,11 @@ The commands:
   and with the unit column as ``--exog``; each exits 1;
 - ``fit --method two_step`` and ``fit --method linear --corr empirical`` on
   a copy of the wind fixture with its responses x10;
+- ``fit --layout long`` on a shuffled 400-row long file with padded keys,
+  blank rows and missing cells that hold line breaks, and on the same file
+  with one row repeated at its end, which exits 2 and names its line;
+- ``fit`` on a file with a byte that is not UTF-8 and on a file with a cell
+  over csv's field limit, which exit 2;
 - ``diagnose --delta-grid 0.1,abc``, which exits 1;
 - ``simulate --s 50`` and ``replicate-tables --s 50`` with seeds 1 and 3,
   ``simulate --s 50 --truth independence`` and ``--truth ar1``, and
@@ -58,8 +63,10 @@ exit code "raised" with the exception as the stderr text.  Every JSON and
 CSV file written, every exit code and every stderr text (the output
 directory replaced by ``<out>``) is compared; any difference is printed and the
 script exits 1.  A JSON file that differs is reported by JSON path, each
-with its largest absolute and relative difference, and a CSV file with the
-largest of each over its cells.  A relative difference is |a - b| /
+with its largest absolute and relative difference; the path names an
+estimator by its label and a Monte Carlo report by its truth, as in
+``reports[ar1].estimators[two_step].re``.  A CSV file is reported with the
+largest absolute and relative difference over its cells.  A relative difference is |a - b| /
 max(|a|, |b|); a difference that is not between two finite numbers counts
 as inf.
 
@@ -93,6 +100,8 @@ CORRS = ("independence", "cs", "ar1", "empirical")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 OVERFLOW_CSV, TWO_ROWS_CSV, FIVE_ROWS_CSV = "overflow.csv", "two_rows.csv", "five_rows.csv"
 LONG_8DAYS_CSV, WIND_X10_CSV = "long_8days.csv", "wind_x10.csv"
+MESSY_LONG_CSV, MESSY_LONG_DUPLICATE_CSV = "messy_long.csv", "messy_long_duplicate.csv"
+NOT_UTF8_CSV, OVER_FIELD_LIMIT_CSV = "not_utf8.csv", "over_field_limit.csv"
 # suffixes of commands whose twin lacks --parallel, or takes the default --truth cs
 PARALLEL, COMPOUND_SYMMETRY = "_parallel", "_compound_symmetry"
 TWIN_SUFFIXES = (PARALLEL, COMPOUND_SYMMETRY)
@@ -103,8 +112,9 @@ SCALED, SCALE_BETA, SCALE_RTOL = "_x10", np.array([10.0, 1.0, 1.0, 10.0]), 1e-9
 
 
 def write_small_inputs(directory, rows=20, units=3):
-    """Write the two overflowing files, the 5-row file, the 8-day long file
-    and the wind fixture x10 of the command list into ``directory``."""
+    """Write the two overflowing files, the 5-row file, the 8-day long file,
+    the wind fixture x10, the messy long files and the unreadable files of
+    the command list into ``directory``."""
     ys = np.round(np.random.default_rng(0).normal(size=(rows, units)), 3)
     ys[rows // 2, 1] = 1e200
     lines = [",".join(["t"] + [f"y{j + 1}" for j in range(units)])]
@@ -131,6 +141,23 @@ def write_small_inputs(directory, rows=20, units=3):
             row[k] = repr(10.0 * float(row[k]))
     with open(os.path.join(directory, WIND_X10_CSV), "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
+    rng = np.random.default_rng(3)
+    rows = [[f" {t}", f"s{u} ", repr(float(y)), format(x, ".4f")]
+            for t in range(100) for u in range(4)
+            for y, x in [np.round(rng.normal(size=2), 3)]]
+    rows = [rows[k] for k in rng.permutation(len(rows))]
+    for k in rng.choice(len(rows), size=8, replace=False):
+        rows[k][3] = ["", " \n", "\r\n", "NA"][k % 4]
+    for k in sorted(rng.choice(len(rows), size=6, replace=False), reverse=True):
+        rows.insert(int(k), [] if k % 2 else [" ", ""])
+    for name, extra in ((MESSY_LONG_CSV, []), (MESSY_LONG_DUPLICATE_CSV, [list(rows[40])])):
+        with open(os.path.join(directory, name), "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([["day", "station", "y", "x"]]
+                                                           + rows + extra)
+    with open(os.path.join(directory, NOT_UTF8_CSV), "wb") as fh:
+        fh.write(b"t,y1\n1,1.0\n2,\xff\n3,1.2\n")
+    with open(os.path.join(directory, OVER_FIELD_LIMIT_CSV), "w", encoding="utf-8") as fh:
+        fh.write("t,y1\n1,1.0\n2," + "1" * (csv.field_size_limit() + 1) + "\n3,1.2\n")
 
 
 def commands(directory):
@@ -209,6 +236,15 @@ def commands(directory):
                        ("unit_is_exog", ["--time-col", "day", "--unit-col", "station",
                                          "--exog", "station"])]:
         out.append((f"fit_long_8days_{name}", long_8days + keys))
+    for name, fname in (("messy_long", MESSY_LONG_CSV),
+                        ("messy_long_duplicate", MESSY_LONG_DUPLICATE_CSV)):
+        out.append((f"fit_{name}", [
+            "fit", "--data", os.path.join(directory, fname), "--layout", "long",
+            "--time-col", "day", "--unit-col", "station", "--response", "y", "--exog", "x",
+            "--lags", "2", "--method", "two_step"]))
+    for name, fname in (("not_utf8", NOT_UTF8_CSV), ("over_field_limit", OVER_FIELD_LIMIT_CSV)):
+        out.append((f"fit_{name}", ["fit", "--data", os.path.join(directory, fname),
+                                    "--response", "y1", "--lags", "0", "--method", "linear"]))
     wind_x10 = ["--data", os.path.join(directory, WIND_X10_CSV)] + wind[2:]
     for method, corr in (("two_step", "independence"), ("linear", "empirical")):
         out.append((f"fit_wind_synthetic_{method}_{corr}{SCALED}",
@@ -319,16 +355,28 @@ def widest(old, new):
     return max(old[0], new[0]), max(old[1], new[1])
 
 
+def item_name(item):
+    """The name of a list item in a JSON path: an estimator's ``label``, a Monte
+    Carlo report's ``design.truth``; None for any other item."""
+    if not isinstance(item, dict):
+        return None
+    design = item.get("design")
+    return item.get("label", design.get("truth") if isinstance(design, dict) else None)
+
+
 def json_diffs(a, b, path, out):
     """Record in ``out`` the largest (absolute, relative) difference at each
-    JSON path where ``a`` and ``b`` differ.  List items fold into their
-    list's path."""
+    JSON path where ``a`` and ``b`` differ.  A list item named by ``item_name``
+    in both trees keeps its name, as in ``reports[ar1].estimators[two_step].re``;
+    other list items fold into their list's path."""
     if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
         for key in a:
             json_diffs(a[key], b[key], f"{path}.{key}" if path else key, out)
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for x, y in zip(a, b):
-            json_diffs(x, y, path, out)
+            name = item_name(x)
+            json_diffs(x, y, f"{path}[{name}]" if name is not None and name == item_name(y)
+                       else path, out)
     elif a != b and not (a != a and b != b):  # two NaNs are the same output
         key = path or "$"
         out[key] = widest(out.get(key, (0.0, 0.0)), gap(a, b))

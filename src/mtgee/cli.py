@@ -22,7 +22,7 @@ import io
 import math
 import sys
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import accumulate, compress, islice
 from typing import Optional
 
 import numpy as np
@@ -39,6 +39,7 @@ SCHEMA = "mtgee/1"
 
 MISSING_TOKENS = {"", "na", "nan", "null", "none"}
 JSON_INDENT = "  "
+CHUNK_ROWS = 64  # rows the CSV reader gives at a time; their lists die with the chunk
 
 
 # ---------------------------------------------------------------------------
@@ -194,39 +195,56 @@ class DatasetSpec:
                 raise ContractError(f"exogenous column {self.unit_col!r} is the unit column")
 
 
-def _read_rows(path):
-    """The stripped header, the non-blank body rows (all of the header's width),
-    and every row the reader gave, blank rows and the header included."""
+def _read_columns(path, names):
+    """The cells of each column of ``names``, by name, and the file line on which
+    the reader finished each non-blank body row.  DataError unless each body
+    row has the header's width and the stripped header holds each of ``names``
+    once; other names may repeat."""
+    from array import array  # a command that reads no CSV never loads it
+
+    header, ragged, lines, read = None, None, array("q"), 0
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(_csv.reader(fh))
-    except OSError as exc:
+            reader = _csv.reader(fh)
+            while chunk := list(islice(reader, CHUNK_ROWS)):
+                ends = range(read + 1, reader.line_num + 1)
+                if len(ends) != len(chunk):  # a multi-line row: count the lines of each
+                    ends = list(accumulate(map(_row_lines, chunk), initial=read))[1:]
+                read = reader.line_num
+                keep = list(map(str.strip, map("".join, chunk)))  # "" for a blank row
+                if not all(keep):
+                    chunk, ends = list(compress(chunk, keep)), list(compress(ends, keep))
+                if header is None and chunk:
+                    header, chunk, ends = list(map(str.strip, chunk[0])), chunk[1:], ends[1:]
+                    columns = [[] for _ in header]
+                if ragged is not None or not chunk:
+                    continue  # read on: an unreadable file is named before a ragged row
+                if set(map(len, chunk)) == {len(header)}:
+                    lines.extend(ends)
+                    for column, cells in zip(columns, zip(*chunk)):
+                        column.extend(cells)
+                else:
+                    k = next(k for k, row in enumerate(chunk) if len(row) != len(header))
+                    ragged = DataError(f"{path}: ragged row at line {ends[k]} "
+                                       f"({len(chunk[k])} cells, header has {len(header)})")
+    except (OSError, UnicodeDecodeError, _csv.Error) as exc:
         raise DataError(f"cannot read dataset {path!r}: {exc}") from exc
-    body = rows
-    if not all(map(str.strip, map("".join, rows))):
-        body = [row for row in rows if "".join(row).strip()]
-    if len(body) < 2:
+    if ragged is not None:
+        raise ragged
+    if not lines:
         raise DataError(f"dataset {path!r} has no data rows")
-    header = [h.strip() for h in body[0]]
-    body = body[1:]
-    if set(map(len, body)) != {len(header)}:
-        row = next(row for row in body if len(row) != len(header))
-        raise DataError(
-            f"{path}: ragged row at line {_file_line(rows, row)} "
-            f"({len(row)} cells, header has {len(header)})"
-        )
-    return header, body, rows
+    for name in names:
+        count = header.count(name)
+        if count != 1:
+            where = "not found in header" if count == 0 else f"appears {count} times in header"
+            raise DataError(f"{path}: column {name!r} {where}")
+    return {name: columns[header.index(name)] for name in names}, lines
 
 
-def _file_line(rows, row):
-    """The file line on which the reader finished ``row``, one of its ``rows``
-    (for messages): a row spans one line more than its cells hold line breaks."""
-    lines = 0
-    for read in rows:
-        text = "".join(read)
-        lines += 1 + text.count("\n") + text.count("\r") - text.count("\r\n")
-        if read is row:
-            return lines
+def _row_lines(row):
+    """The file lines the reader took for ``row``: one more than its cells hold line breaks."""
+    text = ",".join(row)
+    return 1 + text.count("\n") + text.count("\r") - text.count("\r\n")
 
 
 def _rejection(text, required):
@@ -243,47 +261,39 @@ def _rejection(text, required):
     return None
 
 
-def _cell_error(path, rows, row, index, col, required):
-    """The DataError for cell ``index`` (column ``col``) of ``row``, one of ``rows``."""
-    what, note = _rejection(row[index].strip(), required)
-    return DataError(f"{path}: {what} at line {_file_line(rows, row)}, column {col!r}{note}")
+def _cell_error(path, columns, lines, k, col, required):
+    """The DataError for body row ``k``'s cell of column ``col``, one of ``columns``."""
+    what, note = _rejection(columns[col][k].strip(), required)
+    return DataError(f"{path}: {what} at line {lines[k]}, column {col!r}{note}")
 
 
-def _floats(texts, n, required):
-    """The ``n`` texts as float64; None if one does not convert or a required one is not finite."""
-    try:
-        values = np.fromiter(map(float, texts), dtype=np.float64, count=n)
-    except ValueError:
-        return None
-    return values if not required or np.isfinite(values).all() else None
-
-
-def _read_column(body, index, required):
-    """Column ``index`` as float64 with NaN for a missing token, and None; or None and
-    the row of the first cell that ``_rejection`` rejects.  Responses are ``required``.
+def _read_column(cells, required):
+    """The ``cells`` as float64 with NaN for a missing token, and None; or None and
+    the index of the first cell that ``_rejection`` rejects.  Responses are ``required``.
 
     A column without missing tokens converts in one pass over the raw cells
     (``float`` of a padded cell equals ``float`` of the stripped cell whenever
     it succeeds); another column stops that pass at its first missing token
     and is converted over the stripped cells with the tokens mapped to "nan"."""
-    values = _floats(map(itemgetter(index), body), len(body), required)
-    if values is None:
-        # float() strips fewer characters than str.strip()
-        texts = (text if text.lower() not in MISSING_TOKENS else "nan"
-                 for text in map(str.strip, map(itemgetter(index), body)))
-        values = _floats(texts, len(body), required)
-    if values is not None:
-        return values, None
-    return None, next(k for k, row in enumerate(body) if _rejection(row[index].strip(), required))
+    # float() strips fewer characters than str.strip()
+    for texts in (cells, (text if text.lower() not in MISSING_TOKENS else "nan"
+                          for text in map(str.strip, cells))):
+        try:
+            values = np.fromiter(map(float, texts), dtype=np.float64, count=len(cells))
+        except ValueError:
+            continue
+        if not required or np.isfinite(values).all():
+            return values, None
+    return None, next(k for k, cell in enumerate(cells) if _rejection(cell.strip(), required))
 
 
-def _read_block(body, col_index, names, required, out, at=slice(None)):
+def _read_block(columns, names, required, out, at=slice(None)):
     """Read the named columns into the columns of ``out``, body row k into row
     ``at[k]``; return the (row, column position) of the first rejected cell in
     row-major order, or None."""
     rejected = []
     for j, name in enumerate(names):
-        values, k = _read_column(body, col_index[name], required)
+        values, k = _read_column(columns[name], required)
         if k is None:
             out[at, j] = values
         else:
@@ -307,23 +317,12 @@ def _impute_nearest(series, column):
     return out
 
 
-def _column_index(path, header, names):
-    """The header position of each of ``names``; DataError for a name that the
-    header lacks or holds more than once.  Other repeated names are allowed."""
-    for name in names:
-        count = header.count(name)
-        if count != 1:
-            where = "not found in header" if count == 0 else f"appears {count} times in header"
-            raise DataError(f"{path}: column {name!r} {where}")
-    return {name: header.index(name) for name in names}
-
-
-def _load_wide(spec, header, body, rows):
-    col_index = _column_index(
-        spec.path, header, list(spec.response_cols) + [c for grp in spec.exog_cols for c in grp])
+def _load_wide(spec):
+    columns, lines = _read_columns(
+        spec.path, list(spec.response_cols) + [c for grp in spec.exog_cols for c in grp])
     m = len(spec.response_cols)
-    Y = np.empty((len(body), m))
-    Z = np.empty((len(body), m, len(spec.exog_cols)))
+    Y = np.empty((len(lines), m))
+    Z = np.empty((len(lines), m, len(spec.exog_cols)))
     blocks = [(spec.response_cols, True, Y)]
     blocks += [(group, False, Z[:, :, v]) for v, group in enumerate(spec.exog_cols)]
     for names, required, out in blocks:
@@ -331,59 +330,61 @@ def _load_wide(spec, header, body, rows):
             raise DataError(
                 f"{spec.path}: exogenous group {names} must list {m} columns (one per unit)"
             )
-        rejected = _read_block(body, col_index, names, required, out)
+        rejected = _read_block(columns, names, required, out)
         if rejected is not None:
             k, j = rejected
-            raise _cell_error(spec.path, rows, body[k], col_index[names[j]], names[j], required)
+            raise _cell_error(spec.path, columns, lines, k, names[j], required)
     return Y, Z if spec.exog_cols else None
 
 
 def _time_key(text):
-    """Numeric times first, by value and then text; then the rest by text.
-    A numeric time that is not finite has no place in that order: ValueError."""
+    """A time's value, inf if it is not numeric: numeric times first, by value.
+    A float, not a tuple: freed tuples stay on CPython's free list, holding
+    the parse's memory.  A non-finite numeric time has no place: ValueError."""
     text = text.strip()
     try:
         value = float(text)
     except ValueError:
-        return (1, 0.0, text)
+        return math.inf
     if not math.isfinite(value):
         raise ValueError(f"non-finite time value {text!r}")
-    return (0, value, text)
+    return value
 
 
-def _ranks(body, index, key=None):
-    """The distinct stripped cells of column ``index``, sorted by ``key``, and
-    the position of each row's among them."""
-    cells = list(map(str.strip, map(itemgetter(index), body)))
-    distinct = sorted(set(cells), key=key)
-    rank = {cell: k for k, cell in enumerate(distinct)}
-    return distinct, np.fromiter(map(rank.__getitem__, cells), dtype=np.intp, count=len(body))
+def _ranks(cells, key=None):
+    """The distinct stripped ``cells``, sorted by text and then stably by
+    ``key``, and the position of each cell's among them."""
+    stripped = {cell: cell.strip() for cell in set(cells)}
+    distinct = sorted(sorted(set(stripped.values())), key=key)
+    rank = {text: k for k, text in enumerate(distinct)}
+    code = {cell: rank[text] for cell, text in stripped.items()}
+    return distinct, np.fromiter(map(code.__getitem__, cells), dtype=np.intp, count=len(cells))
 
 
-def _load_long(spec, header, body, rows):
-    col_index = _column_index(spec.path, header, [spec.time_col, spec.unit_col,
-                                                  spec.response_cols[0]] + list(spec.exog_cols))
+def _load_long(spec):
     y_col = spec.response_cols[0]
+    columns, lines = _read_columns(
+        spec.path, [spec.time_col, spec.unit_col, y_col] + list(spec.exog_cols))
     try:
-        times, code = _ranks(body, col_index[spec.time_col], _time_key)
+        times, code = _ranks(columns[spec.time_col], _time_key)
     except ValueError:
         # report the first such cell in file order, not the first the sort met
-        for row in body:
+        for k, cell in enumerate(columns[spec.time_col]):
             try:
-                _time_key(row[col_index[spec.time_col]])
+                _time_key(cell)
             except ValueError as exc:
-                raise DataError(f"{spec.path}: {exc} at line {_file_line(rows, row)}, "
+                raise DataError(f"{spec.path}: {exc} at line {lines[k]}, "
                                 f"column {spec.time_col!r}") from None
         raise
-    units, unit_code = _ranks(body, col_index[spec.unit_col])
+    units, unit_code = _ranks(columns[spec.unit_col])
     T, m = len(times), len(units)
     code *= m
     code += unit_code  # cell t*m + u of each row
     del unit_code  # hold one index array, not two, while the values are read
     Y = np.empty((T * m, 1))
     Z = np.empty((T * m, len(spec.exog_cols)))
-    y_rejected = _read_block(body, col_index, [y_col], True, Y, code)
-    z_rejected = _read_block(body, col_index, spec.exog_cols, False, Z, code)
+    y_rejected = _read_block(columns, [y_col], True, Y, code)
+    z_rejected = _read_block(columns, spec.exog_cols, False, Z, code)
 
     # the first fault in file order; within a row: a repeated (time, unit),
     # then the response cell, then the exogenous cells
@@ -402,10 +403,10 @@ def _load_long(spec, header, body, rows):
             t, u = divmod(int(code[k]), m)
             raise DataError(
                 f"{spec.path}: duplicate row for time {times[t]!r}, unit {units[u]!r} "
-                f"at line {_file_line(rows, body[k])}"
+                f"at line {lines[k]}"
             )
         name = ([y_col] + list(spec.exog_cols))[j]
-        raise _cell_error(spec.path, rows, body[k], col_index[name], name, j == 0)
+        raise _cell_error(spec.path, columns, lines, k, name, j == 0)
     if len(code) < T * m:
         t, u = divmod(int(np.argmin(seen)), m)
         raise DataError(
@@ -415,13 +416,12 @@ def _load_long(spec, header, body, rows):
 
 
 def _load_arrays(spec: DatasetSpec):
-    header, body, rows = _read_rows(spec.path)
     if spec.layout == "wide":
-        Y, Z = _load_wide(spec, header, body, rows)
+        Y, Z = _load_wide(spec)
         # series (j, v) of Z, for messages: unit j's column of exogenous variable v
         columns = [[f"column {name!r}" for name in unit] for unit in zip(*spec.exog_cols)]
     else:
-        Y, Z, units = _load_long(spec, header, body, rows)
+        Y, Z, units = _load_long(spec)
         columns = [[f"column {name!r} of unit {unit!r}" for name in spec.exog_cols]
                    for unit in units]
     if Z is not None:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from loop_oracle import loop_design
-from mtgee import corr, model, simgen
+from mtgee import cli, corr, model, simgen
 from mtgee.cli import (
     DatasetSpec,
     build_parser,
@@ -130,13 +131,17 @@ def test_wide_cell_error_names_the_file_line_after_blank_lines(tmp_path):
         parse_dataset(DatasetSpec(path=str(path), response_cols=["y1"], lags=0))
 
 
-@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-@pytest.mark.parametrize("text, layout, message", [
+NEEDS_DEV_FD = pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+PIPED_FILES = pytest.mark.parametrize("text, layout, message", [
     ("t,y1\n1,1.0\n\n3,x\n", "wide", "cannot parse 'x' at line 4,"),
     ('t,y1\n"1\n",1.0\n2,1.0,extra\n', "wide", "ragged row at line 4 "),
     ("time,unit,y\n1,a,1.0\n\n1,a,2.0\n", "long",
      "duplicate row for time '1', unit 'a' at line 4"),
 ])
+
+
+@NEEDS_DEV_FD
+@PIPED_FILES
 def test_error_line_when_the_data_comes_through_a_pipe(capsys, text, layout, message):
     """A pipe can be read only once; the line number must come from that one read."""
     read, write = os.pipe()
@@ -151,6 +156,17 @@ def test_error_line_when_the_data_comes_through_a_pipe(capsys, text, layout, mes
     finally:
         os.close(read)
     assert message in capsys.readouterr().err
+
+
+@NEEDS_DEV_FD
+@PIPED_FILES
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_error_line_through_a_pipe_in_small_chunks(capsys, monkeypatch, chunk, text, layout,
+                                                   message):
+    """The same files read a few rows at a time: the blank row, the two-line
+    row and the faulty row fall in later chunks than the header."""
+    monkeypatch.setattr(cli, "CHUNK_ROWS", chunk)
+    test_error_line_when_the_data_comes_through_a_pipe(capsys, text, layout, message)
 
 
 @pytest.mark.parametrize("cell", ["inf", " -nan ", "-Infinity", "1e999"])
@@ -566,6 +582,22 @@ def test_cli_fit_deterministic_bytes(tmp_path):
 
 def test_cli_missing_file_exit_2(capsys):
     assert run_command(["fit", "--data", "/no/such/file.csv", "--response", "y"]) == 2
+
+
+@pytest.mark.parametrize("tail, reason", [
+    (b"2,\xff\n", "'utf-8' codec can't decode byte 0xff"),
+    (b"2," + b"1" * (csv.field_size_limit() + 1) + b"\n", "field larger than field limit"),
+], ids=["not_utf8", "over_field_limit"])
+def test_cli_unreadable_data_file_exit_2(tmp_path, capsys, tail, reason):
+    """A byte that is not UTF-8, or a cell longer than csv's field limit, is a
+    data error that names the file, not a traceback."""
+    path = tmp_path / "unreadable.csv"
+    path.write_bytes(b"t,y1\n1,1.0\n" + tail + b"3,1.2\n")
+    argv = ["fit", "--data", str(path), "--response", "y1", "--lags", "0", "--method", "linear"]
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot read dataset {str(path)!r}: ")
+    assert reason in err
 
 
 @pytest.mark.parametrize("command", ["fit", "replicate-tables"])
