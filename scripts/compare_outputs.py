@@ -15,6 +15,11 @@ The commands:
   1e200 (``fit`` and ``diagnose`` with the two-step and running empirical
   plug-ins, and ``diagnose --corr cs``, whose reference correlation
   overflows), and a two-row file whose closed-form root overflows;
+- the same failures with one response (m = 1), where an overflowed running
+  average is [[inf]], whose inverse is 0: ``fit --method linear``,
+  ``fit --method newton`` and ``predict --method linear`` with
+  ``--corr empirical`` on a 4-row file (1, 2, 1e200, 3) and a 2-row file
+  (1, 1e200);
 - ``diagnose --method newton --max-iter 0 --d-grid 0,1e-9`` on the wind
   fixture, whose refits start at the fit's root and take no step, and
   ``diagnose --method newton --corr cs --max-iter 1 --d-grid 0,0.01`` on
@@ -29,6 +34,9 @@ The commands:
   whose time, unit and response columns are not three distinct columns
   (time = response, unit = response, time = unit), without ``--time-col``,
   and with the unit column as ``--exog``; each exits 1;
+- specs that fail before any file is read, which exit 1: on the wind
+  fixture an ``--exog`` group of two columns against three responses and an
+  empty ``--exog``, and on the 8-day long file an empty ``--exog``;
 - ``fit --method two_step`` and ``fit --method linear --corr empirical`` on
   a copy of the wind fixture with its responses x10;
 - ``fit --layout long`` on a shuffled 400-row long file with padded keys,
@@ -102,6 +110,8 @@ OVERFLOW_CSV, TWO_ROWS_CSV, FIVE_ROWS_CSV = "overflow.csv", "two_rows.csv", "fiv
 LONG_8DAYS_CSV, WIND_X10_CSV = "long_8days.csv", "wind_x10.csv"
 MESSY_LONG_CSV, MESSY_LONG_DUPLICATE_CSV = "messy_long.csv", "messy_long_duplicate.csv"
 NOT_UTF8_CSV, OVER_FIELD_LIMIT_CSV = "not_utf8.csv", "over_field_limit.csv"
+ONE_UNIT_CSVS = {"one_unit": "t,y\n0,1\n1,2\n2,1e200\n3,3\n",
+                 "one_unit_two_rows": "t,y\n0,1\n1,1e200\n"}
 # suffixes of commands whose twin lacks --parallel, or takes the default --truth cs
 PARALLEL, COMPOUND_SYMMETRY = "_parallel", "_compound_symmetry"
 TWIN_SUFFIXES = (PARALLEL, COMPOUND_SYMMETRY)
@@ -112,9 +122,9 @@ SCALED, SCALE_BETA, SCALE_RTOL = "_x10", np.array([10.0, 1.0, 1.0, 10.0]), 1e-9
 
 
 def write_small_inputs(directory, rows=20, units=3):
-    """Write the two overflowing files, the 5-row file, the 8-day long file,
-    the wind fixture x10, the messy long files and the unreadable files of
-    the command list into ``directory``."""
+    """Write the overflowing files, the 5-row file, the 8-day long file, the
+    wind fixture x10, the messy long files and the unreadable files of the
+    command list into ``directory``."""
     ys = np.round(np.random.default_rng(0).normal(size=(rows, units)), 3)
     ys[rows // 2, 1] = 1e200
     lines = [",".join(["t"] + [f"y{j + 1}" for j in range(units)])]
@@ -123,6 +133,9 @@ def write_small_inputs(directory, rows=20, units=3):
         fh.write("\n".join(lines) + "\n")
     with open(os.path.join(directory, TWO_ROWS_CSV), "w", encoding="utf-8") as fh:
         fh.write("t,y1,y2\n0,1e308,1\n1,2,1e308\n")
+    for name, text in ONE_UNIT_CSVS.items():
+        with open(os.path.join(directory, name + ".csv"), "w", encoding="utf-8") as fh:
+            fh.write(text)
     cells = np.round(np.random.default_rng(1).normal(size=(5, 10)), 3)
     lines = [",".join(["t"] + [f"y{j}" for j in range(5)] + [f"z{j}" for j in range(5)])]
     lines += [",".join([str(t)] + [repr(float(v)) for v in row]) for t, row in enumerate(cells)]
@@ -207,6 +220,12 @@ def commands(directory):
         out.append((f"{command}_two_rows_linear", [
             command, "--data", os.path.join(directory, TWO_ROWS_CSV), "--response", "y1,y2",
             "--method", "linear", "--corr", "independence", "--lags", "0"]))
+    for name in ONE_UNIT_CSVS:
+        one_unit = ["--data", os.path.join(directory, name + ".csv"), "--response", "y",
+                    "--lags", "0", "--corr", "empirical"]
+        for command, method in (("fit", "linear"), ("fit", "newton"), ("predict", "linear")):
+            out.append((f"{command}_{name}_{method}_empirical",
+                        [command] + one_unit + ["--method", method]))
     out.append(("diagnose_wind_synthetic_newton_cs_max_iter0",
                 ["diagnose"] + wind + ["--method", "newton", "--corr", "cs", "--max-iter", "0",
                                        "--d-grid", "0,1e-9"]))
@@ -236,6 +255,13 @@ def commands(directory):
                        ("unit_is_exog", ["--time-col", "day", "--unit-col", "station",
                                          "--exog", "station"])]:
         out.append((f"fit_long_8days_{name}", long_8days + keys))
+    for name, argv in [("wind_synthetic_exog_two_of_three",
+                        ["fit"] + wind[:4] + ["--exog", "airtemp_s1,airtemp_s2", "--lags", "2"]),
+                       ("wind_synthetic_exog_empty", ["fit"] + wind[:4] + ["--exog", ""]),
+                       ("long_8days_exog_empty", long_8days[:5] + [
+                           "--time-col", "day", "--unit-col", "station", "--response", "y",
+                           "--exog", "", "--lags", "1", "--method", "linear"])]:
+        out.append((f"fit_spec_{name}", argv))
     for name, fname in (("messy_long", MESSY_LONG_CSV),
                         ("messy_long_duplicate", MESSY_LONG_DUPLICATE_CSV)):
         out.append((f"fit_{name}", [

@@ -148,11 +148,11 @@ class DatasetSpec:
     The design matrix row for unit j at step i is
     [1 (optional) | y_{i-1,j} ... y_{i-lags,j} | z_{ij}...]: intercept
     first, then lags newest-first, then the exogenous block.  The first
-    ``lags`` rows seed the lag window and produce no steps.  No response
-    column is listed twice or as an exogenous column.  The long layout's
-    time, unit and response columns are three distinct columns; an
-    exogenous column may be the time column, a trend regressor, but not the
-    unit column, whose labels are names, not values.
+    ``lags`` rows seed the lag window and produce no steps.  No column name
+    is empty, and no response column is listed twice or as an exogenous
+    column.  The long layout's time, unit and response columns are three
+    distinct columns; an exogenous column may be the time column, a trend
+    regressor, but not the unit column, whose labels are names, not values.
     """
 
     path: str
@@ -176,8 +176,15 @@ class DatasetSpec:
             raise ContractError("at least one response column is required")
         if self.layout == "long" and len(self.response_cols) != 1:
             raise ContractError(f"long layout takes one response column, got {self.response_cols}")
-        # a repeated unit, or a regressor z_ij that is y_ij itself
         groups = [self.exog_cols] if self.layout == "long" else self.exog_cols
+        names = [self.time_col, self.unit_col, *self.response_cols, *(c for g in groups for c in g)]
+        if any(name is not None and not name.strip() for name in names):
+            raise ContractError("column names must not be empty")
+        for group in groups if self.layout == "wide" else []:
+            if len(group) != len(self.response_cols):
+                raise ContractError(f"exogenous group {group} must list "
+                                    f"{len(self.response_cols)} columns (one per unit)")
+        # a repeated unit, or a regressor z_ij that is y_ij itself
         for k, col in enumerate(self.response_cols):
             if col in self.response_cols[:k]:
                 raise ContractError(f"response column {col!r} is listed twice")
@@ -326,10 +333,6 @@ def _load_wide(spec):
     blocks = [(spec.response_cols, True, Y)]
     blocks += [(group, False, Z[:, :, v]) for v, group in enumerate(spec.exog_cols)]
     for names, required, out in blocks:
-        if len(names) != m:
-            raise DataError(
-                f"{spec.path}: exogenous group {names} must list {m} columns (one per unit)"
-            )
         rejected = _read_block(columns, names, required, out)
         if rejected is not None:
             k, j = rejected

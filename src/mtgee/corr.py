@@ -26,23 +26,20 @@ block length.  Every provider also takes a stack of series with a leading
 replication axis; a block then covers all of them, and each series'
 matrices are the ones it gets alone.
 
-Warm-up averages (fewer residuals folded in than the cluster size, hence
-rank-deficient) fall back to the identity.  Every other average S is put on
-the trace-m scale of a dispersion-scaled working correlation and shrunk
+Warm-up steps (fewer residuals folded in than the cluster size, so the
+average is rank-deficient) get the identity.  Every other average S is put
+on the trace-m scale of a dispersion-scaled working correlation and shrunk
 toward the identity by :func:`regularized_empirical`, which is positive
-definite by construction, so near-singular averages are conditioned, not
-rejected, and sequential procedures stay total.  The rule needs no
-eigendecomposition, and rescaling the responses leaves it unchanged.
+definite by construction and sends an average of zeros, a step the provider
+cannot use, to the identity exactly.  So near-singular averages are
+conditioned, not rejected, and sequential procedures stay total.  The rule
+needs no eigendecomposition, and rescaling the responses leaves it unchanged.
 """
 
 import numpy as np
 
 from .errors import ContractError, CorrelationDegeneracyError
 from .model import ClusterSeries, LinkSpec, moment_arrays
-
-# Running averages are the identity at steps i < max(WARMUP_STEPS, m), where
-# an average of i outer products is rank-deficient.
-WARMUP_STEPS = 2
 
 # Steps per block of the running-correlation kernel, for each series of a
 # stack.  The kernel's slab holds BLOCK_STEPS + 1 rows, one per step, of
@@ -107,10 +104,10 @@ def regularized_empirical(mats: np.ndarray, counts) -> np.ndarray:
     is near-singular, can dominate the estimating equation.  The shrinkage
     decays as data accrue, so R converges to the trace-normalised average;
     rescaled responses leave R unchanged.  An average of trace 0 (constant
-    responses), or below it by rounding, becomes the identity; one that is
-    not finite (overflowed residuals) is returned as it came, for the solve
-    downstream to fail on.  The averages must be exactly symmetric, as every
-    caller's are; ``mats`` is never written.
+    responses, or a step the caller cannot use), or below it by rounding, is
+    the identity; one that is not finite (overflowed residuals) becomes NaN,
+    for every reader downstream to fail on.  The averages must be exactly
+    symmetric, as every caller's are; ``mats`` is never written.
     """
     m = mats.shape[-1]
     finite = np.isfinite(mats).all(axis=(1, 2))
@@ -123,24 +120,23 @@ def regularized_empirical(mats: np.ndarray, counts) -> np.ndarray:
     lam = np.where(phi > 0, np.minimum(0.5, m / (2.0 * np.maximum(counts, 1)))[finite], 1.0)
     shrunk = avg / np.where(phi > 0, phi, 1.0)[:, None, None] * (1.0 - lam)[:, None, None]
     shrunk[:, diag, diag] += lam[:, None]
-    out = mats.copy()
+    out = np.full_like(mats, np.nan)
     out[finite] = shrunk
     return out
 
 
-def running_corr(k, n, m, shape, step_moments, average) -> np.ndarray:
-    """Regularised running averages R_0..R_{n-1} of k series as a (k, n, m, m) array.
+def running_corr(data, shape, step_moments, average) -> np.ndarray:
+    """Regularised running averages R_0..R_{n-1} of ``data``, shaped as ``data.ys`` plus (m,).
 
     Each step contributes one moment array of the trailing ``shape`` for
-    each series; ``step_moments(lo, hi, out)`` writes those of steps
-    lo..hi-1 into ``out``, of shape (hi - lo, k) + ``shape``: step first,
-    then series.  For the steps i at or past the warm-up,
-    ``average(sums, counts)`` receives their exclusive prefix sums (totals
-    over steps 0..i-1, leading axes (steps, k)) and the counts i, and
-    returns the (steps, k, m, m) raw averages with a (steps, k) mask of the
-    usable ones.  Usable averages go through :func:`regularized_empirical`;
-    warm-up steps (count < max(WARMUP_STEPS, m), where the average is
-    necessarily rank-deficient) and unusable steps get the identity.  A
+    each of the k series; ``step_moments(lo, hi, out)`` writes those of
+    steps lo..hi-1 into ``out``, of shape (hi - lo, k) + ``shape``: step
+    first, then series.  For the steps i >= m, ``average(sums, counts)``
+    receives their exclusive prefix sums (totals over steps 0..i-1, leading
+    axes (steps, k)) and the counts i, and returns their (steps, k, m, m)
+    averages, zeros at a step it cannot use, which
+    :func:`regularized_empirical` makes the identity.  The steps i < m get
+    the identity: an average of i outer products has rank at most i.  A
     block holds ``BLOCK_STEPS`` steps of all k series, so one round of
     ``step_moments``, prefix sums, ``average`` and regularisation serves
     every series; a single series is the case k = 1.
@@ -152,9 +148,10 @@ def running_corr(k, n, m, shape, step_moments, average) -> np.ndarray:
     take one cumsum down the slab instead, which makes the same adds in the
     same order.
     """
-    guard = max(WARMUP_STEPS, m)
-    out = np.tile(np.eye(m), (k, n, 1, 1))
-    slab = np.zeros((min(BLOCK_STEPS, n) + 1, k) + shape)
+    n, m = data.n, data.m
+    out = np.tile(np.eye(m), data.ys.shape[:-1] + (1, 1))
+    stack = out.reshape(-1, n, m, m)  # a view: one series is a stack of one
+    slab = np.zeros((min(BLOCK_STEPS, n) + 1, len(stack)) + shape)
     for lo in range(0, n, BLOCK_STEPS):
         hi = min(lo + BLOCK_STEPS, n)
         # row j sums the steps before lo + j, and the last row carries into
@@ -168,18 +165,20 @@ def running_corr(k, n, m, shape, step_moments, average) -> np.ndarray:
             for row in rows[1:]:
                 np.add(prev, row, out=row)
                 prev = row
-        first = max(lo, guard)
+        first = max(lo, m)
         if first < hi:  # else the whole block is warm-up
             counts = np.arange(first, hi)
-            raw, usable = average(rows[first - lo:-1], counts)
-            step, rep = np.nonzero(usable)
-            out[rep, first + step] = regularized_empirical(raw[step, rep], counts[step])
+            avg = average(rows[first - lo:-1], counts).reshape(-1, m, m)
+            reg = regularized_empirical(avg, np.repeat(counts, len(stack)))
+            stack[:, first:hi] = np.swapaxes(reg.reshape(hi - first, -1, m, m), 0, 1)
         slab[0] = rows[-1]
     return out
 
 
 def _check_spd(mat, what):
     mat = np.asarray(mat, dtype=np.float64)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
+        raise ContractError(f"{what} must be a non-empty square matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise CorrelationDegeneracyError(f"{what} is not finite")
     if np.max(np.abs(mat - mat.T)) > 1e-10 * max(1.0, np.max(np.abs(mat))):
@@ -220,7 +219,7 @@ class CorrProvider:
         realized, from one batched solve; R_i^{-1} itself when ``rhs`` is None."""
         try:
             return np.linalg.inv(seq) if rhs is None else np.linalg.solve(seq, rhs)
-        except np.linalg.LinAlgError:  # a non-finite R_i can pivot on an exact zero
+        except np.linalg.LinAlgError:  # a user-defined provider can hand it a singular R_i
             raise CorrelationDegeneracyError("working correlation is singular or not finite") from None
 
     def _check_size(self, data):
@@ -252,13 +251,12 @@ class FixedCorr(CorrProvider):
 class EmpiricalRunningCorr(CorrProvider):
     """Running average of standardized-residual outer products.
 
-    The matrix used at step i averages residuals from steps < i only.
-    While fewer than ``WARMUP_STEPS`` residuals have been folded in, it is
-    the identity; the same applies while the average is necessarily
-    rank-deficient (count < m), since an average of count outer products
-    has rank at most count.  Past that point the average is conditioned
-    through :func:`regularized_empirical`, whose eigenvalue floor decays
-    with the count.  :func:`running_corr` builds the whole sequence.
+    The matrix used at step i averages residuals from steps < i only.  It
+    is the identity while the average is necessarily rank-deficient
+    (i < m, since an average of i outer products has rank at most i), and
+    past that point the average shrunk toward the identity by
+    :func:`regularized_empirical`.  :func:`running_corr` builds the whole
+    sequence.
 
     Residuals are standardized at a single plug-in value of the regression
     parameter (``plugin_beta``); ``fit`` resolves it to the
@@ -284,17 +282,13 @@ class EmpiricalRunningCorr(CorrProvider):
             raise ContractError(f"plugin_beta has shape {self.plugin_beta.shape}, need ({data.p},)")
         _, _, eps = moment_arrays(data.Xs, data.ys, self.plugin_beta, link)
         eps = np.swapaxes(_stack(eps, 2), 0, 1)  # (n, k, m): step first
-        seq = running_corr(
-            eps.shape[1],
-            data.n,
-            self.m,
+        return running_corr(
+            data,
             (self.m, self.m),
             lambda lo, hi, out: np.multiply(eps[lo:hi, :, :, None], eps[lo:hi, :, None, :],
                                             out=out),
-            lambda sums, counts: (sums / counts[:, None, None, None],
-                                  np.ones(sums.shape[:2], bool)),
+            lambda sums, counts: sums / counts[:, None, None, None],
         )
-        return seq.reshape(data.ys.shape + (self.m,))
 
 
 class TwoStepCorr(CorrProvider):
@@ -302,10 +296,10 @@ class TwoStepCorr(CorrProvider):
 
     R_i averages the outer products of the residuals y_l - X_l b_i over
     steps l < i, where b_i is the working-independence estimate computed on
-    those same steps.  Warm-up steps, steps where b_i is singular or
-    non-finite, and steps whose residuals have fewer than m degrees of
-    freedom (count * m < p + m) get the identity; the shrinkage follows
-    :func:`running_corr`.  With the identity link, solving g_n = 0 against
+    those same steps.  Past the warm-up of :func:`running_corr`, a step
+    where b_i is singular or non-finite, or whose residuals have fewer than
+    m degrees of freedom (count * m < p + m), gets an average of zeros,
+    hence the identity.  With the identity link, solving g_n = 0 against
     this sequence is the two-step estimator.
 
     With z_lj = [y_lj | x_lj'] the response and regressors of unit j at step
@@ -328,7 +322,7 @@ class TwoStepCorr(CorrProvider):
         Xs, ys = _stack(data.Xs, 3), _stack(data.ys, 2)
         k, m, q = len(ys), self.m, data.p + 1
         left, right = np.triu_indices(m)
-        units = np.flatnonzero(left == right)  # the pairs (j, j), in unit order
+        units = left == right  # the pairs (j, j), in unit order
 
         def step_moments(lo, hi, out):
             # z of the block as (steps, k, q, m), so that the pair products
@@ -340,6 +334,11 @@ class TwoStepCorr(CorrProvider):
             np.multiply(zl[:, :, :, None], zr[:, :, None], out=out)
 
         def average(sums, counts):
+            # the first steps, whose residuals leave fewer than m degrees of freedom
+            # (count * m < p + m), keep zeros and stay out of the batched solve
+            avg = np.zeros(sums.shape[:2] + (m, m))
+            lo = np.searchsorted(counts * m, q - 1 + m)
+            sums, counts = sums[lo:], counts[lo:]
             # sum X'X and sum X'y, the diagonal pairs added one unit at a time
             normal = np.moveaxis(sums, -1, 0)[units].sum(axis=0)
             sxx, sxy = normal[..., 1:, 1:], normal[..., 1:, 0]
@@ -353,20 +352,19 @@ class TwoStepCorr(CorrProvider):
                         b[j] = np.linalg.solve(sxx[j], sxy[j])
                     except np.linalg.LinAlgError:
                         pass
-            usable = np.all(np.isfinite(b), axis=-1) & (counts[:, None] * m >= q - 1 + m)
+            usable = np.all(np.isfinite(b), axis=-1)
             b[~usable] = 0.0
             # w' S_jk w of every pair, as one product of w (x) w with S_jk
             w = np.concatenate((np.ones(b.shape[:-1] + (1,)), -b), axis=-1)
             ww = (w[..., :, None] * w[..., None, :]).reshape(w.shape[:-1] + (1, q * q))
-            quad = (ww @ sums.reshape(sums.shape[:2] + (q * q, -1)))[..., 0, :]
+            quad = (ww @ sums.reshape(sums.shape[:2] + (q * q, len(left))))[..., 0, :]
             quad /= counts[:, None, None]
-            raw = np.empty(quad.shape[:2] + (m, m))
-            raw[..., left, right] = quad
-            raw[..., right, left] = quad
-            return raw, usable
+            quad[~usable] = 0.0
+            avg[lo:, :, left, right] = quad
+            avg[lo:, :, right, left] = quad
+            return avg
 
-        seq = running_corr(k, data.n, m, (q, q, len(left)), step_moments, average)
-        return seq.reshape(data.ys.shape + (self.m,))
+        return running_corr(data, (q, q, len(left)), step_moments, average)
 
 
 def independence(m: int) -> FixedCorr:

@@ -48,6 +48,12 @@ def finite_diff_jacobian(ctx, beta):
     return out
 
 
+def _efficiency_factor(working, sigma):
+    """tr((R^-1 Sigma)^2) / tr(R^-1 Sigma)^2, which is 1/m at R = Sigma."""
+    a = np.linalg.solve(working, sigma)
+    return np.trace(a @ a) / np.trace(a) ** 2
+
+
 def asymptotic_re(working, sigma):
     """The limit of MSE_R / MSE_quasi_true in the paper's AR(2) design, whose
     innovations have covariance ``sigma``, for the fixed working correlation
@@ -55,10 +61,25 @@ def asymptotic_re(working, sigma):
 
     With Gamma(h) = gamma(h) Sigma, a fixed weight W = R^-1 gives H/n -> G tr(W Sigma)
     and M/n -> G tr(W Sigma W Sigma), so the sandwich is G^-1 times
-    tr((W Sigma)^2)/tr(W Sigma)^2, which is 1/m at W = Sigma^-1.
+    tr((W Sigma)^2)/tr(W Sigma)^2 (see :func:`asymptotic_sandwich`), which is
+    1/m at W = Sigma^-1.
     """
-    a = np.linalg.solve(working, sigma)
-    return len(a) * np.trace(a @ a) / np.trace(a) ** 2
+    return len(sigma) * _efficiency_factor(working, sigma)
+
+
+def asymptotic_sandwich(working, sigma, beta0):
+    """The limit of n Psi in the paper's AR(2) design y_i = b1 y_{i-1} +
+    b2 y_{i-2} + eps_i, eps_i ~ N(0, ``sigma``), for the fixed working
+    correlation ``working``: G^-1 tr((W Sigma)^2)/tr(W Sigma)^2 with
+    W = R^-1 and G = [[gamma(0), gamma(1)], [gamma(1), gamma(0)]], from the
+    scalar AR(2) autocovariances (Brockwell & Davis 1991, section 3.3)
+    gamma(0) = (1 - b2)/((1 + b2)((1 - b2)^2 - b1^2)) and
+    gamma(1) = b1 gamma(0)/(1 - b2).
+    """
+    b1, b2 = beta0
+    g0 = (1.0 - b2) / ((1.0 + b2) * ((1.0 - b2) ** 2 - b1**2))
+    g1 = b1 * g0 / (1.0 - b2)
+    return np.linalg.inv(np.array([[g0, g1], [g1, g0]])) * _efficiency_factor(working, sigma)
 
 
 def estimator_summary(report, label):

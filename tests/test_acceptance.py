@@ -18,10 +18,11 @@ from mtgee.diagnostics import optimality_ratios, perturbation_sensitivity
 from mtgee.estfun import EstimatingContext, eval_g, eval_jacobian, fit, solve_linear, solve_newton
 from mtgee.inference import sandwich
 from mtgee.model import ClusterSeries, get_link
-from mtgee.simgen import (CHUNK_REPS, ESTIMATORS, SimDesign, _replications, generate_ar2,
+from mtgee.simgen import (CHUNK_REPS, ESTIMATORS, SimDesign, _provider, generate_ar2,
                           monte_carlo_study, substream, true_correlation)
 
-from conftest import asymptotic_re, estimator_summary, finite_diff_jacobian, glm_series
+from conftest import (asymptotic_re, asymptotic_sandwich, estimator_summary,
+                      finite_diff_jacobian, glm_series)
 
 SEED = 1
 S = 500
@@ -112,6 +113,43 @@ def test_criterion_3_ci_coverage(grid):
     _ok(3, f"95% CI coverage within [0.92, 0.975] for every cell (min {worst[0]:.3f} at {worst[1]})")
 
 
+@pytest.fixture(scope="module")
+def fits(grid):
+    """The grid's replications refitted, chunk by chunk, each estimator of
+    ``ESTIMATORS`` on a stack of a chunk: per truth, the (S, estimators, 2)
+    estimates and (S, estimators, 2, 2) sandwich covariances."""
+    out = {}
+    for truth in TRUTHS:
+        design = grid[truth].design
+        betas = np.empty((S, len(ESTIMATORS), 2))
+        psis = np.empty((S, len(ESTIMATORS), 2, 2))
+        for lo in range(0, S, CHUNK_REPS):
+            reps = range(lo, min(lo + CHUNK_REPS, S))
+            data = generate_ar2(design, reps)
+            for j, name in enumerate(ESTIMATORS):
+                ctx = EstimatingContext(data=data, link=IDENT, corr=_provider(design, name))
+                result = fit(ctx, "linear")
+                assert not result.failed.any()
+                betas[lo:reps.stop, j], psis[lo:reps.stop, j] = result.beta_hat, result.psi
+        out[truth] = betas, psis
+    return out
+
+
+def test_refits_are_the_grids_replications(grid, fits):
+    for truth in TRUTHS:
+        sq = (fits[truth][0] - BETA0) ** 2
+        re = sq.mean(axis=0) / sq.mean(axis=0)[ESTIMATORS.index("quasi_true")]
+        for j, name in enumerate(ESTIMATORS):
+            np.testing.assert_allclose(re[j], estimator_summary(grid[truth], name).re, rtol=1e-12)
+
+
+def paired_bootstrap(rng, per_rep):
+    """Means of ``per_rep`` (S, ...) over BOOTSTRAP resamples of the
+    replications, the same resample for every estimator: (BOOTSTRAP, ...)."""
+    weights = rng.multinomial(S, np.full(S, 1.0 / S), size=BOOTSTRAP) / S
+    return np.tensordot(weights, per_rep, axes=1)
+
+
 # Every fixed-pattern RE of the grid whose working pattern is not the truth
 # (3 truths x 2 patterns x 2 components = 12 entries) lies within Z_BAND
 # bootstrap SE of the closed form: a Bonferroni band at simultaneous level 1%,
@@ -120,26 +158,20 @@ def test_criterion_3_ci_coverage(grid):
 Z_BAND = NormalDist().inv_cdf(1.0 - 0.01 / (2 * 12))
 BOOTSTRAP = 2000
 PATTERN_OF_TRUTH = {"independence": "independence", "compound_symmetry": "cs", "ar1": "ar1"}
+FIXED_PATTERNS = ("independence", "cs", "ar1")
 
 
-def test_fixed_pattern_re_matches_the_closed_form(grid):
+def test_fixed_pattern_re_matches_the_closed_form(grid, fits):
     rng = np.random.default_rng(2026)
     ref, two = ESTIMATORS.index("quasi_true"), ESTIMATORS.index("two_step")
     worst, excess = 0.0, []
     for truth in TRUTHS:
         design = grid[truth].design
-        # the grid's replications again, chunk by chunk, for their squared errors
-        parts = [_replications(design, ESTIMATORS, 0.95, range(lo, min(lo + CHUNK_REPS, S)))
-                 for lo in range(0, S, CHUNK_REPS)]
-        assert not np.concatenate([part[3] for part in parts]).any()
-        sq = (np.concatenate([part[0] for part in parts]) - BETA0) ** 2  # (S, estimators, 2)
+        sq = (fits[truth][0] - BETA0) ** 2  # (S, estimators, 2)
         re = sq.mean(axis=0) / sq.mean(axis=0)[ref]
-        for j, name in enumerate(ESTIMATORS):
-            np.testing.assert_allclose(re[j], estimator_summary(grid[truth], name).re, rtol=1e-12)
-        weights = rng.multinomial(S, np.full(S, 1.0 / S), size=BOOTSTRAP)
-        boot = np.einsum("bs,sjk->bjk", weights, sq)
+        boot = paired_bootstrap(rng, sq)
         se = (boot / boot[:, ref:ref + 1]).std(axis=0, ddof=1)
-        for name in ("independence", "cs", "ar1"):
+        for name in FIXED_PATTERNS:
             if name == PATTERN_OF_TRUTH[truth]:
                 continue  # the working pattern is the truth: RE is 1 exactly
             j = ESTIMATORS.index(name)
@@ -151,6 +183,103 @@ def test_fixed_pattern_re_matches_the_closed_form(grid):
     _ok("closed-form RE", f"12 fixed-pattern REs within {Z_BAND:.2f} bootstrap SE of "
         f"m tr((R^-1 S)^2)/tr(R^-1 S)^2 (max |z| {worst:.2f}); two-step RE - 1 (SE) by "
         f"truth and component: {', '.join(excess)}")
+
+
+# The mean of n Psi over the replications, for each fixed working matrix (the
+# three patterns and the true correlation), lies within SANDWICH_BAND,
+# relative, of its limit G^-1 tr((W S)^2)/tr(W S)^2 in each entry: the two
+# variances n Psi_kk and the covariance n Psi_12 (3 truths x 4 matrices x 3 =
+# 36 entries).  The band is not a Monte Carlo band: at n = 500 the sandwich's
+# own O(p/n) downward bias (Mancl & DeRouen 2001), the start of every series
+# at y = 0 and the O(1/n) curvature of H^-1 M H^-1 in H each move the mean by
+# up to about 1%, more than the Monte Carlo SE of a mean over 500
+# replications (0.3-0.5%), so a z band would test the bias, not the formula.
+# 10%, fixed before the first run, still tells every working matrix from the
+# others under one truth (their limits differ by 20% or more, cs against
+# independence under the independence truth), and the covariance, whose
+# limit is -0.6 against the variances' 0.96 times the trace factor, pins G.
+# The largest gap measured is 1.1%.
+SANDWICH_BAND = 0.10
+UPPER = ([0, 1, 0], [0, 1, 1])  # the entries 11, 22 and 12
+
+
+def test_fixed_pattern_sandwich_matches_the_closed_form(grid, fits):
+    worst, two_step = 0.0, []
+    for truth in TRUTHS:
+        sigma = true_correlation(grid[truth].design)
+        n_psi = N * fits[truth][1][..., UPPER[0], UPPER[1]]  # (S, estimators, 3)
+        mean = n_psi.mean(axis=0)
+        for name in FIXED_PATTERNS + ("quasi_true",):
+            j = ESTIMATORS.index(name)
+            working = sigma if name == "quasi_true" else corr.PROVIDERS[name](ALPHA0, M).matrix
+            limit = asymptotic_sandwich(working, sigma, BETA0)[UPPER]
+            gap = mean[j] / limit - 1.0
+            assert np.all(np.abs(gap) <= SANDWICH_BAND), (truth, name, mean[j], limit)
+            worst = max(worst, float(np.max(np.abs(gap))))
+        # the two-step against the quasi_true limit, the optimum it estimates
+        j, limit = ESTIMATORS.index("two_step"), asymptotic_sandwich(sigma, sigma, BETA0)[UPPER]
+        se = n_psi[:, j].std(axis=0, ddof=1) / np.sqrt(S) / np.abs(limit)
+        two_step += [f"{gap:+.3f} ({err:.3f})" for gap, err in zip(mean[j] / limit - 1.0, se)]
+    _ok("closed-form sandwich", f"36 fixed-matrix entries of mean n Psi within "
+        f"{SANDWICH_BAND:.0%} of G^-1 tr((W S)^2)/tr(W S)^2 (max {worst:.3f}); two-step mean "
+        f"over the quasi_true limit - 1 (SE) by truth and entry 11, 22, 12: "
+        f"{', '.join(two_step)}")
+
+
+# Joint 95% Wald regions, (b - b0)' Psi^-1 (b - b0) <= chi2_2(0.95): the
+# coverage of each of the 15 (truth, estimator) cells lies within
+# WALD_Z binomial SE of 0.95, a Bonferroni band at simultaneous level 1% set
+# before the first run.
+CHI2_2_95 = -2.0 * np.log(0.05)  # the chi-square(2) quantile has a closed form
+WALD_Z = NormalDist().inv_cdf(1.0 - 0.01 / (2 * 15))
+
+
+def test_joint_wald_region_coverage(fits):
+    band = WALD_Z * np.sqrt(0.95 * 0.05 / S)
+    worst = (1.0, "")
+    for truth in TRUTHS:
+        betas, psis = fits[truth]
+        err = betas - BETA0
+        wald = np.einsum("sjk,sjk->sj", err, np.linalg.solve(psis, err[..., None])[..., 0])
+        cover = (wald <= CHI2_2_95).mean(axis=0)
+        for j, name in enumerate(ESTIMATORS):
+            assert abs(cover[j] - 0.95) <= band, (truth, name, cover[j])
+            if cover[j] < worst[0]:
+                worst = (float(cover[j]), f"{name}|{truth}")
+    _ok("joint coverage", f"95% Wald region coverage within 0.95 +/- {band:.4f} in all 15 "
+        f"cells (min {worst[0]:.3f} at {worst[1]})")
+
+
+# The region-size RE, log det(MSE_R)/det(MSE_quasi_true), of each fixed
+# pattern that is not the truth (6 cells) lies within REGION_Z bootstrap SE of
+# 2 log RE(R), the closed form for a design whose components share one RE: a
+# Bonferroni band at simultaneous level 1% set before the first run.
+REGION_Z = NormalDist().inv_cdf(1.0 - 0.01 / (2 * 6))
+
+
+def test_region_re_matches_the_closed_form(grid, fits):
+    rng = np.random.default_rng(2027)
+    ref, two = ESTIMATORS.index("quasi_true"), ESTIMATORS.index("two_step")
+    worst, two_step = 0.0, []
+    for truth in TRUTHS:
+        sigma = true_correlation(grid[truth].design)
+        err = fits[truth][0] - BETA0
+        outer = err[..., :, None] * err[..., None, :]  # (S, estimators, 2, 2)
+        log_det = np.linalg.slogdet(outer.mean(axis=0))[1]
+        boot = np.linalg.slogdet(paired_bootstrap(rng, outer))[1]  # (BOOTSTRAP, estimators)
+        log_re, se = log_det - log_det[ref], (boot - boot[:, ref:ref + 1]).std(axis=0, ddof=1)
+        for name in FIXED_PATTERNS:
+            if name == PATTERN_OF_TRUTH[truth]:
+                continue  # the working pattern is the truth: the ratio is 1 exactly
+            j = ESTIMATORS.index(name)
+            limit = 2.0 * np.log(asymptotic_re(corr.PROVIDERS[name](ALPHA0, M).matrix, sigma))
+            z = (log_re[j] - limit) / se[j]
+            assert abs(z) <= REGION_Z, (truth, name, np.exp(log_re[j]), np.exp(limit), se[j])
+            worst = max(worst, abs(float(z)))
+        two_step.append(f"{np.exp(log_re[two]):.3f} (SE of the log {se[two]:.3f})")
+    _ok("region RE", f"6 fixed-pattern log det(MSE_R)/det(MSE_quasi_true) within "
+        f"{REGION_Z:.2f} bootstrap SE of 2 log RE(R) (max |z| {worst:.2f}); two-step region RE "
+        f"by truth: {', '.join(two_step)}")
 
 
 def test_criterion_4a_newton_equals_closed_form():

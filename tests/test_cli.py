@@ -332,6 +332,26 @@ def test_long_layout_time_unit_and_response_are_three_columns_exit_1(tmp_path, c
                                        f"response columns, got {[time_col, unit_col, 'y']}\n")
 
 
+@pytest.mark.parametrize("layout, flags, message", [
+    ("wide", ["--exog", "airtemp_s1,airtemp_s2"],
+     "exogenous group ['airtemp_s1', 'airtemp_s2'] must list 3 columns (one per unit)"),
+    ("wide", ["--exog", ""], "exogenous group [] must list 3 columns (one per unit)"),
+    ("long", ["--exog", ""], "column names must not be empty"),
+    ("long", ["--exog", "x", "--exog", " "], "column names must not be empty"),
+], ids=["wide-two-of-three", "wide-empty", "long-empty", "long-blank"])
+def test_spec_fault_is_a_usage_error_before_the_file_is_read(tmp_path, capsys, layout, flags,
+                                                              message):
+    # the file does not exist: a spec that contradicts itself fails before it is opened
+    path = str(tmp_path / "no_such_file.csv")
+    if layout == "wide":
+        argv = ["fit", "--data", path, "--response", "wind_s1,wind_s2,wind_s3"]
+    else:
+        argv = ["fit", "--data", path, "--layout", "long", "--time-col", "day",
+                "--unit-col", "station", "--response", "y"]
+    assert run_command(argv + flags + ["--lags", "1", "--method", "linear"]) == 1
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
+
+
 def test_long_layout_takes_its_time_column_as_a_trend(tmp_path):
     path = tmp_path / "long.csv"
     path.write_text(LONG_8DAYS)
@@ -715,7 +735,7 @@ def write_overflowed_wide(path, rows=20, units=3, seed=0):
 def test_cli_overflowed_running_average_is_a_numerical_failure_exit_3(tmp_path, capsys,
                                                                       command, message):
     # the non-finite averages (the running plug-ins, diagnose's reference
-    # correlation) skip the regulariser's eigendecomposition and fail downstream
+    # correlation) become NaN in the regulariser and fail downstream
     path = tmp_path / "overflow.csv"
     write_overflowed_wide(path)
     argv = command[:1] + ["--data", str(path), "--response", "y1,y2,y3",
@@ -728,8 +748,9 @@ def test_cli_overflowed_running_average_is_a_numerical_failure_exit_3(tmp_path, 
 
 def test_cli_plug_in_that_lapack_finds_singular_is_a_numerical_failure_exit_3(tmp_path, capsys):
     # two squares of 1e154 overflow in an otherwise zero file: the two-step
-    # R_i has NaN on its diagonal and zeros elsewhere, so the solve meets an
-    # exact zero pivot before any NaN
+    # average has NaN on its diagonal and zeros elsewhere, which LAPACK would
+    # find singular at an exact zero pivot before any NaN; the regulariser
+    # makes the whole R_i NaN, so the normal matrix is not finite
     path = tmp_path / "zeros.csv"
     rows = [f"{t},0.0,0.0,{1e154 if t in (8, 9) else 0.0!r}" for t in range(11)]
     path.write_text("\n".join(["t,y1,y2,y3"] + rows) + "\n")
@@ -738,8 +759,26 @@ def test_cli_plug_in_that_lapack_finds_singular_is_a_numerical_failure_exit_3(tm
     with np.errstate(all="ignore"):
         assert run_command(argv) == 3
     captured = capsys.readouterr()
-    want = "numerical failure: working correlation is singular or not finite\n"
+    want = "numerical failure: normal matrix is not finite\n"
     assert (captured.out, captured.err) == ("", want)
+
+
+@pytest.mark.parametrize("command, message", [
+    (["fit", "--method", "linear"], "normal matrix is not finite"),
+    (["fit", "--method", "newton"], "g_n at the Newton starting point is not finite"),
+    (["predict", "--method", "linear"], "normal matrix is not finite"),
+], ids=["fit-linear", "fit-newton", "predict-linear"])
+def test_cli_overflowed_running_average_of_one_unit_is_a_numerical_failure_exit_3(
+        tmp_path, capsys, command, message):
+    # at m = 1 an overflowed average is [[inf]], whose inverse is exactly 0: a
+    # running average that is not finite must fail the fit, not drop the step
+    path = tmp_path / "one_unit.csv"
+    path.write_text("t,y\n0,1\n1,2\n2,1e200\n3,3\n")
+    argv = command[:1] + ["--data", str(path), "--response", "y", "--lags", "0",
+                          "--corr", "empirical"] + command[1:]
+    with np.errstate(all="ignore"):
+        assert run_command(argv) == 3
+    assert capsys.readouterr() == ("", f"numerical failure: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["fit", "diagnose"])

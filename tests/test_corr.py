@@ -148,6 +148,14 @@ def test_pseudo_fixed_rejects_non_finite(matrix):
         corr.pseudo_fixed(matrix)
 
 
+@pytest.mark.parametrize("matrix", [np.ones((2, 3)), np.ones(3), np.array(1.0), np.eye(0),
+                                    np.eye(3)[None]],
+                         ids=["2x3", "1-D", "0-D", "0x0", "1x3x3"])
+def test_pseudo_fixed_rejects_a_matrix_that_is_not_square(matrix):
+    with pytest.raises(ContractError, match="working correlation must be a non-empty square"):
+        corr.pseudo_fixed(matrix)
+
+
 def test_emitted_matrices_are_unit_diagonal_spd():
     for provider in (
         corr.independence(4),

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from loop_oracle import cell_load_arrays
 from mtgee import cli
 from mtgee.cli import DatasetSpec, _load_arrays, parse_dataset
+from mtgee.errors import ContractError
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "..", "data", "wind_synthetic.csv")
 
@@ -153,6 +154,12 @@ def outcome(load, spec):
 
 
 def assert_same_as_oracle(path, **kw):
+    groups = kw["exog_cols"] if kw.get("layout", "wide") == "wide" else []
+    if any(len(group) != len(kw["response_cols"]) for group in groups):
+        # a spec fault, rejected before the file is read
+        with pytest.raises(ContractError, match="must list"):
+            DatasetSpec(path=str(path), **kw)
+        return
     spec = DatasetSpec(path=str(path), **kw)
     assert outcome(_load_arrays, spec) == outcome(cell_load_arrays, spec)
 
@@ -289,7 +296,10 @@ def test_generated_files_reach_both_outcomes(tmp_path):
         text, kw = file
         path = tmp_path / "f.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        result = outcome(_load_arrays, DatasetSpec(path=str(path), **kw))
+        try:
+            result = outcome(_load_arrays, DatasetSpec(path=str(path), **kw))
+        except ContractError:  # a wide exogenous group that does not list m columns
+            result = None
         seen.add((kw["layout"], isinstance(result, list)))
 
     classify()

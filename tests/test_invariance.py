@@ -79,7 +79,7 @@ def test_change_at_any_step_leaves_past_bitwise(seed, n, m, block, data):
                 # a 1 x 1 average over its dispersion is 1, so R_i is 1 to a few ulps
                 assert np.max(np.abs(seq_k - 1.0)) <= 2 * np.finfo(float).eps
             # a later step past the warm-up, whose b_i leaves a residual, sees the change
-            elif k + 1 < n and k + 1 >= max(corr.WARMUP_STEPS, m, base.p + 1):
+            elif k + 1 < n and k + 1 >= max(m, base.p + 1):
                 assert not np.array_equal(seq_k[k + 1:], seq[k + 1:])
 
 

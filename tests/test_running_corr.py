@@ -281,10 +281,11 @@ def _wishart(rng, m, count):
     return eps.T @ eps / len(eps)
 
 
-def test_regularizer_returns_a_non_finite_average_as_it_came():
-    # an overflowed average is left for the solve downstream to fail on; one
-    # whose Frobenius norm overflows (entries above ~1e154) while its entries
-    # stay finite is shrunk, as every finite average is
+def test_regularizer_sends_a_non_finite_average_to_nan():
+    # an overflowed average becomes all NaN, for every reader downstream to
+    # fail on, whatever its inverse would be; one whose Frobenius norm
+    # overflows (entries above ~1e154) while its entries stay finite is
+    # shrunk, as every finite average is
     rng = substream(16, 1)
     counts = np.array([400, 900, 5000])
     rel = 4 / (2.0 * counts[2])
@@ -297,7 +298,7 @@ def test_regularizer_returns_a_non_finite_average_as_it_came():
         assert not np.isfinite(np.sqrt(np.sum(mats[2] * mats[2])))
         out = corr.regularized_empirical(mats, counts)
     assert np.array_equal(mats, before, equal_nan=True)
-    assert np.array_equal(out[:2], before[:2], equal_nan=True)
+    assert np.isnan(out[:2]).all()
     assert np.max(np.abs(out[2] - scalar_regularize(before[2], counts[2]))) <= 1e-13
     assert not np.array_equal(out[2], before[2])
 
