@@ -127,7 +127,8 @@ def entries(mt, directory, wide_columns):
     binary = mt.ClusterSeries(ys=(rng.uniform(size=(5948, 6)) < 0.4).astype(np.float64),
                               Xs=rng.normal(scale=0.4, size=(5948, 6, 4)))
     empirical = corr.empirical_running(6, plugin_beta=[-0.4, 0.9, 0.4, 0.7])
-    design = simgen.SimDesign(n=500, m=5, corr_kind="cs", alpha0=0.7, seed=11)
+    # positional: the parent tree of a comparison may spell the truth keyword otherwise
+    design = simgen.SimDesign(500, 5, (0.5, 0.2), "cs", 0.7, 11)
     paper, stack = simgen.generate_ar2(design, 0), simgen.generate_ar2(design, range(4))
     wind, two_step5, two_step8 = gaussian(4998, 8, 4), corr.two_step(5), corr.two_step(8)
 

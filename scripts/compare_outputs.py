@@ -44,7 +44,9 @@ The commands:
   with one row repeated at its end, which exits 2 and names its line;
 - ``fit`` on a file with a byte that is not UTF-8 and on a file with a cell
   over csv's field limit, which exit 2;
-- ``diagnose --delta-grid 0.1,abc``, which exits 1;
+- ``diagnose --delta-grid 0.1,abc``, which exits 1, and ``diagnose
+  --delta-grid 0.1,0.10000000001``, two deltas that agree to 6 significant
+  digits and keep a ratio series each;
 - ``simulate --s 50`` and ``replicate-tables --s 50`` with seeds 1 and 3,
   ``simulate --s 50 --truth independence`` and ``--truth ar1``, and
   ``replicate-tables --s 500 --seed 3``;
@@ -277,6 +279,8 @@ def commands(directory):
                     ["fit"] + wind_x10 + ["--method", method, "--corr", corr]))
     out.append(("diagnose_wind_synthetic_delta_grid_abc",
                 ["diagnose"] + wind + ["--delta-grid", "0.1,abc"]))
+    out.append(("diagnose_wind_synthetic_delta_grid_close",
+                ["diagnose"] + wind + ["--delta-grid", "0.1,0.10000000001"]))
     for seed in (1, 3):
         out.append((f"simulate_s50_seed{seed}", ["simulate", "--s", "50", "--seed", str(seed)]))
         out.append((f"replicate_s50_seed{seed}",

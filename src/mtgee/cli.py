@@ -21,7 +21,7 @@ import csv as _csv
 import io
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import accumulate, compress, islice
 from typing import Optional
 
@@ -97,38 +97,11 @@ def _mc_table_csv(reports, metric: str) -> str:
     writer = _csv.writer(buf, lineterminator="\n")
     writer.writerow(["estimator", "truth", "component", "value"])
     for report in reports:
-        truth = TRUTHS[report.design.corr_kind]
+        truth = TRUTHS[report.design.truth]
         for summ in report.estimators:
             for k, v in enumerate(getattr(summ, metric)):
                 writer.writerow([summ.label, truth, k + 1, format(float(v), ".17g")])
     return buf.getvalue()
-
-
-def _mc_report_dict(report) -> dict:
-    return {
-        "design": {
-            "n": report.design.n,
-            "m": report.design.m,
-            "beta0": list(report.design.beta0),
-            "truth": report.design.corr_kind,
-            "alpha0": report.design.alpha0,
-            "seed": report.design.seed,
-        },
-        "s": report.s,
-        "level": report.level,
-        "estimators": [
-            {
-                "label": e.label,
-                "bias": e.bias,
-                "rb": e.rb,
-                "mse": e.mse,
-                "re": e.re,
-                "coverage": e.coverage,
-                "failures": e.failures,
-            }
-            for e in report.estimators
-        ],
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +629,7 @@ def _cmd_monte_carlo(args):
     beta0 = _float_list(args.beta0)
     reports = [
         monte_carlo_study(
-            SimDesign(n=args.n, m=args.m, beta0=tuple(beta0), corr_kind=truth,
+            SimDesign(n=args.n, m=args.m, beta0=tuple(beta0), truth=truth,
                       alpha0=args.alpha, seed=args.seed),
             s=args.s,
             level=args.level,
@@ -676,7 +649,7 @@ def _cmd_monte_carlo(args):
             "level": args.level,
             "seed": args.seed,
         },
-        "reports": [_mc_report_dict(r) for r in reports],
+        "reports": [asdict(r) for r in reports],
         "diagnostics": None,
     }
     tables = {
@@ -704,29 +677,13 @@ def _cmd_diagnose(args):
     opt = diagmod.optimality_ratios(ctx, beta, rbar)
 
     diagnostics = {
-        "conditions": {
-            "checkpoints": cond.checkpoints,
-            "lambda_min": cond.lambda_min,
-            "lambda_max": cond.lambda_max,
-            "s_delta_ratio": {format(d, "g"): r for d, r in cond.s_delta_ratio.items()},
-            "verdicts": cond.verdicts,
-        },
-        "leverage": {"gamma_prime": lev.gamma_prime, "a_prime": lev.a_prime},
-        "optimality": {
-            "checkpoints": opt.checkpoints,
-            "det_ratio_H": opt.det_ratio_H,
-            "det_ratio_M": opt.det_ratio_M,
-            "reference_correlation": rbar,
-        },
+        "conditions": asdict(cond),
+        "leverage": asdict(lev),
+        "optimality": {**asdict(opt), "reference_correlation": rbar},
     }
     if args.d_grid is not None:
         pert = diagmod.perturbation_sensitivity(result, _float_list(args.d_grid), args.seed, rbar)
-        diagnostics["perturbation"] = {
-            "budgets": pert.budgets,
-            "perturb_drift": pert.perturb_drift,
-            "det_ratio_H": pert.det_ratio_H,
-            "det_ratio_M": pert.det_ratio_M,
-        }
+        diagnostics["perturbation"] = asdict(pert)
     return _dataset_payload(args, result, {"beta_hat": beta}, diagnostics), {}
 
 

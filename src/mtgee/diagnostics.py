@@ -49,15 +49,19 @@ def _checkpoints(n: int):
 
 @dataclass
 class ConditionReport:
+    """Eigenvalue conditions; the ``conditions`` block of the ``diagnose`` payload."""
+
     checkpoints: list
     lambda_min: np.ndarray
     lambda_max: np.ndarray
-    s_delta_ratio: dict  # delta -> ratio series lambda_min / lambda_max^(1/2+delta)
+    s_delta_ratio: dict  # float delta -> ratio series lambda_min / lambda_max^(1/2+delta)
     verdicts: dict
 
 
 @dataclass
 class OptimalityReport:
+    """Determinant ratios; with the reference R, the ``optimality`` block of ``diagnose``."""
+
     checkpoints: list
     det_ratio_H: np.ndarray
     det_ratio_M: np.ndarray
@@ -65,6 +69,8 @@ class OptimalityReport:
 
 @dataclass
 class PerturbationReport:
+    """Perturbation study; the ``perturbation`` block of the ``diagnose`` payload."""
+
     budgets: np.ndarray
     perturb_drift: np.ndarray  # ||beta(delta) - beta(0)|| per budget
     det_ratio_H: np.ndarray  # full-sample ratios per budget
@@ -73,6 +79,8 @@ class PerturbationReport:
 
 @dataclass
 class LeverageStats:
+    """Leverage moduli; the ``leverage`` block of the ``diagnose`` payload."""
+
     gamma_prime: float
     a_prime: float
 

@@ -210,14 +210,9 @@ def solve_linear(ctx: EstimatingContext) -> np.ndarray:
         raise ContractError(
             f"solve_linear requires the identity link, got {ctx.link.kind!r}"
         )
-    return _closed_form(ctx.data, ctx.rinv_x)
-
-
-def _closed_form(data, rinv_x):
-    """solve_linear's roots of ``data`` from its R^{-1} X."""
-    k_mat = _gram(data.Xs, rinv_x)
+    k_mat = _gram(ctx.data.Xs, ctx.rinv_x)
     ok = _rank_test(k_mat, "normal matrix")
-    rhs = _gram(rinv_x, data.ys[..., None])
+    rhs = _gram(ctx.rinv_x, ctx.data.ys[..., None])
     beta = np.full(k_mat.shape[:-1], np.nan)
     beta[ok] = np.linalg.solve(k_mat[ok], rhs[ok])[..., 0]
     if beta.ndim == 1 and not np.all(np.isfinite(beta)):  # an overflowed right-hand side
@@ -329,9 +324,10 @@ def fit_two_step(data: ClusterSeries) -> TwoStepResult:
     (``perfbench/workloads.py``), which takes both from one call; a test
     pins them to those two routes bit for bit.
     """
-    provider = corrmod.two_step(data.m)
-    seq = provider.realize(data, get_link("identity"))
-    return TwoStepResult(beta=_closed_form(data, provider.solve(seq, data.Xs)), corr_seq=seq)
+    ctx = EstimatingContext(data, get_link("identity"), corrmod.two_step(data.m))
+    seq = ctx.corr.realize(data, ctx.link)
+    ctx.rinv_x = ctx.corr.solve(seq, data.Xs)  # fills the cache: the sequence is realized once
+    return TwoStepResult(beta=solve_linear(ctx), corr_seq=seq)
 
 
 @dataclass

@@ -66,12 +66,12 @@ def substream(seed: int, stream: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SimDesign:
-    """Second-order autoregression design for the simulation study."""
+    """Second-order autoregression design; a Monte Carlo report's ``design`` block."""
 
     n: int = 500
     m: int = 5
     beta0: tuple = (0.5, 0.2)
-    corr_kind: str = "compound_symmetry"
+    truth: str = "compound_symmetry"
     alpha0: float = 0.7
     seed: int = 0
 
@@ -82,17 +82,17 @@ class SimDesign:
             raise ContractError(f"beta0 must be finite, got {tuple(self.beta0)}")
         if self.n < 1 or self.m < 1:
             raise ContractError("n and m must be positive")
-        kind = str(self.corr_kind).lower()
-        kind = "compound_symmetry" if kind == "cs" else kind
-        if kind not in TRUTHS:
-            raise ContractError(f"unknown correlation kind {self.corr_kind!r}")
-        object.__setattr__(self, "corr_kind", kind)
-        # validates the alpha range for this kind/m
-        corrmod.build_fixed_corr(kind, self.alpha0, self.m)
+        truth = str(self.truth).lower()
+        truth = "compound_symmetry" if truth == "cs" else truth
+        if truth not in TRUTHS:
+            raise ContractError(f"unknown correlation kind {self.truth!r}")
+        object.__setattr__(self, "truth", truth)
+        # validates the alpha range for this truth/m
+        corrmod.build_fixed_corr(truth, self.alpha0, self.m)
 
 
 def true_correlation(design: SimDesign) -> np.ndarray:
-    return corrmod.build_fixed_corr(design.corr_kind, design.alpha0, design.m)
+    return corrmod.build_fixed_corr(design.truth, design.alpha0, design.m)
 
 
 def generate_ar2(design: SimDesign, rep=0):
@@ -204,6 +204,8 @@ def _usable_cpus() -> int:
 
 @dataclass
 class EstimatorSummary:
+    """One estimator's column; an entry of a Monte Carlo report's ``estimators`` block."""
+
     label: str
     bias: np.ndarray
     rb: np.ndarray
@@ -215,9 +217,11 @@ class EstimatorSummary:
 
 @dataclass
 class MonteCarloReport:
+    """One design's study; its ``asdict`` is a report of the Monte Carlo payloads."""
+
     design: SimDesign
-    level: float
     s: int
+    level: float
     estimators: list = field(default_factory=list)
 
 
@@ -277,4 +281,4 @@ def monte_carlo_study(
                             failures=n_fail))
     ref_mse = columns[ESTIMATORS.index("quasi_true")]["mse"]
     summaries = [EstimatorSummary(re=col["mse"] / ref_mse, **col) for col in columns]
-    return MonteCarloReport(design=design, level=level, s=s, estimators=summaries)
+    return MonteCarloReport(design=design, s=s, level=level, estimators=summaries)

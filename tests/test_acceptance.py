@@ -44,7 +44,7 @@ def grid():
     reports = {}
     for truth in TRUTHS:
         design = SimDesign(
-            n=N, m=M, beta0=tuple(BETA0), corr_kind=truth, alpha0=ALPHA0, seed=SEED
+            n=N, m=M, beta0=tuple(BETA0), truth=truth, alpha0=ALPHA0, seed=SEED
         )
         reports[truth] = monte_carlo_study(design, s=S, level=0.95)
     return reports
@@ -336,7 +336,7 @@ def test_criterion_4c_jacobian_vs_finite_differences():
 def test_criterion_5_estimating_function_unbiased_at_truth():
     reps = 500
     design = SimDesign(
-        n=N, m=M, beta0=tuple(BETA0), corr_kind="compound_symmetry", alpha0=ALPHA0, seed=77
+        n=N, m=M, beta0=tuple(BETA0), truth="compound_symmetry", alpha0=ALPHA0, seed=77
     )
     providers = {
         "independence": None,
@@ -364,7 +364,7 @@ def test_criterion_6_optimality_determinant_ratios():
 
     # oracle provider: ratios exactly 1
     data = generate_ar2(
-        SimDesign(n=400, m=M, beta0=tuple(BETA0), corr_kind="compound_symmetry",
+        SimDesign(n=400, m=M, beta0=tuple(BETA0), truth="compound_symmetry",
                   alpha0=ALPHA0, seed=3)
     )
     ctx = EstimatingContext(data=data, link=IDENT, corr=corr.pseudo_fixed(truth))
@@ -379,7 +379,7 @@ def test_criterion_6_optimality_determinant_ratios():
     err_m = {200: [], 2000: []}
     for seed in range(50):
         data = generate_ar2(
-            SimDesign(n=2000, m=M, beta0=tuple(BETA0), corr_kind="compound_symmetry",
+            SimDesign(n=2000, m=M, beta0=tuple(BETA0), truth="compound_symmetry",
                       alpha0=ALPHA0, seed=seed)
         )
         provider = corr.empirical_running(M, plugin_beta=BETA0)
@@ -409,7 +409,7 @@ def test_criterion_7_perturbation_robustness():
     drifts, ratio_moves = [], []
     for seed in range(20):
         data = generate_ar2(
-            SimDesign(n=N, m=M, beta0=tuple(BETA0), corr_kind="compound_symmetry",
+            SimDesign(n=N, m=M, beta0=tuple(BETA0), truth="compound_symmetry",
                       alpha0=ALPHA0, seed=1000 + seed)
         )
         fitted = fit(EstimatingContext(data=data, link=IDENT, corr=corr.two_step(M)), "linear",
@@ -476,3 +476,86 @@ def test_criterion_9_byte_identical_reruns(tmp_path):
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
     _ok(9, "repeated runs with identical seeds produce byte-identical JSON and CSV")
+
+
+# Criterion 10: the exponential-family half of the paper.  Logistic and
+# Poisson (exponential link) autoregressions with x_ij = (1, h(y_{i-1,j}),
+# z_ij), z_ij ~ N(0, 0.25), h the identity for binary responses and log1p for
+# counts, and the m = 4 responses of a step tied by a Gaussian copula with
+# compound-symmetry correlation GLM_RHO; each fitted by Newton with working
+# independence, cs(0.3) and the running empirical correlation.  Levels, set
+# before the first run:
+# - g_n(beta0)/n is unbiased: over GLM_REPS series of n = GLM_N steps, the
+#   mean of each component lies within GLM_Z SE of 0 (2 links x 3 providers
+#   x 3 components = 18 cells, Bonferroni at simultaneous level 1%).  The
+#   running empirical correlation takes beta0 as its plug-in here, so R_i is
+#   predictable and g_n(beta0) a martingale;
+# - the coverage of each 95% interval lies within GLM_Z binomial SE of 0.95 in
+#   the same 18 cells (Bonferroni at 1%); the fits use the providers as
+#   ``fit`` resolves them, the empirical plug-in from working independence;
+# - the error falls from n to 4n: the mean squared error summed over the
+#   components, on GLM_REPS_4N series of 4n steps, is at most GLM_MSE_FALL
+#   times that at n, where the root-n rate predicts a quarter (6 cells).
+GLM_M, GLM_RHO, GLM_N, GLM_REPS, GLM_REPS_4N = 4, 0.5, 250, 200, 50
+GLM_MODELS = {"logistic": np.array([-0.4, 0.8, 0.5]), "exponential": np.array([0.3, 0.3, 0.4])}
+GLM_Z = NormalDist().inv_cdf(1.0 - 0.01 / (2 * 18))
+GLM_MSE_FALL = 0.5
+
+
+def copula_glm_series(rng, link_kind, beta0, n, reps):
+    """``reps`` independent series of the criterion-10 design, simulated together."""
+    from scipy.special import ndtr
+    from scipy.stats import poisson
+
+    link = get_link(link_kind)
+    chol = np.linalg.cholesky(corr.build_fixed_corr("compound_symmetry", GLM_RHO, GLM_M))
+    u = ndtr(rng.standard_normal((n, reps, GLM_M)) @ chol.T)  # uniform margins, tied per step
+    z = rng.normal(scale=0.5, size=(n, reps, GLM_M))
+    ys, Xs = np.empty((n, reps, GLM_M)), np.empty((n, reps, GLM_M, 3))
+    prev = np.zeros((reps, GLM_M))
+    for i in range(n):
+        lag = prev if link_kind == "logistic" else np.log1p(prev)
+        Xs[i] = np.stack([np.ones_like(lag), lag, z[i]], axis=-1)
+        mu = link.eval(Xs[i] @ beta0)
+        ys[i] = u[i] < mu if link_kind == "logistic" else poisson.ppf(u[i], mu)
+        prev = ys[i]
+    return [ClusterSeries(ys=ys[:, r], Xs=Xs[:, r]) for r in range(reps)]
+
+
+def glm_providers(plugin_beta=None):
+    return {"independence": None, "cs": corr.compound_symmetry(0.3, GLM_M),
+            "empirical": corr.empirical_running(GLM_M, plugin_beta=plugin_beta)}
+
+
+def test_criterion_10_exponential_family_links():
+    band = GLM_Z * np.sqrt(0.95 * 0.05 / GLM_REPS)
+    worst_t, worst_cover, falls = 0.0, (1.0, ""), []
+    for index, (link_kind, beta0) in enumerate(GLM_MODELS.items()):
+        link = get_link(link_kind)
+        rng = substream(2030, index)
+        series = copula_glm_series(rng, link_kind, beta0, GLM_N, GLM_REPS)
+        long_series = copula_glm_series(rng, link_kind, beta0, 4 * GLM_N, GLM_REPS_4N)
+        for name in glm_providers():
+            g = np.array([eval_g(EstimatingContext(data, link, glm_providers(beta0)[name]), beta0)
+                          for data in series]) / GLM_N
+            t = g.mean(axis=0) / (g.std(axis=0, ddof=1) / np.sqrt(GLM_REPS))
+            assert np.all(np.abs(t) <= GLM_Z), (link_kind, name, t)
+            worst_t = max(worst_t, float(np.max(np.abs(t))))
+
+            fits = [fit(EstimatingContext(data, link, glm_providers()[name]), "newton")
+                    for data in series]
+            cis = np.array([result.cis for result in fits])
+            cover = ((cis[..., 0] <= beta0) & (beta0 <= cis[..., 1])).mean(axis=0)
+            assert np.all(np.abs(cover - 0.95) <= band), (link_kind, name, cover)
+            if cover.min() < worst_cover[0]:
+                worst_cover = (float(cover.min()), f"{name}|{link_kind}")
+
+            mse = ((np.array([result.beta_hat for result in fits]) - beta0) ** 2).mean(axis=0)
+            long_betas = [fit(EstimatingContext(data, link, glm_providers()[name]), "newton",
+                              with_inference=False).beta_hat for data in long_series]
+            ratio = float(((np.array(long_betas) - beta0) ** 2).mean(axis=0).sum() / mse.sum())
+            assert ratio <= GLM_MSE_FALL, (link_kind, name, ratio)
+            falls.append(f"{name}|{link_kind} {ratio:.2f}")
+    _ok(10, f"logistic and exponential links, 3 providers: mean g_n(beta0)/n within {GLM_Z:.2f} "
+        f"SE of 0 (max |t| {worst_t:.2f}); coverage within 0.95 +/- {band:.3f} (min "
+        f"{worst_cover[0]:.3f} at {worst_cover[1]}); MSE(4n)/MSE(n): {', '.join(falls)}")

@@ -53,7 +53,7 @@ def test_module_state_is_per_copy(copies, monkeypatch):
 def test_two_step_fit_is_bit_identical(copies):
     fits = []
     for mt in copies:
-        design = mt.SimDesign(n=200, m=4, corr_kind="cs", alpha0=0.5, seed=5)
+        design = mt.SimDesign(n=200, m=4, truth="cs", alpha0=0.5, seed=5)
         ctx = mt.EstimatingContext(data=mt.generate_ar2(design, 0),
                                    link=mt.get_link("identity"), corr=mt.corr.two_step(4))
         result = mt.fit(ctx, "linear")

@@ -1,12 +1,14 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from loop_oracle import loop_design
-from mtgee import cli, corr, model, simgen
+from mtgee import cli, corr, diagnostics, model, simgen
 from mtgee.cli import (
     DatasetSpec,
     build_parser,
@@ -115,6 +117,15 @@ def test_missing_response_is_hard_error(tmp_path):
     path.write_text("t,y1\n1,1.0\n2,\n3,1.2\n")
     with pytest.raises(DataError, match="never imputed"):
         parse_dataset(DatasetSpec(path=str(path), response_cols=["y1"], lags=1))
+
+
+def test_a_file_of_no_more_rows_than_lags_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    path.write_text("t,y1\n1,1.0\n2,1.5\n")
+    argv = ["fit", "--data", str(path), "--response", "y1", "--lags", "2", "--method", "linear"]
+    assert run_command(argv) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {path}: 2 rows cannot support 2 lags plus one step\n")
 
 
 def test_ragged_row_reports_line_number(tmp_path):
@@ -556,6 +567,14 @@ def test_emit_report_roundtrip_structures():
     assert json.loads(json_dumps(payload)) == payload
 
 
+def test_json_dumps_empty_containers_and_unsupported_objects():
+    assert json_dumps({}) == "{}\n"
+    assert json_dumps([]) == "[]\n"
+    assert json_dumps({"a": [], "b": {}}) == '{\n  "a": [],\n  "b": {}\n}\n'
+    with pytest.raises(ContractError, match="cannot serialize object to JSON"):
+        json_dumps({"x": object()})
+
+
 # ---------------------------------------------------------------------------
 # end-to-end command runs
 # ---------------------------------------------------------------------------
@@ -591,6 +610,27 @@ def test_cli_two_step_is_the_linear_fit_with_the_two_step_provider(capsys):
     ))
     ctx = EstimatingContext(data=series, link=get_link("identity"), corr=corr.two_step(3))
     assert np.array_equal(np.array(beta), fit(ctx, "linear").beta_hat)
+
+
+def run_python_m_mtgee(*argv):
+    """``python -m mtgee`` in a child process, on this checkout's src."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "mtgee", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_python_m_mtgee_runs_the_cli_and_exits_with_its_code():
+    # __main__ and cli.main, the console script's target, run nowhere else
+    bare = run_python_m_mtgee()
+    assert bare.returncode == 1 and bare.stderr.startswith("usage error: ")
+    helped = run_python_m_mtgee("fit", "--help")
+    assert helped.returncode == 0 and "--delta-grid" not in helped.stdout
+    assert "--method" in helped.stdout
+    fitted = run_python_m_mtgee(*FIT_ARGV)
+    assert fitted.returncode == 0, fitted.stderr
+    assert json.loads(fitted.stdout)["schema"] == "mtgee/1"
 
 
 def test_cli_fit_deterministic_bytes(tmp_path):
@@ -942,6 +982,29 @@ def test_cli_diagnose_reference_correlation_is_the_running_regulariser(capsys):
     want = corr.regularized_empirical(avg[None], np.array([series.n]))[0]
     assert np.array_equal(np.array(payload["diagnostics"]["optimality"]["reference_correlation"]),
                           want)
+
+
+@pytest.mark.parametrize("grid", [[0.1, 0.10000000001], [0.123456789, 0.3]])
+def test_cli_diagnose_keys_each_delta_by_its_float(capsys, grid):
+    # two deltas that agree to 6 significant digits keep a series each, and the
+    # ratio series and the verdicts spell a delta alike: str of the float
+    argv = ["diagnose", "--data", FIXTURE, "--response", "wind_s1,wind_s2,wind_s3",
+            "--exog", "airtemp_s1,airtemp_s2,airtemp_s3", "--lags", "2",
+            "--method", "two_step", "--delta-grid", ",".join(map(repr, grid))]
+    assert run_command(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    cond = payload["diagnostics"]["conditions"]
+    keys = [str(d) for d in grid]
+    assert list(cond["s_delta_ratio"]) == keys
+    assert list(cond["verdicts"]["S_delta"]) == keys
+    series = parse_dataset(DatasetSpec(
+        path=FIXTURE, response_cols=["wind_s1", "wind_s2", "wind_s3"],
+        exog_cols=[["airtemp_s1", "airtemp_s2", "airtemp_s3"]], lags=2,
+    ))
+    ctx = EstimatingContext(data=series, link=get_link("identity"), corr=corr.two_step(3))
+    want = diagnostics.eigen_conditions(ctx, np.array(payload["result"]["beta_hat"]), grid)
+    for d, key in zip(grid, keys):
+        assert np.array_equal(np.array(cond["s_delta_ratio"][key]), want.s_delta_ratio[d])
 
 
 def test_cli_predict_reduced_model(capsys):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from loop_oracle import scalar_regularize
 from mtgee import corr
 from mtgee.errors import ContractError, CorrelationDegeneracyError
+from mtgee.estfun import EstimatingContext
 from mtgee.model import ClusterSeries, get_link
 from mtgee.simgen import substream
 
@@ -95,12 +96,12 @@ def shrinkage(m, count=COUNT):
     return min(0.5, m / (2.0 * count))
 
 
-def test_spd_project_identity_unchanged():
+def test_regularized_empirical_leaves_the_identity_unchanged():
     out = regularize_one(np.eye(3))
     assert np.array_equal(out, np.eye(3))
 
 
-def test_spd_project_matches_eigen_oracle():
+def test_regularized_empirical_matches_eigen_oracle():
     # the rule maps S's spectrum w to (1 - lam) m w / tr(S) + lam and keeps
     # its eigenvectors
     mat = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -114,7 +115,7 @@ def test_spd_project_matches_eigen_oracle():
     assert abs(np.trace(out) - 2.0) < 1e-15
 
 
-def test_spd_project_keeps_valid_correlation():
+def test_regularized_empirical_keeps_a_valid_correlation():
     # a correlation matrix has trace m, so it is only shrunk: (1 - lam) C + lam I
     # is a correlation matrix again
     mat = corr.build_fixed_corr("compound_symmetry", 0.7, 5)
@@ -125,7 +126,7 @@ def test_spd_project_keeps_valid_correlation():
     assert np.linalg.eigvalsh(out)[0] >= lam - 1e-15
 
 
-def test_spd_project_is_scale_free():
+def test_regularized_empirical_is_scale_free():
     # contract: S is divided by its dispersion tr(S)/m first, so a rescaled
     # average gives the same matrix
     mat = np.array([[1.0, 0.9], [0.9, 1.0]])
@@ -133,6 +134,30 @@ def test_spd_project_is_scale_free():
     for scale in (1e-8, 0.1, 3.0, 1e8):
         assert np.max(np.abs(regularize_one(scale * mat) - once)) < 1e-15
     assert np.max(np.abs(once - scalar_regularize(mat, COUNT))) < 1e-15
+
+
+def test_fixed_corr_rejects_an_unknown_kind_and_an_empty_cluster():
+    with pytest.raises(ContractError, match="unknown fixed correlation kind 'toeplitz'"):
+        corr.build_fixed_corr("toeplitz", 0.5, 3)
+    with pytest.raises(ContractError, match="cluster size must be >= 1, got 0"):
+        corr.build_fixed_corr("independence", 0.0, 0)
+    with pytest.raises(ContractError, match="cluster size must be >= 1"):
+        corr.two_step(0)
+
+
+class SingularCorr(corr.CorrProvider):
+    """A user-defined provider whose every R_i is the singular all-ones matrix."""
+
+    def realize(self, data, link):
+        return np.ones(data.ys.shape + (self.m,))
+
+
+@pytest.mark.parametrize("attribute", ["rinv_x", "corr_inverses"])
+def test_a_user_provider_with_a_singular_matrix_is_a_degeneracy(attribute):
+    data = ClusterSeries(ys=np.zeros((4, 2)), Xs=np.ones((4, 2, 1)))
+    ctx = EstimatingContext(data=data, link=get_link("identity"), corr=SingularCorr(2))
+    with pytest.raises(CorrelationDegeneracyError, match="singular or not finite"):
+        getattr(ctx, attribute)
 
 
 def test_pseudo_fixed_rejects_non_spd():
@@ -228,7 +253,7 @@ def test_fixed_patterns_always_spd_unit_diagonal(kind, m, alpha):
 @given(st.floats(min_value=-0.95, max_value=0.95), st.integers(min_value=1, max_value=5),
        st.integers(min_value=1, max_value=10**6))
 @settings(max_examples=40, deadline=None)
-def test_spd_project_output_has_trace_m_and_eigenvalues_at_least_lam(rho, m, count):
+def test_regularized_empirical_output_has_trace_m_and_eigenvalues_at_least_lam(rho, m, count):
     # a rank-one-dominated input, as near-singular as an average can be
     v = np.full(m, 1.0)
     v[0] = rho

@@ -10,7 +10,7 @@ from mtgee.diagnostics import (
     optimality_ratios,
     perturbation_sensitivity,
 )
-from mtgee.errors import ContractError, CorrelationDegeneracyError
+from mtgee.errors import ContractError, CorrelationDegeneracyError, RankDeficiencyError
 from mtgee.estfun import EstimatingContext, eval_jacobian, fit
 from mtgee.model import ClusterSeries, get_link
 from mtgee.simgen import SimDesign, generate_ar2, substream
@@ -21,7 +21,7 @@ CS_TRUTH = corr.build_fixed_corr("compound_symmetry", 0.7, 5)
 
 
 def ar2_ctx(n=2000, seed=0, truth="cs", provider=None):
-    data = generate_ar2(SimDesign(n=n, m=5, corr_kind=truth, alpha0=0.7, seed=seed))
+    data = generate_ar2(SimDesign(n=n, m=5, truth=truth, alpha0=0.7, seed=seed))
     return EstimatingContext(data=data, link=IDENT, corr=provider)
 
 
@@ -111,7 +111,7 @@ def test_ergodicity_requires_enough_replications(rng):
 
 def test_ergodicity_deviation_shrinks_with_n():
     reps = [
-        generate_ar2(SimDesign(n=2000, m=5, corr_kind="cs", alpha0=0.7, seed=s))
+        generate_ar2(SimDesign(n=2000, m=5, truth="cs", alpha0=0.7, seed=s))
         for s in range(100)
     ]
     template = EstimatingContext(data=reps[0], link=IDENT, corr=corr.compound_symmetry(0.7, 5))
@@ -155,6 +155,17 @@ def test_optimality_monitors_reject_a_bad_true_corr(monkeypatch, rng, name):
     assert refits == []
 
 
+def test_optimality_ratios_reject_a_reference_information_singular_at_a_checkpoint(rng):
+    # the second regressor is 0 over the first checkpoint's steps, so the
+    # reference information has a zero row there, though the full sample's does not
+    data = random_series(rng, n=40, m=3, p=2)
+    Xs = np.array(data.Xs)
+    Xs[:4, :, 1] = 0.0
+    ctx = EstimatingContext(data=ClusterSeries(ys=data.ys, Xs=Xs), link=IDENT)
+    with pytest.raises(RankDeficiencyError, match="reference information singular at checkpoint 4"):
+        optimality_ratios(ctx, np.zeros(2), np.eye(3))
+
+
 def test_det_ratio_penalises_independence_under_cs_truth():
     truth = corr.build_fixed_corr("compound_symmetry", 0.7, 5)
     ctx = ar2_ctx(n=1000, provider=corr.independence(5))
@@ -166,7 +177,7 @@ def test_det_ratio_penalises_independence_under_cs_truth():
 def test_empirical_provider_ratios_approach_one():
     errs_200, errs_2000 = [], []
     for seed in range(20):
-        data = generate_ar2(SimDesign(n=2000, m=5, corr_kind="cs", alpha0=0.7, seed=seed))
+        data = generate_ar2(SimDesign(n=2000, m=5, truth="cs", alpha0=0.7, seed=seed))
         truth = corr.build_fixed_corr("compound_symmetry", 0.7, 5)
         provider = corr.empirical_running(5, plugin_beta=BETA0)
         ctx = EstimatingContext(data=data, link=IDENT, corr=provider)
@@ -204,7 +215,7 @@ def test_leverage_orthonormal_design_closed_form():
 def test_leverage_decreases_with_n():
     gammas = {250: [], 1000: []}
     for seed in range(10):
-        data = generate_ar2(SimDesign(n=1000, m=5, corr_kind="cs", alpha0=0.7, seed=seed))
+        data = generate_ar2(SimDesign(n=1000, m=5, truth="cs", alpha0=0.7, seed=seed))
         for n in gammas:
             head = ClusterSeries(ys=data.ys[:n], Xs=data.Xs[:n])
             ctx = EstimatingContext(data=head, link=IDENT)

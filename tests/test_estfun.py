@@ -333,6 +333,15 @@ def test_newton_zero_information_fails():
         solve_newton(ctx, beta_init=np.zeros(2))
 
 
+def test_newton_with_a_singular_derivative_matrix_fails(rng):
+    # a logistic fit whose second regressor is 0 everywhere: D_n has a zero row
+    Xs = np.stack([rng.normal(size=(10, 2)), np.zeros((10, 2))], axis=-1)
+    ys = (rng.uniform(size=(10, 2)) < 0.5).astype(np.float64)
+    ctx = ctx_of(ys, Xs, link=get_link("logistic"))
+    with pytest.raises(SolverFailureError, match="singular derivative matrix in Newton"):
+        solve_newton(ctx, beta_init=np.zeros(2))
+
+
 def test_solve_linear_single_observation():
     ctx = ctx_of(np.array([[7.0]]), np.array([[[1.0]]]))
     assert np.allclose(solve_linear(ctx), [7.0])
@@ -344,7 +353,7 @@ def test_solve_linear_sample_mean():
 
 
 def test_solve_linear_matches_newton_on_simulation():
-    data = generate_ar2(SimDesign(n=50, m=5, corr_kind="independence", seed=3))
+    data = generate_ar2(SimDesign(n=50, m=5, truth="independence", seed=3))
     ctx = EstimatingContext(data=data, link=IDENT, corr=None)
     assert np.max(np.abs(solve_linear(ctx) - solve_newton(ctx).beta_hat)) < 1e-10
 
@@ -428,7 +437,7 @@ def test_two_step_matches_naive_reference(rng):
 def test_two_step_close_to_independence_under_identity_truth():
     errs = []
     for seed in range(11):
-        data = generate_ar2(SimDesign(n=500, m=5, corr_kind="independence", seed=seed))
+        data = generate_ar2(SimDesign(n=500, m=5, truth="independence", seed=seed))
         beta_two = two_step_fit(data)[0]
         beta_ind = solve_linear(EstimatingContext(data=data, link=IDENT))
         errs.append(np.linalg.norm(beta_two - beta_ind))
@@ -527,7 +536,7 @@ def test_two_step_is_the_closed_form_with_the_two_step_provider(rng):
 @pytest.mark.parametrize("shape", ["paper", "wind"])
 def test_fit_two_step_is_the_provider_route(realizations, shape):
     if shape == "paper":
-        data = generate_ar2(SimDesign(n=500, m=5, corr_kind="cs", alpha0=0.7, seed=3))
+        data = generate_ar2(SimDesign(n=500, m=5, truth="cs", alpha0=0.7, seed=3))
     else:  # the wind fits' (m, p) with their intercept column
         rng = substream(78, 0)
         Xs = rng.normal(scale=0.5, size=(150, 8, 4))
@@ -663,7 +672,7 @@ def test_estimator_consistency_across_providers():
     }
     errors = {name: {n: [] for n in sizes} for name in providers}
     for seed in range(15):
-        design = SimDesign(n=max(sizes), m=5, corr_kind="cs", alpha0=0.7, seed=seed)
+        design = SimDesign(n=max(sizes), m=5, truth="cs", alpha0=0.7, seed=seed)
         data_full = generate_ar2(design)
         for n in sizes:
             data = ClusterSeries(ys=data_full.ys[:n], Xs=data_full.Xs[:n])

@@ -7,6 +7,9 @@
 - Scale: with the identity link, y -> c y and X -> c X leave beta
   unchanged; y -> c y with only the lag columns of X scaled (a change of
   units, as from m/s to knots) scales the other coefficients by c.
+- Regression equivariance and reparametrisation, for every provider of
+  ``corr.PROVIDERS`` with the identity link: y -> y + X delta gives
+  beta -> beta + delta, and X -> X T gives beta -> T^{-1} beta.
 - No look-ahead in ingestion: the design of step i holds the responses of
   rows before i only, so changing the responses of file row r leaves the
   design of every step i <= r and the responses of every step before r
@@ -108,6 +111,53 @@ def test_rescaling_the_data_rescales_the_fit(kind, seed, n, m, scale, lags_only)
     want = scale * beta / cols
     assert np.max(np.abs(beta_c - want)) <= 1e-10 * np.max(np.abs(want))
     np.testing.assert_allclose(seq_c, seq, rtol=0, atol=1e-10)
+
+
+# Relative tolerances of the two linear invariances.  Over 300 draws x 5
+# providers the worst gaps were 1.8e-15 (shift) and 1.9e-14 (T of condition
+# number at most 4); rounding grows with the conditioning of the fit and of T.
+SHIFT_RTOL, REPARAM_RTOL = 1e-12, 1e-12
+
+
+def closed_form(data, name, alpha=0.4):
+    """The closed-form beta with the ``corr.PROVIDERS`` entry ``name`` at ``alpha``."""
+    provider = corr.PROVIDERS[name](alpha, data.m)
+    return fit(EstimatingContext(data=data, link=IDENT, corr=provider), method="linear",
+               with_inference=False).beta_hat
+
+
+def well_conditioned(rng, p):
+    """A p x p matrix with singular values in [0.5, 2], so of condition number at most 4."""
+    u, _ = np.linalg.qr(rng.normal(size=(p, p)))
+    v, _ = np.linalg.qr(rng.normal(size=(p, p)))
+    return (u * rng.uniform(0.5, 2.0, size=p)) @ v.T
+
+
+LINEAR_DRAWS = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 150), m=st.integers(1, 5),
+                    p=st.integers(1, 3))
+
+
+@pytest.mark.parametrize("name", sorted(corr.PROVIDERS))
+@given(**LINEAR_DRAWS)
+@settings(max_examples=20, deadline=None)
+def test_shifting_y_along_x_shifts_the_fit(name, seed, n, m, p):
+    base = series(seed, n, m, p)
+    delta = substream(seed, 5).normal(size=p)
+    shifted = ClusterSeries(ys=base.ys + base.Xs @ delta, Xs=base.Xs)
+    beta, beta_s = closed_form(base, name), closed_form(shifted, name)
+    gap = np.linalg.norm(beta_s - (beta + delta))
+    assert gap <= SHIFT_RTOL * (np.linalg.norm(beta) + np.linalg.norm(delta))
+
+
+@pytest.mark.parametrize("name", sorted(corr.PROVIDERS))
+@given(**LINEAR_DRAWS)
+@settings(max_examples=20, deadline=None)
+def test_reparametrising_x_reparametrises_the_fit(name, seed, n, m, p):
+    base = series(seed, n, m, p)
+    T = well_conditioned(substream(seed, 5), p)
+    want = np.linalg.solve(T, closed_form(base, name))
+    beta_t = closed_form(ClusterSeries(ys=base.ys, Xs=base.Xs @ T), name)
+    assert np.linalg.norm(beta_t - want) <= REPARAM_RTOL * np.linalg.norm(want)
 
 
 def write_dataset(path, Y, Z, layout, order):

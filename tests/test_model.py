@@ -140,7 +140,7 @@ def test_conditional_moments_hand_matrix_case():
 def test_eps_std_mean_near_zero_on_true_model():
     # residuals at the true parameter average to ~0 coordinate-wise
     n = 10_000
-    design = SimDesign(n=n, m=3, beta0=(0.5, 0.2), corr_kind="cs", alpha0=0.5, seed=11)
+    design = SimDesign(n=n, m=3, beta0=(0.5, 0.2), truth="cs", alpha0=0.5, seed=11)
     data = generate_ar2(design)
     _, _, eps = moment_arrays(data.Xs, data.ys, np.array([0.5, 0.2]), get_link("identity"))
     assert np.all(np.abs(eps.mean(axis=0)) < 4.0 / math.sqrt(n))
@@ -158,6 +158,13 @@ def test_cluster_series_validation():
         ClusterSeries(ys=np.zeros((4, 2)), Xs=np.zeros((4, 3, 2)))
     with pytest.raises(ContractError):
         ClusterSeries(ys=np.array([[np.inf, 0.0]]), Xs=np.zeros((1, 2, 1)))
+
+
+def test_cluster_series_rejects_1d_responses_and_zero_steps():
+    with pytest.raises(ContractError, match="expects ys"):
+        ClusterSeries(ys=np.zeros(4), Xs=np.zeros((4, 1)))
+    with pytest.raises(ContractError, match="at least one time step"):
+        ClusterSeries(ys=np.zeros((0, 2)), Xs=np.zeros((0, 2, 1)))
 
 
 def test_cluster_series_is_immutable(rng):

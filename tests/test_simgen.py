@@ -15,7 +15,7 @@ from mtgee.simgen import SimDesign, generate_ar2, monte_carlo_study, true_correl
 
 def test_generate_ar2_innovation_covariance():
     # with beta0 = 0 the responses are the innovations, N(0, R) per step
-    design = SimDesign(n=100_000, m=3, beta0=(0.0, 0.0), corr_kind="cs", alpha0=0.6, seed=0)
+    design = SimDesign(n=100_000, m=3, beta0=(0.0, 0.0), truth="cs", alpha0=0.6, seed=0)
     cov = np.cov(generate_ar2(design).ys, rowvar=False)
     assert np.max(np.abs(cov - true_correlation(design))) < 0.02
 
@@ -23,7 +23,7 @@ def test_generate_ar2_innovation_covariance():
 def test_mvn_near_degenerate_pair():
     # innovations with correlation 1 - 1e-6 are still drawn, and nearly collinear
     design = SimDesign(
-        n=10_000, m=2, beta0=(0.0, 0.0), corr_kind="cs", alpha0=1.0 - 1e-6, seed=1
+        n=10_000, m=2, beta0=(0.0, 0.0), truth="cs", alpha0=1.0 - 1e-6, seed=1
     )
     ys = generate_ar2(design).ys
     assert np.corrcoef(ys[:, 0], ys[:, 1])[0, 1] > 0.999
@@ -31,7 +31,7 @@ def test_mvn_near_degenerate_pair():
 
 def test_generate_pure_noise_mean():
     n = 10_000
-    design = SimDesign(n=n, m=3, beta0=(0.0, 0.0), corr_kind="independence", seed=4)
+    design = SimDesign(n=n, m=3, beta0=(0.0, 0.0), truth="independence", seed=4)
     data = generate_ar2(design)
     assert np.all(np.abs(data.ys.mean(axis=0)) < 4.0 / math.sqrt(n))
 
@@ -40,7 +40,7 @@ def test_generate_ar2_matches_yule_walker_autocorrelation():
     # lag-1 autocorrelation of a stationary AR(2): rho_1 = phi1 / (1 - phi2)
     phi1, phi2 = 0.5, 0.2
     rho1 = phi1 / (1 - phi2)
-    design = SimDesign(n=500, m=5, beta0=(phi1, phi2), corr_kind="cs", alpha0=0.7, seed=9)
+    design = SimDesign(n=500, m=5, beta0=(phi1, phi2), truth="cs", alpha0=0.7, seed=9)
     data = generate_ar2(design)
     y = data.ys[:, 0]
     yc = y - y.mean()
@@ -54,12 +54,12 @@ def test_generate_explosive_design_aborts():
     roots = np.roots([1.0, -beta0[0], -beta0[1]])
     assert np.max(np.abs(roots)) > 1.0
     with pytest.raises(InstabilityError) as err:
-        generate_ar2(SimDesign(n=500, m=3, beta0=beta0, corr_kind="independence", seed=0))
+        generate_ar2(SimDesign(n=500, m=3, beta0=beta0, truth="independence", seed=0))
     assert err.value.step is not None and err.value.step < 500
 
 
 def test_generate_is_deterministic_per_seed():
-    design = SimDesign(n=50, m=4, corr_kind="ar1", alpha0=0.5, seed=123)
+    design = SimDesign(n=50, m=4, truth="ar1", alpha0=0.5, seed=123)
     a, b = generate_ar2(design), generate_ar2(design)
     assert np.array_equal(a.ys, b.ys) and np.array_equal(a.Xs, b.Xs)
     c = generate_ar2(design, rep=1)
@@ -67,7 +67,7 @@ def test_generate_is_deterministic_per_seed():
 
 
 def test_design_step_regressors_are_lagged_responses():
-    design = SimDesign(n=20, m=2, corr_kind="independence", seed=5)
+    design = SimDesign(n=20, m=2, truth="independence", seed=5)
     data = generate_ar2(design)
     # X_i = [y_{i-1} | y_{i-2}] with zero initial conditions
     assert np.array_equal(data.Xs[0], np.zeros((2, 2)))
@@ -80,9 +80,9 @@ def test_design_validation():
     with pytest.raises(ContractError):
         SimDesign(beta0=(0.5, 0.2, 0.1))
     with pytest.raises(ContractError):
-        SimDesign(corr_kind="unknown")
+        SimDesign(truth="unknown")
     with pytest.raises(ContractError):
-        SimDesign(corr_kind="cs", alpha0=1.5)
+        SimDesign(truth="cs", alpha0=1.5)
 
 
 @pytest.mark.parametrize("name, kind", [
@@ -90,14 +90,14 @@ def test_design_validation():
     ("cs", "compound_symmetry"), ("CS", "compound_symmetry"),
 ])
 def test_design_takes_the_truths_and_the_cs_alias_in_any_case(name, kind):
-    assert SimDesign(corr_kind=name).corr_kind == kind
+    assert SimDesign(truth=name).truth == kind
     assert kind in simgen.TRUTHS
 
 
 @pytest.mark.parametrize("name", ["empirical", "two_step", "quasi_true", "R2", "exchangeable"])
 def test_design_rejects_a_name_outside_the_truths(name):
     with pytest.raises(ContractError, match=f"unknown correlation kind '{name}'"):
-        SimDesign(corr_kind=name)
+        SimDesign(truth=name)
 
 
 @pytest.mark.parametrize("beta0", [(math.inf, 0.0), (0.5, -math.inf), (math.nan, 0.2)])
@@ -106,18 +106,31 @@ def test_design_rejects_non_finite_beta0(beta0):
         SimDesign(beta0=beta0)
 
 
+@pytest.mark.parametrize("size", [dict(n=0), dict(m=0)])
+def test_design_rejects_an_empty_design(size):
+    with pytest.raises(ContractError, match="n and m must be positive"):
+        SimDesign(**size)
+
+
+def test_usable_cpus_without_an_affinity_mask(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert simgen._usable_cpus() == (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert simgen._usable_cpus() == 1
+
+
 def test_true_correlation_patterns():
     assert np.array_equal(
-        true_correlation(SimDesign(corr_kind="independence")), np.eye(5)
+        true_correlation(SimDesign(truth="independence")), np.eye(5)
     )
     assert np.array_equal(
-        true_correlation(SimDesign(corr_kind="ar1", alpha0=0.3)),
+        true_correlation(SimDesign(truth="ar1", alpha0=0.3)),
         build_fixed_corr("ar1", 0.3, 5),
     )
 
 
 def test_study_parallel_matches_serial(monkeypatch):
-    design = SimDesign(n=120, m=3, corr_kind="cs", alpha0=0.7, seed=21)
+    design = SimDesign(n=120, m=3, truth="cs", alpha0=0.7, seed=21)
     serial = monte_carlo_study(design, s=8, level=0.9, parallel=False)
     monkeypatch.setattr(simgen, "_usable_cpus", lambda: 2)
     parallel = monte_carlo_study(design, s=8, level=0.9, parallel=True)
@@ -140,7 +153,7 @@ def test_study_on_one_usable_cpu_starts_no_pool(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     monkeypatch.setattr(simgen, "ESTIMATORS", ("independence", "quasi_true"))
-    design = SimDesign(n=60, m=2, corr_kind="cs", alpha0=0.5, seed=4)
+    design = SimDesign(n=60, m=2, truth="cs", alpha0=0.5, seed=4)
     serial = monte_carlo_study(design, s=4, parallel=False)
     parallel = monte_carlo_study(design, s=4, parallel=True)
     for a, b in zip(serial.estimators, parallel.estimators):
@@ -169,7 +182,7 @@ def test_study_pool_holds_no_more_workers_than_chunks(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(simgen, "ESTIMATORS", ("independence", "quasi_true"))
-    design = SimDesign(n=60, m=2, corr_kind="cs", alpha0=0.5, seed=4)
+    design = SimDesign(n=60, m=2, truth="cs", alpha0=0.5, seed=4)
     monte_carlo_study(design, s=3, parallel=True)
     assert started == [3]
 
@@ -184,7 +197,7 @@ def test_study_aborts_when_a_column_fails_too_often(monkeypatch, capsys):
         return provider(design, name)
 
     monkeypatch.setattr(simgen, "_provider", failing)
-    design = SimDesign(n=60, m=2, corr_kind="cs", alpha0=0.5, seed=4)
+    design = SimDesign(n=60, m=2, truth="cs", alpha0=0.5, seed=4)
     with pytest.raises(StudyError, match=r"^estimator 'ar1' failed on 5/5 replications$"):
         monte_carlo_study(design, s=5)
     assert run_command(["simulate", "--n", "60", "--m", "2", "--s", "5", "--seed", "4"]) == 3
@@ -197,7 +210,7 @@ def test_study_aborts_when_a_column_fails_too_often(monkeypatch, capsys):
 # at seed 1, replication 0 crosses the guard at step 492, replication 1 never
 # and replication 2 at step 481; at seed 3, replications 0-2 never, 3 at step
 # 486, 4 at step 488 and 5 at step 457
-EXPLOSIVE = dict(n=500, m=2, beta0=(1.025, 0.0), corr_kind="independence")
+EXPLOSIVE = dict(n=500, m=2, beta0=(1.025, 0.0), truth="independence")
 
 
 def _first_instability(design, reps):
@@ -211,10 +224,10 @@ def _first_instability(design, reps):
 
 
 @pytest.mark.parametrize("design,reps", [
-    (SimDesign(n=500, m=5, corr_kind="cs", alpha0=0.7, seed=3), range(0, 3)),
-    (SimDesign(n=60, m=3, corr_kind="ar1", alpha0=-0.5, beta0=(0.4, -0.3), seed=17), range(0, 1)),
-    (SimDesign(n=60, m=3, corr_kind="ar1", alpha0=-0.5, beta0=(0.4, -0.3), seed=17), range(5, 45)),
-    (SimDesign(n=1, m=1, corr_kind="independence", seed=2), range(2, 9)),
+    (SimDesign(n=500, m=5, truth="cs", alpha0=0.7, seed=3), range(0, 3)),
+    (SimDesign(n=60, m=3, truth="ar1", alpha0=-0.5, beta0=(0.4, -0.3), seed=17), range(0, 1)),
+    (SimDesign(n=60, m=3, truth="ar1", alpha0=-0.5, beta0=(0.4, -0.3), seed=17), range(5, 45)),
+    (SimDesign(n=1, m=1, truth="independence", seed=2), range(2, 9)),
 ])
 def test_chunk_matches_one_replication_oracle(design, reps):
     chunk = generate_ar2(design, reps)
@@ -252,7 +265,7 @@ def test_study_does_not_depend_on_chunk_length(monkeypatch, chunk, parallel):
     # chunks of one replication are the harness before chunking; s = 8 is split
     # into chunks of 1, 3 (8 = 3 + 3 + 2), 5 and one chunk longer than s, or, on
     # two workers, of at most 4
-    design = SimDesign(n=120, m=3, corr_kind="cs", alpha0=0.7, seed=21)
+    design = SimDesign(n=120, m=3, truth="cs", alpha0=0.7, seed=21)
     monkeypatch.setattr(simgen, "CHUNK_REPS", 1)
     want = monte_carlo_study(design, s=8, level=0.9)
     monkeypatch.setattr(simgen, "CHUNK_REPS", chunk)
@@ -279,7 +292,7 @@ def test_study_explosion_matches_one_replication_path(monkeypatch, chunk, parall
 
 
 def test_study_reproducible_across_runs(monkeypatch):
-    design = SimDesign(n=100, m=3, corr_kind="ar1", alpha0=0.7, seed=33)
+    design = SimDesign(n=100, m=3, truth="ar1", alpha0=0.7, seed=33)
     monkeypatch.setattr(simgen, "ESTIMATORS", ("independence", "quasi_true"))
     a = monte_carlo_study(design, s=6, level=0.95)
     b = monte_carlo_study(design, s=6, level=0.95)
@@ -287,7 +300,7 @@ def test_study_reproducible_across_runs(monkeypatch):
 
 
 def test_study_metric_identities():
-    design = SimDesign(n=150, m=3, corr_kind="cs", alpha0=0.7, seed=2)
+    design = SimDesign(n=150, m=3, truth="cs", alpha0=0.7, seed=2)
     report = monte_carlo_study(design, s=40, level=0.95)
     beta0 = np.asarray(design.beta0)
     for summ in report.estimators:
@@ -298,7 +311,7 @@ def test_study_metric_identities():
 
 
 def test_study_requires_replications():
-    design = SimDesign(n=50, m=2, corr_kind="cs", alpha0=0.5, seed=0)
+    design = SimDesign(n=50, m=2, truth="cs", alpha0=0.5, seed=0)
     with pytest.raises(ContractError):
         monte_carlo_study(design, s=1)
 
@@ -308,7 +321,7 @@ def test_mse_shrinks_roughly_like_one_over_n(monkeypatch):
     monkeypatch.setattr(simgen, "ESTIMATORS", labels + ("quasi_true",))
     mses = {}
     for n in (250, 1000):
-        design = SimDesign(n=n, m=5, corr_kind="cs", alpha0=0.7, seed=6)
+        design = SimDesign(n=n, m=5, truth="cs", alpha0=0.7, seed=6)
         report = monte_carlo_study(design, s=100, level=0.95)
         mses[n] = np.concatenate([estimator_summary(report, label).mse for label in labels])
     ratios = mses[1000] / mses[250]
@@ -316,14 +329,14 @@ def test_mse_shrinks_roughly_like_one_over_n(monkeypatch):
 
 
 def test_coverage_study_level_half(monkeypatch):
-    design = SimDesign(n=300, m=3, corr_kind="cs", alpha0=0.7, seed=14)
+    design = SimDesign(n=300, m=3, truth="cs", alpha0=0.7, seed=14)
     monkeypatch.setattr(simgen, "ESTIMATORS", ("cs", "quasi_true"))
     coverage = monte_carlo_study(design, s=400, level=0.5).estimators[0].coverage
     assert np.all((0.45 <= coverage) & (coverage <= 0.55))
 
 
 def test_rb_guard_uses_absolute_bias_at_zero_truth(monkeypatch):
-    design = SimDesign(n=100, m=3, beta0=(0.0, 0.0), corr_kind="independence", seed=8)
+    design = SimDesign(n=100, m=3, beta0=(0.0, 0.0), truth="independence", seed=8)
     monkeypatch.setattr(simgen, "ESTIMATORS", ("independence", "quasi_true"))
     report = monte_carlo_study(design, s=10, level=0.95)
     summ = report.estimators[0]
@@ -331,7 +344,7 @@ def test_rb_guard_uses_absolute_bias_at_zero_truth(monkeypatch):
 
 
 def test_coverage_study_rejects_empty():
-    design = SimDesign(n=50, m=2, corr_kind="cs", alpha0=0.5, seed=0)
+    design = SimDesign(n=50, m=2, truth="cs", alpha0=0.5, seed=0)
     with pytest.raises(ContractError):
         monte_carlo_study(design, s=0)
 

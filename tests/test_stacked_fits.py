@@ -31,8 +31,8 @@ IDENTITY = get_link("identity")
 
 # the paper design fits in stacks of 4 (n=500); n=200 in stacks of 10
 DESIGNS = {
-    "paper_cs": SimDesign(n=500, m=5, corr_kind="cs", alpha0=0.7, seed=3),
-    "ar1_m3": SimDesign(n=200, m=3, corr_kind="ar1", alpha0=-0.4, beta0=(0.4, -0.3), seed=17),
+    "paper_cs": SimDesign(n=500, m=5, truth="cs", alpha0=0.7, seed=3),
+    "ar1_m3": SimDesign(n=200, m=3, truth="ar1", alpha0=-0.4, beta0=(0.4, -0.3), seed=17),
 }
 
 
@@ -143,11 +143,11 @@ def test_overflowed_response_flags_its_two_step_replication_alone():
 def test_chunk_is_simulated_before_its_estimators_are_built():
     # an exploding replication's InstabilityError precedes an estimator's
     # ContractError: alpha0 = 5 suits the independence truth, not the cs column
-    design = SimDesign(n=500, m=3, beta0=(1.2, 0.5), corr_kind="independence", alpha0=5.0,
+    design = SimDesign(n=500, m=3, beta0=(1.2, 0.5), truth="independence", alpha0=5.0,
                        seed=0)
     with pytest.raises(InstabilityError):
         simgen._replications(design, ("cs",), 0.95, range(2))
-    stable = SimDesign(n=50, m=3, corr_kind="independence", alpha0=5.0, seed=0)
+    stable = SimDesign(n=50, m=3, truth="independence", alpha0=5.0, seed=0)
     with pytest.raises(ContractError, match="compound symmetry needs alpha"):
         simgen._replications(stable, ("cs",), 0.95, range(2))
 
