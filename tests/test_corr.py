@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_solve_close
 from loop_oracle import scalar_regularize
 from mtgee import corr
 from mtgee.errors import ContractError, CorrelationDegeneracyError
@@ -158,6 +159,67 @@ def test_a_user_provider_with_a_singular_matrix_is_a_degeneracy(attribute):
     ctx = EstimatingContext(data=data, link=get_link("identity"), corr=SingularCorr(2))
     with pytest.raises(CorrelationDegeneracyError, match="singular or not finite"):
         getattr(ctx, attribute)
+
+
+def spd_stack(rng, shape, m, cond):
+    """Symmetric positive definite matrices of ``shape`` + (m, m), each of
+    condition number ``cond`` (m >= 2) and a random scale."""
+    q, _ = np.linalg.qr(rng.normal(size=shape + (m, m)))
+    spread = np.sort(rng.uniform(size=shape + (m,)), axis=-1)
+    spread[..., 0], spread[..., -1] = 0.0, 1.0
+    lam = cond ** -spread * 10.0 ** rng.uniform(-2, 2, size=shape + (1,))
+    mats = (q * lam[..., None, :]) @ np.swapaxes(q, -1, -2)
+    return (mats + np.swapaxes(mats, -1, -2)) / 2
+
+
+# the slab solve against LAPACK, within conftest's SOLVE_TOL: a single series
+# and a stack, up to two slabs past the first
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8), k=st.sampled_from([None, 1, 3]),
+       slabs=st.integers(0, 2), extra=st.integers(1, 9), log_cond=st.floats(0.0, 8.0),
+       p=st.sampled_from([None, 1, 3]))
+@settings(max_examples=60, deadline=None)
+def test_solve_matches_lapack(seed, m, k, slabs, extra, log_cond, p):
+    rng = np.random.default_rng(seed)
+    total = slabs * (corr.SOLVE_FLOATS // (m * m)) + extra
+    shape = (total,) if k is None else (k, -(-total // k))
+    seq = spd_stack(rng, shape, m, 10.0**log_cond)
+    rhs = None if p is None else rng.normal(size=shape + (m, p))
+    before = seq.copy()
+    got = corr.CorrProvider(m).solve(seq, rhs)
+    want = np.linalg.inv(seq) if rhs is None else np.linalg.solve(seq, rhs)
+    assert got.shape == want.shape
+    assert_solve_close(got, want, seq)
+    assert np.array_equal(seq, before)
+
+
+# one bad matrix in the second slab fails the whole solve
+@pytest.mark.parametrize("bad, message", [
+    ([[1.0, 1.0], [1.0, 1.0]], "working correlation is singular or not finite"),
+    ([[1.0, 2.0], [2.0, 1.0]], "working correlation is singular or not finite"),
+    ([[1.0, 0.0], [0.0, -1.0]], "working correlation is singular or not finite"),
+    ([[1.0, 0.2], [0.0, 1.0]], "working correlation is not symmetric"),
+    ([[1.0, 0.0], [0.5, 1.0]], "working correlation is not symmetric"),
+], ids=["singular", "indefinite", "negative_pivot", "upper_only", "lower_only"])
+@pytest.mark.parametrize("rhs", [None, np.ones(2)[:, None]], ids=["inverse", "rhs"])
+def test_solve_rejects_a_matrix_that_is_not_symmetric_positive_definite(bad, message, rhs):
+    seq = np.tile(np.eye(2), (corr.SOLVE_FLOATS // 4 + 5, 1, 1))
+    seq[-2] = bad
+    rhs = None if rhs is None else np.broadcast_to(rhs, seq.shape[:-1] + (1,))
+    with pytest.raises(CorrelationDegeneracyError, match=message):
+        corr.CorrProvider(2).solve(seq, rhs)
+
+
+def test_solve_passes_nan_through_to_its_own_step():
+    rng = np.random.default_rng(3)
+    seq = spd_stack(rng, (40,), 3, 10.0)
+    seq[7] = np.nan
+    seq[9, 0, 0] = np.nan
+    provider = corr.CorrProvider(3)
+    got = provider.solve(seq)
+    assert np.isnan(got[7]).all() and np.isnan(got[9]).any()
+    fine = np.ones(40, dtype=bool)
+    fine[[7, 9]] = False
+    assert np.array_equal(got[fine], provider.solve(seq[fine]))
 
 
 def test_pseudo_fixed_rejects_non_spd():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_diff_jacobian, glm_series, random_series
+from conftest import assert_solve_close, finite_diff_jacobian, glm_series, random_series
 from ergodicity import ergodicity_check
 from loop_oracle import newton_reference, scalar_regularize
 from mtgee import cli, corr, diagnostics, estfun, inference, model
@@ -342,6 +342,25 @@ def test_newton_with_a_singular_derivative_matrix_fails(rng):
         solve_newton(ctx, beta_init=np.zeros(2))
 
 
+def test_newton_with_an_overflowing_step_fails():
+    # D_n = sum x^2 of x = 1e-160 is subnormal but not 0, so LAPACK solves it,
+    # and g_n of responses 1e200 over it overflows the step to inf
+    ctx = ctx_of(np.full((5, 2), 1e200), np.full((5, 2, 1), 1e-160))
+    with pytest.raises(SolverFailureError, match=r"non-finite Newton step \(ill-conditioned"):
+        solve_newton(ctx, beta_init=np.zeros(1))
+
+
+def test_working_independence_start_on_separated_data_fails():
+    # y = 1{x > 0}: the logistic likelihood has no maximum, and the damped
+    # Newton iterates run off until max_iter
+    Xs = np.random.default_rng(0).normal(size=(10, 2, 1))
+    data = ClusterSeries(ys=(Xs[..., 0] > 0).astype(np.float64), Xs=Xs)
+    with pytest.raises(SolverFailureError,
+                       match="working-independence initialisation did not converge") as err:
+        working_independence_estimate(data, get_link("logistic"))
+    assert len(err.value.trace) > 1
+
+
 def test_solve_linear_single_observation():
     ctx = ctx_of(np.array([[7.0]]), np.array([[[1.0]]]))
     assert np.allclose(solve_linear(ctx), [7.0])
@@ -524,10 +543,9 @@ def test_two_step_is_the_closed_form_with_the_two_step_provider(rng):
     via_fit = fit(EstimatingContext(data=data, link=IDENT, corr=corr.two_step(3)), method="linear")
     assert type(via_fit.ctx.corr) is corr.TwoStepCorr
     assert np.array_equal(via_fit.beta_hat, beta)
-    assert np.array_equal(via_fit.ctx.corr.realize(via_fit.ctx.data, IDENT),
-                          ctx.corr.realize(ctx.data, ctx.link))
-    assert np.array_equal(via_fit.ctx.corr_inverses,
-                          np.linalg.inv(ctx.corr.realize(ctx.data, ctx.link)))
+    seq = ctx.corr.realize(ctx.data, ctx.link)
+    assert np.array_equal(via_fit.ctx.corr.realize(via_fit.ctx.data, IDENT), seq)
+    assert_solve_close(via_fit.ctx.corr_inverses, np.linalg.inv(seq), seq)
 
 
 # estfun.fit_two_step is outside the package's surface, but the benchmark's

@@ -52,7 +52,10 @@ def binary_series(seed, n, m, p):
 # (n, m, p, zero_until, intercept): three-plus blocks, the warm-up edge
 # n = guard + 1, a series that is all warm-up (n = m = 3), m = 1, an early
 # zero regressor column that makes b_i singular, and the shape of the wind
-# fits (m = 8, p = 4, three-plus blocks) with their intercept column
+# fits (m = 8, p = 4, three-plus blocks) with their intercept column, and a
+# series across two of the empirical provider's blocks at m = 6, whose
+# 36-float rows make each block several BLOCK_STEPS long
+LONG = B * max(1, corr.BLOCK_ROW_FLOATS // 36)
 CASES = {
     "three_blocks": (3 * B + 17, 4, 3, 0, False),
     "warmup_edge": (4, 3, 2, 0, False),
@@ -60,6 +63,7 @@ CASES = {
     "m1": (2 * B + 5, 1, 2, 0, False),
     "singular_b": (2 * B + 9, 3, 2, B + 3, False),
     "wind": (3 * B + 11, 8, 4, 0, True),
+    "long_blocks": (2 * LONG + 13, 6, 4, 0, False),
 }
 
 
@@ -166,6 +170,23 @@ def test_sequence_does_not_depend_on_block_length(monkeypatch, block, m):
     monkeypatch.setattr(corr, "BLOCK_STEPS", block)
     assert np.array_equal(two_step.realize(data, link), seq)
     assert np.array_equal(provider.realize(data, link), emp)
+
+
+# the long_blocks case takes blocks of several BLOCK_STEPS for the empirical
+# provider; blocks of 1 and 7 steps (times its multiple), and of BLOCK_STEPS
+# (no multiple), give the same bits
+@pytest.mark.parametrize("block", [1, 7, B])
+def test_long_blocks_give_the_bits_of_short_ones(monkeypatch, block):
+    n, m, p = CASES["long_blocks"][:3]
+    assert LONG > B and n > 2 * LONG
+    data = binary_series(15, n, m, p)
+    link = get_link("logistic")
+    provider = corr.empirical_running(m, plugin_beta=[0.3, -0.2, 0.1, 0.4])
+    want = provider.realize(data, link)
+    monkeypatch.setattr(corr, "BLOCK_STEPS", block)
+    assert np.array_equal(provider.realize(data, link), want)
+    monkeypatch.setattr(corr, "BLOCK_ROW_FLOATS", 0)
+    assert np.array_equal(provider.realize(data, link), want)
 
 
 # the wind fits' shape, alone and in a stack of three, whose slab rows take
